@@ -36,7 +36,7 @@ from repro.core.engine import InfluentialCommunityEngine
 from repro.graph.datasets import synthetic_small_world
 from repro.serve.batch import ServingConfig
 from repro.service.facade import CommunityService
-from repro.service.gateway import ServiceGateway
+from repro.service.agateway import AsyncServiceGateway
 from repro.service.schema import BatchRequest, result_to_wire
 from repro.workloads.queries import QueryWorkload
 from repro.workloads.reporting import bench_envelope
@@ -113,7 +113,7 @@ def measure_paths(service: CommunityService, queries, batch_size=None) -> dict:
         "parallel in-process answers differ from sequential"
     )
 
-    with ServiceGateway(service, port=0) as gateway:
+    with AsyncServiceGateway(service, port=0) as gateway:
         url = gateway.url + "/v1/batch"
         started = time.perf_counter()
         buffered = json.loads(post_json(url, request.to_json()))
@@ -181,7 +181,7 @@ def test_gateway_throughput(benchmark, gateway_fixture):
 
     graph, service, queries = gateway_fixture
     request = BatchRequest(session=_SESSION, queries=queries).to_json()
-    with ServiceGateway(service, port=0) as gateway:
+    with AsyncServiceGateway(service, port=0) as gateway:
         url = gateway.url + "/v1/batch"
         body = benchmark.pedantic(
             post_json, args=(url, request), rounds=BENCH_ROUNDS, iterations=1

@@ -1,6 +1,6 @@
 """Gateway walkthrough: a build -> topl -> update -> topl HTTP round trip.
 
-Starts an in-process :class:`repro.service.ServiceGateway`, then talks to it
+Starts an in-process :class:`repro.service.AsyncServiceGateway`, then talks to it
 purely over HTTP with :mod:`urllib` — exactly what a remote client would do.
 Each step's request and response documents are captured as JSON transcripts
 (the CI gateway-smoke job uploads them as an artifact)::
@@ -13,9 +13,9 @@ the engine epoch, and the post-update answer differs from a stale cache
 
 With ``--shards N`` the same walkthrough runs against the sharded serving
 tier instead — a :class:`repro.service.ShardedCommunityService` (N worker
-processes per session, ``--replicas`` read replicas each) behind the async
-front door :class:`repro.service.AsyncServiceGateway`.  Every request,
-response and assertion is unchanged: sharding is invisible on the wire.
+processes per session, ``--replicas`` read replicas each) behind the same
+front door.  Every request, response and assertion is unchanged: sharding
+is invisible on the wire.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from pathlib import Path
 from repro.graph.datasets import uni
 from repro.graph.io import graph_to_dict
 from repro.query.params import make_topl_query
+from repro.service.agateway import AsyncServiceGateway
 from repro.service.facade import CommunityService
-from repro.service.gateway import ServiceGateway
 from repro.service.schema import (
     BuildRequest,
     ToplRequest,
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         type=int,
         default=0,
         help="run against the sharded tier with this many worker processes "
-        "per session (0 = the plain threaded gateway)",
+        "per session (0 = one in-process engine per session)",
     )
     parser.add_argument(
         "--replicas", type=int, default=1, help="read replicas per shard"
@@ -90,17 +90,14 @@ def main(argv=None) -> int:
     query = make_topl_query({"movies", "books"}, k=3, radius=2, theta=0.2, top_l=3)
 
     if args.shards > 0:
-        from repro.service.agateway import AsyncServiceGateway
         from repro.service.sharded import ShardedCommunityService
 
         service = ShardedCommunityService(
             num_shards=args.shards, replicas=args.replicas, mode="process"
         )
-        gateway_factory = lambda: AsyncServiceGateway(service, port=0)  # noqa: E731
         print(f"sharded tier: {args.shards} shards x {args.replicas} replicas")
     else:
         service = CommunityService()
-        gateway_factory = lambda: ServiceGateway(service, port=0)  # noqa: E731
 
     store_dir = None
     store_path = None
@@ -119,7 +116,7 @@ def main(argv=None) -> int:
         info = pack_store(packed, store_path)
         print(f"packed store: {info['sections']} sections, {info['file_size']} bytes")
 
-    with gateway_factory() as gateway:
+    with AsyncServiceGateway(service, port=0) as gateway:
         print(f"gateway listening on {gateway.url}")
 
         if args.store:

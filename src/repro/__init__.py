@@ -53,7 +53,6 @@ from repro.query.dtopl import DTopLProcessor, dtopl_icde
 from repro.serve.batch import BatchQueryEngine, BatchResult, BatchStatistics, ServingConfig
 from repro.serve.cache import LRUCache
 from repro.service.facade import CommunityService
-from repro.service.gateway import ServiceGateway
 
 __all__ = [
     "EngineConfig",
@@ -103,6 +102,5 @@ __all__ = [
     "ServingConfig",
     "LRUCache",
     "CommunityService",
-    "ServiceGateway",
     "__version__",
 ]

@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="partition each session over this many shard worker processes "
-        "behind the async front door (0 = unsharded threaded gateway)",
+        "(0 = serve each session from one in-process engine)",
     )
     gateway.add_argument(
         "--replicas",
@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pending",
         type=int,
         default=64,
-        help="async front door backpressure bound: concurrent requests "
-        "beyond this get 429 + Retry-After (only with --shards)",
+        help="front door backpressure bound: concurrent requests "
+        "beyond this get 429 + Retry-After",
     )
 
     scenario = subparsers.add_parser(
@@ -791,7 +791,6 @@ def _command_update(args: argparse.Namespace) -> int:
 
 def _command_gateway(args: argparse.Namespace) -> int:
     from repro.service.agateway import AsyncServiceGateway
-    from repro.service.gateway import ServiceGateway
     from repro.service.sharded import ShardedCommunityService
 
     if args.shards > 0:
@@ -818,31 +817,22 @@ def _command_gateway(args: argparse.Namespace) -> int:
             f"|E| = {graph_info['num_edges']} "
             f"(backend {response.engine['backend']})"
         )
-    if args.shards > 0:
-        gateway = AsyncServiceGateway(
-            service, host=args.host, port=args.port, max_pending=args.max_pending
-        )
-        gateway.start()
-        print(
-            f"serving the v1 API on {gateway.url} "
-            f"({args.shards} shards x {args.replicas} replicas, Ctrl-C to stop)"
-        )
-        try:
-            gateway.serve_forever()
-        except KeyboardInterrupt:
-            print("gateway stopped")
-        finally:
-            gateway.shutdown()
-            service.close()
-        return 0
-    gateway = ServiceGateway(service, host=args.host, port=args.port)
-    print(f"serving the v1 API on {gateway.url} (Ctrl-C to stop)")
+    gateway = AsyncServiceGateway(
+        service, host=args.host, port=args.port, max_pending=args.max_pending
+    )
+    gateway.start()
+    topology = (
+        f"{args.shards} shards x {args.replicas} replicas, " if args.shards > 0 else ""
+    )
+    print(f"serving the v1 API on {gateway.url} ({topology}Ctrl-C to stop)")
     try:
         gateway.serve_forever()
     except KeyboardInterrupt:
         print("gateway stopped")
     finally:
-        gateway.close()
+        gateway.shutdown()
+        if args.shards > 0:
+            service.close()
     return 0
 
 

@@ -18,10 +18,10 @@ Example
 
 from __future__ import annotations
 
+import dataclasses
 import time
-import warnings
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from repro.core.config import EngineConfig
 from repro.exceptions import QueryParameterError
@@ -32,11 +32,17 @@ from repro.dynamic.maintenance import (
 )
 from repro.dynamic.truss_maintenance import IncrementalTrussState
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
+from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.social_network import SocialNetwork, VertexId
 from repro.graph.validation import validate_graph
 from repro.index.patch import patch_tree_index
 from repro.index.precompute import precompute
-from repro.index.serialization import load_index, save_index
+from repro.index.serialization import (
+    load_index,
+    precomputed_from_dict,
+    precomputed_to_dict,
+    save_index,
+)
 from repro.index.tree import TreeIndex, build_tree_index
 from repro.pruning.stats import PruningConfig
 from repro.query.baselines.kcore_baseline import compare_with_kcore, kcore_community
@@ -77,10 +83,6 @@ class InfluentialCommunityEngine:
         #: Reference backend's dynamic view (``AdjacencyCore``), kept in
         #: lockstep with ``graph`` by the truss state.
         self._reference_core = None
-        #: Edit batches applied to the current overlay base (fast backend):
-        #: spawn-mode serving workers replay these to rebuild the overlay
-        #: instead of re-freezing.  Reset by rebuilds and compactions.
-        self._edit_log: list[UpdateBatch] = []
         #: Store anchoring (see :meth:`from_store` / :meth:`checkpoint_store`):
         #: the open :class:`~repro.store.StoreHandle` (keeps the mmap pages
         #: alive), its provenance dict, and the engine epoch the store file
@@ -179,8 +181,6 @@ class InfluentialCommunityEngine:
         (``max_radius`` / ``thresholds`` / ``num_bits``) cannot be changed
         this way — they are baked into the packed records.
         """
-        import dataclasses
-
         from repro.store import open_store
 
         handle = open_store(path, mmap=mmap, verify=verify)
@@ -244,8 +244,9 @@ class InfluentialCommunityEngine:
         file *only* while the engine still matches the packed generation
         (``epoch == _store_epoch``): the store holds the base generation's
         records, so attaching a dirty engine through it would pair stale
-        records with replayed edits.  After updates, callers fall back to
-        the serialized-payload path (or :meth:`checkpoint_store` first).
+        records with replayed edits.  After updates, :meth:`to_payload`
+        falls back to shipping the graph (or call :meth:`checkpoint_store`
+        first).
         """
         if self._store_info is not None and self._store_epoch == self.epoch:
             return {"store_path": self._store_info["path"]}
@@ -260,6 +261,51 @@ class InfluentialCommunityEngine:
             **self._store_info,
             "attached": self._store_epoch == self.epoch,
         }
+
+    # ------------------------------------------------------------------ #
+    # shipping the engine to another process
+    # ------------------------------------------------------------------ #
+    def to_payload(self) -> dict:
+        """The picklable document :meth:`from_payload` rebuilds this engine from.
+
+        The one way an engine reaches another process (spawn-mode serving
+        workers, shard replicas).  While :meth:`store_attachment` is valid
+        the payload names only the store file, which the receiver mmaps —
+        start-up is flat in the graph size.  Otherwise it carries the live
+        graph (every applied update included) and the pre-computed records;
+        the receiver rebuilds the deterministic tree and, on the ``fast``
+        backend, pays one freeze, whose CSR equals a compacted overlay.
+        """
+        payload = {"config": dataclasses.asdict(self.config), "epoch": self.epoch}
+        attachment = self.store_attachment()
+        if attachment is not None:
+            payload["store_path"] = attachment["store_path"]
+            return payload
+        payload.update(
+            graph=graph_to_dict(self.graph),
+            precomputed=precomputed_to_dict(self.index.precomputed),
+            fanout=self.index.fanout,
+            leaf_capacity=self.index.leaf_capacity,
+        )
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "InfluentialCommunityEngine":
+        """Rebuild an engine from :meth:`to_payload` without the offline phase."""
+        config = EngineConfig(**payload["config"])
+        if payload.get("store_path") is not None:
+            engine = cls.from_store(payload["store_path"], config=config)
+        else:
+            graph = graph_from_dict(payload["graph"])
+            index = build_tree_index(
+                graph,
+                precomputed=precomputed_from_dict(payload["precomputed"]),
+                fanout=payload["fanout"],
+                leaf_capacity=payload["leaf_capacity"],
+            )
+            engine = cls(graph, index, config)
+        engine.epoch = payload["epoch"]
+        return engine
 
     # ------------------------------------------------------------------ #
     # online queries
@@ -371,26 +417,6 @@ class InfluentialCommunityEngine:
         """Dirt ratio of the snapshot overlay (0.0 when pure or reference)."""
         dirt_ratio = getattr(self._frozen, "dirt_ratio", None)
         return dirt_ratio() if dirt_ratio is not None else 0.0
-
-    def serialized_overlay(self) -> Optional[dict]:
-        """Base graph + edit log for spawn-mode serving workers.
-
-        ``None`` unless the fast backend's snapshot currently carries an
-        overlay; otherwise a picklable document from which a worker rebuilds
-        the overlay exactly (freeze the base graph, replay the log) instead
-        of paying a full freeze of the mutated graph.
-        """
-        from repro.fastgraph.delta import DeltaCSR
-
-        frozen = self._frozen
-        if not isinstance(frozen, DeltaCSR) or not self._edit_log:
-            return None
-        from repro.graph.io import graph_to_dict
-
-        return {
-            "base_graph": graph_to_dict(frozen.base.thaw()),
-            "edit_log": [batch.to_json() for batch in self._edit_log],
-        }
 
     # ------------------------------------------------------------------ #
     # dynamic updates
@@ -543,7 +569,6 @@ class InfluentialCommunityEngine:
             )
             mode = "incremental"
             if self.config.backend == "fast":
-                self._edit_log.append(batch)
                 dirt = core.dirt_ratio()
                 if dirt > self.config.compact_dirt_ratio:
                     self._compact_overlay(core)
@@ -581,7 +606,6 @@ class InfluentialCommunityEngine:
         """
         self._truss_state = None
         self._reference_core = None
-        self._edit_log = []
         if compact_overlay and hasattr(self._frozen, "compact"):
             self._frozen = self._frozen.compact()
             self._fast_workspace = None
@@ -593,12 +617,10 @@ class InfluentialCommunityEngine:
 
         Edge ids are renumbered by compaction, so the shared workspace is
         dropped (rebuilt lazily) and the truss state re-projects its id maps
-        when the next update wraps a fresh overlay.  The edit log restarts
-        from the new base.
+        when the next update wraps a fresh overlay.
         """
         self._frozen = overlay.compact()
         self._fast_workspace = None
-        self._edit_log = []
 
     def _rebuild_offline(self) -> None:
         """Re-run the offline phase over the current graph (in place)."""
@@ -658,50 +680,6 @@ class InfluentialCommunityEngine:
             start_method=start_method,
         )
         return BatchQueryEngine(self, config=config, pruning=pruning)
-
-    def topl_many(
-        self,
-        queries: Sequence[TopLQuery],
-        workers: int = 1,
-        pruning: Optional[PruningConfig] = None,
-    ) -> list[TopLResult]:
-        """Answer many TopL-ICDE queries (order-stable); a one-shot batch.
-
-        .. deprecated::
-            Route batches through :class:`repro.service.CommunityService`
-            (adopt the engine as a session and issue a
-            :class:`~repro.service.schema.BatchRequest`); session serving
-            keeps caches warm across batches, which a one-shot cannot.
-        """
-        warnings.warn(
-            "InfluentialCommunityEngine.topl_many() is deprecated; adopt the "
-            "engine into a repro.service.CommunityService session and issue a "
-            "BatchRequest instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.serve(workers=workers, pruning=pruning).run(queries))
-
-    def dtopl_many(
-        self,
-        queries: Sequence[DTopLQuery],
-        workers: int = 1,
-        pruning: Optional[PruningConfig] = None,
-    ) -> list[DTopLResult]:
-        """Answer many DTopL-ICDE queries (order-stable); a one-shot batch.
-
-        .. deprecated::
-            Route batches through :class:`repro.service.CommunityService`,
-            as with :meth:`topl_many`.
-        """
-        warnings.warn(
-            "InfluentialCommunityEngine.dtopl_many() is deprecated; adopt the "
-            "engine into a repro.service.CommunityService session and issue a "
-            "BatchRequest instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.serve(workers=workers, pruning=pruning).run(queries))
 
     # ------------------------------------------------------------------ #
     # analysis helpers

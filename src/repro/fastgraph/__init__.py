@@ -42,7 +42,7 @@ build, online scoring and dynamic maintenance through it.  See
 """
 
 from repro.fastgraph.csr import NUMPY_AVAILABLE, NUMPY_VERSION, CSRGraph, freeze
-from repro.fastgraph.delta import DeltaCSR, overlay_from_edit_log
+from repro.fastgraph.delta import DeltaCSR
 from repro.fastgraph.kernels import (
     KERNEL_TIERS,
     bfs_hop_ball,
@@ -69,7 +69,6 @@ __all__ = [
     "fast_refresh_records",
     "freeze",
     "make_workspace",
-    "overlay_from_edit_log",
     "resolve_kernel_tier",
     "truss_decomposition_csr",
 ]

@@ -301,8 +301,6 @@ class DeltaCSR:
     def replay(self, batch: "UpdateBatch") -> None:
         """Apply a validated edit script to the overlay alone.
 
-        Spawn-mode serving workers use this to rebuild the parent's overlay
-        from the serialized edit log: freeze the base graph, wrap it, replay.
         Probabilities are resolved exactly as
         :meth:`~repro.dynamic.updates.UpdateBatch.apply_to` resolves them.
         """
@@ -374,21 +372,3 @@ class DeltaCSR:
             f"DeltaCSR(name={self.name!r}, |V|={self.num_vertices}, "
             f"|E|={self.num_edges}, dirt={self.dirt_ratio():.3f})"
         )
-
-
-def overlay_from_edit_log(base_graph, edit_log) -> DeltaCSR:
-    """Rebuild a parent's overlay from its serialized base graph + edit log.
-
-    ``base_graph`` is the reference graph as of the overlay's base snapshot
-    and ``edit_log`` the list of edit-script JSON documents applied since.
-    Used by spawn-mode serving workers (see
-    :class:`~repro.serve.batch.BatchQueryEngine`), which receive both in
-    their rebuild payload instead of re-freezing the mutated graph.
-    """
-    from repro.dynamic.updates import UpdateBatch
-    from repro.fastgraph.csr import freeze
-
-    overlay = DeltaCSR(freeze(base_graph))
-    for document in edit_log:
-        overlay.replay(UpdateBatch.from_json(document))
-    return overlay

@@ -8,9 +8,9 @@ DTopL-ICDE queries against a single :class:`~repro.core.engine.InfluentialCommun
   propagation cache memoising ``calculate_influence`` across queries whose
   candidate centres overlap; or
 * **in parallel** via a ``multiprocessing`` pool.  On platforms with ``fork``
-  the workers inherit the parent's graph and index for free; otherwise
-  (``spawn`` / ``forkserver``) each worker *rebuilds* the engine once from the
-  same payload the :mod:`repro.index.serialization` round-trip uses, so the
+  the workers inherit the parent's engine for free; otherwise (``spawn`` /
+  ``forkserver``) each worker *rebuilds* the engine once from
+  :meth:`~repro.core.engine.InfluentialCommunityEngine.to_payload`, so the
   offline phase is never re-run.
 
 Results come back in input order in both modes, and the parallel path is
@@ -37,11 +37,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+from repro.core.engine import InfluentialCommunityEngine
 from repro.exceptions import ServingError
-from repro.graph.io import graph_from_dict, graph_to_dict
-from repro.graph.social_network import SocialNetwork
-from repro.index.serialization import precomputed_from_dict, precomputed_to_dict
-from repro.index.tree import TreeIndex, build_tree_index
 from repro.pruning.stats import PruningConfig
 from repro.query.dtopl import DTopLProcessor
 from repro.query.params import DTopLQuery, TopLQuery
@@ -76,9 +73,8 @@ class ServingConfig:
         ``community_propagation`` LRU capacity; ``0`` disables it.
     start_method:
         ``multiprocessing`` start method for parallel batches; ``None`` picks
-        ``fork`` when the platform offers it (workers inherit the index),
-        falling back to ``spawn`` (workers rebuild it from the serialization
-        payload).
+        ``fork`` when the platform offers it (workers inherit the engine),
+        falling back to ``spawn`` (workers rebuild it from its payload).
     chunk_size:
         ``Pool.map`` chunk size; small values balance uneven query costs.
     """
@@ -175,129 +171,56 @@ class BatchResult:
 # --------------------------------------------------------------------------- #
 # worker plumbing
 # --------------------------------------------------------------------------- #
-#: Per-process processor pair; set by the pool initializers below.
+#: This process's engine.  The parent sets it just before forking a pool, so
+#: ``fork`` workers inherit it; ``spawn``/``forkserver`` workers rebuild it
+#: from its payload.  Held for the worker's lifetime, which also keeps a
+#: store-backed engine's mmap pages alive.
+_WORKER_ENGINE: Optional[InfluentialCommunityEngine] = None
+
+#: Per-process processor pair over ``_WORKER_ENGINE``; set by :func:`_worker_init`.
 _WORKER_PROCESSORS: Optional[tuple] = None
-
-#: Parent-side state handed to fork workers (inherited copy-on-write).
-_FORK_STATE: Optional[tuple] = None
-
-#: Store handle of a store-attached worker; module-level so the mmap pages
-#: stay alive for the lifetime of the worker process.
-_WORKER_STORE_HANDLE = None
 
 
 def _build_processors(
-    graph: SocialNetwork,
-    index: TreeIndex,
+    engine: InfluentialCommunityEngine,
     pruning: PruningConfig,
-    propagation_cache_capacity: int,
-    cache_epoch: int = 0,
-    propagation_cache: Optional[LRUCache] = None,
-    backend: str = "reference",
-    frozen=None,
+    propagation_cache: Optional[LRUCache],
     workspace=None,
-    kernel_tier: str = "auto",
 ) -> tuple:
-    cache = (
-        propagation_cache
-        if propagation_cache is not None
-        else maybe_cache(propagation_cache_capacity)
-    )
-    # The processors share one CSR snapshot on the fast backend (freezing is
-    # O(|V| + |E|); no reason to pay it twice per worker).  ``workspace`` is
-    # only passed on the in-process path, where the engine's incrementally
-    # synced scratch arrays can be reused; pool workers build their own.
-    if backend == "fast" and frozen is None:
-        frozen = graph.freeze()
-    topl = TopLProcessor(
-        graph, index=index, pruning=pruning, propagation_cache=cache,
-        cache_epoch=cache_epoch, backend=backend, frozen=frozen,
-        workspace=workspace, kernel_tier=kernel_tier,
-    )
-    dtopl = DTopLProcessor(
-        graph, index=index, pruning=pruning, propagation_cache=cache,
-        cache_epoch=cache_epoch, backend=backend, frozen=frozen,
-        workspace=workspace, kernel_tier=kernel_tier,
-    )
-    return topl, dtopl
+    """A TopL/DTopL processor pair over the engine's current graph and index.
 
-
-def _worker_init_fork() -> None:
-    """Pool initializer for ``fork``: the state arrived with the fork itself."""
-    global _WORKER_PROCESSORS
-    graph, index, pruning, capacity, epoch, backend, frozen, kernel_tier = (
-        _FORK_STATE
-    )
-    _WORKER_PROCESSORS = _build_processors(
-        graph, index, pruning, capacity, epoch, backend=backend, frozen=frozen,
-        kernel_tier=kernel_tier,
-    )
-
-
-def _worker_init_rebuild(payload: dict) -> None:
-    """Pool initializer for ``spawn``/``forkserver``: rebuild from the payload.
-
-    The payload is the same JSON-compatible document the index serialization
-    round-trip produces, so rebuilding skips the offline phase entirely.
-    When the parent engine's snapshot carries a dynamic-update overlay, the
-    shipped graph is the overlay's *base* and ``edit_log`` the batches
-    applied since: the worker snapshots the base, then replays the log into
-    both its graph and the overlay — mirroring the parent's
-    :class:`~repro.fastgraph.delta.DeltaCSR` exactly, for the price of
-    shipping one graph either way.
-
-    When the parent is store-backed and pristine, the payload carries only a
-    ``store_path``: the worker *attaches* to the packed store (mmap — the
-    same physical pages as every other worker) instead of deserialising a
-    graph and index, so start-up cost is flat in the graph size.
+    Both share the engine's snapshot and one propagation cache tagged with
+    the engine's epoch.  ``workspace`` is only passed on the in-process
+    path, where the engine's incrementally synced scratch arrays can be
+    reused; pool workers build their own.
     """
-    global _WORKER_PROCESSORS, _WORKER_STORE_HANDLE
-    store_path = payload.get("store_path")
-    if store_path is not None:
-        from repro.store import open_store
-
-        handle = open_store(store_path)
-        _WORKER_STORE_HANDLE = handle  # pin the mmap for the process lifetime
-        backend = payload.get("backend", "reference")
-        _WORKER_PROCESSORS = _build_processors(
-            handle.graph,
-            handle.index,
-            PruningConfig(**payload["pruning"]),
-            payload["propagation_cache_capacity"],
-            payload.get("cache_epoch", 0),
-            backend=backend,
-            frozen=handle.csr if backend == "fast" else None,
-            kernel_tier=payload.get("kernel_tier", "auto"),
-        )
-        return
-    graph = graph_from_dict(payload["graph"])
-    frozen = None
-    edit_log = payload.get("edit_log") or []
-    if edit_log:
-        from repro.dynamic.updates import UpdateBatch
-        from repro.fastgraph.delta import DeltaCSR
-
-        frozen = DeltaCSR(graph.freeze())  # snapshot the base before replay
-        for document in edit_log:
-            batch = UpdateBatch.from_json(document)
-            batch.apply_to(graph)
-            frozen.replay(batch)
-    index = build_tree_index(
-        graph,
-        precomputed=precomputed_from_dict(payload["precomputed"]),
-        fanout=payload["fanout"],
-        leaf_capacity=payload["leaf_capacity"],
+    shared = dict(
+        index=engine.index,
+        pruning=pruning,
+        propagation_cache=propagation_cache,
+        cache_epoch=engine.epoch,
+        backend=engine.config.backend,
+        frozen=engine.frozen_graph(),
+        workspace=workspace,
+        kernel_tier=engine.config.kernel_tier,
     )
-    pruning = PruningConfig(**payload["pruning"])
+    return TopLProcessor(engine.graph, **shared), DTopLProcessor(engine.graph, **shared)
+
+
+def _worker_init(
+    payload: Optional[dict], pruning: PruningConfig, propagation_cache_capacity: int
+) -> None:
+    """Pool initializer: bind this worker's processors to its engine.
+
+    ``payload`` is ``None`` for ``fork`` workers, which inherited
+    ``_WORKER_ENGINE``; otherwise it is the parent engine's
+    :meth:`~repro.core.engine.InfluentialCommunityEngine.to_payload`.
+    """
+    global _WORKER_ENGINE, _WORKER_PROCESSORS
+    if payload is not None:
+        _WORKER_ENGINE = InfluentialCommunityEngine.from_payload(payload)
     _WORKER_PROCESSORS = _build_processors(
-        graph,
-        index,
-        pruning,
-        payload["propagation_cache_capacity"],
-        payload.get("cache_epoch", 0),
-        backend=payload.get("backend", "reference"),
-        frozen=frozen,
-        kernel_tier=payload.get("kernel_tier", "auto"),
+        _WORKER_ENGINE, pruning, maybe_cache(propagation_cache_capacity)
     )
 
 
@@ -357,45 +280,21 @@ class BatchQueryEngine:
         )
         #: Number of times a graph-epoch change was detected and absorbed.
         self.epoch_refreshes = 0
-        self._epoch = getattr(engine, "epoch", 0)
+        self._epoch = engine.epoch
         self._rebind_processors()
 
     def _rebind_processors(self) -> None:
+        # Reusing the engine's incrementally synced workspace avoids
+        # rebuilding the per-vertex scratch tuples on every epoch re-bind;
+        # safe because the engine, this serving engine and its processors
+        # all run queries sequentially (the workspace resets its stamps
+        # after each call).
         self._topl, self._dtopl = _build_processors(
-            self.engine.graph,
-            self.engine.index,
+            self.engine,
             self.pruning,
-            self.config.propagation_cache_capacity,
-            cache_epoch=self._epoch,
-            propagation_cache=self.propagation_cache,
-            backend=self._backend(),
-            frozen=self._frozen(),
-            workspace=self._workspace(),
-            kernel_tier=self._kernel_tier(),
+            self.propagation_cache,
+            workspace=self.engine._workspace(),
         )
-
-    def _backend(self) -> str:
-        config = getattr(self.engine, "config", None)
-        return getattr(config, "backend", "reference")
-
-    def _kernel_tier(self) -> str:
-        config = getattr(self.engine, "config", None)
-        return getattr(config, "kernel_tier", "auto")
-
-    def _frozen(self):
-        frozen_graph = getattr(self.engine, "frozen_graph", None)
-        return frozen_graph() if callable(frozen_graph) else None
-
-    def _workspace(self):
-        """The engine's shared (incrementally synced) kernel workspace.
-
-        Reusing it avoids rebuilding the per-vertex scratch tuples on every
-        epoch re-bind; safe because the engine, this serving engine and its
-        processors all run queries sequentially against one engine (the
-        workspace resets its stamps after each call).
-        """
-        workspace = getattr(self.engine, "_workspace", None)
-        return workspace() if callable(workspace) else None
 
     def _refresh_if_stale(self) -> None:
         """Absorb a dynamic update of the served engine.
@@ -405,7 +304,7 @@ class BatchQueryEngine:
         index, and tagging cache keys with the new epoch makes every entry
         written before the update unreachable — stale hits are impossible.
         """
-        epoch = getattr(self.engine, "epoch", 0)
+        epoch = self.engine.epoch
         if epoch != self._epoch:
             self._epoch = epoch
             self._rebind_processors()
@@ -541,32 +440,24 @@ class BatchQueryEngine:
         context = multiprocessing.get_context(method)
         workers = min(workers, len(items)) or 1
         statistics.workers = workers
-        global _FORK_STATE
+        global _WORKER_ENGINE
+        if method == "fork":
+            _WORKER_ENGINE = self.engine
+            payload = None
+        else:
+            payload = self.engine.to_payload()
         try:
-            if method == "fork":
-                _FORK_STATE = (
-                    self.engine.graph,
-                    self.engine.index,
-                    self.pruning,
-                    self.config.propagation_cache_capacity,
-                    self._epoch,
-                    self._backend(),
-                    self._frozen(),
-                    self._kernel_tier(),
-                )
-                pool = context.Pool(workers, initializer=_worker_init_fork)
-            else:
-                pool = context.Pool(
-                    workers,
-                    initializer=_worker_init_rebuild,
-                    initargs=(self._worker_payload(),),
-                )
+            pool = context.Pool(
+                workers,
+                initializer=_worker_init,
+                initargs=(payload, self.pruning, self.config.propagation_cache_capacity),
+            )
             with pool:
                 answered = pool.map(
                     _worker_answer, items, chunksize=self.config.chunk_size
                 )
         finally:
-            _FORK_STATE = None
+            _WORKER_ENGINE = None
 
         by_position = dict(answered)
         for position, query in items:
@@ -586,60 +477,6 @@ class BatchQueryEngine:
             return self.config.start_method
         available = multiprocessing.get_all_start_methods()
         return "fork" if "fork" in available else "spawn"
-
-    def _worker_payload(self) -> dict:
-        """The rebuild payload shipped to ``spawn``/``forkserver`` workers.
-
-        When the served engine's fast snapshot carries a dynamic-update
-        overlay, ``graph`` is the overlay's *base* graph and ``edit_log``
-        the batches applied since — the worker replays them (see
-        :func:`_worker_init_rebuild`) instead of receiving the mutated
-        graph, so its snapshot mirrors the parent's overlay exactly.
-
-        A store-backed engine with no updates since its store generation
-        ships only the store *path* — each worker mmaps the packed file
-        instead of rebuilding from a serialized document, so worker start-up
-        no longer scales with the graph.
-        """
-        store_attachment = getattr(self.engine, "store_attachment", None)
-        attachment = store_attachment() if callable(store_attachment) else None
-        if attachment is not None:
-            return {
-                "store_path": attachment["store_path"],
-                "pruning": {
-                    "keyword": self.pruning.keyword,
-                    "support": self.pruning.support,
-                    "score": self.pruning.score,
-                },
-                "propagation_cache_capacity": self.config.propagation_cache_capacity,
-                "cache_epoch": self._epoch,
-                "backend": self._backend(),
-                "kernel_tier": self._kernel_tier(),
-            }
-        index = self.engine.index
-        serialized_overlay = getattr(self.engine, "serialized_overlay", None)
-        overlay = serialized_overlay() if callable(serialized_overlay) else None
-        payload = {
-            "precomputed": precomputed_to_dict(index.precomputed),
-            "fanout": index.fanout,
-            "leaf_capacity": index.leaf_capacity,
-            "pruning": {
-                "keyword": self.pruning.keyword,
-                "support": self.pruning.support,
-                "score": self.pruning.score,
-            },
-            "propagation_cache_capacity": self.config.propagation_cache_capacity,
-            "cache_epoch": self._epoch,
-            "backend": self._backend(),
-            "kernel_tier": self._kernel_tier(),
-        }
-        if overlay is not None:
-            payload["graph"] = overlay["base_graph"]
-            payload["edit_log"] = overlay["edit_log"]
-        else:
-            payload["graph"] = graph_to_dict(self.engine.graph)
-            payload["edit_log"] = []
-        return payload
 
     # ------------------------------------------------------------------ #
     # introspection

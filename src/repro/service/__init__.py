@@ -12,15 +12,15 @@ API:
 * :mod:`repro.service.facade` — :class:`CommunityService`, which owns
   engine lifecycle behind *named sessions* so one process can host many
   graphs/indexes.
-* :mod:`repro.service.gateway` — a stdlib HTTP gateway exposing the
-  facade as ``POST /v1/{build,topl,dtopl,update,batch}`` plus
-  ``GET /v1/{sessions,health}``, with NDJSON streaming for batches.
 * :mod:`repro.service.sharded` — :class:`ShardedCommunityService`, the
   same facade surface answered by a pool of replicated shard workers
   with an exact (bit-identical) merge.
-* :mod:`repro.service.agateway` — :class:`AsyncServiceGateway`, an
-  asyncio front door with keep-alive, request coalescing and bounded-queue
-  backpressure (``429`` + ``Retry-After``).
+* :mod:`repro.service.agateway` — :class:`AsyncServiceGateway`, the
+  stdlib HTTP front door exposing either facade as
+  ``POST /v1/{build,topl,dtopl,update,batch}`` plus
+  ``GET /v1/{sessions,health}``, with NDJSON streaming for batches,
+  keep-alive, request coalescing and bounded-queue backpressure
+  (``429`` + ``Retry-After``).
 
 See ``docs/service.md`` for the endpoint reference and examples.
 """
@@ -35,7 +35,6 @@ from repro.service.errors import (
 )
 from repro.service.agateway import AsyncServiceGateway, run_async_gateway
 from repro.service.facade import CommunityService, SessionInfo
-from repro.service.gateway import ServiceGateway, run_gateway
 from repro.service.sharded import ShardedCommunityService
 from repro.service.schema import (
     SCHEMA_VERSION,
@@ -68,9 +67,7 @@ __all__ = [
     "CommunityService",
     "SessionInfo",
     "ShardedCommunityService",
-    "ServiceGateway",
     "AsyncServiceGateway",
-    "run_gateway",
     "run_async_gateway",
     "BuildRequest",
     "BuildResponse",

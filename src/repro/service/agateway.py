@@ -1,26 +1,51 @@
-"""Async front door: keep-alive, coalescing and backpressure, stdlib only.
+"""HTTP front door: the service API over the wire, stdlib only.
 
-:class:`AsyncServiceGateway` serves the same ``/v1`` surface as the threaded
-:class:`~repro.service.gateway.ServiceGateway`, but from a single
-``asyncio`` event loop ahead of the (sharded or plain) facade:
+:class:`AsyncServiceGateway` exposes any
+:class:`~repro.service.facade.CommunityService` (the sharded facade
+included) from a single ``asyncio`` event loop:
+
+================================  =============================================
+endpoint                          request / response document
+================================  =============================================
+``POST /v1/build``                :class:`~repro.service.schema.BuildRequest`
+``POST /v1/topl``                 :class:`~repro.service.schema.ToplRequest`
+``POST /v1/dtopl``                :class:`~repro.service.schema.DToplRequest`
+``POST /v1/update``               :class:`~repro.service.schema.UpdateRequest`
+``POST /v1/batch``                :class:`~repro.service.schema.BatchRequest`
+``GET  /v1/sessions``             :class:`~repro.service.schema.SessionsResponse`
+``GET  /v1/health``               :class:`~repro.service.schema.HealthResponse`
+================================  =============================================
+
+Success responses are ``application/json``.  Errors are
+:class:`~repro.service.schema.ErrorResponse` documents whose HTTP status
+comes from the structured error code (404 for ``UNKNOWN_SESSION``, 422 for
+``QUERY_PARAMETER_INVALID``, ...), so remote clients can branch on either.
 
 * **keep-alive** — HTTP/1.1 with ``Content-Length`` responses; one
-  connection carries any number of requests (``Connection: close`` only on
-  the NDJSON streaming path, which the closed connection delimits).
+  connection carries any number of requests.  A request whose body cannot
+  be delimited (no or malformed ``Content-Length``, any
+  ``Transfer-Encoding``, an oversized body) is answered and the connection
+  closed, so unread bytes are never parsed as the next request.
+* **streaming** — ``POST /v1/batch?stream=1`` (or ``Accept:
+  application/x-ndjson``) answers one ``{"kind": "result"}`` NDJSON line per
+  query as it completes, then one ``{"kind": "summary"}`` line; the closed
+  connection delimits the stream.
 * **coalescing** — identical in-flight *read* requests (``topl``, ``dtopl``,
   buffered ``batch``) execute once; every waiter gets the same response
   document.  Mutations (``build``, ``update``) are never coalesced.
 * **backpressure** — at most ``max_pending`` requests execute concurrently;
   beyond that the gateway answers ``429`` with a ``Retry-After`` header
-  instead of piling up unbounded threads.
+  instead of piling up unbounded work.
 * the facade's blocking work runs on the default executor, so the loop
   itself never blocks and slow queries do not starve health probes.
 
-The class mirrors ``ServiceGateway``'s shape — context manager for tests,
-``serve_forever`` for the CLI — so callers can swap front doors freely::
+Use it as a context manager (tests) or through ``serve_forever`` (the
+CLI)::
 
     with AsyncServiceGateway(service, port=0) as gateway:
         urllib.request.urlopen(gateway.url + "/v1/health")
+
+See ``docs/service.md`` for a curl walkthrough.
 """
 
 from __future__ import annotations
@@ -28,19 +53,26 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
+from http import HTTPStatus
 from typing import Optional
 from urllib.parse import urlparse
 
 from repro.exceptions import MalformedRequestError, ServingError
 from repro.service.errors import ServiceError, service_error_from_exception
 from repro.service.facade import CommunityService
-from repro.service.gateway import MAX_BODY_BYTES, _POST_ENDPOINTS
 from repro.service.schema import (
     SCHEMA_VERSION,
     BatchRequest,
     ErrorResponse,
     result_to_wire,
 )
+
+#: Largest request body the gateway will read, in bytes (64 MiB).  Inline
+#: graph documents are the only legitimately large payloads.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+_POST_ENDPOINTS = ("build", "topl", "dtopl", "update", "batch")
 
 #: Endpoints whose identical in-flight requests may share one execution.
 #: Reads only: coalescing a mutation would acknowledge work it did once.
@@ -63,8 +95,6 @@ class AsyncServiceGateway:
     max_pending:
         Concurrent-execution bound; further requests get ``429``.
         Coalesced waiters do not count — they hold no executor slot.
-    coalesce:
-        Disable to measure the cost of duplicate execution (benchmarks).
     """
 
     def __init__(
@@ -73,15 +103,11 @@ class AsyncServiceGateway:
         host: str = "127.0.0.1",
         port: int = 8345,
         max_pending: int = 64,
-        coalesce: bool = True,
-        verbose: bool = False,
     ) -> None:
         self.service = service if service is not None else CommunityService()
         self._host = host
         self._requested_port = port
         self.max_pending = max_pending
-        self.coalesce = coalesce
-        self.verbose = verbose
         self._port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -227,7 +253,12 @@ class AsyncServiceGateway:
                 pass
 
     async def _read_request(self, reader) -> Optional[dict]:
-        """Parse one HTTP request; ``None`` on a clean EOF between requests."""
+        """Parse one HTTP request; ``None`` on a clean EOF between requests.
+
+        When the body cannot be delimited safely it is left unread and the
+        request carries a ``framing_error`` ``(status, message)`` instead;
+        the dispatcher answers it and closes the connection.
+        """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as error:
@@ -246,19 +277,29 @@ class AsyncServiceGateway:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length", "0") or "0")
-        if 0 < length <= MAX_BODY_BYTES:
-            body = await reader.readexactly(length)
-        elif length > MAX_BODY_BYTES:
-            # Oversized: do not read it; the dispatcher answers 413 + close.
-            pass
+        framing_error = None
+        length = headers.get("content-length")
+        if "transfer-encoding" in headers:
+            framing_error = (400, "Transfer-Encoding is not supported; send Content-Length")
+        elif length is None:
+            if method == "POST":
+                framing_error = (400, "a POST request requires a Content-Length header")
+        elif not (length.isascii() and length.isdigit()):
+            framing_error = (400, f"invalid Content-Length header {length!r}")
+        elif int(length) > MAX_BODY_BYTES:
+            framing_error = (
+                413,
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} limit",
+            )
+        else:
+            body = await reader.readexactly(int(length))
         return {
             "method": method,
             "target": target,
             "version": version,
             "headers": headers,
             "body": body,
-            "content_length": length,
+            "framing_error": framing_error,
         }
 
     def _wants_close(self, request: dict) -> bool:
@@ -274,11 +315,8 @@ class AsyncServiceGateway:
         self, writer, status: int, document: dict, extra_headers=(), close=False
     ) -> bool:
         body = json.dumps(document).encode("utf-8")
-        reason = {200: "OK", 404: "Not Found", 429: "Too Many Requests"}.get(
-            status, "Error"
-        )
         head = [
-            f"HTTP/1.1 {status} {reason}",
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
         ]
@@ -310,16 +348,10 @@ class AsyncServiceGateway:
         parsed = urlparse(request["target"])
         path = parsed.path.rstrip("/")
 
-        if request["content_length"] > MAX_BODY_BYTES:
-            # The oversized body was never read off the socket: must close.
-            await self._send_error(
-                writer,
-                413,
-                "MALFORMED_REQUEST",
-                f"request body of {request['content_length']} bytes exceeds "
-                f"the {MAX_BODY_BYTES} limit",
-                close=True,
-            )
+        if request["framing_error"] is not None:
+            # The body was never read off the socket: must close.
+            status, message = request["framing_error"]
+            await self._send_error(writer, status, "MALFORMED_REQUEST", message, close=True)
             return False
 
         if method == "GET":
@@ -407,7 +439,7 @@ class AsyncServiceGateway:
         """Run one facade call off-loop, coalescing identical in-flight reads."""
         loop = asyncio.get_running_loop()
         key = None
-        if self.coalesce and endpoint in _COALESCABLE:
+        if endpoint in _COALESCABLE:
             try:
                 key = (endpoint, json.dumps(payload, sort_keys=True))
             except (TypeError, ValueError):  # unhashable/unserialisable: skip
@@ -438,8 +470,6 @@ class AsyncServiceGateway:
     # NDJSON streaming
     # ------------------------------------------------------------------ #
     async def _stream_batch(self, writer, payload) -> None:
-        import time
-
         loop = asyncio.get_running_loop()
         try:
             request = BatchRequest.from_json(payload)
@@ -518,7 +548,7 @@ def run_async_gateway(
     port: int = 8345,
     max_pending: int = 64,
 ) -> None:
-    """Run the async front door in the foreground (the sharded CLI path)."""
+    """Run the front door in the foreground until interrupted."""
     gateway = AsyncServiceGateway(service, host=host, port=port, max_pending=max_pending)
     try:
         gateway.serve_forever()

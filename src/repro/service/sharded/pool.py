@@ -1,8 +1,9 @@
 """Replicated shard workers behind one pool object.
 
 Topology: ``num_shards * replicas`` long-lived worker processes, each
-holding a full engine rebuilt from the router's serialization payload (the
-same document the spawn-mode batch workers use, so the offline phase never
+holding a full engine rebuilt from the router engine's
+:meth:`~repro.core.engine.InfluentialCommunityEngine.to_payload` (the same
+document the spawn-mode batch workers use, so the offline phase never
 re-runs).  Reads for a shard round-robin over its live replicas; updates
 broadcast to every replica so graph epochs advance in lockstep with the
 router's authoritative engine.
@@ -21,19 +22,14 @@ which is what the equivalence suite and 1-core boxes use.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import UpdateBatch
 from repro.exceptions import ServingError
-from repro.graph.io import graph_from_dict, graph_to_dict
-from repro.index.serialization import precomputed_from_dict, precomputed_to_dict
-from repro.index.tree import build_tree_index
 from repro.query.params import TopLQuery
 from repro.serve.cache import maybe_cache
 from repro.service.sharded.collect import (
@@ -52,55 +48,6 @@ HEALTH_TIMEOUT_SECONDS = 10.0
 
 class _ReplicaLost(Exception):
     """Internal: the replica's pipe broke mid-request (triggers failover)."""
-
-
-def _worker_payload(engine: InfluentialCommunityEngine, shard: int, num_shards: int) -> dict:
-    """Everything a worker needs to rebuild the shard engine, pickled over the pipe.
-
-    A store-backed router engine with no updates since its store generation
-    ships only the store *path* — every replica mmaps the same packed file
-    (sharing physical pages) instead of unpickling a serialized graph and
-    index, so replica start-up is flat in the graph size.
-    """
-    payload = {
-        "config": dataclasses.asdict(engine.config),
-        "epoch": engine.epoch,
-        "shard": shard,
-        "num_shards": num_shards,
-    }
-    attachment = engine.store_attachment()
-    if attachment is not None:
-        payload["store_path"] = attachment["store_path"]
-        return payload
-    payload.update(
-        {
-            "graph": graph_to_dict(engine.graph),
-            "precomputed": precomputed_to_dict(engine.index.precomputed),
-            "fanout": engine.index.fanout,
-            "leaf_capacity": engine.index.leaf_capacity,
-        }
-    )
-    return payload
-
-
-def _engine_from_payload(payload: dict) -> InfluentialCommunityEngine:
-    """Rebuild the engine without re-running the offline phase."""
-    if payload.get("store_path") is not None:
-        engine = InfluentialCommunityEngine.from_store(
-            payload["store_path"], config=EngineConfig(**payload["config"])
-        )
-        engine.epoch = payload["epoch"]
-        return engine
-    graph = graph_from_dict(payload["graph"])
-    index = build_tree_index(
-        graph,
-        precomputed=precomputed_from_dict(payload["precomputed"]),
-        fanout=payload["fanout"],
-        leaf_capacity=payload["leaf_capacity"],
-    )
-    engine = InfluentialCommunityEngine(graph, index, EngineConfig(**payload["config"]))
-    engine.epoch = payload["epoch"]
-    return engine
 
 
 def _make_collector(
@@ -148,8 +95,13 @@ def _serve_op(engine: InfluentialCommunityEngine, plan: ShardPlan, shard: int,
 
 
 def _shard_worker_main(conn, payload: dict) -> None:
-    """Entry point of one replica process: rebuild, then serve the pipe."""
-    engine = _engine_from_payload(payload)
+    """Entry point of one replica process: rebuild, then serve the pipe.
+
+    ``payload`` is the router engine's
+    :meth:`~repro.core.engine.InfluentialCommunityEngine.to_payload` plus
+    this replica's ``shard`` and ``num_shards``.
+    """
+    engine = InfluentialCommunityEngine.from_payload(payload)
     plan = ShardPlan(payload["num_shards"])
     shard = payload["shard"]
     cache = maybe_cache(WORKER_PROPAGATION_CACHE_CAPACITY)
@@ -360,7 +312,11 @@ class ShardWorkerPool:
     def _spawn(self, shard: int, number: int):
         if self.mode == "inline":
             return _InlineReplica(self._engine, self.plan, shard, number)
-        payload = _worker_payload(self._engine, shard, self.plan.num_shards)
+        payload = {
+            **self._engine.to_payload(),
+            "shard": shard,
+            "num_shards": self.plan.num_shards,
+        }
         return _ProcessReplica(self._context, payload, shard, number)
 
     def restart_dead(self) -> int:

@@ -2,9 +2,8 @@
 
 The structural contract of the mutable fast core: tombstoned deletions,
 append-only spill insertions, stable edge ids, dirt-ratio accounting,
-``compact()`` bit-identical to re-freezing the mutated reference graph, the
-workspace sync protocol, and the edit-log rebuild path spawn workers use.
-Every property is checked against the reference ``SocialNetwork`` mutated by
+``compact()`` bit-identical to re-freezing the mutated reference graph, and
+the workspace sync protocol.  Every property is checked against the reference ``SocialNetwork`` mutated by
 the same edits.
 """
 
@@ -16,7 +15,7 @@ import pytest
 
 from repro.dynamic.updates import UpdateBatch, random_update_batch
 from repro.fastgraph.csr import freeze
-from repro.fastgraph.delta import DeltaCSR, overlay_from_edit_log
+from repro.fastgraph.delta import DeltaCSR
 from repro.fastgraph.kernels import CSRWorkspace, community_propagation_csr
 from repro.graph.core import AdjacencyCore, GraphCore
 from repro.graph.generators import erdos_renyi_graph
@@ -158,20 +157,6 @@ class TestCompaction:
         refrozen = freeze(graph)
         for name in _BUFFERS:
             assert getattr(compacted, name) == getattr(refrozen, name), name
-
-
-class TestEditLogRebuild:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_overlay_from_edit_log_reproduces_the_parent(self, seed):
-        graph, overlay, script = _mutated_pair(seed)
-        base_graph = overlay.base.thaw()
-        rebuilt = overlay_from_edit_log(base_graph, [script.to_json()])
-        assert rebuilt.num_vertices == overlay.num_vertices
-        assert rebuilt.num_edges == overlay.num_edges
-        for vertex in range(overlay.num_vertices):
-            assert dict(rebuilt.neighbor_row(vertex)) == dict(overlay.neighbor_row(vertex))
-        for name in _BUFFERS:
-            assert getattr(rebuilt.compact(), name) == getattr(overlay.compact(), name)
 
 
 class TestWorkspaceSync:

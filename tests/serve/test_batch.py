@@ -171,20 +171,6 @@ class TestParallelServing:
 
 
 class TestEngineWrappers:
-    def test_topl_many(self, small_engine, serve_workload):
-        queries = serve_workload.topl_batch(3, num_keywords=3, k=3, top_l=3)
-        results = small_engine.topl_many(queries)
-        assert len(results) == 3
-        for query, result in zip(queries, results):
-            assert _fingerprint(result) == _fingerprint(small_engine.topl(query))
-
-    def test_dtopl_many(self, small_engine, serve_workload):
-        queries = serve_workload.dtopl_batch(2, num_keywords=3, k=3, top_l=3)
-        results = small_engine.dtopl_many(queries)
-        assert len(results) == 2
-        for query, result in zip(queries, results):
-            assert _fingerprint(result) == _fingerprint(small_engine.dtopl(query))
-
     def test_serve_builds_configured_engine(self, small_engine):
         serving = small_engine.serve(workers=2, result_cache_capacity=7)
         assert isinstance(serving, BatchQueryEngine)

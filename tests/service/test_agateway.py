@@ -1,23 +1,27 @@
-"""Async front door: keep-alive, coalescing, backpressure, streaming.
+"""Front door: keep-alive, framing, coalescing, backpressure, streaming.
 
-The :class:`AsyncServiceGateway` must serve the exact ``/v1`` surface of
-the threaded gateway while adding the front-door behaviours the sharded
-tier relies on: connection reuse, single execution of identical in-flight
-reads, and a bounded pending queue that answers ``429`` with
-``Retry-After`` instead of queueing without limit.
+Besides the ``/v1`` surface (``test_gateway.py``), the
+:class:`AsyncServiceGateway` owes its clients connection reuse, a closed
+connection whenever a request body cannot be delimited (so unread bytes are
+never parsed as the next request), quiet handling of clients that vanish,
+single execution of identical in-flight reads, and a bounded pending queue
+that answers ``429`` with ``Retry-After`` instead of queueing without
+limit.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
+import struct
 import threading
 import time
 
 import pytest
 
 from repro.query.params import make_topl_query
-from repro.service.agateway import AsyncServiceGateway
+from repro.service.agateway import MAX_BODY_BYTES, AsyncServiceGateway
 from repro.service.facade import CommunityService
 from repro.service.schema import BatchRequest, ToplRequest
 
@@ -174,6 +178,114 @@ class TestStreaming:
             assert probe.getresponse().status == 200
         finally:
             probe.close()
+
+
+def test_disconnect_mid_stream_does_not_crash_the_handler(gateway):
+    """Hang up mid-NDJSON-stream; the gateway must stay serviceable."""
+    document = BatchRequest(session="hosted", queries=tuple([TOPL] * 8)).to_json()
+    body = json.dumps(document).encode("utf-8")
+    with socket.create_connection((gateway.host, gateway.port), timeout=30) as raw:
+        raw.sendall(
+            b"POST /v1/batch?stream=1 HTTP/1.1\r\n"
+            b"Host: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+            b"\r\n" + body
+        )
+        # Wait for the stream to start (status line + first result line),
+        # then vanish abruptly (RST via SO_LINGER 0, the rudest way a
+        # client can leave).
+        raw.settimeout(10)
+        data = b""
+        while data.count(b"\n") < 2:
+            chunk = raw.recv(4096)
+            if not chunk:
+                break
+            data += chunk
+        assert data.startswith(b"HTTP/1.1 200")
+        raw.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+    time.sleep(0.2)  # let the handler hit the broken pipe
+    # The gateway answers follow-up requests: the handler died quietly.
+    probe = http.client.HTTPConnection(gateway.host, gateway.port, timeout=30)
+    try:
+        probe.request("GET", "/v1/health")
+        assert probe.getresponse().status == 200
+    finally:
+        probe.close()
+
+
+def _response_head(raw) -> str:
+    raw.settimeout(10)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = raw.recv(4096)
+        if not chunk:
+            break
+        data += chunk
+    return data.split(b"\r\n\r\n", 1)[0].decode("latin-1")
+
+
+def test_invalid_content_length_closes_the_connection(gateway):
+    """An unconsumed body must not poison the keep-alive byte stream."""
+    with socket.create_connection((gateway.host, gateway.port), timeout=30) as raw:
+        raw.sendall(
+            b"POST /v1/topl HTTP/1.1\r\n"
+            b"Host: x\r\n"
+            b"Content-Length: nonsense\r\n"
+            b"\r\n"
+        )
+        head = _response_head(raw)
+        assert " 400 " in head.splitlines()[0]
+        assert "connection: close" in head.lower()
+        # The server closes: recv drains to EOF instead of waiting for a
+        # next request that would misparse leftover bytes.
+        while True:
+            chunk = raw.recv(4096)
+            if not chunk:
+                break
+
+
+def test_oversized_content_length_closes_the_connection(gateway):
+    with socket.create_connection((gateway.host, gateway.port), timeout=30) as raw:
+        raw.sendall(
+            b"POST /v1/topl HTTP/1.1\r\n"
+            b"Host: x\r\n"
+            b"Content-Length: " + str(MAX_BODY_BYTES + 1).encode() + b"\r\n"
+            b"\r\n"
+        )
+        head = _response_head(raw)
+        assert head.splitlines()[0] == "HTTP/1.1 413 Request Entity Too Large"
+        assert "connection: close" in head.lower()
+
+
+@pytest.mark.parametrize(
+    "framing",
+    [b"", b"Content-Length: -1\r\n", b"Transfer-Encoding: chunked\r\n"],
+    ids=["no-content-length", "negative-content-length", "transfer-encoding"],
+)
+def test_undelimited_post_body_is_not_parsed_as_a_request(gateway, framing):
+    """A body the gateway cannot delimit must not smuggle a second request."""
+    with socket.create_connection((gateway.host, gateway.port), timeout=30) as raw:
+        raw.sendall(
+            b"POST /v1/topl HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n"
+            b"GET /v1/sessions HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        raw.shutdown(socket.SHUT_WR)
+        raw.settimeout(10)
+        data = b""
+        while True:
+            chunk = raw.recv(4096)
+            if not chunk:
+                break
+            data += chunk
+    head, body = data.split(b"\r\n\r\n", 1)
+    assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b"connection: close" in head.lower()
+    # Exactly one response, then EOF: the smuggled GET was never answered.
+    assert b"HTTP/1.1" not in body
+    assert json.loads(body)["error"]["code"] == "MALFORMED_REQUEST"
 
 
 class _SlowService(CommunityService):

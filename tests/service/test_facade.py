@@ -290,21 +290,6 @@ class TestServingBindings:
 
 
 class TestDeprecationShims:
-    def test_topl_many_warns_and_matches_service_batch(self, service, built_engine):
-        queries = [TOPL, TOPL.with_overrides(top_l=2)]
-        with pytest.deprecated_call():
-            shim_results = built_engine.topl_many(queries)
-        response = service.batch(BatchRequest(session="main", queries=tuple(queries)))
-        assert [[c.score for c in result] for result in shim_results] == [
-            [c["score"] for c in result["communities"]]
-            for result in response.results
-        ]
-
-    def test_dtopl_many_warns(self, built_engine):
-        with pytest.deprecated_call():
-            results = built_engine.dtopl_many([DTOPL])
-        assert len(results) == 1
-
     def test_engine_queries_do_not_warn(self, built_engine):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

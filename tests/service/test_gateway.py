@@ -1,4 +1,9 @@
-"""HTTP gateway tests: routing, error statuses, NDJSON streaming."""
+"""HTTP gateway tests: routing, error statuses, NDJSON streaming.
+
+Driven through ``urllib`` (one connection per request); the keep-alive,
+framing, coalescing and backpressure behaviours live in
+``test_agateway.py``.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,8 @@ import urllib.request
 import pytest
 
 from repro.query.params import make_dtopl_query, make_topl_query
+from repro.service.agateway import AsyncServiceGateway
 from repro.service.facade import CommunityService
-from repro.service.gateway import ServiceGateway
 from repro.service.schema import (
     SCHEMA_VERSION,
     BatchRequest,
@@ -30,7 +35,7 @@ DTOPL = make_dtopl_query({"movies"}, k=3, radius=2, theta=0.2, top_l=2)
 def gateway(built_engine):
     service = CommunityService()
     service.adopt(built_engine, session="hosted")
-    with ServiceGateway(service, port=0) as running:
+    with AsyncServiceGateway(service, port=0) as running:
         yield running
 
 

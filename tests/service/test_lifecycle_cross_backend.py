@@ -6,8 +6,8 @@ per backend, asserting every response **bit-identical** on the wire: the
 fast session's snapshot is patched in place (DeltaCSR overlay, no
 re-freeze) while the reference session patches dict structures, and a
 remote client must not be able to tell them apart.  One scenario finishes
-with a spawn-mode parallel batch after an update, which exercises the
-worker-side overlay rebuild from the serialized edit log.
+with a spawn-mode parallel batch after an update, whose workers start from
+the engine payload of the updated (overlay-carrying) fast session.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def test_lifecycle_bit_identical_across_backends(seed):
 
 def test_lifecycle_with_spawn_parallel_batch_after_update():
     """The closing batch runs on spawn workers, which rebuild the fast
-    session's snapshot overlay from the serialized edit log."""
+    session's engine from its payload: the live post-update graph."""
     service = CommunityService(
         serving_config=ServingConfig(
             workers=2, start_method="spawn", result_cache_capacity=0

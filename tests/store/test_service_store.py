@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import engine as engine_mod
+from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
+from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.exceptions import MalformedRequestError
+from repro.fastgraph.delta import DeltaCSR
 from repro.graph.social_network import SocialNetwork
-from repro.query.params import make_topl_query
+from repro.pruning.stats import PruningConfig
+from repro.query.params import make_dtopl_query, make_topl_query
 from repro.serve import batch as batch_mod
 from repro.service.facade import CommunityService
 from repro.service.schema import BuildRequest, ToplRequest
-from repro.service.sharded.pool import _engine_from_payload, _worker_payload
 
 
 TOPL = make_topl_query({"movies"}, k=3, radius=2, theta=0.1, top_l=3)
+DTOPL = make_dtopl_query({"movies"}, k=3, radius=2, theta=0.1, top_l=2)
 
 
 def _fingerprint(result):
@@ -116,25 +121,24 @@ class TestSpawnWorkerAttach:
             raise AssertionError("store-attached worker deserialized a graph")
 
         monkeypatch.setattr(SocialNetwork, "freeze", counting_freeze)
-        monkeypatch.setattr(batch_mod, "graph_from_dict", counting_graph_from_dict)
+        monkeypatch.setattr(engine_mod, "graph_from_dict", counting_graph_from_dict)
         return calls
 
     @pytest.fixture(autouse=True)
     def reset_worker_globals(self):
         yield
         batch_mod._WORKER_PROCESSORS = None
-        batch_mod._WORKER_STORE_HANDLE = None
+        batch_mod._WORKER_ENGINE = None
 
     def test_payload_ships_only_the_store_path(self, packed_store):
         engine = InfluentialCommunityEngine.from_store(packed_store)
-        serving = engine.serve(result_cache_capacity=0, start_method="spawn")
-        payload = serving._worker_payload()
+        payload = engine.to_payload()
         assert payload["store_path"] == packed_store
         assert "graph" not in payload and "precomputed" not in payload
 
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_worker_startup_is_flat(self, packed_store, counters, backend):
-        """`_worker_init_rebuild` on a store payload neither freezes nor parses.
+        """Worker start-up from a store payload neither freezes nor parses.
 
         This is the flat-startup property: attach cost is the mmap open, not
         a function of the graph size.  Run in-process so the counters see it.
@@ -142,12 +146,10 @@ class TestSpawnWorkerAttach:
         engine = InfluentialCommunityEngine.from_store(
             packed_store, config_overrides={"backend": backend}
         )
-        payload = engine.serve(
-            result_cache_capacity=0, start_method="spawn"
-        )._worker_payload()
-        batch_mod._worker_init_rebuild(payload)
+        batch_mod._worker_init(engine.to_payload(), PruningConfig.all_enabled(), 0)
         assert counters == {"freeze": 0, "graph_from_dict": 0}
-        assert batch_mod._WORKER_STORE_HANDLE is not None
+        # The worker's engine holds the store open for the worker's lifetime.
+        assert batch_mod._WORKER_ENGINE.store_provenance()["store_backed"]
 
         position, result = batch_mod._worker_answer((0, TOPL))
         assert position == 0
@@ -171,29 +173,52 @@ class TestSpawnWorkerAttach:
 
 
 # --------------------------------------------------------------------------- #
-# sharded pool: replicas attach through the same path
+# engine payload: store path when pristine, the live graph otherwise
 # --------------------------------------------------------------------------- #
 class TestShardedPoolAttach:
     def test_payload_and_rebuild_round_trip(self, packed_store):
         engine = InfluentialCommunityEngine.from_store(packed_store)
-        payload = _worker_payload(engine, shard=0, num_shards=1)
+        payload = engine.to_payload()
         assert payload["store_path"] == packed_store
         assert "graph" not in payload
 
-        replica = _engine_from_payload(payload)
+        replica = InfluentialCommunityEngine.from_payload(payload)
         assert replica.epoch == engine.epoch
         assert _fingerprint(replica.topl(TOPL)) == _fingerprint(engine.topl(TOPL))
 
     def test_dirty_engine_falls_back_to_serialized_payload(self, packed_store):
-        from repro.dynamic.updates import EdgeUpdate, UpdateBatch
-
         engine = InfluentialCommunityEngine.from_store(packed_store)
         engine.apply_updates(
             UpdateBatch([EdgeUpdate.insert(0, 902, 0.9, 0.9, keywords_v={"movies"})]),
             damage_threshold=1.0,
         )
-        payload = _worker_payload(engine, shard=0, num_shards=1)
+        payload = engine.to_payload()
         assert "store_path" not in payload
         assert "graph" in payload
-        replica = _engine_from_payload(payload)
+        replica = InfluentialCommunityEngine.from_payload(payload)
         assert _fingerprint(replica.topl(TOPL)) == _fingerprint(engine.topl(TOPL))
+
+    def test_overlay_engine_round_trips_bit_identically(self, store_graph_factory):
+        """A fast engine mid-overlay ships its live graph; answers stay exact."""
+        graph = store_graph_factory()
+        u, v = next(iter(graph.edges()))
+        engine = InfluentialCommunityEngine.build(
+            graph, config=EngineConfig(max_radius=2, backend="fast"), validate=False
+        )
+        report = engine.apply_updates(
+            UpdateBatch([
+                EdgeUpdate.delete(u, v),
+                EdgeUpdate.insert(0, 903, 0.9, 0.9, keywords_v={"movies"}),
+            ]),
+            damage_threshold=1.0,
+        )
+        assert report.mode == "incremental" and not report.compacted
+        assert isinstance(engine.frozen_graph(), DeltaCSR)
+
+        replica = InfluentialCommunityEngine.from_payload(engine.to_payload())
+        assert replica.epoch == engine.epoch
+        exact = lambda result: tuple((c.vertices, c.score) for c in result)  # noqa: E731
+        assert exact(replica.topl(TOPL)) == exact(engine.topl(TOPL))
+        ours, theirs = replica.dtopl(DTOPL), engine.dtopl(DTOPL)
+        assert exact(ours) == exact(theirs)
+        assert ours.diversity_score == theirs.diversity_score
