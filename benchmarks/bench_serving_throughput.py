@@ -11,6 +11,10 @@ a mixed TopL/DTopL batch on the synthetic small-world dataset:
   baselines stay comparable).
 * **cache sweep** (workers=1) — a cold round followed by a warm round over
   the same batch; the warm round is served from the result cache.
+* **backend comparison** — sequential cache-off serving on the reference
+  and fast graph cores, answers asserted identical; the fast backend runs
+  seed extraction and propagation on the CSR kernels and must serve at
+  least :data:`FAST_SERVING_FLOOR` times the reference rate at full scale.
 * **sharded sweep** — the same batch through
   :class:`repro.service.sharded.ShardedCommunityService` (2 worker
   processes), with answers asserted bit-identical to the unsharded facade;
@@ -45,20 +49,32 @@ BATCH_SIZE = int(os.environ.get("REPRO_BENCH_SERVING_BATCH", "32"))
 WORKER_COUNTS = (1, 2, 4)
 #: Seed for the bench graph (the query workload is seeded separately, 97).
 GRAPH_SEED = 41
+#: Full-scale bench size (the recorder's defaults), independent of the
+#: smoke-sizing environment variables.
+FULL_SCALE_VERTICES = 400
+FULL_SCALE_BATCH = 32
+#: Minimum fast/reference queries-per-second ratio at full scale.
+FAST_SERVING_FLOOR = 1.5
 
 _SERVING_CONFIG = EngineConfig(max_radius=2, thresholds=(0.1, 0.2, 0.3))
 
 
-def build_serving_fixture(num_vertices: int, batch_size: int):
-    """Graph + engine + mixed query batch shared by every measurement."""
+def build_serving_batch(num_vertices: int, batch_size: int):
+    """The bench graph and its mixed TopL/DTopL query batch."""
     graph = synthetic_small_world("uniform", num_vertices=num_vertices, rng=GRAPH_SEED)
-    engine = InfluentialCommunityEngine.build(
-        graph, config=_SERVING_CONFIG, validate=False
-    )
     workload = QueryWorkload(graph, rng=97)
     num_dtopl = max(batch_size // 4, 1)
     queries = workload.topl_batch(batch_size - num_dtopl, num_keywords=5, k=4, top_l=5)
     queries += workload.dtopl_batch(num_dtopl, num_keywords=5, k=4, top_l=5)
+    return graph, queries
+
+
+def build_serving_fixture(num_vertices: int, batch_size: int):
+    """Graph + engine + mixed query batch shared by every measurement."""
+    graph, queries = build_serving_batch(num_vertices, batch_size)
+    engine = InfluentialCommunityEngine.build(
+        graph, config=_SERVING_CONFIG, validate=False
+    )
     return graph, engine, queries
 
 
@@ -102,6 +118,11 @@ def measure_backends(graph, queries) -> dict:
     fast_build = measurements["fast"]["offline_build_seconds"]
     if fast_build > 0:
         measurements["offline_build_speedup"] = round(reference_build / fast_build, 3)
+    measurements["serving_speedup"] = round(
+        measurements["fast"]["queries_per_second"]
+        / measurements["reference"]["queries_per_second"],
+        3,
+    )
     return measurements
 
 
@@ -313,6 +334,22 @@ def test_backend_serving_identical_answers(serving_fixture):
     assert set(measurements) >= {"reference", "fast"}
 
 
+def test_fast_backend_serving_speedup_full_scale():
+    """The fast backend must serve >= FAST_SERVING_FLOOR x the reference rate.
+
+    Always at full scale (400 vertices, batch 32), whatever the smoke-sizing
+    environment says, and never skipped: both backends run sequentially on
+    one core, so the ratio holds on any box.
+    """
+    graph, queries = build_serving_batch(FULL_SCALE_VERTICES, FULL_SCALE_BATCH)
+    measurements = measure_backends(graph, queries)
+    assert measurements["serving_speedup"] >= FAST_SERVING_FLOOR, (
+        f"fast backend served {measurements['fast']['queries_per_second']:.1f} q/s vs "
+        f"reference {measurements['reference']['queries_per_second']:.1f} q/s "
+        f"({measurements['serving_speedup']}x < {FAST_SERVING_FLOOR}x)"
+    )
+
+
 def test_parallel_results_identical_to_sequential(serving_fixture):
     """The correctness gate behind the throughput numbers (CI smoke)."""
     _, engine, queries = serving_fixture
@@ -331,7 +368,7 @@ def test_parallel_results_identical_to_sequential(serving_fixture):
 # --------------------------------------------------------------------------- #
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--vertices", type=int, default=400)
+    parser.add_argument("--vertices", type=int, default=FULL_SCALE_VERTICES)
     parser.add_argument("--batch", type=int, default=BATCH_SIZE)
     parser.add_argument("--out", default=None, help="write the JSON baseline here")
     args = parser.parse_args(argv)
@@ -357,7 +394,8 @@ def main(argv=None) -> int:
         f"(build {backends['reference']['offline_build_seconds']:.2f}s) vs "
         f"fast {backends['fast']['queries_per_second']:.2f} q/s "
         f"(build {backends['fast']['offline_build_seconds']:.2f}s, "
-        f"{backends.get('offline_build_speedup', '?')}x build speedup)"
+        f"{backends.get('offline_build_speedup', '?')}x build speedup, "
+        f"{backends['serving_speedup']}x serving speedup)"
     )
 
     baseline = measurements[0]["rounds"][0]["queries_per_second"]

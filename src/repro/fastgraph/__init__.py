@@ -18,7 +18,8 @@ This package provides a compact, immutable mirror of a social network:
   :data:`~repro.fastgraph.csr.NUMPY_AVAILABLE`);
 * :mod:`~repro.fastgraph.kernels` implements the scan-heavy computations
   over dense ints: stamp-based triangle/support counting, bucket-peel truss
-  decomposition, BFS hop balls, and binary-heap max-product Dijkstra;
+  decomposition, BFS hop balls, binary-heap max-product Dijkstra, and the
+  online seed-community fixpoint;
 * :mod:`~repro.fastgraph.vectorised` re-implements those kernels as numpy
   array programs over the zero-copy CSR views — bit-identical outputs,
   selected through the ``kernel_tier`` knob (``"auto"`` uses it whenever
@@ -37,7 +38,7 @@ This package provides a compact, immutable mirror of a social network:
 
 Entry points: ``SocialNetwork.freeze()`` returns the :class:`CSRGraph`
 mirror, and ``EngineConfig(backend="fast")`` routes the engine's offline
-build, online scoring and dynamic maintenance through it.  See
+build, online extraction and scoring, and dynamic maintenance through it.  See
 ``docs/backends.md`` for when each backend applies.
 """
 

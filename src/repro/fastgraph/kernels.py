@@ -10,6 +10,8 @@ ints — but runs over the CSR buffers of a
   (vs :func:`repro.truss.decomposition.truss_decomposition`);
 * :class:`CSRWorkspace` ``.bfs_ball`` — hop balls with stamp reset
   (vs :func:`repro.graph.traversal.bfs_distances`);
+* :class:`CSRWorkspace` ``.seed_community`` — the online seed-community
+  fixpoint over int sets (vs :func:`repro.query.seed.extract_seed_community`);
 * :class:`CSRWorkspace` ``.propagate`` / :func:`community_propagation_csr` —
   truncated multi-source max-product Dijkstra
   (vs :func:`repro.influence.propagation.community_propagation`).
@@ -407,6 +409,146 @@ class CSRWorkspace:
                     order.append(neighbour)
         self.order = order
         return order
+
+    def seed_community(self, center: int, radius: int, k: int, qualified) -> Optional[set]:
+        """The Definition 2 seed community of ``center`` as a set of vertex ints.
+
+        Int-space twin of :func:`repro.query.seed.extract_seed_community`:
+        the largest connected k-truss containing ``center`` whose vertices
+        all carry a query keyword and lie within ``radius`` hops of
+        ``center`` *inside the community*.  ``qualified`` is a per-query
+        bitmap over vertex ints (non-zero = carries a query keyword).
+        Returns ``None`` when no such community exists.
+
+        Why the answer equals the reference extractor's exactly.  Call a
+        vertex set *valid* when it contains ``center``, is all qualified,
+        equals the k-truss component of ``center`` in its induced subgraph,
+        and keeps every member within ``radius`` hops inside itself.  Both
+        reductions of the fixpoint loop — "keep the truss component of
+        ``center``" and "keep the vertices within ``radius`` hops" — never
+        drop a member of a valid subset (a k-truss of a subgraph is a
+        k-truss of any supergraph; distances only shrink in a supergraph).
+        So from *any* start set ``S`` containing the maximal valid set
+        ``F``, the loop stops at a valid set holding every valid subset of
+        ``S`` — that is ``F`` itself, whatever the order of the reductions.
+        The reference starts from ``hop(center, r)`` filtered to qualified
+        vertices; this kernel rejects early or starts from a smaller ``S``:
+
+        * **cheap reject** — a truss edge ``(center, w)`` of ``F`` lies in
+          ``k - 2`` triangles of ``F``, whose third vertices are qualified
+          neighbours of both ``center`` and ``w``; so ``center`` keeps at
+          least ``k - 1`` such *spokes* (one for ``k = 2``).  Peeling the
+          spokes to qualified neighbours whose triangle count among the
+          remaining spokes is below ``k - 2`` therefore never removes a
+          truss edge of ``F``; fewer than ``k - 1`` survivors prove ``F``
+          empty.  This touches only the centre's neighbourhood, and it
+          settles most candidates of a selective query.
+        * **qualified ball** — BFS to depth ``radius`` through qualified
+          vertices only.  Every member of ``F`` is reached: it has a path
+          of at most ``radius`` hops to ``center`` inside ``F``, and ``F``
+          is all qualified.  Hence ``F`` is a subset of the ball.
+
+        The truss reduction peels the induced subgraph locally: vertices of
+        degree below ``k - 1`` first (the k-truss lies inside the
+        (k-1)-core), then edges of support below ``k - 2`` under int-pair
+        keys.  The radius re-check BFSes the induced subgraph, non-truss
+        edges included, exactly as the reference measures it.
+        """
+        if not qualified[center]:
+            return None
+        self.ensure_entries()
+        neighbor_ints = self.neighbor_ints
+        need = k - 1
+        required = k - 2
+        spokes = {w for w in neighbor_ints[center] if qualified[w]}
+        if len(spokes) < need:
+            return None
+        if required > 0:
+            triangles = {w: spokes.intersection(neighbor_ints[w]) for w in spokes}
+            stack = [w for w, row in triangles.items() if len(row) < required]
+            while stack:
+                w = stack.pop()
+                for x in triangles.pop(w):
+                    row = triangles[x]
+                    row.discard(w)
+                    if len(row) == required - 1:
+                        stack.append(x)
+            if len(triangles) < need:
+                return None
+
+        current = {center}
+        frontier = [center]
+        for _ in range(radius):
+            reached = []
+            for u in frontier:
+                for w in neighbor_ints[u]:
+                    if qualified[w] and w not in current:
+                        current.add(w)
+                        reached.append(w)
+            frontier = reached
+
+        while True:
+            # Truss reduction: (k-1)-core, then support peel, then the
+            # centre's component over the surviving truss edges.
+            adjacency = {u: current.intersection(neighbor_ints[u]) for u in current}
+            stack = [u for u, row in adjacency.items() if len(row) < need]
+            while stack:
+                u = stack.pop()
+                for w in adjacency.pop(u):
+                    row = adjacency[w]
+                    row.discard(u)
+                    if len(row) == need - 1:
+                        stack.append(w)
+            if center not in adjacency:
+                return None
+            if required > 0:
+                supports = {}
+                queue = []
+                for u, row in adjacency.items():
+                    for v in row:
+                        if u < v:
+                            support = len(row & adjacency[v])
+                            supports[u, v] = support
+                            if support < required:
+                                queue.append((u, v))
+                while queue:
+                    u, v = queue.pop()
+                    row_u, row_v = adjacency[u], adjacency[v]
+                    row_u.discard(v)
+                    row_v.discard(u)
+                    for w in row_u & row_v:
+                        for key in ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v)):
+                            support = supports[key] - 1
+                            supports[key] = support
+                            if support == required - 1:
+                                queue.append(key)
+            if not adjacency[center]:
+                return None
+            component = {center}
+            stack = [center]
+            while stack:
+                fresh = adjacency[stack.pop()] - component
+                component |= fresh
+                stack.extend(fresh)
+            if len(component) < len(current):
+                current = component
+                continue
+
+            # Radius reduction: hop distances inside the induced subgraph.
+            within = {center}
+            frontier = [center]
+            for _ in range(radius):
+                reached = []
+                for u in frontier:
+                    fresh = current.intersection(neighbor_ints[u])
+                    fresh -= within
+                    within |= fresh
+                    reached.extend(fresh)
+                frontier = reached
+            if len(within) < len(current):
+                current = within
+                continue
+            return current
 
     def propagate(self, seeds, threshold: float) -> list:
         """Truncated multi-source max-product Dijkstra from ``seeds``.

@@ -111,11 +111,16 @@ class TopLProcessor:
         passes the engine's current epoch so entries memoised before a
         dynamic update can never be served after it.
     backend:
-        ``"reference"`` scores candidate communities with the dict-based
+        ``"reference"`` extracts candidate communities with
+        :func:`~repro.query.seed.extract_seed_community` over the dict-based
+        graph and scores them with
         :func:`~repro.influence.propagation.community_propagation`;
-        ``"fast"`` scores them over an array snapshot of the graph
-        (identical floats — see :mod:`repro.fastgraph`).  Candidate
-        extraction always runs on the reference structures.
+        ``"fast"`` does both over an array snapshot of the graph — the
+        :meth:`~repro.fastgraph.kernels.CSRWorkspace.seed_community` kernel
+        against a per-query keyword bitmap, then the CSR propagation kernel
+        — with identical communities, floats and work counters (see
+        :mod:`repro.fastgraph`).  The reference path is the equivalence
+        oracle.
     frozen:
         Optional pre-built :class:`~repro.fastgraph.csr.CSRGraph` snapshot
         for the ``fast`` backend (the engine shares one across processors);
@@ -176,6 +181,7 @@ class TopLProcessor:
         if root is None:
             statistics.elapsed_seconds = time.perf_counter() - started
             return TopLResult(communities=(), statistics=statistics)
+        qualified = self._qualified(query.keywords) if self.backend == "fast" else None
 
         # Max-heap of (negated score bound, tie-breaker, node).
         heap: list[tuple[float, int, object]] = []
@@ -200,7 +206,7 @@ class TopLProcessor:
                     statistics.visited_leaf_vertices += 1
                     community = self._process_leaf_vertex(
                         vertex, query, query_bv, results, counters, statistics,
-                        scored_vertex_sets,
+                        scored_vertex_sets, qualified,
                     )
                     if community is not None:
                         results.consider(community)
@@ -260,11 +266,18 @@ class TopLProcessor:
         counters: PruningCounters,
         statistics: QueryStatistics,
         scored_vertex_sets: set,
+        qualified: Optional[bytearray] = None,
     ) -> Optional[SeedCommunity]:
-        """Apply community-level pruning to a candidate centre, then refine it."""
+        """Apply community-level pruning to a candidate centre, then refine it.
+
+        ``qualified`` is the fast backend's per-query keyword bitmap over
+        vertex ints (``None`` on the reference backend).
+        """
         statistics.candidates_examined += 1
         aggregates = self.index.vertex_aggregates(vertex)
         radius_aggregates = aggregates.for_radius(query.radius)
+        if qualified is not None:
+            center = self._workspace.core.table.index_of(vertex)
 
         if self.pruning.keyword:
             # Lemma 1: the r-hop subgraph must contain at least one query
@@ -272,7 +285,10 @@ class TopLProcessor:
             if keyword_prune_by_bitvector(radius_aggregates.bitvector, query_bv):
                 counters.keyword += 1
                 return None
-            if not center_has_query_keyword(self.graph, vertex, query.keywords):
+            if not (
+                qualified[center] if qualified is not None
+                else center_has_query_keyword(self.graph, vertex, query.keywords)
+            ):
                 counters.keyword += 1
                 return None
         if self.pruning.support and (
@@ -287,10 +303,16 @@ class TopLProcessor:
             counters.score += 1
             return None
 
-        # Refinement: materialise hop(v, r), extract the seed community and
-        # score it exactly.
-        candidate_view = hop_subgraph(self.graph, vertex, query.radius)
-        vertices = extract_seed_community(self.graph, vertex, query, candidate_view)
+        # Refinement: extract the seed community and score it exactly.
+        if qualified is None:
+            candidate_view = hop_subgraph(self.graph, vertex, query.radius)
+            vertices = extract_seed_community(self.graph, vertex, query, candidate_view)
+        else:
+            members = self._workspace.seed_community(
+                center, query.radius, query.k, qualified
+            )
+            id_of = self._workspace.core.table.id_of
+            vertices = frozenset(map(id_of, members)) if members else None
         if not vertices:
             counters.radius += 1
             return None
@@ -322,10 +344,8 @@ class TopLProcessor:
         cache.put(key, influenced)
         return influenced
 
-    def _calculate_influence(self, vertices: frozenset, theta: float):
-        """Score a community on the configured backend (identical results)."""
-        if self.backend != "fast":
-            return community_propagation(self.graph, vertices, theta)
+    def _fast_workspace(self):
+        """The fast backend's kernel workspace, synced with its core."""
         if self._workspace is None:
             # Deferred import keeps repro.query importable without the
             # fastgraph package loaded (reference-only deployments).
@@ -334,10 +354,26 @@ class TopLProcessor:
             if self._frozen is None:
                 self._frozen = self.graph.freeze()
             self._workspace = make_workspace(self._frozen, self.kernel_tier)
+        self._workspace.sync()
+        return self._workspace
+
+    def _qualified(self, keywords: frozenset) -> bytearray:
+        """Per-query bitmap over vertex ints: 1 where a vertex carries a query keyword."""
+        core = self._fast_workspace().core
+        keywords_of = core.keywords_of
+        return bytearray(
+            not keywords.isdisjoint(keywords_of(vertex))
+            for vertex in range(core.num_vertices)
+        )
+
+    def _calculate_influence(self, vertices: frozenset, theta: float):
+        """Score a community on the configured backend (identical results)."""
+        if self.backend != "fast":
+            return community_propagation(self.graph, vertices, theta)
         from repro.fastgraph.kernels import community_propagation_csr
 
         return community_propagation_csr(
-            self._frozen, vertices, theta, workspace=self._workspace
+            self._frozen, vertices, theta, workspace=self._fast_workspace()
         )
 
 

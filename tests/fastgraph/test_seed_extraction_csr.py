@@ -1,0 +1,264 @@
+"""Seed-community extraction on the CSR core vs the reference extractor.
+
+:meth:`~repro.fastgraph.kernels.CSRWorkspace.seed_community` is the fast
+backend's online kernel.  Mapped back through ``table.id_of``, its answer
+must ``==`` what :func:`~repro.query.seed.extract_seed_community` returns
+(``None`` alike) for every centre and every ``(k, r)``, on seeded planted
+and small-world graphs with string and tuple vertex ids, on a mutated
+:class:`~repro.fastgraph.delta.DeltaCSR` overlay, and on both kernel tiers.
+The vector tier matters on its own: a fresh
+:class:`~repro.fastgraph.vectorised.VectorWorkspace` defers the
+``neighbor_ints`` rows the kernel sweeps, so the kernel must build them.
+
+On top of the answers, the fast and reference backends must do the same
+*work*: every :class:`~repro.query.results.QueryStatistics` counter agrees
+(the kernel's cheap reject counts as ``pruned_by_radius``, exactly like an
+empty extraction), except the wall clock and the cache counters.
+
+``REPRO_TEST_KERNELS`` pins the kernel tier of the engine-level checks, as
+in ``test_backend_equivalence.py``; the kernel-level checks always run the
+stdlib tier and, when numpy is importable, the vector tier as well.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+
+import pytest
+
+from repro.core.config import EngineConfig
+from repro.core.engine import InfluentialCommunityEngine
+from repro.dynamic.updates import EdgeUpdate, UpdateBatch
+from repro.fastgraph.csr import NUMPY_AVAILABLE, freeze
+from repro.fastgraph.delta import DeltaCSR
+from repro.fastgraph.kernels import make_workspace
+from repro.graph.generators import newman_watts_strogatz_graph, planted_community_graph
+from repro.graph.social_network import SocialNetwork
+from repro.pruning.stats import PruningConfig
+from repro.query.params import make_dtopl_query, make_topl_query
+from repro.query.seed import extract_seed_community
+
+#: Kernel tier of the engine-level checks; the kernels-matrix leg exports "vector".
+KERNEL_TIER = os.environ.get("REPRO_TEST_KERNELS", "auto")
+
+if KERNEL_TIER == "vector" and not NUMPY_AVAILABLE:  # pragma: no cover - misconfigured leg
+    pytest.skip("REPRO_TEST_KERNELS=vector needs numpy", allow_module_level=True)
+
+TIERS = ("stdlib", "vector") if NUMPY_AVAILABLE and KERNEL_TIER != "stdlib" else ("stdlib",)
+KS = (2, 3, 4, 5)
+RADII = (1, 2, 3)
+DOMAIN = ("art", "books", "cars", "dogs", "eggs", "film")
+#: Counters that legitimately differ between backends.
+UNCOMPARED = ("elapsed_seconds", "propagation_cache_hits", "propagation_cache_misses")
+
+
+def _relabel(graph: SocialNetwork, label) -> SocialNetwork:
+    out = SocialNetwork(name=graph.name)
+    for vertex in graph.vertices():
+        out.add_vertex(label(vertex), graph.keywords(vertex))
+    for u, v in graph.edges():
+        out.add_edge(label(u), label(v), graph.probability(u, v), graph.probability(v, u))
+    return out
+
+
+def _graph(kind: str, seed: int) -> SocialNetwork:
+    """A seeded planted or small-world graph with string or tuple ids."""
+    rng = random.Random(seed)
+    if kind.startswith("planted"):
+        graph = planted_community_graph(
+            [rng.randint(7, 11) for _ in range(3)],
+            intra_probability=0.6, inter_probability=0.06, rng=seed,
+        )
+    else:
+        graph = newman_watts_strogatz_graph(32, ring_neighbors=6, rng=seed)
+    for vertex in list(graph.vertices()):
+        graph.set_keywords(vertex, rng.sample(DOMAIN, 2))
+    if kind.endswith("tuple"):
+        return _relabel(graph, lambda v: ("member", v % 5, v))
+    return _relabel(graph, lambda v: f"v{v}")
+
+
+def _kernel_answer(workspace, center, query):
+    core = workspace.core
+    qualified = bytearray(
+        not query.keywords.isdisjoint(core.keywords_of(v)) for v in range(core.num_vertices)
+    )
+    members = workspace.seed_community(
+        core.table.index_of(center), query.radius, query.k, qualified
+    )
+    return frozenset(map(core.table.id_of, members)) if members else None
+
+
+def _assert_every_centre_matches(graph, workspace, keyword_sets) -> int:
+    """Compare kernel and reference on every centre and (k, r); return the non-empty count."""
+    found = 0
+    for keywords in keyword_sets:
+        for k in KS:
+            for radius in RADII:
+                query = make_topl_query(keywords, k=k, radius=radius, theta=0.2, top_l=3)
+                for center in graph.vertices():
+                    expected = extract_seed_community(graph, center, query)
+                    assert _kernel_answer(workspace, center, query) == expected, (
+                        center, sorted(keywords), k, radius,
+                    )
+                    found += expected is not None
+    return found
+
+
+def _keyword_sets(seed: int) -> list:
+    rng = random.Random(seed + 101)
+    return [frozenset(rng.sample(DOMAIN, size)) for size in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("kind", ("planted-str", "planted-tuple", "smallworld-str", "smallworld-tuple"))
+@pytest.mark.parametrize("seed", range(3))
+def test_every_centre_matches_reference(tier, kind, seed):
+    graph = _graph(kind, seed)
+    workspace = make_workspace(freeze(graph), tier)
+    if tier == "vector":
+        # The vector tier defers the per-vertex rows the kernel sweeps.
+        assert not workspace.neighbor_ints
+    found = _assert_every_centre_matches(graph, workspace, _keyword_sets(seed))
+    assert found, "the sweep should include non-empty communities"
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_special_centres(tier):
+    graph = SocialNetwork(name="special")
+    for vertex in "abcd":
+        graph.add_vertex(vertex, {"art"})
+    graph.add_vertex("plain", {"dogs"})
+    graph.add_vertex("alone", {"art"})
+    graph.add_vertex("pair", {"art"})
+    for u, v in ("ab", "ac", "ad", "bc", "bd", "cd"):
+        graph.add_edge(u, v, 0.5)
+    graph.add_edge("a", "plain", 0.5)
+    graph.add_edge("b", "plain", 0.5)
+    graph.add_edge("d", "pair", 0.5)
+    workspace = make_workspace(freeze(graph), tier)
+
+    def both(center, k, radius=2):
+        query = make_topl_query({"art"}, k=k, radius=radius, theta=0.2, top_l=1)
+        answer = _kernel_answer(workspace, center, query)
+        assert answer == extract_seed_community(graph, center, query)
+        return answer
+
+    # A centre without a query keyword, and an isolated qualified centre.
+    assert both("plain", 3) is None
+    assert both("alone", 2) is None
+    # k = 2 keeps every edge: the whole qualified component within r hops.
+    assert both("pair", 2) == frozenset("abcd") | {"pair"}
+    assert both("pair", 2, radius=1) == frozenset({"d", "pair"})
+    # The qualified 4-clique is a 4-truss; "pair" hangs off it.
+    assert both("a", 4) == frozenset("abcd")
+    assert both("pair", 3) is None
+    assert both("a", 5) is None
+
+
+def _overlay_script(graph: SocialNetwork, rng: random.Random) -> UpdateBatch:
+    """Mixed deletes, inserts among existing vertices, and keyword-carrying arrivals."""
+    vertices = sorted(graph.vertices(), key=repr)
+    edges = sorted(graph.edges(), key=repr)
+    edits = [EdgeUpdate.delete(u, v) for u, v in rng.sample(edges, 6)]
+    deleted = {frozenset(edge.key) for edge in edits}
+    inserted = set()
+    while len(inserted) < 8:
+        u, v = rng.sample(vertices, 2)
+        key = frozenset((u, v))
+        if not graph.has_edge(u, v) and key not in inserted and key not in deleted:
+            inserted.add(key)
+            edits.append(EdgeUpdate.insert(u, v, rng.uniform(0.1, 0.9)))
+    # Each arrival closes triangles on an existing edge, so it can join a truss.
+    for index, (u, v) in enumerate(rng.sample(edges, 4)):
+        if frozenset((u, v)) in deleted:
+            continue
+        arrival = f"new{index}"
+        keywords = rng.sample(DOMAIN, 2)
+        edits.append(EdgeUpdate.insert(u, arrival, 0.4, keywords_v=keywords))
+        edits.append(EdgeUpdate.insert(v, arrival, 0.6))
+    return UpdateBatch(edits)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("seed", range(3))
+def test_overlay_after_mixed_edits(tier, seed):
+    graph = _graph("planted-str", seed)
+    frozen = freeze(graph)
+    workspace = make_workspace(frozen, tier)
+    # The engine's path: wrap the snapshot, re-bind the workspace, edit, sync.
+    overlay = DeltaCSR(frozen)
+    workspace.rebind(overlay)
+    script = _overlay_script(graph, random.Random(seed))
+    script.validate_against(graph)
+    script.apply_to(graph)
+    overlay.replay(script)
+    assert workspace.sync() > 0
+    assert overlay.num_vertices > frozen.num_vertices
+    _assert_every_centre_matches(graph, workspace, _keyword_sets(seed))
+
+
+def _engines(graph, kernel_tier=KERNEL_TIER):
+    config = dict(max_radius=3, thresholds=(0.1, 0.2), fanout=3, leaf_capacity=4)
+    reference = InfluentialCommunityEngine.build(
+        graph, config=EngineConfig(**config), validate=False
+    )
+    fast = InfluentialCommunityEngine.build(
+        graph.copy(),
+        config=EngineConfig(**config, backend="fast", kernel_tier=kernel_tier),
+        validate=False,
+    )
+    return reference, fast
+
+
+def _work(statistics) -> dict:
+    counters = statistics.as_dict()
+    for name in UNCOMPARED:
+        counters.pop(name)
+    return counters
+
+
+@pytest.mark.parametrize(
+    "pruning",
+    (PruningConfig.all_enabled(), PruningConfig.keyword_only(), PruningConfig.none_enabled()),
+    ids=lambda config: config.label(),
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_work_counters_equal_across_backends(seed, pruning):
+    graph = _graph("planted-str" if seed % 2 else "smallworld-tuple", seed)
+    reference, fast = _engines(graph)
+    rng = random.Random(seed)
+    extractions = 0
+    for _ in range(4):
+        keywords = frozenset(rng.sample(DOMAIN, rng.randint(1, 3)))
+        query = make_topl_query(
+            keywords, k=rng.choice(KS), radius=rng.choice(RADII), theta=0.2, top_l=3
+        )
+        ours, theirs = fast.topl(query, pruning=pruning), reference.topl(query, pruning=pruning)
+        assert [(c.center, c.vertices, c.score) for c in ours] == [
+            (c.center, c.vertices, c.score) for c in theirs
+        ]
+        assert _work(ours.statistics) == _work(theirs.statistics), (seed, query)
+        extractions += ours.statistics.pruned_by_radius + ours.statistics.communities_scored
+        dquery = make_dtopl_query(
+            keywords, k=query.k, radius=query.radius, theta=0.2, top_l=2, candidate_factor=2
+        )
+        ours, theirs = fast.dtopl(dquery, pruning=pruning), reference.dtopl(dquery, pruning=pruning)
+        assert [c.vertices for c in ours] == [c.vertices for c in theirs]
+        assert ours.diversity_score == theirs.diversity_score
+        assert _work(ours.statistics) == _work(theirs.statistics), (seed, dquery)
+    assert extractions, "the queries should reach the extraction step"
+
+
+def test_work_counters_equal_after_engine_updates():
+    graph = _graph("planted-tuple", 7)
+    reference, fast = _engines(graph)
+    script = _overlay_script(graph, random.Random(7))
+    reference.apply_updates(script)
+    fast.apply_updates(script)
+    for keywords in _keyword_sets(7):
+        query = make_topl_query(keywords, k=3, radius=2, theta=0.1, top_l=3)
+        ours, theirs = fast.topl(query), reference.topl(query)
+        assert [c.vertices for c in ours] == [c.vertices for c in theirs]
+        assert _work(ours.statistics) == _work(theirs.statistics)
