@@ -192,11 +192,17 @@ class UpdateBatch:
         produced by the edits before it, so ``insert(a, b)`` followed by
         ``delete(a, b)`` is valid even when ``{a, b}`` is not in the graph.
         """
-        edges = {edge_key(u, v) for u, v in graph.edges()}
+        # Edges inserted (True) or deleted (False) by earlier edits of this
+        # script; every other edge is looked up in the graph, so validation
+        # costs O(edits) rather than O(|E|).
+        pending: dict[frozenset, bool] = {}
         for position, update in enumerate(self.updates):
             key = update.key
+            exists = pending.get(key)
+            if exists is None:
+                exists = graph.has_edge(update.u, update.v)
             if update.op == INSERT:
-                if key in edges:
+                if exists:
                     raise DynamicUpdateError(
                         f"edit {position}: edge ({update.u!r}, {update.v!r}) "
                         "already exists (probability changes are not edits)"
@@ -207,14 +213,14 @@ class UpdateBatch:
                             f"edit {position}: probability {probability!r} "
                             "is outside [0, 1]"
                         )
-                edges.add(key)
+                pending[key] = True
             else:
-                if key not in edges:
+                if not exists:
                     raise DynamicUpdateError(
                         f"edit {position}: edge ({update.u!r}, {update.v!r}) "
                         "does not exist"
                     )
-                edges.discard(key)
+                pending[key] = False
 
     def apply_to(self, graph: SocialNetwork) -> list:
         """Apply the script to ``graph`` directly, with no index maintenance.

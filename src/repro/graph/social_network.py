@@ -66,7 +66,7 @@ class SocialNetwork:
       in the paper's model.
     """
 
-    __slots__ = ("name", "_adj", "_keywords", "_prob")
+    __slots__ = ("name", "_adj", "_keywords", "_prob", "_num_edges")
 
     def __init__(self, name: str = "social-network") -> None:
         self.name = name
@@ -78,6 +78,9 @@ class SocialNetwork:
         # _prob[(u, v)] is the probability that u activates v.  Both
         # directions are stored explicitly for every structural edge.
         self._prob: dict[tuple[VertexId, VertexId], float] = {}
+        # Number of structural edges, kept by every mutator so that
+        # num_edges() is O(1).
+        self._num_edges = 0
 
     # ------------------------------------------------------------------ #
     # construction
@@ -124,6 +127,8 @@ class SocialNetwork:
         p_vu = p_uv if p_vu is None else _validate_probability(p_vu)
         self.add_vertex(u)
         self.add_vertex(v)
+        if v not in self._adj[u]:
+            self._num_edges += 1
         self._adj[u][v] = None
         self._adj[v][u] = None
         self._prob[(u, v)] = p_uv
@@ -143,6 +148,7 @@ class SocialNetwork:
     def remove_vertex(self, vertex: VertexId) -> None:
         """Remove ``vertex`` and all its incident edges."""
         self._require_vertex(vertex)
+        self._num_edges -= len(self._adj[vertex])
         for neighbour in list(self._adj[vertex]):
             del self._adj[neighbour][vertex]
             self._prob.pop((vertex, neighbour), None)
@@ -156,6 +162,7 @@ class SocialNetwork:
             raise EdgeNotFoundError(u, v)
         del self._adj[u][v]
         del self._adj[v][u]
+        self._num_edges -= 1
         self._prob.pop((u, v), None)
         self._prob.pop((v, u), None)
 
@@ -237,7 +244,7 @@ class SocialNetwork:
 
     def num_edges(self) -> int:
         """Return ``|E(G)|`` (structural, undirected edges)."""
-        return sum(len(neighbours) for neighbours in self._adj.values()) // 2
+        return self._num_edges
 
     def keyword_domain(self) -> frozenset:
         """Return the union of all vertex keyword sets (the domain ``Sigma``)."""
@@ -278,6 +285,7 @@ class SocialNetwork:
         clone._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
         clone._keywords = dict(self._keywords)
         clone._prob = dict(self._prob)
+        clone._num_edges = self._num_edges
         return clone
 
     def induced_subgraph(

@@ -16,8 +16,9 @@ non-leaf entry, which keeps the pruning code uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.exceptions import GraphError
 from repro.index.precompute import RadiusAggregates, VertexAggregates
 from repro.keywords.bitvector import BitVector
 
@@ -64,29 +65,61 @@ class EntryAggregates:
         """Combine child aggregates into a parent entry (OR / max / max)."""
         if not entries:
             raise ValueError("cannot combine an empty list of entries")
-        radii = sorted(entries[0].per_radius)
-        combined: dict[int, RadiusAggregates] = {}
-        for radius in radii:
-            bitvector = entries[0].per_radius[radius].bitvector
-            support_bound = 0
-            thresholds = [theta for theta, _ in entries[0].per_radius[radius].score_bounds]
-            best_scores = {theta: 0.0 for theta in thresholds}
-            for entry in entries:
-                radius_aggregates = entry.per_radius[radius]
-                bitvector = bitvector | radius_aggregates.bitvector
-                if radius_aggregates.support_upper_bound > support_bound:
-                    support_bound = radius_aggregates.support_upper_bound
-                for theta, sigma in radius_aggregates.score_bounds:
-                    if sigma > best_scores.get(theta, 0.0):
-                        best_scores[theta] = sigma
-            combined[radius] = RadiusAggregates(
-                radius=radius,
-                bitvector=bitvector,
-                support_upper_bound=support_bound,
-                score_bounds=tuple((theta, best_scores[theta]) for theta in thresholds),
-            )
-        trussness_bound = max(entry.trussness_bound for entry in entries)
-        return cls(per_radius=combined, trussness_bound=trussness_bound)
+        return cls(
+            per_radius=_combine_radii([entry.per_radius for entry in entries]),
+            trussness_bound=max(entry.trussness_bound for entry in entries),
+        )
+
+    @classmethod
+    def from_records(cls, records: list[VertexAggregates]) -> "EntryAggregates":
+        """Combine the pre-computed records of a leaf's vertices.
+
+        Equal to :meth:`combine` over :meth:`from_vertex` of each record,
+        without copying a ``per_radius`` dict per vertex.
+        """
+        if not records:
+            raise ValueError("cannot combine an empty list of records")
+        return cls(
+            per_radius=_combine_radii([record.per_radius for record in records]),
+            trussness_bound=max(record.center_trussness for record in records),
+        )
+
+
+def _combine_radii(per_radius_maps: list[dict]) -> dict:
+    """OR the bit vectors and max the bounds of each radius across entries.
+
+    The radii and the thresholds come from the first entry; the keyword
+    signatures are OR-ed as plain ints, checking that every width agrees.
+    """
+    first = per_radius_maps[0]
+    combined: dict[int, RadiusAggregates] = {}
+    for radius in sorted(first):
+        head = first[radius]
+        num_bits = head.bitvector.num_bits
+        thresholds = [theta for theta, _ in head.score_bounds]
+        best_scores = {theta: 0.0 for theta in thresholds}
+        bits = 0
+        support_bound = 0
+        for per_radius in per_radius_maps:
+            radius_aggregates = per_radius[radius]
+            vector = radius_aggregates.bitvector
+            if vector.num_bits != num_bits:
+                raise GraphError(
+                    f"bit vectors have mismatched widths: {num_bits} vs {vector.num_bits}"
+                )
+            bits |= vector.bits
+            if radius_aggregates.support_upper_bound > support_bound:
+                support_bound = radius_aggregates.support_upper_bound
+            for theta, sigma in radius_aggregates.score_bounds:
+                if sigma > best_scores.get(theta, 0.0):
+                    best_scores[theta] = sigma
+        combined[radius] = RadiusAggregates(
+            radius=radius,
+            bitvector=BitVector(bits, num_bits),
+            support_upper_bound=support_bound,
+            score_bounds=tuple((theta, best_scores[theta]) for theta in thresholds),
+        )
+    return combined
 
 
 @dataclass
@@ -142,15 +175,16 @@ class LeafVertexEntry:
 
     vertex: object
     aggregates: VertexAggregates
-    entry: EntryAggregates = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.entry = EntryAggregates.from_vertex(self.aggregates)
+    @property
+    def entry(self) -> EntryAggregates:
+        """The record wrapped as a single-vertex index entry."""
+        return EntryAggregates.from_vertex(self.aggregates)
 
 
 def make_leaf(entries: list[LeafVertexEntry], node_id: int) -> IndexNode:
     """Build a leaf node from vertex entries."""
-    aggregates = EntryAggregates.combine([entry.entry for entry in entries])
+    aggregates = EntryAggregates.from_records([entry.aggregates for entry in entries])
     return IndexNode(
         aggregates=aggregates,
         vertices=tuple(entry.vertex for entry in entries),

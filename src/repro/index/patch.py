@@ -2,7 +2,8 @@
 
 Instead of re-packing every vertex, the patcher rebuilds only the aggregates
 along the leaf-to-root paths of the vertices whose pre-computed records
-changed, and appends brand-new vertices to existing leaves (or a fresh leaf
+changed — stopping at the first node on a path whose aggregates come out
+unchanged — and appends brand-new vertices to existing leaves (or a fresh leaf
 under the root when they are full).  The resulting tree may *group* vertices
 differently from a from-scratch build — the builder sorts by a ranking key
 that patched records would shift — but every node aggregate is the exact
@@ -37,16 +38,18 @@ def _collect_structure(index: TreeIndex):
     return leaf_of, parent_of
 
 
-def _recompute_aggregates(node: IndexNode, records: dict) -> None:
-    """Recompute one node's aggregates from its vertices or children."""
+def _recompute_aggregates(node: IndexNode, records: dict) -> bool:
+    """Recompute one node's aggregates; return whether they changed."""
     if node.is_leaf:
-        entries = [
-            LeafVertexEntry(vertex=vertex, aggregates=records[vertex]).entry
-            for vertex in node.vertices
-        ]
+        aggregates = EntryAggregates.from_records(
+            [records[vertex] for vertex in node.vertices]
+        )
     else:
-        entries = [child.aggregates for child in node.children]
-    node.aggregates = EntryAggregates.combine(entries)
+        aggregates = EntryAggregates.combine([child.aggregates for child in node.children])
+    if aggregates == node.aggregates:
+        return False
+    node.aggregates = aggregates
+    return True
 
 
 def patch_tree_index(
@@ -111,13 +114,16 @@ def patch_tree_index(
         leaf_of[vertex] = spare
         dirty[id(spare)] = spare
 
+    # Walk up level by level, stopping at nodes whose aggregates came out
+    # unchanged: their ancestors already combine exactly these values.
     patched = 0
     current = dirty
     while current:
         parents: dict[int, IndexNode] = {}
         for node in current.values():
-            _recompute_aggregates(node, records)
             patched += 1
+            if not _recompute_aggregates(node, records):
+                continue
             parent = parent_of.get(id(node))
             if parent is not None:
                 parents[id(parent)] = parent
@@ -151,6 +157,8 @@ def _leaf_with_capacity(
     if spare is not None:
         return spare
 
+    # The empty placeholder never equals a recomputed aggregate, so the new
+    # leaf's first recompute always propagates to its parent.
     placeholder = EntryAggregates(per_radius={}, trussness_bound=2)
     new_leaf = IndexNode(
         aggregates=placeholder, vertices=(), children=(), node_id=index.num_nodes

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import IndexStateError
 from repro.graph.social_network import SocialNetwork, VertexId
-from repro.index.node import EntryAggregates, IndexNode, LeafVertexEntry, make_internal, make_leaf
-from repro.index.precompute import PrecomputedData, precompute
+from repro.index.node import IndexNode, LeafVertexEntry, make_internal, make_leaf
+from repro.index.precompute import PrecomputedData, VertexAggregates, precompute
 
 #: Default fanout gamma of non-leaf nodes.
 DEFAULT_FANOUT = 8
@@ -92,7 +92,7 @@ class TreeIndex:
         }
 
 
-def _ranking_key(aggregates: EntryAggregates, max_radius: int) -> float:
+def _ranking_key(aggregates: VertexAggregates, max_radius: int) -> float:
     """Blend of the support and score bounds used to sort vertices before packing."""
     radius_aggregates = aggregates.per_radius[max_radius]
     score = radius_aggregates.score_bounds[0][1] if radius_aggregates.score_bounds else 0.0
@@ -142,7 +142,8 @@ def build_tree_index(
         )
 
     entries.sort(
-        key=lambda entry: _ranking_key(entry.entry, precomputed.max_radius), reverse=True
+        key=lambda entry: _ranking_key(entry.aggregates, precomputed.max_radius),
+        reverse=True,
     )
 
     next_node_id = 0

@@ -8,7 +8,24 @@ import pytest
 
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch, random_update_batch
 from repro.exceptions import DynamicUpdateError
+from repro.graph.social_network import SocialNetwork
 from repro.truss.support import edge_key
+
+
+class _NoScanNetwork(SocialNetwork):
+    """A network whose full edge scan fails, so validation must not use it."""
+
+    def edges(self):
+        raise AssertionError("validation scanned every edge of the graph")
+
+
+def _no_scan_copy(graph: SocialNetwork) -> _NoScanNetwork:
+    clone = _NoScanNetwork(graph.name)
+    for vertex in graph.vertices():
+        clone.add_vertex(vertex, graph.keywords(vertex))
+    for u, v in graph.edges():
+        clone.add_edge(u, v, graph.probability(u, v), graph.probability(v, u))
+    return clone
 
 
 class TestEdgeUpdate:
@@ -74,6 +91,66 @@ class TestUpdateBatchValidation:
         batch = UpdateBatch([EdgeUpdate.insert("a", "d", 1.5)])
         with pytest.raises(DynamicUpdateError):
             batch.validate_against(triangle_graph)
+
+    def test_valid_mixed_script_never_scans_the_graph(self, triangle_graph):
+        graph = _no_scan_copy(triangle_graph)
+        batch = UpdateBatch(
+            [
+                EdgeUpdate.insert("a", "d", 0.2),
+                EdgeUpdate.delete("b", "a"),
+                EdgeUpdate.insert("d", "x", 0.3, keywords_v={"music"}),
+                EdgeUpdate.delete("c", "d"),
+                EdgeUpdate.insert("a", "b", 0.4),
+                EdgeUpdate.delete("x", "d"),
+            ]
+        )
+        batch.validate_against(graph)
+        assert graph.num_edges() == 4 and not graph.has_vertex("x")
+
+    def test_insert_delete_insert_of_one_edge_is_valid(self, triangle_graph):
+        batch = UpdateBatch(
+            [
+                EdgeUpdate.insert("a", "d", 0.2),
+                EdgeUpdate.delete("a", "d"),
+                EdgeUpdate.insert("a", "d", 0.7),
+            ]
+        )
+        batch.validate_against(_no_scan_copy(triangle_graph))
+
+    def test_delete_in_reverse_orientation_of_earlier_insert(self, triangle_graph):
+        batch = UpdateBatch([EdgeUpdate.insert("a", "d"), EdgeUpdate.delete("d", "a")])
+        batch.validate_against(_no_scan_copy(triangle_graph))
+
+    def test_insert_creating_a_vertex_then_delete(self, triangle_graph):
+        batch = UpdateBatch(
+            [
+                EdgeUpdate.insert("a", "new", 0.3, keywords_v={"music"}),
+                EdgeUpdate.delete("new", "a"),
+            ]
+        )
+        batch.validate_against(_no_scan_copy(triangle_graph))
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ([EdgeUpdate.insert("a", "d"), EdgeUpdate.insert("d", "a")],
+             r"^edit 1: edge \('d', 'a'\) already exists"),
+            ([EdgeUpdate.delete("a", "b"), EdgeUpdate.delete("b", "a")],
+             r"^edit 1: edge \('b', 'a'\) does not exist"),
+            ([EdgeUpdate.insert("a", "d"), EdgeUpdate.delete("a", "d"),
+              EdgeUpdate.delete("d", "a")],
+             r"^edit 2: edge \('d', 'a'\) does not exist"),
+            ([EdgeUpdate.insert("c", "x"), EdgeUpdate.insert("a", "c")],
+             r"^edit 1: edge \('a', 'c'\) already exists"),
+            ([EdgeUpdate.delete("c", "d"), EdgeUpdate.insert("d", "c", 1.5)],
+             r"^edit 1: probability 1.5 is outside \[0, 1\]"),
+            ([EdgeUpdate.delete("x", "y")],
+             r"^edit 0: edge \('x', 'y'\) does not exist"),
+        ],
+    )
+    def test_rejection_names_the_edit_position(self, triangle_graph, edits, message):
+        with pytest.raises(DynamicUpdateError, match=message):
+            UpdateBatch(edits).validate_against(_no_scan_copy(triangle_graph))
 
     def test_counts(self):
         batch = UpdateBatch(

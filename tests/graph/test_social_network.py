@@ -1,5 +1,7 @@
 """Unit tests for the SocialNetwork data model."""
 
+import random
+
 import pytest
 
 from repro.exceptions import (
@@ -155,6 +157,31 @@ class TestEdgeOperations:
     def test_counts(self, triangle_graph):
         assert triangle_graph.num_vertices() == 4
         assert triangle_graph.num_edges() == 4
+
+    def test_readding_an_edge_does_not_count_twice(self, triangle_graph):
+        triangle_graph.add_edge("b", "a", 0.1)
+        assert triangle_graph.num_edges() == 4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edge_counter_survives_random_mutations(self, seed):
+        rng = random.Random(seed)
+        graph = SocialNetwork()
+        for step in range(400):
+            vertices = list(graph.vertices())
+            roll = rng.random()
+            if roll < 0.55 or len(vertices) < 2:
+                u, v = rng.sample(range(30), 2)
+                graph.add_edge(u, v, rng.random(), rng.random())
+            elif roll < 0.85:
+                u = rng.choice(vertices)
+                neighbours = list(graph.neighbors(u))
+                if neighbours:
+                    graph.remove_edge(u, rng.choice(neighbours))
+            elif roll < 0.95:
+                graph.remove_vertex(rng.choice(vertices))
+            else:
+                graph = graph.copy()
+            assert graph.num_edges() == len(list(graph.edges())), (seed, step)
 
 
 class TestDerivedViews:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import IndexStateError
+from repro.exceptions import GraphError, IndexStateError
 from repro.graph.social_network import SocialNetwork
 from repro.index.node import EntryAggregates
 from repro.index.precompute import precompute
@@ -114,3 +114,41 @@ class TestAggregateSoundness:
     def test_combine_rejects_empty(self):
         with pytest.raises(ValueError):
             EntryAggregates.combine([])
+        with pytest.raises(ValueError):
+            EntryAggregates.from_records([])
+
+    def test_from_records_is_or_max_max_of_the_records(self, small_world_graph):
+        data = precompute(small_world_graph, max_radius=2)
+        records = list(data.vertex_aggregates.values())
+        for start in range(0, len(records), 7):
+            chunk = records[start:start + 7]
+            combined = EntryAggregates.from_records(chunk)
+            assert combined == EntryAggregates.combine(
+                [EntryAggregates.from_vertex(record) for record in chunk]
+            )
+            assert combined.trussness_bound == max(r.center_trussness for r in chunk)
+            for radius in (1, 2):
+                parts = [record.per_radius[radius] for record in chunk]
+                merged = combined.per_radius[radius]
+                bitvector = parts[0].bitvector
+                for part in parts:
+                    bitvector = bitvector | part.bitvector
+                assert merged.bitvector == bitvector
+                assert merged.support_upper_bound == max(
+                    part.support_upper_bound for part in parts
+                )
+                for position, (theta, sigma) in enumerate(merged.score_bounds):
+                    assert theta == data.thresholds[position]
+                    assert sigma == max(
+                        [0.0] + [dict(part.score_bounds)[theta] for part in parts]
+                    )
+
+    def test_combine_rejects_mismatched_bit_widths(self, two_cliques_bridge):
+        narrow = EntryAggregates.from_vertex(
+            precompute(two_cliques_bridge, max_radius=1, num_bits=32).aggregates_of(0)
+        )
+        wide = EntryAggregates.from_vertex(
+            precompute(two_cliques_bridge, max_radius=1, num_bits=64).aggregates_of(0)
+        )
+        with pytest.raises(GraphError, match="mismatched widths: 32 vs 64"):
+            EntryAggregates.combine([narrow, wide])
