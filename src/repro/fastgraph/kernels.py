@@ -10,6 +10,9 @@ ints — but runs over the CSR buffers of a
   (vs :func:`repro.truss.decomposition.truss_decomposition`);
 * :class:`CSRWorkspace` ``.bfs_ball`` — hop balls with stamp reset
   (vs :func:`repro.graph.traversal.bfs_distances`);
+* :class:`CSRWorkspace` ``.qualified`` / ``.qualified_truss`` — a query's
+  keyword-qualified vertices Q from per-keyword postings, and T_Q, the
+  maximal k-truss of G[Q] that holds every seed community of the query;
 * :class:`CSRWorkspace` ``.seed_community`` — the online seed-community
   fixpoint over int sets (vs :func:`repro.query.seed.extract_seed_community`);
 * :class:`CSRWorkspace` ``.propagate`` / :func:`community_propagation_csr` —
@@ -212,6 +215,49 @@ def truss_decomposition_csr(
     )
 
 
+def _peel_truss(adjacency: dict, need: int, required: int) -> None:
+    """Peel an int adjacency map in place down to its maximal k-truss.
+
+    ``adjacency`` maps each vertex to the set of its neighbours in the
+    subgraph being peeled; ``need = k - 1`` and ``required = k - 2``.
+    Vertices of degree below ``need`` go first (the k-truss lies inside the
+    (k-1)-core) and leave the map; then edges of support below ``required``
+    are peeled under int-pair keys.  A vertex whose edges all peel away
+    stays in the map with an empty row, so the truss's vertex set is the
+    keys with a non-empty row.
+    """
+    stack = [u for u, row in adjacency.items() if len(row) < need]
+    while stack:
+        u = stack.pop()
+        for w in adjacency.pop(u):
+            row = adjacency[w]
+            row.discard(u)
+            if len(row) == need - 1:
+                stack.append(w)
+    if required <= 0:
+        return
+    supports = {}
+    queue = []
+    for u, row in adjacency.items():
+        for v in row:
+            if u < v:
+                support = len(row & adjacency[v])
+                supports[u, v] = support
+                if support < required:
+                    queue.append((u, v))
+    while queue:
+        u, v = queue.pop()
+        row_u, row_v = adjacency[u], adjacency[v]
+        row_u.discard(v)
+        row_v.discard(u)
+        for w in row_u & row_v:
+            for key in ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v)):
+                support = supports[key] - 1
+                supports[key] = support
+                if support == required - 1:
+                    queue.append(key)
+
+
 # --------------------------------------------------------------------------- #
 # per-centre workspace: BFS balls and max-product propagation
 # --------------------------------------------------------------------------- #
@@ -236,6 +282,7 @@ class CSRWorkspace:
         "core", "n",
         "neighbor_ints", "ranked_arcs", "edge_arcs", "_entries_ready",
         "dist", "order", "_best", "_popped", "_log_offset", "_lists",
+        "_postings",
     )
 
     #: Whether this workspace currently runs the vectorised kernel tier
@@ -272,6 +319,9 @@ class CSRWorkspace:
         self._best = [0.0] * self.n
         self._popped = bytearray(self.n)
         self._log_offset = len(getattr(core, "mutation_log", ()))
+        #: ``keyword -> [vertex int]`` postings, built on the first
+        #: :meth:`qualified` call and extended by :meth:`sync`.
+        self._postings: Optional[dict] = None
 
     def ensure_entries(self) -> None:
         """Materialise the per-vertex entry tuples (no-op once built).
@@ -359,6 +409,11 @@ class CSRWorkspace:
         ``mutation_log`` tail (deduplicated) and grows the stamp arrays for
         newly interned vertices — O(touched arcs), not O(graph).  Frozen
         cores have an empty log, so this is a no-op for them.
+
+        The keyword postings grow by the new vertices alone: a core sets a
+        vertex's keywords only when it interns the vertex (see
+        :meth:`~repro.fastgraph.delta.DeltaCSR.note_insert`) and vertex
+        ints are append-only, so the rows of earlier vertices never change.
         """
         log = getattr(self.core, "mutation_log", ())
         if len(log) <= self._log_offset:
@@ -366,6 +421,7 @@ class CSRWorkspace:
         self.ensure_entries()
         dirty = set(log[self._log_offset:])
         self._log_offset = len(log)
+        interned = self.n
         grown = self.core.num_vertices
         while self.n < grown:
             self.neighbor_ints.append(())
@@ -375,12 +431,70 @@ class CSRWorkspace:
             self._best.append(0.0)
             self._popped.append(0)
             self.n += 1
+        if self._postings is not None:
+            self._post_keywords(interned)
         for vertex in dirty:
             neighbors, ranked, edges = self._vertex_entries(vertex)
             self.neighbor_ints[vertex] = neighbors
             self.ranked_arcs[vertex] = ranked
             self.edge_arcs[vertex] = edges
         return len(dirty)
+
+    def _post_keywords(self, start: int) -> None:
+        """Append vertices ``start .. n-1`` to the keyword postings."""
+        postings = self._postings
+        keywords_of = self.core.keywords_of
+        for vertex in range(start, self.n):
+            for keyword in keywords_of(vertex):
+                row = postings.get(keyword)
+                if row is None:
+                    postings[keyword] = [vertex]
+                else:
+                    row.append(vertex)
+
+    def qualified(self, keywords) -> tuple[bytearray, set]:
+        """The query's qualified vertices Q: a bitmap over vertex ints and the set.
+
+        Q holds every vertex carrying at least one of ``keywords`` — the
+        union of their posting lists, so the cost is O(|Q|) set work plus
+        one zeroed bitmap.  The postings are built on the first call (one
+        pass over the core's keyword sets) and kept current by :meth:`sync`;
+        a compaction or rebuild swaps the whole workspace, so they rebuild
+        with it.
+        """
+        if self._postings is None:
+            self._postings = {}
+            self._post_keywords(0)
+        members: set = set()
+        postings = self._postings
+        for keyword in keywords:
+            row = postings.get(keyword)
+            if row is not None:
+                members.update(row)
+        bitmap = bytearray(self.n)
+        for vertex in members:
+            bitmap[vertex] = 1
+        return bitmap, members
+
+    def qualified_truss(self, qualified, members, k: int) -> tuple[bytearray, set]:
+        """T_Q, the maximal k-truss of the qualified induced subgraph G[Q].
+
+        ``qualified`` / ``members`` are :meth:`qualified`'s bitmap and set;
+        the result has the same shape for the truss's vertex set (the
+        endpoints of its edges).  Every seed community of the query lies
+        inside T_Q — it is a k-truss of qualified vertices, hence a k-truss
+        subgraph of G[Q] — so :meth:`seed_community` accepts this bitmap in
+        place of Q and returns the same communities.
+        """
+        self.ensure_entries()
+        neighbor_ints = self.neighbor_ints
+        adjacency = {u: members.intersection(neighbor_ints[u]) for u in members}
+        _peel_truss(adjacency, k - 1, k - 2)
+        core = {u for u, row in adjacency.items() if row}
+        bitmap = bytearray(len(qualified))
+        for vertex in core:
+            bitmap[vertex] = 1
+        return bitmap, core
 
     def bfs_ball(self, source: int, max_depth: int) -> list[int]:
         """BFS from ``source`` to ``max_depth`` hops.
@@ -417,8 +531,11 @@ class CSRWorkspace:
         the largest connected k-truss containing ``center`` whose vertices
         all carry a query keyword and lie within ``radius`` hops of
         ``center`` *inside the community*.  ``qualified`` is a per-query
-        bitmap over vertex ints (non-zero = carries a query keyword).
-        Returns ``None`` when no such community exists.
+        bitmap over vertex ints marking a superset of every such community:
+        either Q itself (non-zero = carries a query keyword, see
+        :meth:`qualified`) or, as the query path passes it, the qualified
+        core T_Q of :meth:`qualified_truss`.  Returns ``None`` when no such
+        community exists.
 
         Why the answer equals the reference extractor's exactly.  Call a
         vertex set *valid* when it contains ``center``, is all qualified,
@@ -434,24 +551,28 @@ class CSRWorkspace:
         The reference starts from ``hop(center, r)`` filtered to qualified
         vertices; this kernel rejects early or starts from a smaller ``S``:
 
+        * **qualified core** — ``F`` is a k-truss of qualified vertices, so
+          its edges survive the k-truss peel of G[Q] and ``F`` lies inside
+          T_Q.  Marking T_Q instead of Q therefore keeps ``F`` inside every
+          set below; a centre outside T_Q returns ``None`` at once.
         * **cheap reject** — a truss edge ``(center, w)`` of ``F`` lies in
-          ``k - 2`` triangles of ``F``, whose third vertices are qualified
+          ``k - 2`` triangles of ``F``, whose third vertices are marked
           neighbours of both ``center`` and ``w``; so ``center`` keeps at
           least ``k - 1`` such *spokes* (one for ``k = 2``).  Peeling the
-          spokes to qualified neighbours whose triangle count among the
+          spokes to marked neighbours whose triangle count among the
           remaining spokes is below ``k - 2`` therefore never removes a
           truss edge of ``F``; fewer than ``k - 1`` survivors prove ``F``
           empty.  This touches only the centre's neighbourhood, and it
           settles most candidates of a selective query.
-        * **qualified ball** — BFS to depth ``radius`` through qualified
-          vertices only.  Every member of ``F`` is reached: it has a path
-          of at most ``radius`` hops to ``center`` inside ``F``, and ``F``
-          is all qualified.  Hence ``F`` is a subset of the ball.
+        * **marked ball** — BFS to depth ``radius`` through marked vertices
+          only; with the T_Q bitmap this is the T_Q ball.  Every member of
+          ``F`` is reached: it has a path of at most ``radius`` hops to
+          ``center`` inside ``F``, and ``F`` is all marked.  Hence ``F`` is
+          a subset of the ball.
 
-        The truss reduction peels the induced subgraph locally: vertices of
-        degree below ``k - 1`` first (the k-truss lies inside the
-        (k-1)-core), then edges of support below ``k - 2`` under int-pair
-        keys.  The radius re-check BFSes the induced subgraph, non-truss
+        The truss reduction peels the induced subgraph locally with
+        :func:`_peel_truss`, the same peel :meth:`qualified_truss` runs on
+        G[Q].  The radius re-check BFSes the induced subgraph, non-truss
         edges included, exactly as the reference measures it.
         """
         if not qualified[center]:
@@ -488,41 +609,11 @@ class CSRWorkspace:
             frontier = reached
 
         while True:
-            # Truss reduction: (k-1)-core, then support peel, then the
+            # Truss reduction: (k-1)-core and support peel, then the
             # centre's component over the surviving truss edges.
             adjacency = {u: current.intersection(neighbor_ints[u]) for u in current}
-            stack = [u for u, row in adjacency.items() if len(row) < need]
-            while stack:
-                u = stack.pop()
-                for w in adjacency.pop(u):
-                    row = adjacency[w]
-                    row.discard(u)
-                    if len(row) == need - 1:
-                        stack.append(w)
-            if center not in adjacency:
-                return None
-            if required > 0:
-                supports = {}
-                queue = []
-                for u, row in adjacency.items():
-                    for v in row:
-                        if u < v:
-                            support = len(row & adjacency[v])
-                            supports[u, v] = support
-                            if support < required:
-                                queue.append((u, v))
-                while queue:
-                    u, v = queue.pop()
-                    row_u, row_v = adjacency[u], adjacency[v]
-                    row_u.discard(v)
-                    row_v.discard(u)
-                    for w in row_u & row_v:
-                        for key in ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v)):
-                            support = supports[key] - 1
-                            supports[key] = support
-                            if support == required - 1:
-                                queue.append(key)
-            if not adjacency[center]:
+            _peel_truss(adjacency, need, required)
+            if not adjacency.get(center):
                 return None
             component = {center}
             stack = [center]

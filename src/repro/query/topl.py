@@ -115,12 +115,15 @@ class TopLProcessor:
         :func:`~repro.query.seed.extract_seed_community` over the dict-based
         graph and scores them with
         :func:`~repro.influence.propagation.community_propagation`;
-        ``"fast"`` does both over an array snapshot of the graph — the
+        ``"fast"`` does both over an array snapshot of the graph, inside
+        the query's qualified core: the keyword postings give Q, one
+        k-truss peel of G[Q] gives T_Q, the leaf scan sends only Q members
+        through the per-centre checks, and the
         :meth:`~repro.fastgraph.kernels.CSRWorkspace.seed_community` kernel
-        against a per-query keyword bitmap, then the CSR propagation kernel
-        — with identical communities, floats and work counters (see
-        :mod:`repro.fastgraph`).  The reference path is the equivalence
-        oracle.
+        runs against the T_Q bitmap before the CSR propagation kernel
+        scores — with identical communities, floats and work counters (see
+        :mod:`repro.fastgraph` and ``docs/backends.md``).  The reference
+        path is the equivalence oracle.
     frozen:
         Optional pre-built :class:`~repro.fastgraph.csr.CSRGraph` snapshot
         for the ``fast`` backend (the engine shares one across processors);
@@ -128,7 +131,9 @@ class TopLProcessor:
     workspace:
         Optional :class:`~repro.fastgraph.kernels.CSRWorkspace` over
         ``frozen``, likewise shared by the engine so per-call processors do
-        not rebuild the scratch arrays per query.  Workspaces are
+        not rebuild the scratch arrays per query.  It may also be passed
+        without ``frozen``: every fast kernel, scoring included, runs over
+        the core the workspace was built on.  Workspaces are
         single-threaded: share one only across sequential callers.
     kernel_tier:
         Fast backend only: the kernel tier of any workspace this processor
@@ -181,7 +186,13 @@ class TopLProcessor:
         if root is None:
             statistics.elapsed_seconds = time.perf_counter() - started
             return TopLResult(communities=(), statistics=statistics)
-        qualified = self._qualified(query.keywords) if self.backend == "fast" else None
+        truss_core = qualified_ids = None
+        if self.backend == "fast":
+            workspace = self._fast_workspace()
+            qualified, members = workspace.qualified(query.keywords)
+            truss_core, _ = workspace.qualified_truss(qualified, members, query.k)
+            if self.pruning.keyword:
+                qualified_ids = set(map(workspace.core.table.id_of, members))
 
         # Max-heap of (negated score bound, tie-breaker, node).
         heap: list[tuple[float, int, object]] = []
@@ -202,11 +213,20 @@ class TopLProcessor:
                 break
 
             if node.is_leaf:
-                for vertex in node.vertices:
-                    statistics.visited_leaf_vertices += 1
+                statistics.visited_leaf_vertices += len(node.vertices)
+                centres = self._leaf_centres(node.vertices)
+                if qualified_ids is not None:
+                    # A centre outside Q always fails the keyword check of
+                    # Lemma 1, so only Q members reach the per-centre work.
+                    kept = [vertex for vertex in centres if vertex in qualified_ids]
+                    skipped = len(centres) - len(kept)
+                    statistics.candidates_examined += skipped
+                    counters.keyword += skipped
+                    centres = kept
+                for vertex in centres:
                     community = self._process_leaf_vertex(
                         vertex, query, query_bv, results, counters, statistics,
-                        scored_vertex_sets, qualified,
+                        scored_vertex_sets, truss_core,
                     )
                     if community is not None:
                         results.consider(community)
@@ -257,6 +277,10 @@ class TopLProcessor:
             return True
         return False
 
+    def _leaf_centres(self, vertices: tuple):
+        """The vertices of a visited leaf this processor answers as centres."""
+        return vertices
+
     def _process_leaf_vertex(
         self,
         vertex: VertexId,
@@ -266,18 +290,17 @@ class TopLProcessor:
         counters: PruningCounters,
         statistics: QueryStatistics,
         scored_vertex_sets: set,
-        qualified: Optional[bytearray] = None,
+        truss_core: Optional[bytearray] = None,
     ) -> Optional[SeedCommunity]:
         """Apply community-level pruning to a candidate centre, then refine it.
 
-        ``qualified`` is the fast backend's per-query keyword bitmap over
-        vertex ints (``None`` on the reference backend).
+        ``truss_core`` is the fast backend's per-query T_Q bitmap over
+        vertex ints (``None`` on the reference backend); the fast leaf scan
+        has already dropped centres outside Q when keyword pruning is on.
         """
         statistics.candidates_examined += 1
         aggregates = self.index.vertex_aggregates(vertex)
         radius_aggregates = aggregates.for_radius(query.radius)
-        if qualified is not None:
-            center = self._workspace.core.table.index_of(vertex)
 
         if self.pruning.keyword:
             # Lemma 1: the r-hop subgraph must contain at least one query
@@ -285,9 +308,8 @@ class TopLProcessor:
             if keyword_prune_by_bitvector(radius_aggregates.bitvector, query_bv):
                 counters.keyword += 1
                 return None
-            if not (
-                qualified[center] if qualified is not None
-                else center_has_query_keyword(self.graph, vertex, query.keywords)
+            if truss_core is None and not center_has_query_keyword(
+                self.graph, vertex, query.keywords
             ):
                 counters.keyword += 1
                 return None
@@ -304,15 +326,15 @@ class TopLProcessor:
             return None
 
         # Refinement: extract the seed community and score it exactly.
-        if qualified is None:
+        if truss_core is None:
             candidate_view = hop_subgraph(self.graph, vertex, query.radius)
             vertices = extract_seed_community(self.graph, vertex, query, candidate_view)
         else:
+            table = self._workspace.core.table
             members = self._workspace.seed_community(
-                center, query.radius, query.k, qualified
+                table.index_of(vertex), query.radius, query.k, truss_core
             )
-            id_of = self._workspace.core.table.id_of
-            vertices = frozenset(map(id_of, members)) if members else None
+            vertices = frozenset(map(table.id_of, members)) if members else None
         if not vertices:
             counters.radius += 1
             return None
@@ -357,23 +379,15 @@ class TopLProcessor:
         self._workspace.sync()
         return self._workspace
 
-    def _qualified(self, keywords: frozenset) -> bytearray:
-        """Per-query bitmap over vertex ints: 1 where a vertex carries a query keyword."""
-        core = self._fast_workspace().core
-        keywords_of = core.keywords_of
-        return bytearray(
-            not keywords.isdisjoint(keywords_of(vertex))
-            for vertex in range(core.num_vertices)
-        )
-
     def _calculate_influence(self, vertices: frozenset, theta: float):
         """Score a community on the configured backend (identical results)."""
         if self.backend != "fast":
             return community_propagation(self.graph, vertices, theta)
         from repro.fastgraph.kernels import community_propagation_csr
 
+        workspace = self._fast_workspace()
         return community_propagation_csr(
-            self._frozen, vertices, theta, workspace=self._fast_workspace()
+            workspace.core, vertices, theta, workspace=workspace
         )
 
 

@@ -33,10 +33,8 @@ class ShardTopLCollector(TopLProcessor):
         self.plan = plan
         self.shard = shard
 
-    def _process_leaf_vertex(self, vertex, *args, **kwargs):
-        if self.plan.owner(vertex) != self.shard:
-            return None
-        return super()._process_leaf_vertex(vertex, *args, **kwargs)
+    def _leaf_centres(self, vertices: tuple):
+        return [vertex for vertex in vertices if self.plan.owner(vertex) == self.shard]
 
 
 def collect_shard_candidates(

@@ -1,0 +1,184 @@
+"""The fast read path's qualified core: keyword postings, T_Q, and the processor.
+
+* :meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified` builds Q from
+  per-keyword postings; it must ``==`` an O(V) ``keywords_of`` scan of the
+  workspace's core on a fresh build, after engine updates that intern new
+  keyword-carrying vertices, after a compaction swaps the workspace, after
+  ``rebind`` onto an overlay, and on a store-opened engine.
+* :meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified_truss` must ``==``
+  the vertex set of the reference :func:`~repro.truss.ktruss.maximal_ktruss`
+  on the induced subgraph G[Q], for every ``k`` including 2 and for an
+  empty Q.
+* A fast :class:`~repro.query.topl.TopLProcessor` handed only a workspace
+  (no ``frozen`` snapshot) answers and counts exactly like the reference.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.config import EngineConfig
+from repro.core.engine import InfluentialCommunityEngine
+from repro.dynamic.updates import EdgeUpdate, UpdateBatch
+from repro.fastgraph.csr import freeze
+from repro.fastgraph.delta import DeltaCSR
+from repro.fastgraph.kernels import make_workspace
+from repro.graph.subgraph import SubgraphView
+from repro.query.params import make_topl_query
+from repro.query.topl import TopLProcessor
+from repro.truss.ktruss import maximal_ktruss
+from tests.fastgraph.test_seed_extraction_csr import (
+    DOMAIN,
+    KS,
+    TIERS,
+    _engines,
+    _graph,
+    _keyword_sets,
+    _overlay_script,
+    _work,
+)
+
+#: Keyword sets every postings check runs: each of the test domain's
+#: singletons, a few unions, the empty set, and a keyword nobody carries.
+KEYWORD_SETS = (
+    [frozenset({keyword}) for keyword in DOMAIN]
+    + [frozenset(DOMAIN[:2]), frozenset(DOMAIN[2:5]), frozenset(DOMAIN)]
+    + [frozenset(), frozenset({"absent"})]
+)
+
+
+def _assert_postings_match_scan(workspace) -> None:
+    core = workspace.core
+    assert workspace.n == core.num_vertices
+    for keywords in KEYWORD_SETS:
+        expected = bytearray(
+            not keywords.isdisjoint(core.keywords_of(vertex))
+            for vertex in range(core.num_vertices)
+        )
+        bitmap, members = workspace.qualified(keywords)
+        assert bitmap == expected, sorted(keywords)
+        assert members == {vertex for vertex, bit in enumerate(expected) if bit}
+
+
+def _fast_engine(graph, **overrides) -> InfluentialCommunityEngine:
+    """A fast engine whose updates always take the incremental path."""
+    config = EngineConfig(
+        max_radius=3, thresholds=(0.1, 0.2), fanout=3, leaf_capacity=4,
+        backend="fast", damage_threshold=1.0, **overrides,
+    )
+    return InfluentialCommunityEngine.build(graph, config=config, validate=False)
+
+
+def _arrivals(graph, rng: random.Random, count: int = 4) -> UpdateBatch:
+    """Keyword-carrying new vertices, each closing a triangle on an existing edge."""
+    edits = []
+    for index, (u, v) in enumerate(rng.sample(sorted(graph.edges(), key=repr), count)):
+        arrival = f"arrival{index}"
+        edits.append(EdgeUpdate.insert(u, arrival, 0.5, keywords_v=rng.sample(DOMAIN, 2)))
+        edits.append(EdgeUpdate.insert(v, arrival, 0.5))
+    return UpdateBatch(edits)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("kind", ("planted-str", "smallworld-tuple"))
+def test_postings_on_a_fresh_workspace(tier, kind):
+    _assert_postings_match_scan(make_workspace(freeze(_graph(kind, 5)), tier))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_postings_after_engine_updates_intern_new_vertices(seed):
+    fast = _fast_engine(_graph("planted-str", seed))
+    workspace = fast._workspace()
+    workspace.qualified(frozenset(DOMAIN))  # build the postings before the edits
+    report = fast.apply_updates(_arrivals(fast.graph, random.Random(seed)))
+    assert report.mode == "incremental" and report.new_vertices == 4
+    assert not report.compacted
+    # The same workspace absorbed the arrivals through sync().
+    assert fast._workspace() is workspace
+    _assert_postings_match_scan(workspace)
+
+
+def test_postings_after_compaction_swaps_the_workspace():
+    fast = _fast_engine(_graph("planted-str", 3), compact_dirt_ratio=1e-9)
+    before = fast._workspace()
+    before.qualified(frozenset(DOMAIN))
+    report = fast.apply_updates(_arrivals(fast.graph, random.Random(3)))
+    assert report.mode == "incremental" and report.compacted
+    after = fast._workspace()
+    assert after is not before
+    _assert_postings_match_scan(after)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_postings_after_rebind_onto_an_overlay(tier):
+    graph = _graph("planted-str", 4)
+    frozen = freeze(graph)
+    workspace = make_workspace(frozen, tier)
+    workspace.qualified(frozenset(DOMAIN))
+    overlay = DeltaCSR(frozen)
+    workspace.rebind(overlay)
+    _assert_postings_match_scan(workspace)
+    script = _overlay_script(graph, random.Random(4))
+    script.validate_against(graph)
+    overlay.replay(script)
+    workspace.sync()
+    assert overlay.num_vertices > frozen.num_vertices
+    _assert_postings_match_scan(workspace)
+
+
+def test_postings_on_a_store_opened_engine(tmp_path):
+    fast = _fast_engine(_graph("smallworld-str", 6))
+    path = tmp_path / "qualified.repro-store"
+    fast.checkpoint_store(str(path))
+    opened = InfluentialCommunityEngine.from_store(str(path))
+    assert opened.config.backend == "fast"
+    _assert_postings_match_scan(opened._workspace())
+    report = opened.apply_updates(_arrivals(opened.graph, random.Random(6)))
+    assert report.mode == "incremental" and report.new_vertices == 4
+    _assert_postings_match_scan(opened._workspace())
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("kind", ("planted-str", "planted-tuple", "smallworld-str"))
+@pytest.mark.parametrize("seed", range(3))
+def test_qualified_truss_matches_maximal_ktruss(tier, kind, seed):
+    graph = _graph(kind, seed)
+    workspace = make_workspace(freeze(graph), tier)
+    id_of = workspace.core.table.id_of
+    nonempty = 0
+    for keywords in _keyword_sets(seed) + [frozenset()]:
+        qualified, members = workspace.qualified(keywords)
+        induced = SubgraphView(graph, map(id_of, members))
+        for k in KS:
+            bitmap, core = workspace.qualified_truss(qualified, members, k)
+            assert frozenset(map(id_of, core)) == maximal_ktruss(induced, k).vertices, (
+                sorted(keywords), k,
+            )
+            assert {vertex for vertex, bit in enumerate(bitmap) if bit} == core
+            assert len(bitmap) == len(qualified)
+            nonempty += bool(core)
+    assert nonempty, "the sweep should include non-empty qualified cores"
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_fast_processor_given_only_a_workspace_matches_reference(tier):
+    graph = _graph("planted-str", 1)
+    reference, _ = _engines(graph)
+    processor = TopLProcessor(
+        graph,
+        index=reference.index,
+        backend="fast",
+        workspace=make_workspace(freeze(graph), tier),
+    )
+    scored = 0
+    for keywords in _keyword_sets(1):
+        query = make_topl_query(keywords, k=3, radius=2, theta=0.2, top_l=3)
+        ours, theirs = processor.query(query), reference.topl(query)
+        assert [(c.center, c.vertices, c.score) for c in ours] == [
+            (c.center, c.vertices, c.score) for c in theirs
+        ]
+        assert _work(ours.statistics) == _work(theirs.statistics)
+        scored += ours.statistics.communities_scored
+    assert scored, "the queries should score at least one community"

@@ -5,7 +5,9 @@ backend's online kernel.  Mapped back through ``table.id_of``, its answer
 must ``==`` what :func:`~repro.query.seed.extract_seed_community` returns
 (``None`` alike) for every centre and every ``(k, r)``, on seeded planted
 and small-world graphs with string and tuple vertex ids, on a mutated
-:class:`~repro.fastgraph.delta.DeltaCSR` overlay, and on both kernel tiers.
+:class:`~repro.fastgraph.delta.DeltaCSR` overlay, and on both kernel tiers —
+started from the bare keyword bitmap Q and from the qualified-core bitmap
+T_Q (:meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified_truss`) alike.
 The vector tier matters on its own: a fresh
 :class:`~repro.fastgraph.vectorised.VectorWorkspace` defers the
 ``neighbor_ints`` rows the kernel sweeps, so the kernel must build them.
@@ -79,15 +81,27 @@ def _graph(kind: str, seed: int) -> SocialNetwork:
     return _relabel(graph, lambda v: f"v{v}")
 
 
-def _kernel_answer(workspace, center, query):
+def _start_bitmaps(workspace, query) -> dict:
+    """The Q bitmap (an O(V) ``keywords_of`` scan) and the T_Q bitmap of ``query``."""
     core = workspace.core
     qualified = bytearray(
         not query.keywords.isdisjoint(core.keywords_of(v)) for v in range(core.num_vertices)
     )
-    members = workspace.seed_community(
-        core.table.index_of(center), query.radius, query.k, qualified
-    )
-    return frozenset(map(core.table.id_of, members)) if members else None
+    members = {vertex for vertex, bit in enumerate(qualified) if bit}
+    truss_core, _ = workspace.qualified_truss(qualified, members, query.k)
+    return {"Q": qualified, "T_Q": truss_core}
+
+
+def _kernel_answers(workspace, center, query, bitmaps=None) -> dict:
+    """The kernel's answer for ``center`` from each start bitmap."""
+    table = workspace.core.table
+    answers = {}
+    for name, marked in (bitmaps or _start_bitmaps(workspace, query)).items():
+        members = workspace.seed_community(
+            table.index_of(center), query.radius, query.k, marked
+        )
+        answers[name] = frozenset(map(table.id_of, members)) if members else None
+    return answers
 
 
 def _assert_every_centre_matches(graph, workspace, keyword_sets) -> int:
@@ -97,9 +111,11 @@ def _assert_every_centre_matches(graph, workspace, keyword_sets) -> int:
         for k in KS:
             for radius in RADII:
                 query = make_topl_query(keywords, k=k, radius=radius, theta=0.2, top_l=3)
+                bitmaps = _start_bitmaps(workspace, query)
                 for center in graph.vertices():
                     expected = extract_seed_community(graph, center, query)
-                    assert _kernel_answer(workspace, center, query) == expected, (
+                    answers = _kernel_answers(workspace, center, query, bitmaps)
+                    assert answers == {"Q": expected, "T_Q": expected}, (
                         center, sorted(keywords), k, radius,
                     )
                     found += expected is not None
@@ -141,9 +157,9 @@ def test_special_centres(tier):
 
     def both(center, k, radius=2):
         query = make_topl_query({"art"}, k=k, radius=radius, theta=0.2, top_l=1)
-        answer = _kernel_answer(workspace, center, query)
-        assert answer == extract_seed_community(graph, center, query)
-        return answer
+        expected = extract_seed_community(graph, center, query)
+        assert _kernel_answers(workspace, center, query) == {"Q": expected, "T_Q": expected}
+        return expected
 
     # A centre without a query keyword, and an isolated qualified centre.
     assert both("plain", 3) is None
