@@ -62,8 +62,8 @@ POWERLAW_EDGES_PER_VERTEX = 5
 #: Seed for the power-law graph (structure, weights and keywords).
 POWERLAW_SEED = 29
 
-_BENCH_CONFIG = EngineConfig(max_radius=3, thresholds=(0.1, 0.2, 0.3))
-_POWERLAW_CONFIG = EngineConfig(max_radius=2, thresholds=(0.1, 0.3))
+_BENCH_CONFIG = EngineConfig(max_radius=3, thresholds=(0.1, 0.2, 0.3), backend="fast")
+_POWERLAW_CONFIG = EngineConfig(max_radius=2, thresholds=(0.1, 0.3), backend="fast")
 
 
 def build_powerlaw_network(num_vertices: int = POWERLAW_VERTICES):
@@ -87,7 +87,7 @@ def measure_index_build(graph, config: EngineConfig, kernel_tier: str) -> dict:
         max_radius=config.max_radius,
         thresholds=config.thresholds,
         num_bits=config.num_bits,
-        backend="fast",
+        backend=config.backend,
         kernel_tier=kernel_tier,
     )
     precompute_seconds = time.perf_counter() - started
@@ -232,7 +232,8 @@ def _network_section(graph, config: EngineConfig, best: dict) -> dict:
         "name": graph.name,
         "num_vertices": graph.num_vertices(),
         "num_edges": graph.num_edges(),
-        "config": config.describe(),
+        # The config every build ran with; each build states its own tier.
+        "config": {**config.describe(), "kernel_tier": list(best)},
         "end_to_end": {
             tier: {k: v for k, v in measurement.items() if not k.startswith("_")}
             for tier, measurement in best.items()
@@ -264,6 +265,18 @@ def test_tiers_build_identical_indexes(tier_builds):
     """Correctness gate: bit-identical records, whatever the timings say."""
     stdlib, vector = tier_builds
     assert_precomputed_equal(vector["_precomputed"], stdlib["_precomputed"])
+
+
+def test_recorded_config_is_what_ran(bench_network, tier_builds):
+    stdlib, vector = tier_builds
+    section = _network_section(
+        bench_network, _BENCH_CONFIG, {"stdlib": stdlib, "vector": vector}
+    )
+    assert section["config"]["backend"] == "fast"
+    assert section["config"]["kernel_tier"] == ["stdlib", "vector"]
+    assert [run["kernel_tier"] for run in section["end_to_end"].values()] == [
+        "stdlib", "vector",
+    ]
 
 
 def test_tier_answers_identical(bench_network):

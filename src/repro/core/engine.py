@@ -68,6 +68,10 @@ class InfluentialCommunityEngine:
         #: their cache keys with it so pre-update entries can never hit.
         self.epoch = 0
         self._truss_state: Optional[IncrementalTrussState] = None
+        #: The fast refresh's per-vertex rows (``upp`` rows, keyword bits,
+        #: support arcs), kept across batches and compactions — vertex ints
+        #: are stable until a rebuild, which drops it with the truss state.
+        self._refresh_cache = None
         #: The ``fast`` backend's snapshot, shared by all processors this
         #: engine creates: a pure :class:`~repro.fastgraph.csr.CSRGraph`
         #: until the first dynamic update, a mutable
@@ -529,7 +533,7 @@ class InfluentialCommunityEngine:
             # across the lifetime of a long-lived session.
             core.mutation_log.clear()
 
-        affected = affected_centers(
+        affected, influenced = affected_centers(
             self.graph,
             delta,
             max_radius=self.index.max_radius,
@@ -553,10 +557,15 @@ class InfluentialCommunityEngine:
             new_vertex_set = set(new_vertices)
             ordered = sorted(affected, key=repr)
             if self.config.backend == "fast":
-                from repro.fastgraph.offline import fast_refresh_records
+                from repro.fastgraph.offline import RefreshCache, fast_refresh_records
 
+                cache = self._refresh_cache
+                if cache is None:
+                    cache = self._refresh_cache = RefreshCache()
+                cache.invalidate(core.table.index_of, influenced, delta)
                 fast_refresh_records(
-                    core, self._workspace(), self.index.precomputed, ordered, state
+                    core, self._workspace(), self.index.precomputed, ordered, state,
+                    cache,
                 )
             else:
                 refresh_vertex_aggregates(
@@ -605,6 +614,7 @@ class InfluentialCommunityEngine:
         drops the snapshot entirely.
         """
         self._truss_state = None
+        self._refresh_cache = None
         self._reference_core = None
         if compact_overlay and hasattr(self._frozen, "compact"):
             self._frozen = self._frozen.compact()
@@ -721,9 +731,24 @@ class InfluentialCommunityEngine:
                 "num_edges": self.graph.num_edges(),
             },
             "index": self.index.describe(),
+            "dynamic": self._dynamic_diagnostics(),
             "config": self.config.describe(),
             "store": self.store_provenance(),
         }
+
+    def _dynamic_diagnostics(self) -> dict:
+        """The ``dynamic`` block of :meth:`describe`: the refresh cache's size.
+
+        ``upp_rows`` / ``upp_entries`` count the cached single-source
+        influence rows and their ``(vertex, upp)`` entries — the memory the
+        fast refresh keeps between batches.  Both are ``None`` on the
+        reference backend, which keeps no cache.
+        """
+        if self.config.backend != "fast":
+            return {"upp_rows": None, "upp_entries": None}
+        if self._refresh_cache is None:
+            return {"upp_rows": 0, "upp_entries": 0}
+        return self._refresh_cache.describe()
 
     def _kernel_diagnostics(self) -> dict:
         """The ``kernels`` block of :meth:`describe`.

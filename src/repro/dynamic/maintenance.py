@@ -189,20 +189,29 @@ def affected_centers(
     max_radius: int,
     theta_min: float,
     core: Optional[GraphCore] = None,
-) -> set:
+) -> tuple[set, set]:
     """Centre vertices whose pre-computed records may differ after ``delta``.
+
+    Returns ``(centres, influenced)``.  ``influenced`` is the reverse
+    influence set of the edited endpoints at ``theta_min``, endpoints
+    included: every vertex whose single-source propagation at
+    ``theta_min`` can have changed (the fast refresh drops exactly their
+    cached ``upp`` rows; with ``theta_min <= 0`` it is every vertex).
 
     ``core`` is the engine's live :class:`~repro.graph.core.GraphCore` (kept
     in lockstep with ``graph`` by the truss state); when omitted a fresh
-    reference view is built, which yields the same set.
+    reference view is built, which yields the same sets.
     """
     if core is None:
         core = AdjacencyCore(graph)
     modified = set(delta.touched_vertices)
-    seeds = reverse_influence_set(graph, delta, modified, theta_min, core=core)
-    seeds.update(modified)
-    seeds.update(delta.changed_edge_vertices())
-    seeds = {vertex for vertex in seeds if graph.has_vertex(vertex)}
+    influenced = reverse_influence_set(graph, delta, modified, theta_min, core=core)
+    influenced.update(modified)
+    seeds = {
+        vertex
+        for vertex in influenced | delta.changed_edge_vertices()
+        if graph.has_vertex(vertex)
+    }
 
     index_of = core.table.index_of
     id_of = core.table.id_of
@@ -217,11 +226,12 @@ def affected_centers(
                     affected.add(neighbour)
                     next_frontier.append(neighbour)
         frontier = next_frontier
-    return {
+    centres = {
         vertex_id
         for vertex_id in (id_of(vertex) for vertex in affected)
         if graph.has_vertex(vertex_id)
     }
+    return centres, influenced
 
 
 def refresh_vertex_aggregates(

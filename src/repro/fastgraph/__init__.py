@@ -53,7 +53,7 @@ from repro.fastgraph.kernels import (
     resolve_kernel_tier,
     truss_decomposition_csr,
 )
-from repro.fastgraph.offline import fast_precompute, fast_refresh_records
+from repro.fastgraph.offline import RefreshCache, fast_precompute, fast_refresh_records
 from repro.fastgraph.vertex_table import VertexTable
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "KERNEL_TIERS",
     "NUMPY_AVAILABLE",
     "NUMPY_VERSION",
+    "RefreshCache",
     "VertexTable",
     "bfs_hop_ball",
     "community_propagation_csr",

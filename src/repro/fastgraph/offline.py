@@ -127,6 +127,7 @@ def fast_precompute(
                 _ball_aggregates(
                     workspace, centre, max_radius, ordered_thresholds, num_bits,
                     keyword_bits.__getitem__, support_arcs.__getitem__,
+                    workspace.nested_propagation_values,
                 ),
             )
             for centre in centres
@@ -176,7 +177,8 @@ def _vector_ball_aggregates(
 
 
 def _ball_aggregates(
-    workspace, centre, max_radius, thresholds, num_bits, bits_of, support_arcs_of
+    workspace, centre, max_radius, thresholds, num_bits, bits_of, support_arcs_of,
+    propagation_values,
 ):
     """The per-centre body of Algorithm 2 on the array backend.
 
@@ -184,12 +186,17 @@ def _ball_aggregates(
     per-radius propagation, returning ``{radius: RadiusAggregates}``.
     Shared — float for float — by the full offline pass
     (:func:`fast_precompute`, eager per-vertex tables behind the accessors)
-    and the incremental refresh (:func:`fast_refresh_records`, lazy caches),
-    which is what keeps patched records bit-identical to a rebuild.
+    and the incremental refresh (:func:`fast_refresh_records`, a
+    :class:`RefreshCache` behind them), which is what keeps patched records
+    bit-identical to a rebuild.
 
     ``bits_of(vertex)`` returns the vertex's keyword bits as an int;
     ``support_arcs_of(vertex)`` its ``(edge support, neighbour)`` pairs
-    sorted descending.
+    sorted descending.  ``propagation_values(order, cuts, threshold)``
+    returns one descending value list per nested ball, with the contract of
+    :meth:`~repro.fastgraph.kernels.CSRWorkspace.nested_propagation_values`
+    (which the offline pass passes; the refresh passes
+    :meth:`RefreshCache.merged_values`).
     """
     from repro.index.precompute import RadiusAggregates
 
@@ -225,7 +232,7 @@ def _ball_aggregates(
         bits_per_radius.append(bits)
         bound_per_radius.append(support_bound)
 
-    value_lists = workspace.nested_propagation_values(order, cuts, smallest_theta)
+    value_lists = propagation_values(order, cuts, smallest_theta)
     per_radius: dict[int, RadiusAggregates] = {}
     for radius in range(1, max_radius + 1):
         # The values are descending — exactly the order the reference
@@ -255,19 +262,128 @@ def _ball_aggregates(
     return per_radius
 
 
-def fast_refresh_records(core, workspace, data, vertices, truss_state) -> int:
+class RefreshCache:
+    """Per-vertex rows the fast refresh keeps across update batches.
+
+    Every score bound of a record is a sum over Eq. 4's
+    ``cpp(g, w) = max_{u in g} upp(u, w)``, so a centre's propagation
+    values are a max-merge of its ball members' single-source ``upp`` rows
+    (:meth:`merged_values`).  A row only changes when an edit lies on one of
+    its paths, so rows — and the keyword bits and sorted support arcs the
+    shell fold reads — outlive the batches that cannot have changed them:
+
+    * ``rows[v]``: every ``(w, upp(v, w))`` with ``upp >= theta_min``,
+      ``w != v`` — ``propagate((v,), theta_min)[1:]``, built on first use;
+    * ``keyword_bits[v]``: never stale — a vertex's keywords are set only
+      when it is interned;
+    * ``support_arcs[v]``: ``(edge support, neighbour)`` pairs, descending.
+
+    :meth:`invalidate` drops what a batch may have changed.  Keys are
+    vertex ints, which stay valid across a
+    :meth:`~repro.fastgraph.delta.DeltaCSR.compact` (same vertex table, and
+    every row is a function of the graph, not of its arc layout), so the
+    engine keeps one cache until it rebuilds.  Rows hold one threshold, the
+    index's ``theta_min``.
+    """
+
+    __slots__ = ("rows", "keyword_bits", "support_arcs")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, tuple] = {}
+        self.keyword_bits: dict[int, int] = {}
+        self.support_arcs: dict[int, tuple] = {}
+
+    def invalidate(self, index_of, influenced, delta) -> None:
+        """Drop the rows the batch behind ``delta`` may have changed.
+
+        ``influenced`` are the vertex ids that reach an edited endpoint with
+        max-product ``>= theta_min`` over the pre- and post-update edges
+        (plus the endpoints themselves), as
+        :func:`~repro.dynamic.maintenance.affected_centers` returns them.  A
+        row changes only if a path from its source with product
+        ``>= theta_min`` crosses an edited edge; that path's prefix up to
+        the first edited endpoint is unedited and at least as probable, so
+        the source is in ``influenced``.  Support arcs go for the edited
+        endpoints (``delta.touched_vertices``) and the endpoints of every
+        support-changed edge (``delta.support_changed``).
+        """
+        rows = self.rows
+        for vertex in influenced:
+            rows.pop(index_of(vertex), None)
+        support_arcs = self.support_arcs
+        for vertex in delta.touched_vertices:
+            support_arcs.pop(index_of(vertex), None)
+        for key in delta.support_changed:
+            for vertex in key:
+                support_arcs.pop(index_of(vertex), None)
+
+    def describe(self) -> dict:
+        """Size of the cached ``upp`` rows (``describe()["dynamic"]``)."""
+        return {
+            "upp_rows": len(self.rows),
+            "upp_entries": sum(len(row) for row in self.rows.values()),
+        }
+
+    def merged_values(self, workspace, order, cuts, threshold: float) -> list:
+        """:meth:`~repro.fastgraph.kernels.CSRWorkspace.nested_propagation_values` from rows.
+
+        For each nested ball (``order[:cut]``, cut per radius) the values
+        are ``1.0`` per member plus, per non-member ``w``, the max of the
+        members' ``upp(., w)`` — merged shell by shell — sorted descending.
+        That is the same list, float for float: a multi-source max-product
+        label is the max over sources of the single-source labels (a path
+        through another seed never beats starting at that seed with 1.0,
+        and rounding is monotone), and the ``theta`` cut commutes with the
+        max.
+        """
+        # Build every missing row before borrowing the workspace's ``_best``
+        # scratch, which ``propagate`` uses and resets.
+        cached = self.rows
+        rows = []
+        for member in order:
+            row = cached.get(member)
+            if row is None:
+                row = cached[member] = tuple(workspace.propagate((member,), threshold)[1:])
+            rows.append(row)
+        best = workspace._best
+        dist = workspace.dist
+        merged: list[int] = []
+        out = []
+        position = 0
+        for radius, cut in enumerate(cuts, start=1):
+            while position < cut:
+                for vertex, probability in rows[position]:
+                    if probability > best[vertex]:
+                        if best[vertex] == 0.0:
+                            merged.append(vertex)
+                        best[vertex] = probability
+                position += 1
+            values = [
+                best[vertex] for vertex in merged if not 0 <= dist[vertex] <= radius
+            ]
+            values.sort(reverse=True)
+            out.append([1.0] * cut + values)
+        for vertex in merged:
+            best[vertex] = 0.0
+        return out
+
+
+def fast_refresh_records(core, workspace, data, vertices, truss_state, cache) -> int:
     """Recompute the records of ``vertices`` in place on the fast backend.
 
     The incremental counterpart of :func:`fast_precompute`: the same
-    per-centre loop (one BFS, shell-incremental OR/max aggregation, chained
-    per-radius propagation), but run over a *mutable* core — normally a
+    per-centre loop (one BFS, shell-incremental OR/max aggregation,
+    per-radius score bounds), but run over a *mutable* core — normally a
     :class:`~repro.fastgraph.delta.DeltaCSR` overlay patched in place by the
     dynamic layer — against the supports and trussness the
     :class:`~repro.dynamic.truss_maintenance.IncrementalTrussState` maintains
-    exactly, instead of re-deriving them from scratch.  Because the inputs
-    are exact and the per-centre arithmetic is shared, the refreshed records
-    are bit-identical to both a reference refresh and a full fast rebuild
-    (the cross-backend dynamic suite enforces this).
+    exactly, instead of re-deriving them from scratch.  The score bounds
+    come from max-merging cached ``upp`` rows
+    (:meth:`RefreshCache.merged_values`) rather than a nested multi-source
+    Dijkstra per centre.  Because the inputs are exact and the per-centre
+    arithmetic is shared, the refreshed records are bit-identical to both a
+    reference refresh and a full fast rebuild (the cross-backend dynamic
+    suite enforces this).
 
     Parameters
     ----------
@@ -284,6 +400,9 @@ def fast_refresh_records(core, workspace, data, vertices, truss_state) -> int:
     truss_state:
         The engine's incremental truss state (supports by edge id, vertex
         trussness).
+    cache:
+        The engine's :class:`RefreshCache`, already invalidated for the
+        batch (:meth:`RefreshCache.invalidate`); read and filled here.
 
     Returns
     -------
@@ -298,11 +417,8 @@ def fast_refresh_records(core, workspace, data, vertices, truss_state) -> int:
     index_of = core.table.index_of
     supports_by_id = truss_state.supports_by_edge_id()
     edge_arcs = workspace.edge_arcs
-
-    # Lazy per-vertex caches shared across the (overlapping) hop balls of
-    # one refresh call; both mirror the eager tables of the full pass.
-    keyword_bits: dict[int, int] = {}
-    support_arcs: dict[int, tuple] = {}
+    keyword_bits = cache.keyword_bits
+    support_arcs = cache.support_arcs
 
     def bits_of(member: int) -> int:
         bits = keyword_bits.get(member)
@@ -326,12 +442,15 @@ def fast_refresh_records(core, workspace, data, vertices, truss_state) -> int:
             support_arcs[member] = arcs
         return arcs
 
+    def propagation_values(order, cuts, threshold):
+        return cache.merged_values(workspace, order, cuts, threshold)
+
     refreshed = 0
     for vertex_id in vertices:
         centre = index_of(vertex_id)
         per_radius = _ball_aggregates(
             workspace, centre, data.max_radius, data.thresholds, num_bits,
-            bits_of, support_arcs_of,
+            bits_of, support_arcs_of, propagation_values,
         )
         data.vertex_aggregates[vertex_id] = VertexAggregates(
             vertex=vertex_id,

@@ -74,10 +74,12 @@ def _comparable(kind: str, document: dict) -> dict:
             report.pop(key, None)
     elif kind == "build":
         # The engine summary names its backend (that is the one thing the
-        # two sessions are *supposed* to disagree on).
+        # two sessions are *supposed* to disagree on), and with it the
+        # backend-only diagnostics.
         engine = document.get("engine", {})
         engine.pop("backend", None)
         engine.pop("kernels", None)
+        engine.pop("dynamic", None)
         engine.get("config", {}).pop("backend", None)
         engine.get("config", {}).pop("kernel_tier", None)
     return document

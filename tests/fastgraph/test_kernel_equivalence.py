@@ -19,7 +19,14 @@ from repro.fastgraph import (
     freeze,
     truss_decomposition_csr,
 )
-from repro.fastgraph.kernels import CSRWorkspace, bfs_hop_ball, supports_as_dict
+from repro.fastgraph.delta import DeltaCSR
+from repro.fastgraph.kernels import (
+    CSRWorkspace,
+    bfs_hop_ball,
+    make_workspace,
+    supports_as_dict,
+)
+from repro.fastgraph.offline import RefreshCache
 from repro.graph.generators import erdos_renyi_graph, planted_community_graph
 from repro.graph.keyword_assignment import assign_keywords
 from repro.graph.traversal import bfs_distances
@@ -27,6 +34,7 @@ from repro.influence.propagation import community_propagation
 from repro.truss.decomposition import truss_decomposition
 from repro.truss.support import edge_support
 
+from tests.fastgraph.test_seed_extraction_csr import TIERS, _graph, _overlay_script
 from tests.property.strategies import social_networks
 
 
@@ -128,6 +136,60 @@ def test_nested_propagation_values_match_per_radius_runs(seed):
             seed,
             radius,
         )
+
+
+def _nested_cuts(workspace, centre: int, max_radius: int) -> tuple[list, list]:
+    order = list(workspace.bfs_ball(centre, max_radius))
+    dist = workspace.dist
+    cuts = [
+        sum(1 for vertex in order if dist[vertex] <= radius)
+        for radius in range(1, max_radius + 1)
+    ]
+    return order, cuts
+
+
+@pytest.mark.parametrize("overlay", (False, True), ids=("csr", "overlay"))
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize(
+    "kind", ("planted-str", "planted-tuple", "smallworld-str", "smallworld-tuple")
+)
+@pytest.mark.parametrize("seed", range(2))
+def test_row_merge_matches_nested_propagation(seed, kind, tier, overlay, monkeypatch):
+    """Max-merged single-source ``upp`` rows == the nested multi-source pass.
+
+    The fast refresh derives every centre's score-bound values from cached
+    rows (:meth:`~repro.fastgraph.offline.RefreshCache.merged_values`); the
+    lists must equal :meth:`nested_propagation_values` float for float, on
+    every centre's nested balls, on both kernel tiers (the vector tier with
+    its size cutoffs dropped, so the numpy paths run) and over a
+    ``DeltaCSR`` overlay after mixed edits.
+    """
+    if tier == "vector":
+        import repro.fastgraph.vectorised as vectorised
+
+        for cutoff in (
+            "DENSE_ROW_CUTOFF", "VECTOR_BFS_CUTOFF", "VECTOR_NESTED_CUTOFF",
+            "VECTOR_BFS_FRONTIER_CUTOFF",
+        ):
+            monkeypatch.setattr(vectorised, cutoff, 0)
+    graph = _graph(kind, seed)
+    frozen = freeze(graph)
+    workspace = make_workspace(frozen, tier)
+    if overlay:
+        core = DeltaCSR(frozen)
+        workspace.rebind(core)
+        script = _overlay_script(graph, random.Random(seed))
+        script.validate_against(graph)
+        script.apply_to(graph)
+        core.replay(script)
+        workspace.sync()
+    for theta in (0.0, 0.1, 0.35):
+        cache = RefreshCache()  # rows are per-theta; shared by every centre
+        for centre in range(workspace.n):
+            order, cuts = _nested_cuts(workspace, centre, 3)
+            expected = workspace.nested_propagation_values(order, cuts, theta)
+            merged = cache.merged_values(workspace, order, cuts, theta)
+            assert merged == expected, (kind, theta, centre)
 
 
 @settings(max_examples=40, deadline=None)

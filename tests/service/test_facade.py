@@ -112,6 +112,31 @@ class TestSessions:
         assert document["status"] == "ok"
         (info,) = document["sessions"]
         assert info["engine"] == service.engine("main").describe()
+        # The reference backend keeps no refresh cache.
+        assert info["engine"]["dynamic"] == {"upp_rows": None, "upp_entries": None}
+
+    def test_health_reports_refresh_cache_after_fast_update(self, service_graph_doc):
+        service = CommunityService()
+        service.build(
+            BuildRequest(
+                session="fast", graph=service_graph_doc,
+                config={"max_radius": 2, "backend": "fast"},
+            )
+        )
+        (info,) = service.health().to_json()["sessions"]
+        assert info["engine"]["dynamic"] == {"upp_rows": 0, "upp_entries": 0}
+        update = service.update(
+            UpdateRequest(
+                session="fast", edits=(EdgeUpdate.insert(0, 60, 0.4),),
+                damage_threshold=1.0,
+            )
+        )
+        assert update.report["mode"] == "incremental"
+        (info,) = service.health().to_json()["sessions"]
+        dynamic = info["engine"]["dynamic"]
+        assert dynamic == service.engine("fast").describe()["dynamic"]
+        assert dynamic["upp_rows"] > 0
+        assert dynamic["upp_entries"] >= dynamic["upp_rows"]
 
 
 class TestLifecycle:

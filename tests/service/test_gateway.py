@@ -68,6 +68,7 @@ class TestRoutes:
         (session,) = [s for s in body["sessions"] if s["name"] == "hosted"]
         assert session["engine"]["backend"] == "reference"
         assert "index_schema_version" in session["engine"]
+        assert session["engine"]["dynamic"] == {"upp_rows": None, "upp_entries": None}
 
     def test_sessions_listing(self, gateway):
         status, body = http_json(gateway, "GET", "/v1/sessions")

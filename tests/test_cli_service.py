@@ -63,6 +63,7 @@ class TestStatsDescribe:
         assert document["epoch"] == 0
         assert document["index_schema_version"] == 1
         assert document["index"]["max_radius"] == 2
+        assert document["dynamic"] == {"upp_rows": None, "upp_entries": None}
 
     def test_stats_without_index_unchanged(self, graph_file, capsys):
         assert main(["stats", graph_file]) == 0
