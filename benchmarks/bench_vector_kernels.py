@@ -1,10 +1,11 @@
-"""Vector kernel tier: numpy array programs vs the stdlib fast kernels.
+"""Vector kernel tier: the batched numpy offline pass vs the stdlib pass.
 
-The ``kernel_tier="vector"`` workspace re-implements every fast-backend
-kernel — triangle/support counting, the truss bucket peel, hop-ball BFS and
-the batched max-product propagation of Algorithm 2 — as numpy array programs
-over the zero-copy ``CSRGraph.as_numpy()`` views.  This bench records what
-that buys on top of the existing fast backend, in ``BENCH_vector.json``:
+``kernel_tier="vector"`` runs the offline pass (Algorithm 2) as numpy array
+programs over the zero-copy ``CSRGraph.as_numpy()`` views — whole-graph
+support counting plus batched per-centre balls, keyword/support aggregates
+and max-product propagation; every online kernel is the stdlib one.  This
+bench records what that buys on top of the existing fast backend, in
+``BENCH_vector.json``:
 
 * **end-to-end index build** (pre-computation + tree) under
   ``kernel_tier="stdlib"`` vs ``kernel_tier="vector"``, on the repo's
@@ -12,12 +13,10 @@ that buys on top of the existing fast backend, in ``BENCH_vector.json``:
   headline ratio, committed target **>= 2x**) and on a ~60k-edge
   Barabási–Albert power-law graph where the batched kernels have real
   arrays to chew on;
-* **per-kernel timings** (supports, peel, bfs, propagation) on the
-  power-law graph, where the graph is large enough that the adaptive
-  dispatch picks the numpy paths (small graphs deliberately keep the
-  stdlib kernels — same output, less overhead).
+* **the whole-graph support kernel** (``supports``) timed on its own on
+  the power-law graph.
 
-Correctness is part of the bench: every per-kernel comparison asserts exact
+Correctness is part of the bench: the support comparison asserts exact
 equality, both end-to-end builds assert bit-identical pre-computed records,
 and the TopL/DTopL answers of engines on both tiers are compared community
 for community *before* any number is written.
@@ -41,7 +40,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.fastgraph import NUMPY_AVAILABLE, NUMPY_VERSION, freeze
-from repro.fastgraph.kernels import CSRWorkspace
+from repro.fastgraph.kernels import edge_supports_csr
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.keyword_assignment import assign_keywords
 from repro.index.precompute import precompute
@@ -109,25 +108,18 @@ def measure_index_build(graph, config: EngineConfig, kernel_tier: str) -> dict:
     }
 
 
-def measure_kernels(graph, config: EngineConfig) -> dict:
-    """Per-kernel stdlib-vs-vector timings, equality asserted on every one.
+def measure_kernels(graph) -> dict:
+    """Stdlib-vs-vector timing of the support count, equality asserted.
 
-    Measured as dispatched in production — on a graph this size every numpy
-    path is active (the adaptive cutoffs only reroute small inputs).
+    Only the whole-graph support count has two implementations to time in
+    isolation; the batched per-centre pass shows up in the end-to-end
+    builds.
     """
-    from repro.fastgraph.vectorised import VectorWorkspace
+    from repro.fastgraph.vectorised import edge_supports_vector
 
     csr = freeze(graph)
-    stdlib = CSRWorkspace(csr)
-    vector = VectorWorkspace(csr)
-    # Warm the lazily-built structures on both sides so the sections time
-    # steady-state kernel work: the stdlib tier builds its entry tuples in
-    # __init__, the vector tier builds its list caches / dense rows on
-    # first use, and production amortises both over thousands of calls.
-    vector.csr_lists()
-    vector._dense_rows_map()
-    theta = config.thresholds[0]
-    sections: dict[str, dict] = {}
+    # Pre-materialised lists, as the offline pass hands them to the kernel.
+    lists = (csr.indptr.tolist(), csr.indices.tolist(), csr.arc_edge.tolist())
 
     def timed(fn):
         """Best wall time of three runs + the (deterministic) result."""
@@ -139,61 +131,16 @@ def measure_kernels(graph, config: EngineConfig) -> dict:
             best = min(best, time.perf_counter() - started)
         return best, result
 
-    def record(section: str, stdlib_seconds: float, vector_seconds: float) -> None:
-        sections[section] = {
+    stdlib_seconds, supports_std = timed(lambda: edge_supports_csr(csr, lists))
+    vector_seconds, supports_vec = timed(lambda: edge_supports_vector(csr))
+    assert list(supports_std) == supports_vec.tolist()
+    return {
+        "supports": {
             "stdlib_seconds": round(stdlib_seconds, 4),
             "vector_seconds": round(vector_seconds, 4),
             "speedup": round(stdlib_seconds / max(vector_seconds, 1e-9), 3),
         }
-
-    supports_std_seconds, supports_std = timed(stdlib.edge_supports)
-    supports_vec_seconds, supports_vec = timed(vector.edge_supports)
-    record("supports", supports_std_seconds, supports_vec_seconds)
-    assert list(supports_std) == supports_vec.tolist()
-
-    peel_std_seconds, peel_std = timed(lambda: stdlib.truss_peel(supports_std))
-    peel_vec_seconds, peel_vec = timed(lambda: vector.truss_peel(supports_vec))
-    record("peel", peel_std_seconds, peel_vec_seconds)
-    assert list(peel_std[0]) == list(peel_vec[0])
-    assert list(peel_std[1]) == list(peel_vec[1])
-
-    # Timed passes run the bare kernel; the equivalence capture (dict
-    # building per ball) happens in a separate untimed pass — BFS over a
-    # fixed workspace is deterministic, so the re-run sees the same balls.
-    centres = range(0, csr.num_vertices, max(1, csr.num_vertices // 400))
-
-    def bfs_sweep(workspace):
-        def run():
-            for centre in centres:
-                workspace.bfs_ball(centre, config.max_radius)
-        return run
-
-    bfs_std_seconds, _ = timed(bfs_sweep(stdlib))
-    bfs_vec_seconds, _ = timed(bfs_sweep(vector))
-    record("bfs", bfs_std_seconds, bfs_vec_seconds)
-    balls_std = []
-    for centre in centres:
-        order = stdlib.bfs_ball(centre, config.max_radius)
-        balls_std.append({v: stdlib.dist[v] for v in order})
-        order = vector.bfs_ball(centre, config.max_radius)
-        ball_vec = {int(v): int(vector.dist[v]) for v in list(order)}
-        assert balls_std[-1] == ball_vec, f"bfs ball diverged at centre {centre}"
-
-    seeds = [
-        sorted(ball, key=ball.get)[: min(len(ball), 8)]
-        for ball in balls_std[:120]
-        if ball
-    ]
-    propagate_std_seconds, labels_std = timed(
-        lambda: [stdlib.propagate(list(group), theta) for group in seeds]
-    )
-    propagate_vec_seconds, labels_vec = timed(
-        lambda: [vector.propagate(list(group), theta) for group in seeds]
-    )
-    record("propagation", propagate_std_seconds, propagate_vec_seconds)
-    assert labels_std == labels_vec
-
-    return sections
+    }
 
 
 def _fingerprint(result):
@@ -283,6 +230,11 @@ def test_tier_answers_identical(bench_network):
     assert_answers_identical(bench_network)
 
 
+def test_kernel_sections_agree(bench_network):
+    """The recorder's per-kernel section runs its equality asserts here too."""
+    assert list(measure_kernels(bench_network)) == ["supports"]
+
+
 def test_vector_tier_is_faster(tier_builds):
     """Speedup floor, asserted only at full benchmark scale.
 
@@ -355,7 +307,7 @@ def main(argv=None) -> int:
         f"power-law network: |V| = {powerlaw_graph.num_vertices()}, "
         f"|E| = {powerlaw_graph.num_edges()}"
     )
-    kernels = measure_kernels(powerlaw_graph, _POWERLAW_CONFIG)
+    kernels = measure_kernels(powerlaw_graph)
     for section, numbers in kernels.items():
         print(
             f"kernel {section:11s}: stdlib {numbers['stdlib_seconds']:.3f}s, "

@@ -54,13 +54,14 @@ class EngineConfig:
         lower values compact eagerly; the default keeps compaction amortized
         O(1) per edit.  See ``docs/backends.md``.
     kernel_tier:
-        Fast backend only: which kernel implementations run over the CSR
-        snapshots.  ``"auto"`` (default) selects the vectorised numpy tier
-        when numpy is importable and the stdlib tier otherwise;
-        ``"stdlib"`` forces the dependency-free kernels; ``"vector"``
-        requires numpy and fails loudly without it.  Both tiers are
+        Fast backend only: which implementation runs the offline pass
+        (Algorithm 2, at build and rebuild).  ``"auto"`` (default) selects
+        the batched numpy pass when numpy is importable and the stdlib
+        pass otherwise; ``"stdlib"`` forces the dependency-free pass;
+        ``"vector"`` requires numpy and fails loudly without it.  Both are
         bit-identical — the knob is purely a performance trade, orthogonal
-        to ``backend``.  Ignored by the reference backend.  See
+        to ``backend``.  Queries, refreshes and peels always run the stdlib
+        kernels.  Ignored by the reference backend.  See
         ``docs/backends.md``.
     """
 

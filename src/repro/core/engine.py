@@ -331,7 +331,6 @@ class InfluentialCommunityEngine:
             backend=self.config.backend,
             frozen=self.frozen_graph(),
             workspace=self._workspace(),
-            kernel_tier=self.config.kernel_tier,
         )
         return processor.query(query)
 
@@ -348,7 +347,6 @@ class InfluentialCommunityEngine:
             backend=self.config.backend,
             frozen=self.frozen_graph(),
             workspace=self._workspace(),
-            kernel_tier=self.config.kernel_tier,
         )
         return processor.query(query)
 
@@ -378,9 +376,9 @@ class InfluentialCommunityEngine:
         core = self.frozen_graph()
         workspace = self._fast_workspace
         if workspace is None or workspace.core is not core:
-            from repro.fastgraph.kernels import make_workspace
+            from repro.fastgraph.kernels import CSRWorkspace
 
-            workspace = make_workspace(core, self.config.kernel_tier)
+            workspace = CSRWorkspace(core)
             self._fast_workspace = workspace
         else:
             workspace.sync()
@@ -753,10 +751,10 @@ class InfluentialCommunityEngine:
     def _kernel_diagnostics(self) -> dict:
         """The ``kernels`` block of :meth:`describe`.
 
-        ``requested`` is the configured knob; ``active`` the tier kernels
-        actually run on — resolved for the fast backend (``"unavailable"``
-        when an explicit ``"vector"`` has no numpy to run on), ``None`` on
-        the reference backend, which has no kernel tiers.
+        ``requested`` is the configured knob; ``active`` the tier the
+        offline pass actually runs on — resolved for the fast backend
+        (``"unavailable"`` when an explicit ``"vector"`` has no numpy to run
+        on), ``None`` on the reference backend, which has no kernel tiers.
         """
         from repro.exceptions import GraphError
         from repro.fastgraph.csr import NUMPY_VERSION

@@ -159,6 +159,12 @@ def reverse_influence_set(
     index_of = core.table.index_of
     id_of = core.table.id_of
     neighbors, probability = _union_rows(core, delta)
+    # This walk multiplies a path's probabilities endpoint-first; forward
+    # ``upp`` rows and records multiply them source-first, and the two
+    # roundings of one product can fall on either side of ``threshold``.
+    # They differ by at most ~2(k-1) ulps for a k-factor path, so a 1e-9
+    # relative slack keeps the result a superset of every forward reach.
+    cutoff = threshold * (1.0 - 1e-9)
     best: dict[int, float] = {}
     counter = 0
     heap: list[tuple[float, int, int]] = []
@@ -176,7 +182,7 @@ def reverse_influence_set(
             if neighbour in best:
                 continue
             backwards = product * probability(neighbour, vertex)
-            if backwards < threshold:
+            if backwards < cutoff:
                 continue
             heapq.heappush(heap, (-backwards, counter, neighbour))
             counter += 1

@@ -20,11 +20,11 @@ This package provides a compact, immutable mirror of a social network:
   over dense ints: stamp-based triangle/support counting, bucket-peel truss
   decomposition, BFS hop balls, binary-heap max-product Dijkstra, and the
   online seed-community fixpoint;
-* :mod:`~repro.fastgraph.vectorised` re-implements those kernels as numpy
-  array programs over the zero-copy CSR views — bit-identical outputs,
-  selected through the ``kernel_tier`` knob (``"auto"`` uses it whenever
-  numpy is importable; :func:`~repro.fastgraph.kernels.make_workspace`
-  builds the right workspace either way);
+* :mod:`~repro.fastgraph.vectorised` runs the offline pass's support count
+  and per-centre aggregation as batched numpy array programs over the
+  zero-copy CSR views — bit-identical outputs, selected through the
+  ``kernel_tier`` knob (``"auto"`` uses it whenever numpy is importable);
+  every online kernel has the one stdlib implementation;
 * :mod:`~repro.fastgraph.offline` re-implements the offline pre-computation
   (Algorithm 2) on top of those kernels, producing a
   :class:`~repro.index.precompute.PrecomputedData` that is **bit-for-bit
@@ -49,7 +49,6 @@ from repro.fastgraph.kernels import (
     bfs_hop_ball,
     community_propagation_csr,
     edge_supports_csr,
-    make_workspace,
     resolve_kernel_tier,
     truss_decomposition_csr,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "fast_precompute",
     "fast_refresh_records",
     "freeze",
-    "make_workspace",
     "resolve_kernel_tier",
     "truss_decomposition_csr",
 ]

@@ -32,13 +32,13 @@ Scratch buffers live in a :class:`CSRWorkspace` and are reset in
 ``O(touched)`` after each call, so per-centre kernels cost proportional to
 the region they visit, not to ``|V|``.
 
-The kernels here are the **stdlib tier** — pure Python, no dependencies.
-When numpy is importable, :func:`make_workspace` returns a
-:class:`~repro.fastgraph.vectorised.VectorWorkspace` instead, which
-re-implements the same kernels as numpy array programs over the zero-copy
-``CSRGraph.as_numpy()`` views with bit-identical outputs (the **vector
-tier**; see ``docs/backends.md`` for the tier matrix and the bit-identity
-argument).
+The kernels here are pure Python, with no dependencies, and every query,
+refresh and peel runs them.  Only the offline pass has a second
+implementation: with numpy, ``kernel_tier`` lets
+:func:`~repro.fastgraph.offline.fast_precompute` count supports and
+aggregate the per-centre balls with the batched array programs of
+:mod:`repro.fastgraph.vectorised` (bit-identical outputs; see
+``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def edge_supports_csr(csr: CSRGraph, lists: Optional[tuple] = None) -> array:
     tuple allocation in the inner loop.
 
     ``lists`` is an optional pre-materialised ``(indptr, indices, arc_edge)``
-    triple of Python lists (``CSRWorkspace.csr_lists``); repeated callers
-    pass it to skip the O(|E|) buffer-to-list conversion per call.
+    triple of Python lists; repeated callers pass it to skip the O(|E|)
+    buffer-to-list conversion per call.
     """
     n = csr.num_vertices
     if lists is None:
@@ -281,22 +281,11 @@ class CSRWorkspace:
     __slots__ = (
         "core", "n",
         "neighbor_ints", "ranked_arcs", "edge_arcs", "_entries_ready",
-        "dist", "order", "_best", "_popped", "_log_offset", "_lists",
-        "_postings",
+        "dist", "order", "_best", "_popped", "_log_offset", "_postings",
     )
-
-    #: Whether this workspace currently runs the vectorised kernel tier
-    #: (overridden by :class:`~repro.fastgraph.vectorised.VectorWorkspace`).
-    vector_ready = False
-
-    #: Subclasses whose primary kernels never read the per-vertex entry
-    #: tuples set this to defer their construction to the first fallback
-    #: that does (:meth:`ensure_entries`).
-    _defer_entries = False
 
     def __init__(self, core) -> None:
         self.core = core
-        self._lists = None
         self.n = core.num_vertices
         #: Per-vertex neighbour tuples in arc order (BFS, shell scans).
         self.neighbor_ints: list[tuple] = []
@@ -310,8 +299,6 @@ class CSRWorkspace:
         #: offline shell scans look supports up by edge id).
         self.edge_arcs: list[tuple] = []
         self._entries_ready = False
-        if not self._defer_entries:
-            self.ensure_entries()
         #: Hop distances of the most recent :meth:`bfs_ball` (-1 = unreached).
         self.dist = [-1] * self.n
         #: Visit order of the most recent :meth:`bfs_ball`.
@@ -326,10 +313,11 @@ class CSRWorkspace:
     def ensure_entries(self) -> None:
         """Materialise the per-vertex entry tuples (no-op once built).
 
-        The stdlib tier builds them during construction.  The vector tier
-        defers them — its whole-graph and batched offline kernels read the
-        numpy views instead — and calls this from every path that sweeps
-        :attr:`neighbor_ints` / :attr:`ranked_arcs` / :attr:`edge_arcs`.
+        Construction defers them: an engine builds its workspace while it
+        adopts a snapshot (opening a store, rebinding a session), and the
+        O(|E|) tuple build belongs to the first kernel that reads them, not
+        to that setup.  Every kernel that sweeps :attr:`neighbor_ints` /
+        :attr:`ranked_arcs` / :attr:`edge_arcs` therefore calls this first.
         """
         if self._entries_ready:
             return
@@ -351,45 +339,6 @@ class CSRWorkspace:
                 ranked.append((p_out, head))
         ranked.sort(reverse=True)
         return tuple(neighbors), tuple(ranked), tuple(edges)
-
-    def csr_lists(self) -> tuple:
-        """The core's ``(indptr, indices, arc_edge)`` buffers as Python lists.
-
-        Materialised once and cached, so repeated support/peel kernel calls
-        stop paying the O(|E|) buffer-to-list conversion each time.  Only
-        meaningful over a frozen :class:`~repro.fastgraph.csr.CSRGraph`
-        core; a mutable overlay has no stable CSR layout to materialise.
-        """
-        if not isinstance(self.core, CSRGraph):
-            raise GraphError(
-                "CSR buffer lists need a frozen CSRGraph core; compact the "
-                f"overlay first (core is {type(self.core).__name__})"
-            )
-        if self._lists is None:
-            core = self.core
-            self._lists = (
-                core.indptr.tolist(),
-                core.indices.tolist(),
-                core.arc_edge.tolist(),
-            )
-        return self._lists
-
-    def edge_supports(self):
-        """Per-edge-id supports of the (frozen) core — tier-polymorphic.
-
-        The stdlib tier returns an ``array('q')``; the vectorised tier an
-        ``int64`` ndarray.  Values are identical; consumers treat the result
-        as an opaque int sequence.
-        """
-        return edge_supports_csr(self.core, self.csr_lists())
-
-    def truss_peel(self, supports=None):
-        """Truss-peel the (frozen) core — tier-polymorphic.
-
-        Returns ``(edge_truss, vertex_truss)`` int sequences, identical
-        across tiers (trussness is a graph invariant).
-        """
-        return truss_peel(self.core, supports, self.csr_lists())
 
     def rebind(self, core) -> None:
         """Adopt a core whose live arcs currently equal this workspace's.
@@ -503,6 +452,7 @@ class CSRWorkspace:
         readable from :attr:`dist` until the next call, which resets only
         the entries the previous call touched.
         """
+        self.ensure_entries()
         dist = self.dist
         for vertex in self.order:
             dist[vertex] = -1
@@ -664,6 +614,7 @@ class CSRWorkspace:
         and each reducer only drops candidates that are provably not the
         maximum (or reorders the sweep within one vertex).
         """
+        self.ensure_entries()
         best = self._best
         popped = self._popped
         ranked_arcs = self.ranked_arcs
@@ -726,6 +677,7 @@ class CSRWorkspace:
         the maximum stepwise path product from the current seed set, which
         is what makes the values identical to a fresh run.
         """
+        self.ensure_entries()
         best = self._best
         in_region = self._popped
         ranked_arcs = self.ranked_arcs
@@ -841,20 +793,3 @@ def resolve_kernel_tier(kernel_tier: str = "auto") -> str:
             "'repro-topl-icde[fast]'); use 'auto' to fall back silently"
         )
     return kernel_tier
-
-
-def make_workspace(core, kernel_tier: str = "auto") -> CSRWorkspace:
-    """Build the kernel workspace for ``core`` on the configured tier.
-
-    The vector tier needs a frozen :class:`~repro.fastgraph.csr.CSRGraph`
-    (the array programs read the CSR buffers directly); any other core — in
-    particular a mutable :class:`~repro.fastgraph.delta.DeltaCSR` overlay —
-    gets the stdlib workspace, the *compact-before-vectorise* rule: dirty
-    overlays run stdlib kernels until the engine folds them back into a
-    pure CSR, at which point the next workspace build is vectorised again.
-    """
-    if resolve_kernel_tier(kernel_tier) == "vector" and isinstance(core, CSRGraph):
-        from repro.fastgraph.vectorised import VectorWorkspace
-
-        return VectorWorkspace(core)
-    return CSRWorkspace(core)

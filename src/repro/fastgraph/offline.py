@@ -15,8 +15,13 @@ work per centre:
   global supports (an array lookup), where the reference allocates and
   hashes a ``frozenset`` edge key per ball edge per radius;
 * influence score bounds run the workspace max-product Dijkstra
-  (:meth:`~repro.fastgraph.kernels.CSRWorkspace.propagate`), summing in pop
-  order — which is descending, hence a bit-reproducible float sum.
+  (:meth:`~repro.fastgraph.kernels.CSRWorkspace.nested_propagation_values`),
+  summing in descending order — hence a bit-reproducible float sum.
+
+With numpy (``kernel_tier`` resolving to ``"vector"``) the supports and the
+per-centre bodies run as the batched array programs of
+:mod:`repro.fastgraph.vectorised` instead — the same bytes, several times
+faster.  The truss peel is the stdlib kernel on both tiers.
 
 The incremental aggregations are exact, not approximate: hop balls are
 nested in the radius, OR and max are monotone, and supports are measured in
@@ -31,8 +36,11 @@ from collections.abc import Iterable, Sequence
 from repro.exceptions import GraphError
 from repro.fastgraph.csr import freeze
 from repro.fastgraph.kernels import (
-    make_workspace,
+    CSRWorkspace,
+    edge_supports_csr,
+    resolve_kernel_tier,
     supports_as_dict,
+    truss_peel,
 )
 from repro.graph.social_network import SocialNetwork
 from repro.keywords.bitvector import BitVector
@@ -53,9 +61,9 @@ def fast_precompute(
     :func:`repro.index.precompute.precompute`; see the module docstring for
     the equivalence argument.  Pass ``frozen`` (a ``CSRGraph`` of the same
     graph) to reuse an existing snapshot instead of freezing again.
-    ``kernel_tier`` selects the stdlib or vectorised kernels
-    (:func:`~repro.fastgraph.kernels.make_workspace`); both produce the
-    same bytes.  Callers normally go through
+    ``kernel_tier`` selects the stdlib per-centre pass or the batched
+    vector pass (:func:`~repro.fastgraph.kernels.resolve_kernel_tier`);
+    both produce the same bytes.  Callers normally go through
     ``precompute(..., backend="fast")`` rather than calling this directly.
     """
     # Deferred import: repro.index.precompute routes its fast backend here,
@@ -77,15 +85,19 @@ def fast_precompute(
         thresholds=ordered_thresholds,
         num_bits=num_bits,
     )
-    workspace = make_workspace(csr, kernel_tier)
-    supports = workspace.edge_supports()
+    vector = resolve_kernel_tier(kernel_tier) == "vector"
+    lists = (csr.indptr.tolist(), csr.indices.tolist(), csr.arc_edge.tolist())
+    if vector:
+        from repro.fastgraph.vectorised import edge_supports_vector
+
+        supports = edge_supports_vector(csr)
+    else:
+        supports = edge_supports_csr(csr, lists)
     # ``tolist()`` on both tiers: Python ints from here on, so the
     # serialised index never carries numpy scalars.
     support_list = supports.tolist()
     data.global_edge_support = supports_as_dict(csr, support_list)
-    _, vertex_truss = workspace.truss_peel(supports)
-    if hasattr(vertex_truss, "tolist"):
-        vertex_truss = vertex_truss.tolist()
+    _, vertex_truss = truss_peel(csr, support_list, lists)
 
     keyword_bits = [
         BitVector.from_keywords(keywords, num_bits).bits for keywords in csr.keywords
@@ -98,13 +110,14 @@ def fast_precompute(
     else:
         centres = [index_of(vertex) for vertex in vertices]
 
-    if workspace.vector_ready:
+    if vector:
         per_radius_list = _vector_ball_aggregates(
-            workspace, list(centres), max_radius, ordered_thresholds, num_bits,
+            csr, list(centres), max_radius, ordered_thresholds, num_bits,
             keyword_bits, supports,
         )
         per_radius_pairs = zip(centres, per_radius_list)
     else:
+        workspace = CSRWorkspace(csr)
         workspace.ensure_entries()
         # Per-vertex (edge support, neighbour) pairs, sorted by descending
         # support so the shell scan below can stop at the first entry that
@@ -150,7 +163,7 @@ _VECTOR_BLOCK_ENTRIES = 4_000_000
 
 
 def _vector_ball_aggregates(
-    workspace, centres, max_radius, thresholds, num_bits, keyword_bits, supports
+    csr, centres, max_radius, thresholds, num_bits, keyword_bits, supports
 ):
     """Run the batched vector Algorithm 2 over ``centres`` in blocks.
 
@@ -158,19 +171,18 @@ def _vector_ball_aggregates(
     Blocks cap the dense per-(centre, vertex) scratch of
     :func:`~repro.fastgraph.vectorised.ball_aggregates_batch`; results are
     independent per centre, so blocking changes nothing but peak memory.
+    The thresholded relaxation CSR is built once and shared by every block.
     """
-    import numpy as np
+    from repro.fastgraph.vectorised import _thresholded_arcs, ball_aggregates_batch
 
-    from repro.fastgraph.vectorised import ball_aggregates_batch
-
-    supports_np = np.asarray(supports, dtype=np.int64)
-    block = max(1, _VECTOR_BLOCK_ENTRIES // max(workspace.n, 1))
+    arcs = _thresholded_arcs(csr, thresholds[0])
+    block = max(1, _VECTOR_BLOCK_ENTRIES // max(csr.num_vertices, 1))
     results = []
     for start in range(0, len(centres), block):
         results.extend(
             ball_aggregates_batch(
-                workspace, centres[start : start + block], max_radius,
-                thresholds, num_bits, keyword_bits, supports_np,
+                csr, arcs, centres[start : start + block], max_radius,
+                thresholds, num_bits, keyword_bits, supports,
             )
         )
     return results

@@ -1,35 +1,26 @@
-"""Vectorised kernel tier: numpy array programs over the zero-copy CSR views.
+"""The vectorised offline pass: numpy array programs over the zero-copy CSR views.
 
-:class:`VectorWorkspace` subclasses the stdlib
-:class:`~repro.fastgraph.kernels.CSRWorkspace` and re-implements the hot
-kernels as numpy programs over ``CSRGraph.as_numpy()`` — the same buffers
-(store-backed engines hand mmap-backed memoryviews straight to
-``np.frombuffer``, so the vector kernels read directly off the arena):
+numpy measurably wins in one place only: Algorithm 2's offline pass, where
+every centre needs a hop ball, its keyword and support aggregates and its
+score bounds.  So the vector tier is exactly that pass — every online kernel
+(queries, refreshes, peels) runs the one stdlib implementation in
+:class:`~repro.fastgraph.kernels.CSRWorkspace`.  Both functions read
+``CSRGraph.as_numpy()`` — the same buffers (store-backed engines hand
+mmap-backed memoryviews straight to ``np.frombuffer``, so the kernels read
+directly off the arena):
 
 * :func:`edge_supports_vector` — triangle counting by oriented wedge
   enumeration + sorted-key arc lookup (one ``bincount`` scatter-add);
-* :func:`truss_peel_vector` — wave-batched bucket peel: every edge at the
-  current support level peels as one wave, with batched triangle
-  enumeration and clamped batch decrements (dispatched adaptively — the
-  waves only amortise on large, triangle-dense graphs, see
-  :data:`VECTOR_PEEL_CUTOFF` / :data:`VECTOR_PEEL_DENSITY`);
-* :meth:`VectorWorkspace.bfs_ball` — frontier-at-a-time BFS with
-  ``np.unique`` dedup;
-* :meth:`VectorWorkspace.nested_propagation_values` — max-product
-  propagation as a frontier fixpoint (gather arcs, multiply, grouped
-  scatter-max) instead of a heap;
-* :meth:`VectorWorkspace.propagate` — the heap control loop of the stdlib
-  kernel with the per-pop relaxation sweep vectorised for high-degree rows.
+* :func:`ball_aggregates_batch` — Algorithm 2's per-centre bodies for a
+  block of centres at once: batched BFS, shell-incremental keyword OR and
+  support maxima, and a chained per-radius max-product fixpoint.
 
-Why the outputs are *bit-identical*, not merely close:
+Why the outputs are *bit-identical* to the stdlib pass, not merely close:
 
-* supports and trussness are integer graph invariants — any triangle
-  enumeration order and any valid peel order produce the same ints (the
-  batch decrement ``max(s, support - d)`` equals ``d`` guarded unit
-  decrements ``if support > s: support -= 1``);
-* a BFS ball is a set per depth; ``np.unique`` only changes the visit
-  order *within* one depth, which no consumer observes (aggregations over
-  the ball are OR/max/set-shaped);
+* supports are integer graph invariants — any triangle enumeration order
+  produces the same ints;
+* a BFS ball is a set per depth, and the aggregations over it are
+  OR/max/set-shaped, so the visit order within one depth is unobservable;
 * max-product labels are the maximum over stepwise-rounded path products,
   and IEEE multiplication by a probability in ``(0, 1]`` is monotone — so
   the frontier fixpoint converges to exactly the floats the truncated
@@ -38,62 +29,15 @@ Why the outputs are *bit-identical*, not merely close:
   results stay in the unique descending order of the value multiset
   (``np.cumsum`` accumulates sequentially, matching the stdlib running
   sum addition for addition).
-
-The tier degrades, never breaks: a workspace rebound onto a
-:class:`~repro.fastgraph.delta.DeltaCSR` overlay keeps vectorising while
-the overlay is pristine and *falls back to the inherited stdlib kernels*
-the moment a mutation lands (the compact-before-vectorise rule); engine
-compaction swaps the core for a pure CSR and the next workspace build is
-vectorised again.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-
 import numpy as np
 
 from repro.fastgraph.csr import CSRGraph
-from repro.fastgraph.kernels import CSRWorkspace
-
-#: Rows with at least this many positive-probability arcs relax through
-#: numpy inside :meth:`VectorWorkspace.propagate`; smaller rows keep the
-#: tuple sweep (per-call numpy overhead beats the win below this size).
-DENSE_ROW_CUTOFF = 64
-
-#: Minimum graph size (vertices) for the frontier-at-a-time vector BFS in
-#: :meth:`VectorWorkspace.bfs_ball`; below it the stdlib FIFO wins (the
-#: fixed per-call cost of ~10 numpy ops beats the loop on small balls).
-#: The offline build never pays this trade-off — it batches BFS across
-#: centres (:func:`ball_aggregates_batch`) regardless of graph size.
-VECTOR_BFS_CUTOFF = 4096
-
-#: Per-depth dispatch inside the vector BFS: frontiers smaller than this
-#: expand through a scalar scan of the cached adjacency lists instead of
-#: the gather/unique pipeline.  Graph size is a poor proxy for ball size —
-#: a 12k-vertex heavy-tailed graph still has mostly tiny 2-hop balls, and
-#: a tiny frontier loses to the pipeline's fixed cost every time.
-VECTOR_BFS_FRONTIER_CUTOFF = 64
-
-#: Minimum ball size (vertices) for the vector fixpoint in
-#: :meth:`VectorWorkspace.nested_propagation_values`; smaller balls run
-#: the inherited heap kernel.  Same trade-off, same batched-offline
-#: escape hatch.
-VECTOR_NESTED_CUTOFF = 512
-
-#: Minimum edge count for the wave-batched peel in
-#: :meth:`VectorWorkspace.truss_peel`.  Each wave pays a handful of
-#: full-array passes, which only amortises when waves carry many edges.
-VECTOR_PEEL_CUTOFF = 16384
-
-#: Minimum mean support (triangles per edge) for the wave-batched peel.
-#: Triangle-sparse graphs (heavy-tailed degree profiles sit well below one
-#: triangle per edge) peel in many near-empty waves, so the stdlib bucket
-#: peel wins there at any size.
-VECTOR_PEEL_DENSITY = 1.0
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
-_EMPTY_FLOAT = np.empty(0, dtype=np.float64)
 
 
 def _concat_ranges(starts, lengths):
@@ -109,7 +53,7 @@ def _concat_ranges(starts, lengths):
 # --------------------------------------------------------------------------- #
 # whole-graph kernels
 # --------------------------------------------------------------------------- #
-def edge_supports_vector(csr: CSRGraph, views: dict | None = None):
+def edge_supports_vector(csr: CSRGraph):
     """``sup(e)`` per undirected edge id of ``csr`` as an int64 ndarray.
 
     Orient every edge from its lower- to its higher- ``(degree, id)``
@@ -120,7 +64,7 @@ def edge_supports_vector(csr: CSRGraph, views: dict | None = None):
     supports of all three edges with one ``bincount``.  Identical ints to
     :func:`~repro.fastgraph.kernels.edge_supports_csr`.
     """
-    views = views or csr.as_numpy()
+    views = csr.as_numpy()
     indptr = views["indptr"]
     heads = views["indices"]
     arc_edge = views["arc_edge"]
@@ -164,590 +108,39 @@ def edge_supports_vector(csr: CSRGraph, views: dict | None = None):
     return np.bincount(triangle_edges, minlength=m).astype(np.int64)
 
 
-def truss_peel_vector(csr: CSRGraph, supports=None, views: dict | None = None):
-    """Wave-batched truss peel; int64 ``(edge_truss, vertex_truss)`` ndarrays.
+def _thresholded_arcs(csr: CSRGraph, threshold: float) -> tuple:
+    """The positive-probability arc CSR restricted to arcs with ``p >= threshold``.
 
-    Peels every alive edge at the current support level ``s`` as one wave
-    (cascading sub-waves as decrements pull more edges down to ``s``),
-    enumerating the wave's triangles in batch and applying the decrements
-    as ``max(s, support - d)`` — which equals the stdlib kernel's ``d``
-    guarded unit decrements, because each guarded decrement lowers the
-    support by one until it floors at ``s``.  A triangle containing two
-    wave edges is discovered from both; only the smaller wave edge id
-    credits the decrement of the third edge, mirroring the sequential peel
-    where the first of the pair to pop decrements it and the second no
-    longer sees the triangle.  Trussness is a graph invariant, so the
-    batched order produces the same ints as the sequential peel.
+    Labels never exceed 1, so a product through an arc with
+    ``p < threshold`` is below the threshold no matter the label — and an
+    arc with ``p == 0`` can never contribute (the stdlib kernels drop it
+    from ``ranked_arcs``) — so dropping those arcs up front changes no
+    relaxation outcome.  Returns ``(indptr, heads, probs, row_max)``, where
+    ``row_max`` is the per-row maximum kept probability (0.0 for empty
+    rows); the batched fixpoint uses it to discard frontier keys whose label
+    cannot reach the threshold through any arc.
     """
-    views = views or csr.as_numpy()
-    indptr = views["indptr"]
-    heads = views["indices"]
-    arc_edge = views["arc_edge"]
-    edge_u = views["edge_u"]
-    edge_v = views["edge_v"]
+    views = csr.as_numpy()
     n = csr.num_vertices
-    m = csr.num_edges
-    if supports is None:
-        supports = edge_supports_vector(csr, views)
-    current = np.asarray(supports, dtype=np.int64).copy()
-    alive = np.ones(m, dtype=bool)
-    in_wave = np.zeros(m, dtype=bool)
-    edge_truss = np.zeros(m, dtype=np.int64)
-
-    k_floor = 2
-    remaining = m
-    level = 0
-    while remaining:
-        wave = np.nonzero(alive & (current == level))[0]
-        if wave.size == 0:
-            level += 1
-            continue
-        while wave.size:
-            k_floor = max(k_floor, level + 2)
-            edge_truss[wave] = k_floor
-            in_wave[wave] = True
-
-            # Live arcs of both endpoints of every wave edge, keyed by
-            # (wave position, neighbour) so one sorted lookup matches the
-            # common neighbours w — i.e. the wave edge's live triangles.
-            u_side = edge_u[wave]
-            v_side = edge_v[wave]
-            positions = np.arange(wave.size, dtype=np.int64)
-
-            su = indptr[u_side]
-            lu = indptr[u_side + 1] - su
-            iu = _concat_ranges(su, lu)
-            ou = np.repeat(positions, lu)
-            eu = arc_edge[iu]
-            keep = alive[eu]
-            hu, eu, ou = heads[iu][keep], eu[keep], ou[keep]
-
-            sv = indptr[v_side]
-            lv = indptr[v_side + 1] - sv
-            iv = _concat_ranges(sv, lv)
-            ov = np.repeat(positions, lv)
-            ev = arc_edge[iv]
-            keep = alive[ev]
-            hv, ev, ov = heads[iv][keep], ev[keep], ov[keep]
-
-            targets = _EMPTY_INT
-            if hu.size and hv.size:
-                key_u = ou * n + hu
-                by_key = np.argsort(key_u)
-                key_u = key_u[by_key]
-                eu_sorted = eu[by_key]
-                key_v = ov * n + hv
-                position = np.searchsorted(key_u, key_v)
-                clipped = np.minimum(position, len(key_u) - 1)
-                match = key_u[clipped] == key_v
-                e1 = eu_sorted[clipped[match]]  # edge (u, w)
-                e2 = ev[match]                  # edge (v, w)
-                we = wave[ov[match]]            # the peeling wave edge
-
-                w1 = in_wave[e1]
-                w2 = in_wave[e2]
-                both_live = ~w1 & ~w2
-                # Two wave edges share the triangle: exactly one of the
-                # pair (the smaller id) credits the third edge's decrement.
-                credit_e2 = w1 & ~w2 & (we < e1)
-                credit_e1 = ~w1 & w2 & (we < e2)
-                targets = np.concatenate(
-                    (e1[both_live], e2[both_live], e2[credit_e2], e1[credit_e1])
-                )
-
-            alive[wave] = False
-            in_wave[wave] = False
-            remaining -= wave.size
-            if targets.size:
-                touched = np.unique(targets)
-                decrement = np.bincount(targets)[touched]
-                current[touched] = np.maximum(level, current[touched] - decrement)
-                wave = touched[current[touched] == level]
-            else:
-                wave = _EMPTY_INT
-
-        level += 1
-
-    vertex_truss = np.full(n, 2, dtype=np.int64)
-    np.maximum.at(vertex_truss, edge_u, edge_truss)
-    np.maximum.at(vertex_truss, edge_v, edge_truss)
-    return edge_truss, vertex_truss
-
-
-# --------------------------------------------------------------------------- #
-# the vectorised workspace
-# --------------------------------------------------------------------------- #
-class VectorWorkspace(CSRWorkspace):
-    """A :class:`~repro.fastgraph.kernels.CSRWorkspace` on the vector tier.
-
-    Holds the zero-copy ndarray views of the frozen core next to the
-    inherited scalar structures, so every kernel can pick its fastest
-    implementation and the stdlib fallback is always one flag away:
-    :meth:`sync` demotes the workspace to the inherited stdlib kernels as
-    soon as the core reports a mutation (dirty
-    :class:`~repro.fastgraph.delta.DeltaCSR` overlays are never
-    vectorised — the compact-before-vectorise rule).
-
-    The per-vertex scratch stays in the inherited stdlib containers
-    (``dist`` / ``_best`` are plain lists, ``_popped`` a bytearray):
-    per-element Python access on an ndarray is ~3x slower than on a list,
-    and the scalar control loops — the hybrid BFS shells, the propagate
-    heap sweep, every stdlib fallback and the offline per-centre
-    aggregation reading :attr:`dist` — dominate exactly when balls are
-    small.  The vector pipelines keep *ndarray mirrors* (``_dist_np`` /
-    ``_best_np``) instead and every write lands in both, so the gathers
-    always see current state; ``_popped_np`` really is a zero-copy view
-    (bytearray scalar access is already cheap).
-    """
-
-    __slots__ = (
-        "_vector_ok",
-        "_views",
-        "_np_indptr", "_np_indices",
-        "_arc_indptr", "_arc_heads", "_arc_probs",
-        "_theta_arcs",
-        "_dense_rows",
-        "_dist_np", "_dist_np_dirty",
-        "_best_np", "_popped_np",
+    prob_out = views["prob_out"]
+    keep = (prob_out > 0.0) & (prob_out >= threshold)
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(views["indptr"]))
+    kept_tails = tails[keep]
+    kept_probs = prob_out[keep]
+    counts = np.bincount(kept_tails, minlength=n)
+    row_max = np.zeros(n, dtype=np.float64)
+    np.maximum.at(row_max, kept_tails, kept_probs)
+    return (
+        np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts))),
+        views["indices"][keep],
+        kept_probs,
+        row_max,
     )
-
-    #: The offline kernels read the numpy views, not the per-vertex entry
-    #: tuples — defer those to the first stdlib fallback that sweeps them.
-    _defer_entries = True
-
-    def __init__(self, core) -> None:
-        if not isinstance(core, CSRGraph):
-            raise TypeError(
-                "VectorWorkspace needs a frozen CSRGraph core, got "
-                f"{type(core).__name__} (use make_workspace, which falls "
-                "back to the stdlib tier for mutable cores)"
-            )
-        super().__init__(core)
-        self._views = views = core.as_numpy()
-        self._np_indptr = views["indptr"]
-        self._np_indices = views["indices"]
-
-        # Positive-probability arc CSR for the propagation kernels (arcs
-        # with p == 0 can never contribute, exactly as the stdlib tier
-        # drops them from ranked_arcs).
-        prob_out = views["prob_out"]
-        positive = prob_out > 0.0
-        tails = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self._np_indptr)
-        )
-        kept = np.bincount(tails[positive], minlength=self.n)
-        self._arc_indptr = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(kept))
-        )
-        self._arc_heads = self._np_indices[positive].copy()
-        self._arc_probs = prob_out[positive].copy()
-        self._theta_arcs = None
-
-        # ndarray mirror of the inherited `dist` list for the BFS gather
-        # pipeline; `_dist_np_dirty` tracks which entries it actually holds
-        # (empty while balls stay small enough to never vectorise a shell).
-        self._dist_np = np.full(self.n, -1, dtype=np.int64)
-        self._dist_np_dirty = _EMPTY_INT
-
-        # ndarray mirror of the inherited `_best` list (dense relaxations,
-        # nested fixpoint) + a genuine zero-copy view of the `_popped`
-        # bytearray.  Every kernel zeroes what it touched on exit, so both
-        # mirrors agree (all zero) between calls.
-        self._best_np = np.zeros(self.n, dtype=np.float64)
-        self._popped_np = np.frombuffer(self._popped, dtype=np.uint8)
-
-        # Descending (probability, head) rows of high-degree vertices,
-        # pre-split into ndarrays for the hybrid relaxation sweep; built
-        # lazily with the entry tuples on the first propagate call.
-        self._dense_rows = None
-        self._vector_ok = True
-
-    def _dense_rows_map(self) -> dict:
-        """``{vertex: (probs desc, heads, probe)}`` for high-degree rows.
-
-        ``probe`` is the cutoff-th largest arc probability: products along
-        the descending row are monotone non-increasing, so a relaxation at
-        probability ``q`` clears at least :data:`DENSE_ROW_CUTOFF`
-        candidates — enough to amortise the array sweep — exactly when
-        ``q * probe >= threshold`` (an O(1) exact test, same IEEE multiply
-        the sweep performs).  A cutoff of zero (test rigs force the dense
-        path) makes the probe ``inf``, which passes every threshold.
-        """
-        rows = self._dense_rows
-        if rows is None:
-            self.ensure_entries()
-            cutoff = DENSE_ROW_CUTOFF
-            rows = {}
-            for vertex in range(self.n):
-                ranked = self.ranked_arcs[vertex]
-                if len(ranked) >= cutoff:
-                    rows[vertex] = (
-                        np.array([p for p, _ in ranked], dtype=np.float64),
-                        np.array([h for _, h in ranked], dtype=np.int64),
-                        ranked[cutoff - 1][0] if cutoff > 0 else float("inf"),
-                    )
-            self._dense_rows = rows
-        return rows
-
-    @property
-    def vector_ready(self) -> bool:
-        """Whether the vector kernels are currently active (not demoted)."""
-        return self._vector_ok
-
-    # ------------------------------------------------------------------ #
-    # fallback management
-    # ------------------------------------------------------------------ #
-    def _demote(self) -> None:
-        """Drop to the inherited stdlib kernels (dirty-overlay fallback).
-
-        The per-vertex scratch is already in the growable stdlib containers
-        ``sync`` appends to; this only releases the ndarray mirrors and
-        views — including the ``_popped`` view, which would dangle once the
-        bytearray reallocates.
-        """
-        self.ensure_entries()  # the stdlib kernels sweep the entry tuples
-        self._vector_ok = False
-        if not isinstance(self.order, list):
-            self.order = self.order.tolist()
-        self._views = None
-        self._np_indptr = self._np_indices = None
-        self._arc_indptr = self._arc_heads = self._arc_probs = None
-        self._theta_arcs = None
-        self._dense_rows = None
-        self._dist_np = self._dist_np_dirty = None
-        self._best_np = self._popped_np = None
-
-    def sync(self) -> int:
-        log = getattr(self.core, "mutation_log", ())
-        if self._vector_ok and len(log) > self._log_offset:
-            self._demote()
-        return super().sync()
-
-    # ------------------------------------------------------------------ #
-    # whole-graph kernels
-    # ------------------------------------------------------------------ #
-    def edge_supports(self):
-        if not self._vector_ok:
-            return super().edge_supports()
-        return edge_supports_vector(self.core, self._views)
-
-    def truss_peel(self, supports=None):
-        if not self._vector_ok:
-            return super().truss_peel(supports)
-        if supports is None:
-            supports = edge_supports_vector(self.core, self._views)
-        supports = np.asarray(supports, dtype=np.int64)
-        # Adaptive dispatch: the wave peel needs big, triangle-dense waves
-        # to amortise its per-wave array passes (see the cutoff notes).
-        if (
-            supports.size < VECTOR_PEEL_CUTOFF
-            or int(supports.sum()) < VECTOR_PEEL_DENSITY * supports.size
-        ):
-            return super().truss_peel(supports.tolist())
-        return truss_peel_vector(self.core, supports, self._views)
-
-    def _thresholded_arcs(self, threshold: float) -> tuple:
-        """The positive-arc CSR restricted to arcs with ``p >= threshold``.
-
-        Labels never exceed 1, so a product through an arc with
-        ``p < threshold`` is below the threshold no matter the label —
-        dropping those arcs up front changes no relaxation outcome.  The
-        result is cached for the (single) threshold the offline pass uses.
-
-        The fourth element is the per-row maximum kept probability (0.0 for
-        empty rows); the batched fixpoint uses it to discard frontier keys
-        whose label cannot reach the threshold through any arc.
-        """
-        cached = self._theta_arcs
-        if cached is not None and cached[0] == threshold:
-            return cached[1]
-        keep = self._arc_probs >= threshold
-        tails = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self._arc_indptr)
-        )
-        kept_tails = tails[keep]
-        kept_probs = self._arc_probs[keep]
-        counts = np.bincount(kept_tails, minlength=self.n)
-        row_max = np.zeros(self.n, dtype=np.float64)
-        np.maximum.at(row_max, kept_tails, kept_probs)
-        filtered = (
-            np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(counts))),
-            self._arc_heads[keep],
-            kept_probs,
-            row_max,
-        )
-        self._theta_arcs = (threshold, filtered)
-        return filtered
-
-    # ------------------------------------------------------------------ #
-    # per-centre kernels
-    # ------------------------------------------------------------------ #
-    def bfs_ball(self, source: int, max_depth: int):
-        """Frontier-at-a-time BFS; same ball, same per-depth cuts.
-
-        The visit order within one depth is ascending-int (``np.unique``)
-        instead of the stdlib FIFO discovery order — a reordering inside
-        one shell, which no consumer observes (per-shell aggregation is
-        OR/max/set-shaped, and propagation seeding is per-shell too).
-
-        Small graphs (below :data:`VECTOR_BFS_CUTOFF` vertices) keep the
-        inherited FIFO kernel — identical output, and faster when balls
-        are a few dozen vertices.  On large graphs the dispatch is
-        per-*depth*: a frontier below :data:`VECTOR_BFS_FRONTIER_CUTOFF`
-        expands through a plain scan of the cached adjacency lists (the
-        fixed cost of the array pipeline beats it there), so tiny balls on
-        huge graphs never pay numpy overhead while hub balls still
-        vectorise the shells that matter.
-        """
-        if not self._vector_ok or self.n < VECTOR_BFS_CUTOFF:
-            self.ensure_entries()
-            return super().bfs_ball(source, max_depth)
-        dist = self.dist
-        dist_np = self._dist_np
-        dirty = self._dist_np_dirty
-        if len(dirty):
-            dist_np[dirty] = -1
-        previous = self.order
-        if not isinstance(previous, list):
-            previous = previous.tolist()
-        for vertex in previous:
-            dist[vertex] = -1
-        indptr = self._np_indptr
-        heads = self._np_indices
-        indptr_list, indices_list, _ = self.csr_lists()
-        source = int(source)
-        dist[source] = 0
-        order = [source]
-        frontier = [source]  # scalar shells stay plain int lists
-        frontier_np = None
-        np_active = False  # mirror untouched until the first vector shell
-        depth = 0
-        while depth < max_depth and frontier:
-            depth += 1
-            if len(frontier) < VECTOR_BFS_FRONTIER_CUTOFF:
-                shell: list = []
-                for vertex in frontier:
-                    for arc in range(indptr_list[vertex], indptr_list[vertex + 1]):
-                        neighbour = indices_list[arc]
-                        if dist[neighbour] < 0:
-                            dist[neighbour] = depth
-                            shell.append(neighbour)
-                frontier = shell
-                frontier_np = None
-                if np_active and shell:
-                    dist_np[np.asarray(shell, dtype=np.int64)] = depth
-            else:
-                if not np_active:
-                    # First vector shell: bring the mirror up to date with
-                    # everything the scalar shells discovered so far.
-                    dist_np[np.asarray(order, dtype=np.int64)] = np.asarray(
-                        [dist[vertex] for vertex in order], dtype=np.int64
-                    )
-                    np_active = True
-                if frontier_np is None:
-                    frontier_np = np.asarray(frontier, dtype=np.int64)
-                starts = indptr[frontier_np]
-                lengths = indptr[frontier_np + 1] - starts
-                neighbours = heads[_concat_ranges(starts, lengths)]
-                neighbours = neighbours[dist_np[neighbours] < 0]
-                if neighbours.size == 0:
-                    break
-                frontier_np = np.unique(neighbours)
-                dist_np[frontier_np] = depth
-                frontier = frontier_np.tolist()
-                for vertex in frontier:
-                    dist[vertex] = depth
-            order.extend(frontier)
-        self.order = order
-        self._dist_np_dirty = (
-            np.asarray(order, dtype=np.int64) if np_active else _EMPTY_INT
-        )
-        return order
-
-    def propagate(self, seeds, threshold: float) -> list:
-        """The stdlib heap loop with vectorised high-degree relaxations.
-
-        Control flow, guards and push contents are identical to the
-        inherited kernel — for rows of at least :data:`DENSE_ROW_CUTOFF`
-        positive arcs the descending sweep runs as one numpy gather /
-        multiply / threshold-cut / compare instead of a tuple loop.  The
-        pop sequence only depends on the pushed (probability, vertex)
-        pairs, so the result list is element-for-element identical.
-        """
-        if not self._vector_ok:
-            return super().propagate(seeds, threshold)
-        dense_rows = self._dense_rows_map()  # also materialises ranked_arcs
-        best = self._best
-        best_np = self._best_np
-        popped = self._popped
-        popped_np = self._popped_np
-        ranked_arcs = self.ranked_arcs
-        seeds = list(seeds)
-        touched = list(seeds)
-        result = []
-        heap: list = []
-        for seed in seeds:
-            best[seed] = 1.0
-            best_np[seed] = 1.0
-            popped[seed] = 1
-            result.append((seed, 1.0))
-
-        def dense_relax(row, probability: float) -> None:
-            row_probs, row_heads, _ = row
-            products = probability * row_probs  # descending
-            cut = int(np.searchsorted(-products, -threshold, side="right"))
-            if cut == 0:
-                return
-            candidates = row_heads[:cut]
-            products = products[:cut]
-            keep = (popped_np[candidates] == 0) & (products > best_np[candidates])
-            if not keep.any():
-                return
-            candidates = candidates[keep]
-            products = products[keep]
-            fresh = candidates[best_np[candidates] == 0.0]
-            if fresh.size:
-                touched.extend(fresh.tolist())
-            best_np[candidates] = products
-            for next_probability, neighbour in zip(
-                products.tolist(), candidates.tolist()
-            ):
-                best[neighbour] = next_probability
-                heappush(heap, (-next_probability, neighbour))
-
-        # The scalar sweep stays inline in both loops (a per-pop function
-        # call costs more than a typical small relaxation); the dense sweep
-        # only runs when the row's probe clears the threshold, i.e. when at
-        # least DENSE_ROW_CUTOFF candidates survive the cut and the numpy
-        # pass amortises its dispatch.
-        for seed in seeds:
-            row = dense_rows.get(seed)
-            if row is not None and row[2] >= threshold:
-                dense_relax(row, 1.0)
-                continue
-            for edge_probability, neighbour in ranked_arcs[seed]:
-                next_probability = 1.0 * edge_probability
-                if next_probability < threshold:
-                    break
-                if popped[neighbour] or next_probability <= best[neighbour]:
-                    continue
-                if best[neighbour] == 0.0:
-                    touched.append(neighbour)
-                best[neighbour] = next_probability
-                best_np[neighbour] = next_probability
-                heappush(heap, (-next_probability, neighbour))
-        while heap:
-            negative_probability, vertex = heappop(heap)
-            if popped[vertex]:
-                continue
-            popped[vertex] = 1
-            probability = -negative_probability
-            result.append((vertex, probability))
-            row = dense_rows.get(vertex)
-            if row is not None and probability * row[2] >= threshold:
-                dense_relax(row, probability)
-                continue
-            for edge_probability, neighbour in ranked_arcs[vertex]:
-                next_probability = probability * edge_probability
-                if next_probability < threshold:
-                    break
-                if popped[neighbour] or next_probability <= best[neighbour]:
-                    continue
-                if best[neighbour] == 0.0:
-                    touched.append(neighbour)
-                best[neighbour] = next_probability
-                best_np[neighbour] = next_probability
-                heappush(heap, (-next_probability, neighbour))
-        for vertex in touched:
-            best[vertex] = 0.0
-            popped[vertex] = 0
-        if touched:
-            best_np[np.asarray(touched, dtype=np.int64)] = 0.0
-        return result
-
-    def nested_propagation_values(self, order, cuts, threshold: float) -> list:
-        if not self._vector_ok or len(order) < VECTOR_NESTED_CUTOFF:
-            self.ensure_entries()
-            return super().nested_propagation_values(order, cuts, threshold)
-        arrays = self.nested_propagation_arrays(
-            np.asarray(order, dtype=np.int64), cuts, threshold
-        )
-        return [values.tolist() for values in arrays]
-
-    def nested_propagation_arrays(self, order, cuts, threshold: float) -> list:
-        """Vector core of :meth:`nested_propagation_values`.
-
-        Returns one *descending* float64 ndarray per cut.  Labels are
-        computed as a frontier fixpoint: gather the positive arcs of every
-        improved vertex, multiply by its label, drop products below the
-        threshold or not above the target's label, keep the per-target
-        maximum (grouped sort), scatter, repeat until no label improves.
-        At the fixpoint every label equals the maximum stepwise-rounded
-        path product from the current seed set — the exact floats the
-        stdlib heap settles (see the module docstring).
-        """
-        best = self._best_np
-        in_region = self._popped_np
-        arc_indptr = self._arc_indptr
-        arc_heads = self._arc_heads
-        arc_probs = self._arc_probs
-        settled = _EMPTY_INT
-        out = []
-        previous = 0
-        for cut in cuts:
-            cut = int(cut)
-            shell = order[previous:cut]
-            previous = cut
-            seeds = shell[best[shell] < 1.0]
-            if seeds.size:
-                fresh = seeds[in_region[seeds] == 0]
-                if fresh.size:
-                    in_region[fresh] = 1
-                    settled = np.concatenate((settled, fresh))
-                best[seeds] = 1.0
-            frontier = seeds
-            while frontier.size:
-                starts = arc_indptr[frontier]
-                lengths = arc_indptr[frontier + 1] - starts
-                arc_index = _concat_ranges(starts, lengths)
-                if arc_index.size == 0:
-                    break
-                targets = arc_heads[arc_index]
-                products = np.repeat(best[frontier], lengths) * arc_probs[arc_index]
-                keep = products >= threshold
-                targets = targets[keep]
-                products = products[keep]
-                keep = products > best[targets]
-                targets = targets[keep]
-                products = products[keep]
-                if targets.size == 0:
-                    break
-                # Per-target maximum: sort by (target, product), take the
-                # last entry of each target run.
-                grouping = np.lexsort((products, targets))
-                targets = targets[grouping]
-                products = products[grouping]
-                last = np.nonzero(np.append(targets[1:] != targets[:-1], True))[0]
-                targets = targets[last]
-                products = products[last]
-                fresh = targets[in_region[targets] == 0]
-                if fresh.size:
-                    in_region[fresh] = 1
-                    settled = np.concatenate((settled, fresh))
-                best[targets] = products
-                frontier = targets
-            if settled.size:
-                out.append(np.sort(best[settled])[::-1])
-            else:
-                out.append(_EMPTY_FLOAT)
-        if settled.size:
-            best[settled] = 0.0
-            in_region[settled] = 0
-        return out
 
 
 def ball_aggregates_batch(
-    workspace: VectorWorkspace,
+    csr: CSRGraph,
+    arcs: tuple,
     centres,
     max_radius: int,
     thresholds,
@@ -758,39 +151,41 @@ def ball_aggregates_batch(
     """Algorithm 2 bodies for a *block* of centres, as one array program.
 
     Returns a list of ``{radius: RadiusAggregates}`` dicts aligned with
-    ``centres``.  Per-centre kernels cost too much numpy dispatch when
-    balls are a few dozen vertices, so the offline pass batches across
-    centres instead: centre ``b`` works on flat keys ``b * n + vertex``,
-    which keeps every slot's state disjoint while BFS, shell scans and the
-    propagation fixpoint each run as a handful of whole-block operations.
-    Frontier compaction and per-target maxima use scatter + rescan
-    (``np.maximum.at`` and flat masks) rather than sorting — an order of
-    magnitude cheaper at these sizes.
+    ``centres``.  ``arcs`` is :func:`_thresholded_arcs` at ``thresholds[0]``
+    (ascending thresholds: truncate at the minimum), computed once per
+    build and shared by every block.  Per-centre kernels cost too much
+    numpy dispatch when balls are a few dozen vertices, so the offline pass
+    batches across centres instead: centre ``b`` works on flat keys
+    ``b * n + vertex``, which keeps every slot's state disjoint while BFS,
+    shell scans and the propagation fixpoint each run as a handful of
+    whole-block operations.  Frontier compaction and per-target maxima use
+    scatter + rescan (``np.maximum.at`` and flat masks) rather than sorting
+    — an order of magnitude cheaper at these sizes.
 
     Per slot, the computation is exactly the stdlib ``_ball_aggregates``:
-    slots never interact (keys are partitioned by ``b``), the per-slot
-    fixpoint is the one :meth:`VectorWorkspace.nested_propagation_arrays`
-    documents, per-shell keyword ORs accumulate the same bit masks, and
-    per-threshold score bounds are sequential ``np.cumsum`` prefix sums
-    over the unique descending ordering of each slot's value multiset — so
-    every output int and float matches the scalar pass bit for bit.
+    slots never interact (keys are partitioned by ``b``); the per-slot
+    fixpoint gathers the arcs of every improved key, multiplies by its
+    label, keeps products that clear the threshold and beat the target's
+    label, scatter-maxes them and repeats until no label improves — at
+    which point every label is the maximum stepwise-rounded path product
+    the stdlib heap settles; per-shell keyword ORs accumulate the same bit
+    masks; and per-threshold score bounds are sequential ``np.cumsum``
+    prefix sums over the unique descending ordering of each slot's value
+    multiset — so every output int and float matches the scalar pass bit
+    for bit.
     """
     from repro.index.precompute import RadiusAggregates
     from repro.keywords.bitvector import BitVector
 
-    n = workspace.n
+    views = csr.as_numpy()
+    n = csr.num_vertices
     num_slots = len(centres)
     num_keys = num_slots * n
-    indptr = workspace._np_indptr
-    heads = workspace._np_indices
-    arc_edge = workspace._views["arc_edge"]
-    threshold = thresholds[0]  # thresholds are ascending; truncate at min
-    # Arcs with p < theta can never pass the product filter (labels are
-    # <= 1 and products only shrink), so drop them from the relaxation
-    # CSR once for the whole block.
-    arc_indptr, arc_heads, arc_probs, row_max = workspace._thresholded_arcs(
-        threshold
-    )
+    indptr = views["indptr"]
+    heads = views["indices"]
+    arc_edge = views["arc_edge"]
+    threshold = thresholds[0]
+    arc_indptr, arc_heads, arc_probs, row_max = arcs
 
     # ---- batched BFS: shells[d] holds the keys first reached at depth d.
     # Frontier dedup is a scatter into ``dist`` plus a flat rescan; the

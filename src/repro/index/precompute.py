@@ -207,9 +207,9 @@ def precompute(
         from, so the graph is frozen once per epoch).  Ignored on the
         reference backend.
     kernel_tier:
-        Fast backend only: which kernel tier runs the pass — ``"auto"``
-        (vectorised when numpy is importable), ``"stdlib"`` or
-        ``"vector"``.  Both tiers are bit-identical.  Ignored on the
+        Fast backend only: which implementation runs the pass — ``"auto"``
+        (the batched numpy pass when numpy is importable), ``"stdlib"`` or
+        ``"vector"``.  Both are bit-identical.  Ignored on the
         reference backend.
 
     Returns

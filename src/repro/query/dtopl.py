@@ -45,7 +45,6 @@ class DTopLProcessor:
         backend: str = "reference",
         frozen=None,
         workspace=None,
-        kernel_tier: str = "auto",
     ) -> None:
         self.graph = graph
         self.topl = TopLProcessor(
@@ -57,7 +56,6 @@ class DTopLProcessor:
             backend=backend,
             frozen=frozen,
             workspace=workspace,
-            kernel_tier=kernel_tier,
         )
 
     @property

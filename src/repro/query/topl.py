@@ -135,11 +135,6 @@ class TopLProcessor:
         without ``frozen``: every fast kernel, scoring included, runs over
         the core the workspace was built on.  Workspaces are
         single-threaded: share one only across sequential callers.
-    kernel_tier:
-        Fast backend only: the kernel tier of any workspace this processor
-        builds itself (``"auto"`` / ``"stdlib"`` / ``"vector"``, see
-        :func:`~repro.fastgraph.kernels.make_workspace`).  Ignored when a
-        shared ``workspace`` is supplied.
     """
 
     def __init__(
@@ -152,7 +147,6 @@ class TopLProcessor:
         backend: str = "reference",
         frozen=None,
         workspace=None,
-        kernel_tier: str = "auto",
     ) -> None:
         self.graph = graph
         self.index = index if index is not None else build_tree_index(graph)
@@ -160,7 +154,6 @@ class TopLProcessor:
         self.propagation_cache = propagation_cache
         self.cache_epoch = cache_epoch
         self.backend = backend
-        self.kernel_tier = kernel_tier
         self._frozen = frozen
         self._workspace = workspace
         if propagation_cache is not None:
@@ -371,11 +364,11 @@ class TopLProcessor:
         if self._workspace is None:
             # Deferred import keeps repro.query importable without the
             # fastgraph package loaded (reference-only deployments).
-            from repro.fastgraph.kernels import make_workspace
+            from repro.fastgraph.kernels import CSRWorkspace
 
             if self._frozen is None:
                 self._frozen = self.graph.freeze()
-            self._workspace = make_workspace(self._frozen, self.kernel_tier)
+            self._workspace = CSRWorkspace(self._frozen)
         self._workspace.sync()
         return self._workspace
 

@@ -202,7 +202,6 @@ def _build_processors(
         backend=engine.config.backend,
         frozen=engine.frozen_graph(),
         workspace=workspace,
-        kernel_tier=engine.config.kernel_tier,
     )
     return TopLProcessor(engine.graph, **shared), DTopLProcessor(engine.graph, **shared)
 

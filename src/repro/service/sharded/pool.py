@@ -60,7 +60,6 @@ def _make_collector(
         cache_epoch=engine.epoch,
         backend=engine.config.backend,
         frozen=engine.frozen_graph(),
-        kernel_tier=engine.config.kernel_tier,
         plan=plan,
         shard=shard,
     )

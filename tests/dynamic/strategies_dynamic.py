@@ -6,8 +6,9 @@ array core and every directly-constructed truss state over a
 :class:`~repro.fastgraph.delta.DeltaCSR` overlay — the same assertions then
 prove the incremental fast path bit-identical to the reference rebuilds.
 ``REPRO_TEST_KERNELS`` additionally pins the fast backend's kernel tier:
-the CI kernels-matrix job exports ``vector``, which drives every update
-through the vector workspaces' dirty-overlay demotion paths.
+the CI kernels-matrix job exports ``vector``, so every build and rebuild
+runs the batched numpy offline pass and the incremental refreshes continue
+its records.
 """
 
 from __future__ import annotations

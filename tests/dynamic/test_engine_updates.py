@@ -214,3 +214,37 @@ class TestOverlayCompaction:
             damage_threshold=1.0,
         )
         assert report.compacted
+
+
+@pytest.mark.parametrize("backend", ("reference", "fast"))
+def test_reverse_set_survives_a_rounding_straddle(backend):
+    """Incremental records stay exact when a path product sits on theta_min.
+
+    The forward product of the chain 0 -> 1 -> 2 -> 3 is 0.96 * 0.86 * 0.95
+    = 0.78432 exactly at the threshold, while the reverse influence walk
+    multiplies the same factors endpoint-first and rounds to
+    0.7843199999999999.  Without slack in that walk, vertex 0 escapes the
+    reverse set of the (3, 4) insertion, so its row and the record of
+    centre 5 (whose radius-1 ball holds 0) stay stale.
+    """
+    from repro.graph.social_network import SocialNetwork
+    from repro.index.precompute import precompute
+
+    graph = SocialNetwork()
+    for vertex in range(7):
+        graph.add_vertex(vertex, ["movies"])
+    graph.add_edge(0, 1, 0.96, 0.1)
+    graph.add_edge(1, 2, 0.86, 0.1)
+    graph.add_edge(2, 3, 0.95, 0.1)
+    graph.add_edge(5, 6, 0.5, 0.5)
+    theta = 0.96 * 0.86 * 0.95
+    assert theta == 0.78432 and 0.95 * 0.86 * 0.96 < theta
+    config = EngineConfig(max_radius=1, thresholds=(theta,), backend=backend)
+    engine = InfluentialCommunityEngine.build(graph, config=config, validate=False)
+    for edit in (EdgeUpdate.insert(0, 5, 0.5), EdgeUpdate.insert(3, 4, 1.0, 0.5)):
+        report = engine.apply_updates([edit], damage_threshold=1.0)
+        assert report.mode == "incremental"
+        fresh = precompute(
+            engine.graph, max_radius=1, thresholds=(theta,), num_bits=config.num_bits
+        )
+        assert engine.index.precomputed.vertex_aggregates == fresh.vertex_aggregates

@@ -18,7 +18,8 @@ The sequences mix localised and scattered churn, brand-new vertices that
 carry keywords, compactions of the snapshot overlay (a small
 ``compact_dirt_ratio``) and a ``theta_min = 0`` configuration, where every
 batch empties the row cache.  The engines always run the fast backend (the
-reference backend keeps no cache), on the kernel tier the suite is pinned to.
+reference backend keeps no cache), built on the kernel tier the suite is
+pinned to.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import pytest
 
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import random_update_batch
-from repro.fastgraph.kernels import make_workspace
+from repro.fastgraph.kernels import CSRWorkspace
 from repro.graph.generators import planted_community_graph
 from repro.index.precompute import precompute
 from repro.keywords.bitvector import BitVector
@@ -88,7 +89,7 @@ def _assert_cache_fresh(engine) -> None:
     core = engine.frozen_graph()
     id_of = core.table.id_of
     theta_min = min(engine.config.thresholds)
-    workspace = make_workspace(core, "stdlib")
+    workspace = CSRWorkspace(core)
     for vertex, row in cache.rows.items():
         fresh = workspace.propagate((vertex,), theta_min)[1:]
         assert set(row) == set(fresh), id_of(vertex)

@@ -9,7 +9,7 @@ selects the backend under test, which is always compared against a
 reference-backend build of the same graph.  ``REPRO_TEST_KERNELS``
 additionally pins the fast backend's kernel tier (``stdlib`` or
 ``vector``) — the CI kernels-matrix leg exports ``vector`` so the numpy
-array programs face the same gates as the stdlib kernels.
+offline pass faces the same gates as the stdlib one.
 """
 
 from __future__ import annotations

@@ -165,6 +165,7 @@ class TestWorkspaceSync:
         graph = _seeded_graph(seed)
         overlay = DeltaCSR(freeze(graph))
         workspace = CSRWorkspace(overlay)
+        workspace.ensure_entries()  # built before the edits: sync must patch them
         script = random_update_batch(
             graph, 10, rng=seed, insert_ratio=0.5, grow_probability=0.25,
             keyword_pool=("alpha",),
@@ -175,6 +176,7 @@ class TestWorkspaceSync:
         touched = workspace.sync()
         assert touched > 0
         fresh = CSRWorkspace(overlay)
+        fresh.ensure_entries()
         assert workspace.n == fresh.n
         assert workspace.neighbor_ints == fresh.neighbor_ints
         assert workspace.ranked_arcs == fresh.ranked_arcs
@@ -185,7 +187,9 @@ class TestWorkspaceSync:
         graph = _seeded_graph(11)
         base = freeze(graph)
         workspace = CSRWorkspace(base)
+        workspace.ensure_entries()
         before = list(workspace.ranked_arcs)
+        assert before
         overlay = DeltaCSR(base)
         workspace.rebind(overlay)
         assert workspace.core is overlay

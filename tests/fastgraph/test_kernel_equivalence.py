@@ -23,7 +23,6 @@ from repro.fastgraph.delta import DeltaCSR
 from repro.fastgraph.kernels import (
     CSRWorkspace,
     bfs_hop_ball,
-    make_workspace,
     supports_as_dict,
 )
 from repro.fastgraph.offline import RefreshCache
@@ -34,7 +33,7 @@ from repro.influence.propagation import community_propagation
 from repro.truss.decomposition import truss_decomposition
 from repro.truss.support import edge_support
 
-from tests.fastgraph.test_seed_extraction_csr import TIERS, _graph, _overlay_script
+from tests.fastgraph.test_seed_extraction_csr import _graph, _overlay_script
 from tests.property.strategies import social_networks
 
 
@@ -149,32 +148,22 @@ def _nested_cuts(workspace, centre: int, max_radius: int) -> tuple[list, list]:
 
 
 @pytest.mark.parametrize("overlay", (False, True), ids=("csr", "overlay"))
-@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize(
     "kind", ("planted-str", "planted-tuple", "smallworld-str", "smallworld-tuple")
 )
 @pytest.mark.parametrize("seed", range(2))
-def test_row_merge_matches_nested_propagation(seed, kind, tier, overlay, monkeypatch):
+def test_row_merge_matches_nested_propagation(seed, kind, overlay):
     """Max-merged single-source ``upp`` rows == the nested multi-source pass.
 
     The fast refresh derives every centre's score-bound values from cached
     rows (:meth:`~repro.fastgraph.offline.RefreshCache.merged_values`); the
     lists must equal :meth:`nested_propagation_values` float for float, on
-    every centre's nested balls, on both kernel tiers (the vector tier with
-    its size cutoffs dropped, so the numpy paths run) and over a
-    ``DeltaCSR`` overlay after mixed edits.
+    every centre's nested balls, and over a ``DeltaCSR`` overlay after
+    mixed edits.
     """
-    if tier == "vector":
-        import repro.fastgraph.vectorised as vectorised
-
-        for cutoff in (
-            "DENSE_ROW_CUTOFF", "VECTOR_BFS_CUTOFF", "VECTOR_NESTED_CUTOFF",
-            "VECTOR_BFS_FRONTIER_CUTOFF",
-        ):
-            monkeypatch.setattr(vectorised, cutoff, 0)
     graph = _graph(kind, seed)
     frozen = freeze(graph)
-    workspace = make_workspace(frozen, tier)
+    workspace = CSRWorkspace(frozen)
     if overlay:
         core = DeltaCSR(frozen)
         workspace.rebind(core)

@@ -24,7 +24,7 @@ from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.fastgraph.csr import freeze
 from repro.fastgraph.delta import DeltaCSR
-from repro.fastgraph.kernels import make_workspace
+from repro.fastgraph.kernels import CSRWorkspace
 from repro.graph.subgraph import SubgraphView
 from repro.query.params import make_topl_query
 from repro.query.topl import TopLProcessor
@@ -32,7 +32,6 @@ from repro.truss.ktruss import maximal_ktruss
 from tests.fastgraph.test_seed_extraction_csr import (
     DOMAIN,
     KS,
-    TIERS,
     _engines,
     _graph,
     _keyword_sets,
@@ -81,10 +80,9 @@ def _arrivals(graph, rng: random.Random, count: int = 4) -> UpdateBatch:
     return UpdateBatch(edits)
 
 
-@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("kind", ("planted-str", "smallworld-tuple"))
-def test_postings_on_a_fresh_workspace(tier, kind):
-    _assert_postings_match_scan(make_workspace(freeze(_graph(kind, 5)), tier))
+def test_postings_on_a_fresh_workspace(kind):
+    _assert_postings_match_scan(CSRWorkspace(freeze(_graph(kind, 5))))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -111,11 +109,10 @@ def test_postings_after_compaction_swaps_the_workspace():
     _assert_postings_match_scan(after)
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_postings_after_rebind_onto_an_overlay(tier):
+def test_postings_after_rebind_onto_an_overlay():
     graph = _graph("planted-str", 4)
     frozen = freeze(graph)
-    workspace = make_workspace(frozen, tier)
+    workspace = CSRWorkspace(frozen)
     workspace.qualified(frozenset(DOMAIN))
     overlay = DeltaCSR(frozen)
     workspace.rebind(overlay)
@@ -140,12 +137,11 @@ def test_postings_on_a_store_opened_engine(tmp_path):
     _assert_postings_match_scan(opened._workspace())
 
 
-@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("kind", ("planted-str", "planted-tuple", "smallworld-str"))
 @pytest.mark.parametrize("seed", range(3))
-def test_qualified_truss_matches_maximal_ktruss(tier, kind, seed):
+def test_qualified_truss_matches_maximal_ktruss(kind, seed):
     graph = _graph(kind, seed)
-    workspace = make_workspace(freeze(graph), tier)
+    workspace = CSRWorkspace(freeze(graph))
     id_of = workspace.core.table.id_of
     nonempty = 0
     for keywords in _keyword_sets(seed) + [frozenset()]:
@@ -162,15 +158,14 @@ def test_qualified_truss_matches_maximal_ktruss(tier, kind, seed):
     assert nonempty, "the sweep should include non-empty qualified cores"
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_fast_processor_given_only_a_workspace_matches_reference(tier):
+def test_fast_processor_given_only_a_workspace_matches_reference():
     graph = _graph("planted-str", 1)
     reference, _ = _engines(graph)
     processor = TopLProcessor(
         graph,
         index=reference.index,
         backend="fast",
-        workspace=make_workspace(freeze(graph), tier),
+        workspace=CSRWorkspace(freeze(graph)),
     )
     scored = 0
     for keywords in _keyword_sets(1):

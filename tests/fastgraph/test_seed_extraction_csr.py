@@ -5,21 +5,19 @@ backend's online kernel.  Mapped back through ``table.id_of``, its answer
 must ``==`` what :func:`~repro.query.seed.extract_seed_community` returns
 (``None`` alike) for every centre and every ``(k, r)``, on seeded planted
 and small-world graphs with string and tuple vertex ids, on a mutated
-:class:`~repro.fastgraph.delta.DeltaCSR` overlay, and on both kernel tiers —
-started from the bare keyword bitmap Q and from the qualified-core bitmap
-T_Q (:meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified_truss`) alike.
-The vector tier matters on its own: a fresh
-:class:`~repro.fastgraph.vectorised.VectorWorkspace` defers the
-``neighbor_ints`` rows the kernel sweeps, so the kernel must build them.
+:class:`~repro.fastgraph.delta.DeltaCSR` overlay — started from the bare
+keyword bitmap Q and from the qualified-core bitmap T_Q
+(:meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified_truss`) alike.  A
+fresh workspace defers the ``neighbor_ints`` rows the kernel sweeps, so the
+kernel must build them.
 
 On top of the answers, the fast and reference backends must do the same
 *work*: every :class:`~repro.query.results.QueryStatistics` counter agrees
 (the kernel's cheap reject counts as ``pruned_by_radius``, exactly like an
 empty extraction), except the wall clock and the cache counters.
 
-``REPRO_TEST_KERNELS`` pins the kernel tier of the engine-level checks, as
-in ``test_backend_equivalence.py``; the kernel-level checks always run the
-stdlib tier and, when numpy is importable, the vector tier as well.
+``REPRO_TEST_KERNELS`` pins the offline kernel tier of the engine-level
+checks, as in ``test_backend_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.fastgraph.csr import NUMPY_AVAILABLE, freeze
 from repro.fastgraph.delta import DeltaCSR
-from repro.fastgraph.kernels import make_workspace
+from repro.fastgraph.kernels import CSRWorkspace
 from repro.graph.generators import newman_watts_strogatz_graph, planted_community_graph
 from repro.graph.social_network import SocialNetwork
 from repro.pruning.stats import PruningConfig
@@ -47,7 +45,6 @@ KERNEL_TIER = os.environ.get("REPRO_TEST_KERNELS", "auto")
 if KERNEL_TIER == "vector" and not NUMPY_AVAILABLE:  # pragma: no cover - misconfigured leg
     pytest.skip("REPRO_TEST_KERNELS=vector needs numpy", allow_module_level=True)
 
-TIERS = ("stdlib", "vector") if NUMPY_AVAILABLE and KERNEL_TIER != "stdlib" else ("stdlib",)
 KS = (2, 3, 4, 5)
 RADII = (1, 2, 3)
 DOMAIN = ("art", "books", "cars", "dogs", "eggs", "film")
@@ -127,21 +124,18 @@ def _keyword_sets(seed: int) -> list:
     return [frozenset(rng.sample(DOMAIN, size)) for size in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("kind", ("planted-str", "planted-tuple", "smallworld-str", "smallworld-tuple"))
 @pytest.mark.parametrize("seed", range(3))
-def test_every_centre_matches_reference(tier, kind, seed):
+def test_every_centre_matches_reference(kind, seed):
     graph = _graph(kind, seed)
-    workspace = make_workspace(freeze(graph), tier)
-    if tier == "vector":
-        # The vector tier defers the per-vertex rows the kernel sweeps.
-        assert not workspace.neighbor_ints
+    workspace = CSRWorkspace(freeze(graph))
+    # A fresh workspace defers the per-vertex rows the kernel sweeps.
+    assert not workspace.neighbor_ints
     found = _assert_every_centre_matches(graph, workspace, _keyword_sets(seed))
     assert found, "the sweep should include non-empty communities"
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_special_centres(tier):
+def test_special_centres():
     graph = SocialNetwork(name="special")
     for vertex in "abcd":
         graph.add_vertex(vertex, {"art"})
@@ -153,7 +147,7 @@ def test_special_centres(tier):
     graph.add_edge("a", "plain", 0.5)
     graph.add_edge("b", "plain", 0.5)
     graph.add_edge("d", "pair", 0.5)
-    workspace = make_workspace(freeze(graph), tier)
+    workspace = CSRWorkspace(freeze(graph))
 
     def both(center, k, radius=2):
         query = make_topl_query({"art"}, k=k, radius=radius, theta=0.2, top_l=1)
@@ -197,12 +191,11 @@ def _overlay_script(graph: SocialNetwork, rng: random.Random) -> UpdateBatch:
     return UpdateBatch(edits)
 
 
-@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("seed", range(3))
-def test_overlay_after_mixed_edits(tier, seed):
+def test_overlay_after_mixed_edits(seed):
     graph = _graph("planted-str", seed)
     frozen = freeze(graph)
-    workspace = make_workspace(frozen, tier)
+    workspace = CSRWorkspace(frozen)
     # The engine's path: wrap the snapshot, re-bind the workspace, edit, sync.
     overlay = DeltaCSR(frozen)
     workspace.rebind(overlay)

@@ -1,13 +1,17 @@
-"""Vector-tier equivalence: the numpy kernels vs the stdlib kernels, bit for bit.
+"""Vector-tier equivalence: the batched numpy offline pass vs the stdlib pass.
 
-The ``kernel_tier="vector"`` workspace re-implements every fast kernel as a
-numpy array program over the zero-copy CSR views.  Its contract is *bit
-identity* with the stdlib tier — identical ints for supports and trussness,
-bit-identical floats for propagation labels and influential scores — so this
-module compares the two workspaces kernel by kernel on seeded and
-hypothesis-generated graphs, then climbs the stack: ``precompute`` under both
-tiers, engine answers across all three tiers plus the reference backend, the
-compact-before-vectorise rule for dirty overlays, and store-attached engines.
+The vector tier is the offline pass alone (Algorithm 2): numpy counts the
+edge supports (:func:`~repro.fastgraph.vectorised.edge_supports_vector`) and
+aggregates blocks of centres at once
+(:func:`~repro.fastgraph.vectorised.ball_aggregates_batch`); every online
+kernel is the stdlib one.  Its contract is *bit identity* with the stdlib
+pass — identical ints for supports and trussness, bit-identical floats for
+score bounds — so this module compares the supports on seeded and
+hypothesis-generated graphs, then ``precompute`` under both tiers across
+bit widths (both sides of the 64-bit OR branch), ``theta_min = 0``, a
+``vertices=`` subset and more than one centre block, then engine answers
+across all three tiers plus the reference backend, incremental updates on a
+vector-built engine, and store-attached engines.
 
 The whole module is skipped when numpy is absent (the stdlib fallback is what
 the rest of the suite already exercises); the CI kernels-matrix leg runs the
@@ -16,8 +20,6 @@ fastgraph suite with ``REPRO_TEST_KERNELS=vector`` to force the tier through
 """
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +33,8 @@ from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import random_update_batch
 from repro.exceptions import GraphError, QueryParameterError
-from repro.fastgraph import freeze, make_workspace, resolve_kernel_tier
-from repro.fastgraph.delta import DeltaCSR
-from repro.fastgraph.kernels import CSRWorkspace
-from repro.fastgraph.vectorised import VectorWorkspace
+from repro.fastgraph import edge_supports_csr, freeze, resolve_kernel_tier
+from repro.fastgraph.vectorised import edge_supports_vector
 from repro.index.precompute import precompute
 from repro.query.params import make_dtopl_query, make_topl_query
 from repro.store import pack_store
@@ -46,139 +46,88 @@ from tests.property.strategies import social_networks
 _THRESHOLDS = (0.1, 0.3)
 
 
-@pytest.fixture
-def force_vector(monkeypatch):
-    """Drop the adaptive cutoffs so small test graphs hit the numpy paths.
-
-    Production sizes route small graphs to the stdlib kernels (same output,
-    less overhead); the equivalence claim is about the numpy code, so the
-    tests force it.
-    """
-    import repro.fastgraph.vectorised as vectorised
-
-    monkeypatch.setattr(vectorised, "DENSE_ROW_CUTOFF", 0)
-    monkeypatch.setattr(vectorised, "VECTOR_BFS_CUTOFF", 0)
-    monkeypatch.setattr(vectorised, "VECTOR_NESTED_CUTOFF", 0)
-    monkeypatch.setattr(vectorised, "VECTOR_PEEL_CUTOFF", 0)
-    monkeypatch.setattr(vectorised, "VECTOR_PEEL_DENSITY", 0.0)
-    monkeypatch.setattr(vectorised, "VECTOR_BFS_FRONTIER_CUTOFF", 0)
-
-
-def _workspaces(graph):
+def _assert_supports_agree(graph) -> None:
     csr = freeze(graph)
-    return csr, CSRWorkspace(csr), VectorWorkspace(csr)
-
-
-def _assert_workspaces_agree(rng, graph) -> None:
-    """Every kernel of the two tiers, compared exactly on one graph."""
-    csr, stdlib, vector = _workspaces(graph)
-    assert list(stdlib.edge_supports()) == vector.edge_supports().tolist()
-
-    edge_std, vertex_std = stdlib.truss_peel()
-    edge_vec, vertex_vec = vector.truss_peel()
-    assert list(edge_std) == list(edge_vec)
-    assert list(vertex_std) == list(vertex_vec)
-
-    n = csr.num_vertices
-    for centre in range(min(n, 5)):
-        for radius in (1, 2, 3):
-            order_std = stdlib.bfs_ball(centre, radius)
-            ball_std = {v: stdlib.dist[v] for v in order_std}
-            order_vec = vector.bfs_ball(centre, radius)
-            ball_vec = {int(v): int(vector.dist[v]) for v in list(order_vec)}
-            assert ball_std == ball_vec, (centre, radius)
-            # Visit order must stay non-decreasing in depth (the per-radius
-            # cuts of Algorithm 2 slice it by shell).
-            depths = [ball_vec[int(v)] for v in list(order_vec)]
-            assert depths == sorted(depths)
-
-    vertices = list(range(n))
-    for theta in (0.0, 0.05, 0.35):
-        seeds = rng.sample(vertices, rng.randint(1, min(4, n)))
-        labels_std = stdlib.propagate(list(seeds), theta)
-        labels_vec = vector.propagate(list(seeds), theta)
-        assert labels_std == labels_vec, theta
-        for vertex, probability in labels_vec:
-            # Plain python scalars at the boundary: np.int64 is not an int
-            # and would break JSON serialization downstream.
-            assert type(vertex) is int and type(probability) is float
+    vector = edge_supports_vector(csr)
+    assert vector.dtype == "int64" and len(vector) == csr.num_edges
+    assert vector.tolist() == list(edge_supports_csr(csr))
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_kernels_bit_identical_quick(seed, force_vector):
-    rng, graph = seeded_graph(seed)
-    _assert_workspaces_agree(rng, graph)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", range(20, 80))
-def test_kernels_bit_identical_nightly(seed, force_vector):
-    rng, graph = seeded_graph(seed)
-    _assert_workspaces_agree(rng, graph)
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_nested_propagation_bit_identical(seed, force_vector):
-    """The chained per-radius propagation (Algorithm 2's inner loop)."""
+def test_edge_supports_bit_identical(seed):
     _, graph = seeded_graph(seed)
-    if graph.num_edges() == 0:
-        pytest.skip("edgeless graph")
-    csr, stdlib, vector = _workspaces(graph)
-    centre = 0
-    order_std = stdlib.bfs_ball(centre, 3)
-    cuts = []
-    position = 0
-    for radius in (1, 2, 3):
-        while position < len(order_std) and stdlib.dist[order_std[position]] <= radius:
-            position += 1
-        cuts.append(position)
-    order_vec = vector.bfs_ball(centre, 3)
-    for theta in (0.0, 0.1):
-        values_std = stdlib.nested_propagation_values(order_std, cuts, theta)
-        values_vec = vector.nested_propagation_values(order_vec, cuts, theta)
-        # Orders may differ within one shell; the descending value lists (and
-        # therefore the score sums) must not.
-        assert values_std == values_vec, (seed, theta)
+    _assert_supports_agree(graph)
 
 
 @settings(max_examples=30, deadline=None)
 @given(graph=social_networks(min_vertices=2, max_vertices=14))
-def test_hypothesis_kernels_bit_identical(graph):
-    import repro.fastgraph.vectorised as vectorised
+def test_hypothesis_edge_supports_bit_identical(graph):
+    _assert_supports_agree(graph)
 
-    knobs = (
-        "DENSE_ROW_CUTOFF",
-        "VECTOR_BFS_CUTOFF",
-        "VECTOR_NESTED_CUTOFF",
-        "VECTOR_PEEL_CUTOFF",
-        "VECTOR_PEEL_DENSITY",
-        "VECTOR_BFS_FRONTIER_CUTOFF",
-    )
-    original = {knob: getattr(vectorised, knob) for knob in knobs}
-    for knob in knobs:
-        setattr(vectorised, knob, 0)
-    try:
-        _assert_workspaces_agree(random.Random(0), graph)
-    finally:
-        for knob, value in original.items():
-            setattr(vectorised, knob, value)
+
+def _precompute_both(graph, **kwargs):
+    """``(vector, stdlib, reference)`` precomputes of ``graph`` with ``kwargs``."""
+    vector = precompute(graph, backend="fast", kernel_tier="vector", **kwargs)
+    stdlib = precompute(graph, backend="fast", kernel_tier="stdlib", **kwargs)
+    reference = precompute(graph, **kwargs)
+    return vector, stdlib, reference
 
 
 @pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("num_bits", (16, 32))
-def test_precompute_bit_identical_across_tiers(seed, num_bits, force_vector):
+@pytest.mark.parametrize("num_bits", (16, 32, 64, 96))
+def test_precompute_bit_identical_across_tiers(seed, num_bits):
+    """B < 64 ORs keyword bits as int64 arrays; B >= 64 as Python ints."""
     _, graph = seeded_graph(seed)
-    stdlib = precompute(
-        graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits,
-        backend="fast", kernel_tier="stdlib",
+    vector, stdlib, reference = _precompute_both(
+        graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits
     )
-    vector = precompute(
+    assert_precomputed_equal(vector, stdlib, seed)
+    assert_precomputed_equal(vector, reference, seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_precompute_tiers_agree_at_theta_zero(seed):
+    """``theta_min = 0`` keeps every positive arc in the relaxation CSR."""
+    _, graph = seeded_graph(seed)
+    vector, stdlib, reference = _precompute_both(
+        graph, max_radius=2, thresholds=(0.0, 0.2), num_bits=32
+    )
+    assert_precomputed_equal(vector, stdlib, seed)
+    assert_precomputed_equal(vector, reference, seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_precompute_tiers_agree_on_a_vertex_subset(seed):
+    _, graph = seeded_graph(seed)
+    vertices = sorted(graph.vertices(), key=repr)[::3]
+    vector, stdlib, reference = _precompute_both(
+        graph, max_radius=2, thresholds=_THRESHOLDS, num_bits=32, vertices=vertices
+    )
+    assert set(vector.vertex_aggregates) == set(vertices)
+    assert_precomputed_equal(vector, stdlib, seed)
+    assert_precomputed_equal(vector, reference, seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("num_bits", (32, 96))
+def test_precompute_tiers_agree_across_blocks(seed, num_bits, monkeypatch):
+    """Centre blocks are independent: cutting the build into many changes nothing."""
+    import repro.fastgraph.offline as offline
+
+    _, graph = seeded_graph(seed)
+    whole = precompute(
         graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits,
         backend="fast", kernel_tier="vector",
     )
-    reference = precompute(graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits)
+    # Two centres per block.
+    monkeypatch.setattr(
+        offline, "_VECTOR_BLOCK_ENTRIES", max(2, 2 * graph.num_vertices())
+    )
+    vector, stdlib, _ = _precompute_both(
+        graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits
+    )
+    assert_precomputed_equal(vector, whole, seed)
     assert_precomputed_equal(vector, stdlib, seed)
-    assert_precomputed_equal(vector, reference, seed)
 
 
 def _fingerprint(result):
@@ -205,7 +154,7 @@ def _build_engines(make_graph, tiers=("stdlib", "vector", "auto")):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_engine_answers_identical_across_tiers(seed, force_vector):
+def test_engine_answers_identical_across_tiers(seed):
     rng, _ = seeded_graph(seed)
     engines = _build_engines(lambda: seeded_graph(seed)[1])
     from tests.property.strategies import KEYWORD_POOL
@@ -224,13 +173,13 @@ def test_engine_answers_identical_across_tiers(seed, force_vector):
     assert len({a.diversity_score for a in danswers.values()}) == 1
 
 
-def test_dirty_overlay_demotes_then_stays_equivalent(force_vector):
-    """Compact-before-vectorise: a mutated engine keeps answering exactly.
+def test_vector_built_engine_stays_exact_after_updates():
+    """A vector-built index, patched incrementally, equals a fresh build.
 
-    ``apply_updates`` patches the snapshot through a :class:`DeltaCSR`
-    overlay; the vector workspace must demote to the stdlib kernels (the
-    array programs cannot read the overlay) without changing a single bit
-    of the answers.
+    The vector tier runs only the offline pass; ``apply_updates`` patches
+    the snapshot through a :class:`DeltaCSR` overlay and refreshes records
+    with the stdlib kernels, which must continue the vector-built records
+    without changing a single bit of the answers.
     """
     rng, graph = seeded_graph(903)
     engine = InfluentialCommunityEngine.build(
@@ -257,40 +206,7 @@ def test_dirty_overlay_demotes_then_stays_equivalent(force_vector):
     assert patched == rebuilt
 
 
-def test_make_workspace_applies_compact_before_vectorise():
-    _, graph = seeded_graph(7)
-    csr = freeze(graph)
-    assert isinstance(make_workspace(csr, "vector"), VectorWorkspace)
-    assert isinstance(make_workspace(csr, "auto"), VectorWorkspace)
-    assert type(make_workspace(csr, "stdlib")) is CSRWorkspace
-    # A mutable overlay never gets the vector tier, whatever was requested.
-    assert type(make_workspace(DeltaCSR(csr), "vector")) is CSRWorkspace
-
-
-def test_workspace_demotes_on_mutation(force_vector):
-    """A rebound workspace whose core mutates drops to the stdlib kernels."""
-    _, graph = seeded_graph(11)
-    csr = freeze(graph)
-    overlay = DeltaCSR(csr)
-    workspace = VectorWorkspace(csr)
-    assert workspace.vector_ready
-    workspace.rebind(overlay)
-    vertices = sorted(graph.vertices())
-    overlay.note_insert(vertices[0], 10**6, 0.5, 0.5, keywords_v=frozenset({"movies"}))
-    workspace.sync()
-    assert not workspace.vector_ready
-    # Still correct — now through the inherited stdlib kernels over the
-    # overlay (the per-centre kernels are the ones the refresh path runs).
-    source = overlay.table.index_of(vertices[0])
-    expected = CSRWorkspace(overlay)
-    order_demoted = workspace.bfs_ball(source, 2)
-    ball_demoted = {v: workspace.dist[v] for v in order_demoted}
-    order_fresh = expected.bfs_ball(source, 2)
-    assert ball_demoted == {v: expected.dist[v] for v in order_fresh}
-    assert overlay.table.index_of(10**6) in ball_demoted
-
-
-def test_store_attached_engine_runs_vector_tier(tmp_path, force_vector):
+def test_store_attached_engine_runs_vector_tier(tmp_path):
     _, graph = seeded_graph(904)
     built = InfluentialCommunityEngine.build(
         graph,
@@ -308,19 +224,6 @@ def test_store_attached_engine_runs_vector_tier(tmp_path, force_vector):
 
     query = make_topl_query(frozenset(KEYWORD_POOL[:3]), k=3, radius=2, theta=0.1, top_l=3)
     assert _fingerprint(attached.topl(query)) == _fingerprint(built.topl(query))
-
-
-def test_serving_layer_inherits_kernel_tier():
-    _, graph = seeded_graph(905)
-    engine = InfluentialCommunityEngine.build(
-        graph,
-        config=EngineConfig(
-            max_radius=2, thresholds=_THRESHOLDS, backend="fast", kernel_tier="vector"
-        ),
-        validate=False,
-    )
-    serving = engine.serve()
-    assert serving._topl.kernel_tier == "vector"
 
 
 def test_resolve_kernel_tier():
