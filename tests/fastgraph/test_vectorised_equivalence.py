@@ -6,8 +6,10 @@ aggregates blocks of centres at once
 (:func:`~repro.fastgraph.vectorised.ball_aggregates_batch`); every online
 kernel is the stdlib one.  Its contract is *bit identity* with the stdlib
 pass — identical ints for supports and trussness, bit-identical floats for
-score bounds — so this module compares the supports on seeded and
-hypothesis-generated graphs, then ``precompute`` under both tiers across
+score bounds — so this module compares the pass kernel by kernel on seeded
+and hypothesis-generated graphs (supports, the peel they feed, and block
+aggregates over arbitrary centre samples against the stdlib records and the
+chained per-radius propagation), then ``precompute`` under both tiers across
 bit widths (both sides of the 64-bit OR branch), ``theta_min = 0``, a
 ``vertices=`` subset and more than one centre block, then engine answers
 across all three tiers plus the reference backend, incremental updates on a
@@ -20,6 +22,8 @@ fastgraph suite with ``REPRO_TEST_KERNELS=vector`` to force the tier through
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +38,14 @@ from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import random_update_batch
 from repro.exceptions import GraphError, QueryParameterError
 from repro.fastgraph import edge_supports_csr, freeze, resolve_kernel_tier
-from repro.fastgraph.vectorised import edge_supports_vector
+from repro.fastgraph.kernels import CSRWorkspace, truss_peel
+from repro.fastgraph.vectorised import (
+    _thresholded_arcs,
+    ball_aggregates_batch,
+    edge_supports_vector,
+)
 from repro.index.precompute import precompute
+from repro.keywords.bitvector import BitVector
 from repro.query.params import make_dtopl_query, make_topl_query
 from repro.store import pack_store
 
@@ -63,6 +73,103 @@ def test_edge_supports_bit_identical(seed):
 @given(graph=social_networks(min_vertices=2, max_vertices=14))
 def test_hypothesis_edge_supports_bit_identical(graph):
     _assert_supports_agree(graph)
+
+
+def _keyword_bits(csr, num_bits):
+    return [BitVector.from_keywords(keywords, num_bits).bits for keywords in csr.keywords]
+
+
+def _assert_kernels_agree(rng, graph) -> None:
+    """Every kernel of the vector offline pass vs its stdlib twin, on one graph.
+
+    The vector pass is ``edge_supports_vector`` -> the stdlib ``truss_peel``
+    -> ``ball_aggregates_batch``.  The block here is a random sample of
+    centres in random order, repeats allowed (slots must stay disjoint),
+    with a random threshold ladder, and every output must equal the stdlib
+    per-centre records of the same centres.
+    """
+    csr = freeze(graph)
+    vector_supports = edge_supports_vector(csr)
+    stdlib_supports = edge_supports_csr(csr)
+    assert vector_supports.tolist() == list(stdlib_supports)
+    edge_vec, vertex_vec = truss_peel(csr, vector_supports.tolist())
+    edge_std, vertex_std = truss_peel(csr, stdlib_supports)
+    assert list(edge_vec) == list(edge_std)
+    assert list(vertex_vec) == list(vertex_std)
+
+    n = csr.num_vertices
+    centres = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
+    thresholds = tuple(sorted(rng.sample((0.0, 0.05, 0.1, 0.2, 0.35, 0.6), 3)))
+    for num_bits in (16, 96):  # both sides of the int64 OR branch
+        batch = ball_aggregates_batch(
+            csr, _thresholded_arcs(csr, thresholds[0]), centres, 3, thresholds,
+            num_bits, _keyword_bits(csr, num_bits), vector_supports,
+        )
+        stdlib = precompute(
+            graph, max_radius=3, thresholds=thresholds, num_bits=num_bits,
+            backend="fast", kernel_tier="stdlib",
+        )
+        assert len(batch) == len(centres)
+        for centre, per_radius in zip(centres, batch):
+            expected = stdlib.vertex_aggregates[csr.table.id_of(centre)].per_radius
+            assert per_radius == expected, (centre, thresholds, num_bits)
+            for aggregates in per_radius.values():
+                # Plain python scalars at the boundary: np.int64 is not an
+                # int and would break JSON serialization downstream.
+                assert type(aggregates.support_upper_bound) is int
+                assert all(type(sigma) is float for _, sigma in aggregates.score_bounds)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernels_bit_identical_quick(seed):
+    rng, graph = seeded_graph(seed)
+    _assert_kernels_agree(rng, graph)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(20, 80))
+def test_kernels_bit_identical_nightly(seed):
+    rng, graph = seeded_graph(seed)
+    _assert_kernels_agree(rng, graph)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=social_networks(min_vertices=2, max_vertices=14))
+def test_hypothesis_kernels_bit_identical(graph):
+    _assert_kernels_agree(random.Random(0), graph)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nested_propagation_bit_identical(seed):
+    """The batched fixpoint vs the chained per-radius propagation.
+
+    Algorithm 2's inner loop: each radius's score bound is the descending
+    prefix sum of :meth:`CSRWorkspace.nested_propagation_values` on the
+    nested balls of one centre, float for float.
+    """
+    _, graph = seeded_graph(seed)
+    csr = freeze(graph)
+    workspace = CSRWorkspace(csr)
+    centre = 0
+    order = workspace.bfs_ball(centre, 3)
+    cuts = [
+        sum(1 for vertex in order if workspace.dist[vertex] <= radius)
+        for radius in (1, 2, 3)
+    ]
+    supports = edge_supports_vector(csr)
+    for theta in (0.0, 0.1):
+        values = workspace.nested_propagation_values(order, cuts, theta)
+        (per_radius,) = ball_aggregates_batch(
+            csr, _thresholded_arcs(csr, theta), [centre], 3, (theta,), 16,
+            _keyword_bits(csr, 16), supports,
+        )
+        for radius in (1, 2, 3):
+            running = 0.0
+            for probability in values[radius - 1]:
+                running += probability
+            assert per_radius[radius].score_bounds == ((theta, running),), (
+                seed, theta, radius,
+            )
 
 
 def _precompute_both(graph, **kwargs):
