@@ -12,9 +12,11 @@ ints — but runs over the CSR buffers of a
   (vs :func:`repro.graph.traversal.bfs_distances`);
 * :class:`CSRWorkspace` ``.qualified`` / ``.qualified_truss`` — a query's
   keyword-qualified vertices Q from per-keyword postings, and T_Q, the
-  maximal k-truss of G[Q] that holds every seed community of the query;
-* :class:`CSRWorkspace` ``.seed_community`` — the online seed-community
-  fixpoint over int sets (vs :func:`repro.query.seed.extract_seed_community`);
+  maximal k-truss of G[Q] that holds every seed community of the query,
+  with its connected components;
+* :class:`CSRWorkspace` ``.seed_community`` — the online seed community,
+  answered from the centre's T_Q component or by a fixpoint over int sets
+  (vs :func:`repro.query.seed.extract_seed_community`);
 * :class:`CSRWorkspace` ``.propagate`` / :func:`community_propagation_csr` —
   truncated multi-source max-product Dijkstra
   (vs :func:`repro.influence.propagation.community_propagation`).
@@ -425,25 +427,41 @@ class CSRWorkspace:
             bitmap[vertex] = 1
         return bitmap, members
 
-    def qualified_truss(self, qualified, members, k: int) -> tuple[bytearray, set]:
+    def qualified_truss(self, qualified, members, k: int) -> tuple[bytearray, dict]:
         """T_Q, the maximal k-truss of the qualified induced subgraph G[Q].
 
-        ``qualified`` / ``members`` are :meth:`qualified`'s bitmap and set;
-        the result has the same shape for the truss's vertex set (the
-        endpoints of its edges).  Every seed community of the query lies
-        inside T_Q — it is a k-truss of qualified vertices, hence a k-truss
-        subgraph of G[Q] — so :meth:`seed_community` accepts this bitmap in
-        place of Q and returns the same communities.
+        ``qualified`` / ``members`` are :meth:`qualified`'s bitmap and set.
+        Returns a bitmap over vertex ints marking T_Q's vertex set (the
+        endpoints of its edges) and a map from each T_Q vertex to its
+        connected component of T_Q, one shared ``frozenset`` per component,
+        taken over the truss edges that survive the same peel.  Every seed
+        community of the query lies inside T_Q — it is a k-truss of
+        qualified vertices, hence a k-truss subgraph of G[Q] — and, being
+        connected, inside its centre's component; so :meth:`seed_community`
+        accepts the bitmap in place of Q and answers from the component
+        first, returning the same communities.
         """
         self.ensure_entries()
         neighbor_ints = self.neighbor_ints
         adjacency = {u: members.intersection(neighbor_ints[u]) for u in members}
         _peel_truss(adjacency, k - 1, k - 2)
-        core = {u for u, row in adjacency.items() if row}
+        components: dict = {}
+        for root, row in adjacency.items():
+            if not row or root in components:
+                continue
+            seen = {root}
+            stack = [root]
+            while stack:
+                fresh = adjacency[stack.pop()] - seen
+                seen |= fresh
+                stack.extend(fresh)
+            component = frozenset(seen)
+            for vertex in component:
+                components[vertex] = component
         bitmap = bytearray(len(qualified))
-        for vertex in core:
+        for vertex in components:
             bitmap[vertex] = 1
-        return bitmap, core
+        return bitmap, components
 
     def bfs_ball(self, source: int, max_depth: int) -> list[int]:
         """BFS from ``source`` to ``max_depth`` hops.
@@ -474,7 +492,9 @@ class CSRWorkspace:
         self.order = order
         return order
 
-    def seed_community(self, center: int, radius: int, k: int, qualified) -> Optional[set]:
+    def seed_community(
+        self, center: int, radius: int, k: int, qualified, components=None
+    ) -> Optional[set]:
         """The Definition 2 seed community of ``center`` as a set of vertex ints.
 
         Int-space twin of :func:`repro.query.seed.extract_seed_community`:
@@ -484,8 +504,11 @@ class CSRWorkspace:
         bitmap over vertex ints marking a superset of every such community:
         either Q itself (non-zero = carries a query keyword, see
         :meth:`qualified`) or, as the query path passes it, the qualified
-        core T_Q of :meth:`qualified_truss`.  Returns ``None`` when no such
-        community exists.
+        core T_Q of :meth:`qualified_truss`.  ``components`` is optionally
+        that call's component map of T_Q for the same query and ``k``.
+        Returns ``None`` when no such community exists.  When the component
+        shortcut answers, the result is the shared component ``frozenset``
+        itself, so a caller can memoise per component.
 
         Why the answer equals the reference extractor's exactly.  Call a
         vertex set *valid* when it contains ``center``, is all qualified,
@@ -499,12 +522,23 @@ class CSRWorkspace:
         ``F``, the loop stops at a valid set holding every valid subset of
         ``S`` — that is ``F`` itself, whatever the order of the reductions.
         The reference starts from ``hop(center, r)`` filtered to qualified
-        vertices; this kernel rejects early or starts from a smaller ``S``:
+        vertices; this kernel answers or rejects early, or starts from a
+        smaller ``S``:
 
         * **qualified core** — ``F`` is a k-truss of qualified vertices, so
           its edges survive the k-truss peel of G[Q] and ``F`` lies inside
           T_Q.  Marking T_Q instead of Q therefore keeps ``F`` inside every
           set below; a centre outside T_Q returns ``None`` at once.
+        * **component shortcut** (given ``components``) — let ``K`` be the
+          centre's component of T_Q.  ``F``'s truss edges lie in T_Q (they
+          form a k-truss subgraph of G[Q]) and connect ``F`` to the
+          centre, so ``F ⊆ K``.  BFS G[K], non-truss edges included, to
+          depth ``radius``.  If that reaches all of ``K``, then ``K`` — a
+          connected k-truss of qualified vertices, which peeling G[K]
+          keeps — is itself valid, so ``K ⊆ F`` and ``K`` is the answer.
+          Otherwise the G[K] ball holds ``F`` (each member has a path of at
+          most ``radius`` hops inside ``F ⊆ K``), and the fixpoint starts
+          from it in place of the two steps below.
         * **cheap reject** — a truss edge ``(center, w)`` of ``F`` lies in
           ``k - 2`` triangles of ``F``, whose third vertices are marked
           neighbours of both ``center`` and ``w``; so ``center`` keeps at
@@ -531,32 +565,26 @@ class CSRWorkspace:
         neighbor_ints = self.neighbor_ints
         need = k - 1
         required = k - 2
-        spokes = {w for w in neighbor_ints[center] if qualified[w]}
-        if len(spokes) < need:
-            return None
-        if required > 0:
-            triangles = {w: spokes.intersection(neighbor_ints[w]) for w in spokes}
-            stack = [w for w, row in triangles.items() if len(row) < required]
-            while stack:
-                w = stack.pop()
-                for x in triangles.pop(w):
-                    row = triangles[x]
-                    row.discard(w)
-                    if len(row) == required - 1:
-                        stack.append(x)
-            if len(triangles) < need:
+        if components is None:
+            current = self._marked_ball(center, radius, need, required, qualified)
+            if current is None:
                 return None
-
-        current = {center}
-        frontier = [center]
-        for _ in range(radius):
-            reached = []
-            for u in frontier:
-                for w in neighbor_ints[u]:
-                    if qualified[w] and w not in current:
-                        current.add(w)
-                        reached.append(w)
-            frontier = reached
+        else:
+            cluster = components.get(center)
+            if cluster is None:
+                return None
+            current = {center}
+            frontier = [center]
+            for _ in range(radius):
+                reached = []
+                for u in frontier:
+                    fresh = cluster.intersection(neighbor_ints[u])
+                    fresh -= current
+                    current |= fresh
+                    reached.extend(fresh)
+                frontier = reached
+            if len(current) == len(cluster):
+                return cluster
 
         while True:
             # Truss reduction: (k-1)-core and support peel, then the
@@ -590,6 +618,37 @@ class CSRWorkspace:
                 current = within
                 continue
             return current
+
+    def _marked_ball(self, center, radius, need, required, qualified) -> Optional[set]:
+        """The cheap spoke reject, then the marked ball of :meth:`seed_community`."""
+        neighbor_ints = self.neighbor_ints
+        spokes = {w for w in neighbor_ints[center] if qualified[w]}
+        if len(spokes) < need:
+            return None
+        if required > 0:
+            triangles = {w: spokes.intersection(neighbor_ints[w]) for w in spokes}
+            stack = [w for w, row in triangles.items() if len(row) < required]
+            while stack:
+                w = stack.pop()
+                for x in triangles.pop(w):
+                    row = triangles[x]
+                    row.discard(w)
+                    if len(row) == required - 1:
+                        stack.append(x)
+            if len(triangles) < need:
+                return None
+
+        current = {center}
+        frontier = [center]
+        for _ in range(radius):
+            reached = []
+            for u in frontier:
+                for w in neighbor_ints[u]:
+                    if qualified[w] and w not in current:
+                        current.add(w)
+                        reached.append(w)
+            frontier = reached
+        return current
 
     def propagate(self, seeds, threshold: float) -> list:
         """Truncated multi-source max-product Dijkstra from ``seeds``.

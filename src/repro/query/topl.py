@@ -57,13 +57,9 @@ class _ResultSet:
         self.capacity = capacity
         self._entries: list[_Candidate] = []
         self._seen: set[frozenset] = set()
-
-    @property
-    def sigma_l(self) -> float:
-        """The smallest score among the current L best (``-inf`` until full)."""
-        if len(self._entries) < self.capacity:
-            return float("-inf")
-        return self._entries[-1].score
+        #: The smallest score among the current L best (``-inf`` until
+        #: full); :meth:`consider` keeps it current.
+        self.sigma_l = float("-inf")
 
     def consider(self, community: SeedCommunity) -> bool:
         """Insert ``community`` if it improves the result set; return ``True`` if kept."""
@@ -80,6 +76,8 @@ class _ResultSet:
             return False
         self._seen.add(community.vertices)
         self._entries.sort(key=lambda entry: entry.score, reverse=True)
+        if len(self._entries) == self.capacity:
+            self.sigma_l = self._entries[-1].score
         return True
 
     def communities(self) -> tuple:
@@ -117,13 +115,16 @@ class TopLProcessor:
         :func:`~repro.influence.propagation.community_propagation`;
         ``"fast"`` does both over an array snapshot of the graph, inside
         the query's qualified core: the keyword postings give Q, one
-        k-truss peel of G[Q] gives T_Q, the leaf scan sends only Q members
-        through the per-centre checks, and the
+        k-truss peel of G[Q] gives T_Q and its connected components, and
+        one tight leaf scan (:meth:`_fast_leaf_scan`) counts non-Q centres
+        by arithmetic, runs the support and score checks on the rest, and
+        calls the
         :meth:`~repro.fastgraph.kernels.CSRWorkspace.seed_community` kernel
-        runs against the T_Q bitmap before the CSR propagation kernel
-        scores — with identical communities, floats and work counters (see
-        :mod:`repro.fastgraph` and ``docs/backends.md``).  The reference
-        path is the equivalence oracle.
+        only for T_Q centres, which it answers from their component first,
+        before the CSR propagation kernel scores — with identical
+        communities, floats and work counters (see :mod:`repro.fastgraph`
+        and ``docs/backends.md``).  The reference path is the equivalence
+        oracle.
     frozen:
         Optional pre-built :class:`~repro.fastgraph.csr.CSRGraph` snapshot
         for the ``fast`` backend (the engine shares one across processors);
@@ -179,23 +180,21 @@ class TopLProcessor:
         if root is None:
             statistics.elapsed_seconds = time.perf_counter() - started
             return TopLResult(communities=(), statistics=statistics)
-        truss_core = qualified_ids = None
+        # Distinct candidate centres frequently extract the same community
+        # (every member of a dense cluster is a valid centre for it); scoring
+        # is the expensive step, so communities are deduplicated before it.
+        scored_vertex_sets: set[frozenset] = set()
+        fast_scan = None
         if self.backend == "fast":
-            workspace = self._fast_workspace()
-            qualified, members = workspace.qualified(query.keywords)
-            truss_core, _ = workspace.qualified_truss(qualified, members, query.k)
-            if self.pruning.keyword:
-                qualified_ids = set(map(workspace.core.table.id_of, members))
+            fast_scan = self._fast_leaf_scan(
+                query, results, counters, statistics, scored_vertex_sets
+            )
 
         # Max-heap of (negated score bound, tie-breaker, node).
         heap: list[tuple[float, int, object]] = []
         counter = 0
         heapq.heappush(heap, (-float("inf"), counter, root))
         counter += 1
-        # Distinct candidate centres frequently extract the same community
-        # (every member of a dense cluster is a valid centre for it); scoring
-        # is the expensive step, so communities are deduplicated before it.
-        scored_vertex_sets: set[frozenset] = set()
 
         while heap:
             negative_key, _, node = heapq.heappop(heap)
@@ -208,18 +207,13 @@ class TopLProcessor:
             if node.is_leaf:
                 statistics.visited_leaf_vertices += len(node.vertices)
                 centres = self._leaf_centres(node.vertices)
-                if qualified_ids is not None:
-                    # A centre outside Q always fails the keyword check of
-                    # Lemma 1, so only Q members reach the per-centre work.
-                    kept = [vertex for vertex in centres if vertex in qualified_ids]
-                    skipped = len(centres) - len(kept)
-                    statistics.candidates_examined += skipped
-                    counters.keyword += skipped
-                    centres = kept
+                if fast_scan is not None:
+                    fast_scan(centres)
+                    continue
                 for vertex in centres:
                     community = self._process_leaf_vertex(
                         vertex, query, query_bv, results, counters, statistics,
-                        scored_vertex_sets, truss_core,
+                        scored_vertex_sets,
                     )
                     if community is not None:
                         results.consider(community)
@@ -283,13 +277,11 @@ class TopLProcessor:
         counters: PruningCounters,
         statistics: QueryStatistics,
         scored_vertex_sets: set,
-        truss_core: Optional[bytearray] = None,
     ) -> Optional[SeedCommunity]:
         """Apply community-level pruning to a candidate centre, then refine it.
 
-        ``truss_core`` is the fast backend's per-query T_Q bitmap over
-        vertex ints (``None`` on the reference backend); the fast leaf scan
-        has already dropped centres outside Q when keyword pruning is on.
+        The reference backend's per-centre step, as Algorithm 3 writes it;
+        the fast backend runs :meth:`_fast_leaf_scan` instead.
         """
         statistics.candidates_examined += 1
         aggregates = self.index.vertex_aggregates(vertex)
@@ -301,9 +293,7 @@ class TopLProcessor:
             if keyword_prune_by_bitvector(radius_aggregates.bitvector, query_bv):
                 counters.keyword += 1
                 return None
-            if truss_core is None and not center_has_query_keyword(
-                self.graph, vertex, query.keywords
-            ):
+            if not center_has_query_keyword(self.graph, vertex, query.keywords):
                 counters.keyword += 1
                 return None
         if self.pruning.support and (
@@ -319,18 +309,112 @@ class TopLProcessor:
             return None
 
         # Refinement: extract the seed community and score it exactly.
-        if truss_core is None:
-            candidate_view = hop_subgraph(self.graph, vertex, query.radius)
-            vertices = extract_seed_community(self.graph, vertex, query, candidate_view)
-        else:
-            table = self._workspace.core.table
-            members = self._workspace.seed_community(
-                table.index_of(vertex), query.radius, query.k, truss_core
-            )
-            vertices = frozenset(map(table.id_of, members)) if members else None
+        candidate_view = hop_subgraph(self.graph, vertex, query.radius)
+        vertices = extract_seed_community(self.graph, vertex, query, candidate_view)
         if not vertices:
             counters.radius += 1
             return None
+        return self._score_community(vertex, vertices, query, statistics, scored_vertex_sets)
+
+    def _fast_leaf_scan(
+        self,
+        query: TopLQuery,
+        results: _ResultSet,
+        counters: PruningCounters,
+        statistics: QueryStatistics,
+        scored_vertex_sets: set,
+    ):
+        """The fast backend's leaf scan for ``query``: ``scan(centres)``.
+
+        Builds the query's qualified core once — Q from the keyword
+        postings, then one k-truss peel of G[Q] for T_Q and its components
+        — and returns a closure over those and the other per-query
+        constants that does :meth:`_process_leaf_vertex`'s job for a whole
+        visited leaf, with the same counters in the same visit order:
+
+        * With keyword pruning on, a centre outside Q fails Lemma 1's
+          centre check, so it is counted as examined and keyword-pruned by
+          arithmetic.  A Q member passes both keyword checks: it carries a
+          query keyword, and that keyword's bit is in its r-hop ball vector
+          (a vertex's own bits are in its ball vector; a Bloom filter has
+          no false negatives), so neither check runs.  With keyword pruning
+          off, every centre is scanned and no keyword check runs.
+        * The support and score checks run as the reference runs them,
+          against the live ``sigma_L``.
+        * A centre outside T_Q has no seed community, so it counts as an
+          empty extraction (``pruned_by_radius``) without a kernel call.
+          A T_Q centre calls
+          :meth:`~repro.fastgraph.kernels.CSRWorkspace.seed_community` with
+          the components; when it answers with a whole component, the id
+          frozenset is built once per component.
+        """
+        workspace = self._fast_workspace()
+        qualified, members = workspace.qualified(query.keywords)
+        truss_core, components = workspace.qualified_truss(qualified, members, query.k)
+        id_of = workspace.core.table.id_of
+        qualified_ids = set(map(id_of, members)) if self.pruning.keyword else None
+        # T_Q vertex id -> vertex int.
+        truss_ints = {id_of(vertex): vertex for vertex in components}
+        component_ids: dict = {}
+        vertex_aggregates = self.index.vertex_aggregates
+        seed_community = workspace.seed_community
+        check_support, check_score = self.pruning.support, self.pruning.score
+        radius, k, theta = query.radius, query.k, query.theta
+
+        def scan(centres) -> None:
+            if qualified_ids is not None:
+                kept = [vertex for vertex in centres if vertex in qualified_ids]
+                skipped = len(centres) - len(kept)
+                statistics.candidates_examined += skipped
+                counters.keyword += skipped
+                centres = kept
+            for vertex in centres:
+                statistics.candidates_examined += 1
+                if check_support or check_score:
+                    aggregates = vertex_aggregates(vertex)
+                    radius_aggregates = aggregates.per_radius[radius]
+                    if check_support and (
+                        support_prune(radius_aggregates.support_upper_bound, k)
+                        or trussness_prune(aggregates.center_trussness, k)
+                    ):
+                        counters.support += 1
+                        continue
+                    if check_score and score_prune(
+                        radius_aggregates.score_bound_for(theta), results.sigma_l
+                    ):
+                        counters.score += 1
+                        continue
+                centre = truss_ints.get(vertex)
+                if centre is None:
+                    counters.radius += 1
+                    continue
+                found = seed_community(centre, radius, k, truss_core, components)
+                if not found:
+                    counters.radius += 1
+                    continue
+                if type(found) is frozenset:
+                    vertices = component_ids.get(found)
+                    if vertices is None:
+                        vertices = component_ids[found] = frozenset(map(id_of, found))
+                else:
+                    vertices = frozenset(map(id_of, found))
+                community = self._score_community(
+                    vertex, vertices, query, statistics, scored_vertex_sets
+                )
+                if community is not None:
+                    results.consider(community)
+
+        return scan
+
+    def _score_community(
+        self,
+        vertex: VertexId,
+        vertices: frozenset,
+        query: TopLQuery,
+        statistics: QueryStatistics,
+        scored_vertex_sets: set,
+    ) -> Optional[SeedCommunity]:
+        """Score an extracted community unless an earlier centre already did."""
         if vertices in scored_vertex_sets:
             return None
         scored_vertex_sets.add(vertices)

@@ -8,7 +8,12 @@
 * :meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified_truss` must ``==``
   the vertex set of the reference :func:`~repro.truss.ktruss.maximal_ktruss`
   on the induced subgraph G[Q], for every ``k`` including 2 and for an
-  empty Q.
+  empty Q; its components must partition that set into the reference
+  :func:`~repro.truss.ktruss.ktruss_component_of` components.
+* Every index record's own keyword bits lie in each of its ball vectors
+  (the ground on which the fast leaf scan skips Lemma 1's Bloom check for
+  Q members): after a build, after incremental batches on both backends,
+  and on a store-opened engine.
 * A fast :class:`~repro.query.topl.TopLProcessor` handed only a workspace
   (no ``frozen`` snapshot) answers and counts exactly like the reference.
 """
@@ -26,9 +31,10 @@ from repro.fastgraph.csr import freeze
 from repro.fastgraph.delta import DeltaCSR
 from repro.fastgraph.kernels import CSRWorkspace
 from repro.graph.subgraph import SubgraphView
+from repro.keywords.bitvector import BitVector
 from repro.query.params import make_topl_query
 from repro.query.topl import TopLProcessor
-from repro.truss.ktruss import maximal_ktruss
+from repro.truss.ktruss import ktruss_component_of, maximal_ktruss
 from tests.fastgraph.test_seed_extraction_csr import (
     DOMAIN,
     KS,
@@ -125,6 +131,41 @@ def test_postings_after_rebind_onto_an_overlay():
     _assert_postings_match_scan(workspace)
 
 
+def _assert_own_bits_in_every_ball(engine) -> None:
+    """Each record's keyword bits are its vertex's, and lie in every ball vector.
+
+    The fast leaf scan skips Lemma 1's Bloom check for Q members on this
+    ground: a centre carrying a query keyword has that keyword's bit in its
+    own vector, hence in its r-hop ball vector, so the check cannot fail.
+    """
+    precomputed = engine.index.precomputed
+    assert set(precomputed.vertex_aggregates) == set(engine.graph.vertices())
+    for vertex in engine.graph.vertices():
+        record = engine.index.vertex_aggregates(vertex)
+        own = record.keyword_bitvector
+        assert own == BitVector.from_keywords(engine.graph.keywords(vertex), precomputed.num_bits)
+        for radius in precomputed.supported_radii():
+            assert record.for_radius(radius).bitvector.contains_all(own), (vertex, radius)
+
+
+@pytest.mark.parametrize("backend", ("reference", "fast"))
+@pytest.mark.parametrize("seed", range(2))
+def test_own_keyword_bits_lie_in_every_ball_after_updates(backend, seed):
+    graph = _graph("planted-str", seed)
+    config = EngineConfig(
+        max_radius=3, thresholds=(0.1, 0.2), fanout=3, leaf_capacity=4,
+        backend=backend, damage_threshold=1.0,
+    )
+    engine = InfluentialCommunityEngine.build(graph, config=config, validate=False)
+    _assert_own_bits_in_every_ball(engine)
+    rng = random.Random(seed)
+    for script in (_overlay_script(engine.graph, rng), _arrivals(engine.graph, rng)):
+        report = engine.apply_updates(script)
+        # Both scripts intern keyword-carrying new vertices.
+        assert report.mode == "incremental" and report.new_vertices
+        _assert_own_bits_in_every_ball(engine)
+
+
 def test_postings_on_a_store_opened_engine(tmp_path):
     fast = _fast_engine(_graph("smallworld-str", 6))
     path = tmp_path / "qualified.repro-store"
@@ -132,9 +173,11 @@ def test_postings_on_a_store_opened_engine(tmp_path):
     opened = InfluentialCommunityEngine.from_store(str(path))
     assert opened.config.backend == "fast"
     _assert_postings_match_scan(opened._workspace())
+    _assert_own_bits_in_every_ball(opened)
     report = opened.apply_updates(_arrivals(opened.graph, random.Random(6)))
     assert report.mode == "incremental" and report.new_vertices == 4
     _assert_postings_match_scan(opened._workspace())
+    _assert_own_bits_in_every_ball(opened)
 
 
 @pytest.mark.parametrize("kind", ("planted-str", "planted-tuple", "smallworld-str"))
@@ -148,13 +191,20 @@ def test_qualified_truss_matches_maximal_ktruss(kind, seed):
         qualified, members = workspace.qualified(keywords)
         induced = SubgraphView(graph, map(id_of, members))
         for k in KS:
-            bitmap, core = workspace.qualified_truss(qualified, members, k)
-            assert frozenset(map(id_of, core)) == maximal_ktruss(induced, k).vertices, (
-                sorted(keywords), k,
-            )
-            assert {vertex for vertex, bit in enumerate(bitmap) if bit} == core
+            bitmap, components = workspace.qualified_truss(qualified, members, k)
+            truss = maximal_ktruss(induced, k)
+            assert frozenset(map(id_of, components)) == truss.vertices, (sorted(keywords), k)
+            assert {vertex for vertex, bit in enumerate(bitmap) if bit} == set(components)
             assert len(bitmap) == len(qualified)
-            nonempty += bool(core)
+            # The components partition T_Q: one shared frozenset per
+            # component, holding exactly the vertices that map to it.
+            for vertex, component in components.items():
+                assert vertex in component
+                assert all(components[member] is component for member in component)
+                assert frozenset(map(id_of, component)) == ktruss_component_of(
+                    induced, k, id_of(vertex)
+                ), (sorted(keywords), k, id_of(vertex))
+            nonempty += bool(components)
     assert nonempty, "the sweep should include non-empty qualified cores"
 
 

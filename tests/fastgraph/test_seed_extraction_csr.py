@@ -6,9 +6,11 @@ must ``==`` what :func:`~repro.query.seed.extract_seed_community` returns
 (``None`` alike) for every centre and every ``(k, r)``, on seeded planted
 and small-world graphs with string and tuple vertex ids, on a mutated
 :class:`~repro.fastgraph.delta.DeltaCSR` overlay — started from the bare
-keyword bitmap Q and from the qualified-core bitmap T_Q
-(:meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified_truss`) alike.  A
-fresh workspace defers the ``neighbor_ints`` rows the kernel sweeps, so the
+keyword bitmap Q, from the qualified-core bitmap T_Q
+(:meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified_truss`), and from
+T_Q with its components (the shortcut the query path takes, including a
+strip whose centres all fall back to the fixpoint) alike.  A fresh
+workspace defers the ``neighbor_ints`` rows the kernel sweeps, so the
 kernel must build them.
 
 On top of the answers, the fast and reference backends must do the same
@@ -78,24 +80,32 @@ def _graph(kind: str, seed: int) -> SocialNetwork:
     return _relabel(graph, lambda v: f"v{v}")
 
 
+#: The kernel's start states: the Q bitmap, the T_Q bitmap, and the T_Q
+#: bitmap with T_Q's components (the query path's component shortcut).
+STARTS = ("Q", "T_Q", "T_Q + components")
+
+
 def _start_bitmaps(workspace, query) -> dict:
-    """The Q bitmap (an O(V) ``keywords_of`` scan) and the T_Q bitmap of ``query``."""
+    """``(bitmap, components)`` per start state of ``query``.
+
+    Q is an O(V) ``keywords_of`` scan, independent of the postings.
+    """
     core = workspace.core
     qualified = bytearray(
         not query.keywords.isdisjoint(core.keywords_of(v)) for v in range(core.num_vertices)
     )
     members = {vertex for vertex, bit in enumerate(qualified) if bit}
-    truss_core, _ = workspace.qualified_truss(qualified, members, query.k)
-    return {"Q": qualified, "T_Q": truss_core}
+    truss_core, components = workspace.qualified_truss(qualified, members, query.k)
+    return dict(zip(STARTS, ((qualified, None), (truss_core, None), (truss_core, components))))
 
 
 def _kernel_answers(workspace, center, query, bitmaps=None) -> dict:
-    """The kernel's answer for ``center`` from each start bitmap."""
+    """The kernel's answer for ``center`` from each start state."""
     table = workspace.core.table
     answers = {}
-    for name, marked in (bitmaps or _start_bitmaps(workspace, query)).items():
+    for name, (marked, components) in (bitmaps or _start_bitmaps(workspace, query)).items():
         members = workspace.seed_community(
-            table.index_of(center), query.radius, query.k, marked
+            table.index_of(center), query.radius, query.k, marked, components
         )
         answers[name] = frozenset(map(table.id_of, members)) if members else None
     return answers
@@ -112,7 +122,7 @@ def _assert_every_centre_matches(graph, workspace, keyword_sets) -> int:
                 for center in graph.vertices():
                     expected = extract_seed_community(graph, center, query)
                     answers = _kernel_answers(workspace, center, query, bitmaps)
-                    assert answers == {"Q": expected, "T_Q": expected}, (
+                    assert answers == dict.fromkeys(STARTS, expected), (
                         center, sorted(keywords), k, radius,
                     )
                     found += expected is not None
@@ -152,7 +162,7 @@ def test_special_centres():
     def both(center, k, radius=2):
         query = make_topl_query({"art"}, k=k, radius=radius, theta=0.2, top_l=1)
         expected = extract_seed_community(graph, center, query)
-        assert _kernel_answers(workspace, center, query) == {"Q": expected, "T_Q": expected}
+        assert _kernel_answers(workspace, center, query) == dict.fromkeys(STARTS, expected)
         return expected
 
     # A centre without a query keyword, and an isolated qualified centre.
@@ -165,6 +175,40 @@ def test_special_centres():
     assert both("a", 4) == frozenset("abcd")
     assert both("pair", 3) is None
     assert both("a", 5) is None
+
+
+def test_component_shortcut_falls_back_on_a_long_strip():
+    """A connected 3-truss longer than 2r: the shortcut declines, the fixpoint answers.
+
+    The triangle strip ``i ~ i+1, i ~ i+2`` is one T_Q component, but with
+    ``r = 1`` no centre reaches all of it, so every centre takes the
+    fallback from its G[K] ball and must still ``==`` the reference.
+    """
+    graph = SocialNetwork(name="strip")
+    length = 9
+    for vertex in range(length):
+        graph.add_vertex(vertex, {"art"})
+    for vertex in range(length):
+        for step in (1, 2):
+            if vertex + step < length:
+                graph.add_edge(vertex, vertex + step, 0.5)
+    workspace = CSRWorkspace(freeze(graph))
+    table = workspace.core.table
+    query = make_topl_query({"art"}, k=3, radius=1, theta=0.2, top_l=1)
+    bitmaps = _start_bitmaps(workspace, query)
+    truss_core, components = bitmaps["T_Q + components"]
+    assert len(set(map(id, components.values()))) == 1
+    for center in graph.vertices():
+        expected = extract_seed_community(graph, center, query)
+        assert _kernel_answers(workspace, center, query, bitmaps) == dict.fromkeys(
+            STARTS, expected
+        )
+        found = workspace.seed_community(
+            table.index_of(center), query.radius, query.k, truss_core, components
+        )
+        cluster = components[table.index_of(center)]
+        # The shortcut declined: a fresh strict, non-empty subset of K.
+        assert found is not cluster and found and set(found) < cluster
 
 
 def _overlay_script(graph: SocialNetwork, rng: random.Random) -> UpdateBatch:
