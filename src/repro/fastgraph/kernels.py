@@ -403,15 +403,14 @@ class CSRWorkspace:
                 else:
                     row.append(vertex)
 
-    def qualified(self, keywords) -> tuple[bytearray, set]:
-        """The query's qualified vertices Q: a bitmap over vertex ints and the set.
+    def qualified(self, keywords) -> set:
+        """The query's qualified vertices Q as a set of vertex ints.
 
         Q holds every vertex carrying at least one of ``keywords`` — the
-        union of their posting lists, so the cost is O(|Q|) set work plus
-        one zeroed bitmap.  The postings are built on the first call (one
-        pass over the core's keyword sets) and kept current by :meth:`sync`;
-        a compaction or rebuild swaps the whole workspace, so they rebuild
-        with it.
+        union of their posting lists, so the cost is O(|Q|) set work.  The
+        postings are built on the first call (one pass over the core's
+        keyword sets) and kept current by :meth:`sync`; a compaction or
+        rebuild swaps the whole workspace, so they rebuild with it.
         """
         if self._postings is None:
             self._postings = {}
@@ -422,24 +421,17 @@ class CSRWorkspace:
             row = postings.get(keyword)
             if row is not None:
                 members.update(row)
-        bitmap = bytearray(self.n)
-        for vertex in members:
-            bitmap[vertex] = 1
-        return bitmap, members
+        return members
 
-    def qualified_truss(self, qualified, members, k: int) -> tuple[bytearray, dict]:
+    def qualified_truss(self, members, k: int) -> dict:
         """T_Q, the maximal k-truss of the qualified induced subgraph G[Q].
 
-        ``qualified`` / ``members`` are :meth:`qualified`'s bitmap and set.
-        Returns a bitmap over vertex ints marking T_Q's vertex set (the
-        endpoints of its edges) and a map from each T_Q vertex to its
-        connected component of T_Q, one shared ``frozenset`` per component,
-        taken over the truss edges that survive the same peel.  Every seed
-        community of the query lies inside T_Q — it is a k-truss of
-        qualified vertices, hence a k-truss subgraph of G[Q] — and, being
-        connected, inside its centre's component; so :meth:`seed_community`
-        accepts the bitmap in place of Q and answers from the component
-        first, returning the same communities.
+        ``members`` is :meth:`qualified`'s set Q.  Returns a map from each
+        T_Q vertex (an endpoint of a surviving edge) to its connected
+        component of T_Q, one shared ``frozenset`` per component, taken
+        over the truss edges that survive the peel; T_Q's vertex set is
+        the map's keys.  Every seed community of the query lies inside its
+        centre's component (see :meth:`seed_community`).
         """
         self.ensure_entries()
         neighbor_ints = self.neighbor_ints
@@ -458,10 +450,7 @@ class CSRWorkspace:
             component = frozenset(seen)
             for vertex in component:
                 components[vertex] = component
-        bitmap = bytearray(len(qualified))
-        for vertex in components:
-            bitmap[vertex] = 1
-        return bitmap, components
+        return components
 
     def bfs_ball(self, source: int, max_depth: int) -> list[int]:
         """BFS from ``source`` to ``max_depth`` hops.
@@ -492,23 +481,15 @@ class CSRWorkspace:
         self.order = order
         return order
 
-    def seed_community(
-        self, center: int, radius: int, k: int, qualified, components=None
-    ) -> Optional[set]:
+    def seed_community(self, center: int, radius: int, k: int, components) -> Optional[set]:
         """The Definition 2 seed community of ``center`` as a set of vertex ints.
 
         Int-space twin of :func:`repro.query.seed.extract_seed_community`:
         the largest connected k-truss containing ``center`` whose vertices
         all carry a query keyword and lie within ``radius`` hops of
-        ``center`` *inside the community*.  ``qualified`` is a per-query
-        bitmap over vertex ints marking a superset of every such community:
-        either Q itself (non-zero = carries a query keyword, see
-        :meth:`qualified`) or, as the query path passes it, the qualified
-        core T_Q of :meth:`qualified_truss`.  ``components`` is optionally
-        that call's component map of T_Q for the same query and ``k``.
-        Returns ``None`` when no such community exists.  When the component
-        shortcut answers, the result is the shared component ``frozenset``
-        itself, so a caller can memoise per component.
+        ``center`` *inside the community*.  ``components`` is
+        :meth:`qualified_truss`'s component map of T_Q for the same query
+        and ``k``.  Returns ``None`` when no such community exists.
 
         Why the answer equals the reference extractor's exactly.  Call a
         vertex set *valid* when it contains ``center``, is all qualified,
@@ -522,69 +503,45 @@ class CSRWorkspace:
         ``F``, the loop stops at a valid set holding every valid subset of
         ``S`` — that is ``F`` itself, whatever the order of the reductions.
         The reference starts from ``hop(center, r)`` filtered to qualified
-        vertices; this kernel answers or rejects early, or starts from a
-        smaller ``S``:
+        vertices; this kernel answers at once or starts from a smaller
+        ``S``:
 
-        * **qualified core** — ``F`` is a k-truss of qualified vertices, so
-          its edges survive the k-truss peel of G[Q] and ``F`` lies inside
-          T_Q.  Marking T_Q instead of Q therefore keeps ``F`` inside every
-          set below; a centre outside T_Q returns ``None`` at once.
-        * **component shortcut** (given ``components``) — let ``K`` be the
-          centre's component of T_Q.  ``F``'s truss edges lie in T_Q (they
-          form a k-truss subgraph of G[Q]) and connect ``F`` to the
-          centre, so ``F ⊆ K``.  BFS G[K], non-truss edges included, to
+        * **qualified core** — ``F``'s truss edges form a k-truss subgraph
+          of G[Q], so they survive the peel of G[Q] and connect ``F`` to
+          the centre inside T_Q: ``F`` lies inside the centre's component
+          ``K``.  A centre outside T_Q returns ``None`` at once.
+        * **component shortcut** — BFS G[K], non-truss edges included, to
           depth ``radius``.  If that reaches all of ``K``, then ``K`` — a
           connected k-truss of qualified vertices, which peeling G[K]
           keeps — is itself valid, so ``K ⊆ F`` and ``K`` is the answer.
-          Otherwise the G[K] ball holds ``F`` (each member has a path of at
-          most ``radius`` hops inside ``F ⊆ K``), and the fixpoint starts
-          from it in place of the two steps below.
-        * **cheap reject** — a truss edge ``(center, w)`` of ``F`` lies in
-          ``k - 2`` triangles of ``F``, whose third vertices are marked
-          neighbours of both ``center`` and ``w``; so ``center`` keeps at
-          least ``k - 1`` such *spokes* (one for ``k = 2``).  Peeling the
-          spokes to marked neighbours whose triangle count among the
-          remaining spokes is below ``k - 2`` therefore never removes a
-          truss edge of ``F``; fewer than ``k - 1`` survivors prove ``F``
-          empty.  This touches only the centre's neighbourhood, and it
-          settles most candidates of a selective query.
-        * **marked ball** — BFS to depth ``radius`` through marked vertices
-          only; with the T_Q bitmap this is the T_Q ball.  Every member of
-          ``F`` is reached: it has a path of at most ``radius`` hops to
-          ``center`` inside ``F``, and ``F`` is all marked.  Hence ``F`` is
-          a subset of the ball.
+        * **fallback** — otherwise the G[K] ball holds ``F`` (each member
+          has a path of at most ``radius`` hops inside ``F ⊆ K``), and the
+          fixpoint starts from it.
 
         The truss reduction peels the induced subgraph locally with
         :func:`_peel_truss`, the same peel :meth:`qualified_truss` runs on
         G[Q].  The radius re-check BFSes the induced subgraph, non-truss
         edges included, exactly as the reference measures it.
         """
-        if not qualified[center]:
+        cluster = components.get(center)
+        if cluster is None:
             return None
         self.ensure_entries()
         neighbor_ints = self.neighbor_ints
         need = k - 1
         required = k - 2
-        if components is None:
-            current = self._marked_ball(center, radius, need, required, qualified)
-            if current is None:
-                return None
-        else:
-            cluster = components.get(center)
-            if cluster is None:
-                return None
-            current = {center}
-            frontier = [center]
-            for _ in range(radius):
-                reached = []
-                for u in frontier:
-                    fresh = cluster.intersection(neighbor_ints[u])
-                    fresh -= current
-                    current |= fresh
-                    reached.extend(fresh)
-                frontier = reached
-            if len(current) == len(cluster):
-                return cluster
+        current = {center}
+        frontier = [center]
+        for _ in range(radius):
+            reached = []
+            for u in frontier:
+                fresh = cluster.intersection(neighbor_ints[u])
+                fresh -= current
+                current |= fresh
+                reached.extend(fresh)
+            frontier = reached
+        if len(current) == len(cluster):
+            return cluster
 
         while True:
             # Truss reduction: (k-1)-core and support peel, then the
@@ -618,37 +575,6 @@ class CSRWorkspace:
                 current = within
                 continue
             return current
-
-    def _marked_ball(self, center, radius, need, required, qualified) -> Optional[set]:
-        """The cheap spoke reject, then the marked ball of :meth:`seed_community`."""
-        neighbor_ints = self.neighbor_ints
-        spokes = {w for w in neighbor_ints[center] if qualified[w]}
-        if len(spokes) < need:
-            return None
-        if required > 0:
-            triangles = {w: spokes.intersection(neighbor_ints[w]) for w in spokes}
-            stack = [w for w, row in triangles.items() if len(row) < required]
-            while stack:
-                w = stack.pop()
-                for x in triangles.pop(w):
-                    row = triangles[x]
-                    row.discard(w)
-                    if len(row) == required - 1:
-                        stack.append(x)
-            if len(triangles) < need:
-                return None
-
-        current = {center}
-        frontier = [center]
-        for _ in range(radius):
-            reached = []
-            for u in frontier:
-                for w in neighbor_ints[u]:
-                    if qualified[w] and w not in current:
-                        current.add(w)
-                        reached.append(w)
-            frontier = reached
-        return current
 
     def propagate(self, seeds, threshold: float) -> list:
         """Truncated multi-source max-product Dijkstra from ``seeds``.

@@ -345,17 +345,15 @@ class TopLProcessor:
           empty extraction (``pruned_by_radius``) without a kernel call.
           A T_Q centre calls
           :meth:`~repro.fastgraph.kernels.CSRWorkspace.seed_community` with
-          the components; when it answers with a whole component, the id
-          frozenset is built once per component.
+          the components.
         """
         workspace = self._fast_workspace()
-        qualified, members = workspace.qualified(query.keywords)
-        truss_core, components = workspace.qualified_truss(qualified, members, query.k)
+        members = workspace.qualified(query.keywords)
+        components = workspace.qualified_truss(members, query.k)
         id_of = workspace.core.table.id_of
         qualified_ids = set(map(id_of, members)) if self.pruning.keyword else None
         # T_Q vertex id -> vertex int.
         truss_ints = {id_of(vertex): vertex for vertex in components}
-        component_ids: dict = {}
         vertex_aggregates = self.index.vertex_aggregates
         seed_community = workspace.seed_community
         check_support, check_score = self.pruning.support, self.pruning.score
@@ -388,18 +386,12 @@ class TopLProcessor:
                 if centre is None:
                     counters.radius += 1
                     continue
-                found = seed_community(centre, radius, k, truss_core, components)
+                found = seed_community(centre, radius, k, components)
                 if not found:
                     counters.radius += 1
                     continue
-                if type(found) is frozenset:
-                    vertices = component_ids.get(found)
-                    if vertices is None:
-                        vertices = component_ids[found] = frozenset(map(id_of, found))
-                else:
-                    vertices = frozenset(map(id_of, found))
                 community = self._score_community(
-                    vertex, vertices, query, statistics, scored_vertex_sets
+                    vertex, frozenset(map(id_of, found)), query, statistics, scored_vertex_sets
                 )
                 if community is not None:
                     results.consider(community)

@@ -58,13 +58,12 @@ def _assert_postings_match_scan(workspace) -> None:
     core = workspace.core
     assert workspace.n == core.num_vertices
     for keywords in KEYWORD_SETS:
-        expected = bytearray(
-            not keywords.isdisjoint(core.keywords_of(vertex))
+        expected = {
+            vertex
             for vertex in range(core.num_vertices)
-        )
-        bitmap, members = workspace.qualified(keywords)
-        assert bitmap == expected, sorted(keywords)
-        assert members == {vertex for vertex, bit in enumerate(expected) if bit}
+            if not keywords.isdisjoint(core.keywords_of(vertex))
+        }
+        assert workspace.qualified(keywords) == expected, sorted(keywords)
 
 
 def _fast_engine(graph, **overrides) -> InfluentialCommunityEngine:
@@ -188,14 +187,12 @@ def test_qualified_truss_matches_maximal_ktruss(kind, seed):
     id_of = workspace.core.table.id_of
     nonempty = 0
     for keywords in _keyword_sets(seed) + [frozenset()]:
-        qualified, members = workspace.qualified(keywords)
+        members = workspace.qualified(keywords)
         induced = SubgraphView(graph, map(id_of, members))
         for k in KS:
-            bitmap, components = workspace.qualified_truss(qualified, members, k)
+            components = workspace.qualified_truss(members, k)
             truss = maximal_ktruss(induced, k)
             assert frozenset(map(id_of, components)) == truss.vertices, (sorted(keywords), k)
-            assert {vertex for vertex, bit in enumerate(bitmap) if bit} == set(components)
-            assert len(bitmap) == len(qualified)
             # The components partition T_Q: one shared frozenset per
             # component, holding exactly the vertices that map to it.
             for vertex, component in components.items():

@@ -5,17 +5,16 @@ backend's online kernel.  Mapped back through ``table.id_of``, its answer
 must ``==`` what :func:`~repro.query.seed.extract_seed_community` returns
 (``None`` alike) for every centre and every ``(k, r)``, on seeded planted
 and small-world graphs with string and tuple vertex ids, on a mutated
-:class:`~repro.fastgraph.delta.DeltaCSR` overlay — started from the bare
-keyword bitmap Q, from the qualified-core bitmap T_Q
-(:meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified_truss`), and from
-T_Q with its components (the shortcut the query path takes, including a
-strip whose centres all fall back to the fixpoint) alike.  A fresh
-workspace defers the ``neighbor_ints`` rows the kernel sweeps, so the
-kernel must build them.
+:class:`~repro.fastgraph.delta.DeltaCSR` overlay, and on a strip whose
+centres all decline the component shortcut and fall back to the fixpoint.
+The kernel answers from the T_Q components of
+:meth:`~repro.fastgraph.kernels.CSRWorkspace.qualified_truss`, built here
+from Q by a ``keywords_of`` scan.  A fresh workspace defers the
+``neighbor_ints`` rows the kernel sweeps, so the peel must build them.
 
 On top of the answers, the fast and reference backends must do the same
 *work*: every :class:`~repro.query.results.QueryStatistics` counter agrees
-(the kernel's cheap reject counts as ``pruned_by_radius``, exactly like an
+(a centre outside T_Q counts as ``pruned_by_radius``, exactly like an
 empty extraction), except the wall clock and the cache counters.
 
 ``REPRO_TEST_KERNELS`` pins the offline kernel tier of the engine-level
@@ -80,35 +79,29 @@ def _graph(kind: str, seed: int) -> SocialNetwork:
     return _relabel(graph, lambda v: f"v{v}")
 
 
-#: The kernel's start states: the Q bitmap, the T_Q bitmap, and the T_Q
-#: bitmap with T_Q's components (the query path's component shortcut).
-STARTS = ("Q", "T_Q", "T_Q + components")
-
-
-def _start_bitmaps(workspace, query) -> dict:
-    """``(bitmap, components)`` per start state of ``query``.
+def _components(workspace, query) -> dict:
+    """T_Q's component map for ``query``.
 
     Q is an O(V) ``keywords_of`` scan, independent of the postings.
     """
     core = workspace.core
-    qualified = bytearray(
-        not query.keywords.isdisjoint(core.keywords_of(v)) for v in range(core.num_vertices)
-    )
-    members = {vertex for vertex, bit in enumerate(qualified) if bit}
-    truss_core, components = workspace.qualified_truss(qualified, members, query.k)
-    return dict(zip(STARTS, ((qualified, None), (truss_core, None), (truss_core, components))))
+    members = {
+        vertex
+        for vertex in range(core.num_vertices)
+        if not query.keywords.isdisjoint(core.keywords_of(vertex))
+    }
+    return workspace.qualified_truss(members, query.k)
 
 
-def _kernel_answers(workspace, center, query, bitmaps=None) -> dict:
-    """The kernel's answer for ``center`` from each start state."""
+def _kernel_answer(workspace, center, query, components=None):
+    """The kernel's answer for ``center`` as a frozenset of vertex ids, or ``None``."""
     table = workspace.core.table
-    answers = {}
-    for name, (marked, components) in (bitmaps or _start_bitmaps(workspace, query)).items():
-        members = workspace.seed_community(
-            table.index_of(center), query.radius, query.k, marked, components
-        )
-        answers[name] = frozenset(map(table.id_of, members)) if members else None
-    return answers
+    if components is None:
+        components = _components(workspace, query)
+    members = workspace.seed_community(
+        table.index_of(center), query.radius, query.k, components
+    )
+    return frozenset(map(table.id_of, members)) if members else None
 
 
 def _assert_every_centre_matches(graph, workspace, keyword_sets) -> int:
@@ -118,13 +111,11 @@ def _assert_every_centre_matches(graph, workspace, keyword_sets) -> int:
         for k in KS:
             for radius in RADII:
                 query = make_topl_query(keywords, k=k, radius=radius, theta=0.2, top_l=3)
-                bitmaps = _start_bitmaps(workspace, query)
+                components = _components(workspace, query)
                 for center in graph.vertices():
                     expected = extract_seed_community(graph, center, query)
-                    answers = _kernel_answers(workspace, center, query, bitmaps)
-                    assert answers == dict.fromkeys(STARTS, expected), (
-                        center, sorted(keywords), k, radius,
-                    )
+                    answer = _kernel_answer(workspace, center, query, components)
+                    assert answer == expected, (center, sorted(keywords), k, radius)
                     found += expected is not None
     return found
 
@@ -162,7 +153,7 @@ def test_special_centres():
     def both(center, k, radius=2):
         query = make_topl_query({"art"}, k=k, radius=radius, theta=0.2, top_l=1)
         expected = extract_seed_community(graph, center, query)
-        assert _kernel_answers(workspace, center, query) == dict.fromkeys(STARTS, expected)
+        assert _kernel_answer(workspace, center, query) == expected
         return expected
 
     # A centre without a query keyword, and an isolated qualified centre.
@@ -195,16 +186,13 @@ def test_component_shortcut_falls_back_on_a_long_strip():
     workspace = CSRWorkspace(freeze(graph))
     table = workspace.core.table
     query = make_topl_query({"art"}, k=3, radius=1, theta=0.2, top_l=1)
-    bitmaps = _start_bitmaps(workspace, query)
-    truss_core, components = bitmaps["T_Q + components"]
+    components = _components(workspace, query)
     assert len(set(map(id, components.values()))) == 1
     for center in graph.vertices():
         expected = extract_seed_community(graph, center, query)
-        assert _kernel_answers(workspace, center, query, bitmaps) == dict.fromkeys(
-            STARTS, expected
-        )
+        assert _kernel_answer(workspace, center, query, components) == expected
         found = workspace.seed_community(
-            table.index_of(center), query.radius, query.k, truss_core, components
+            table.index_of(center), query.radius, query.k, components
         )
         cluster = components[table.index_of(center)]
         # The shortcut declined: a fresh strict, non-empty subset of K.
