@@ -531,55 +531,65 @@ class InfluentialCommunityEngine:
             # across the lifetime of a long-lived session.
             core.mutation_log.clear()
 
-        affected, influenced = affected_centers(
-            self.graph,
-            delta,
-            max_radius=self.index.max_radius,
-            theta_min=min(self.index.thresholds),
-            core=core,
-        )
-        total = self.graph.num_vertices()
-        ratio = len(affected) / total if total else 0.0
-        dirt = 0.0
-        compacted = False
-
-        if ratio > threshold:
-            # The overlay tracked every edit, so the fallback folds it into
-            # a pure CSR (identical to re-freezing the mutated graph) and
-            # rebuilds the offline phase over that.
-            self._reset_dynamic_state(compact_overlay=True)
-            self._rebuild_offline()
-            mode = "rebuild"
-        else:
-            new_vertices = list(delta.new_vertices)
-            new_vertex_set = set(new_vertices)
-            ordered = sorted(affected, key=repr)
-            if self.config.backend == "fast":
-                from repro.fastgraph.offline import RefreshCache, fast_refresh_records
-
-                cache = self._refresh_cache
-                if cache is None:
-                    cache = self._refresh_cache = RefreshCache()
-                cache.invalidate(core.table.index_of, influenced, delta)
-                fast_refresh_records(
-                    core, self._workspace(), self.index.precomputed, ordered, state,
-                    cache,
-                )
-            else:
-                refresh_vertex_aggregates(
-                    self.graph, self.index.precomputed, ordered, state
-                )
-            patch_tree_index(
-                self.index,
-                changed_vertices=[v for v in ordered if v not in new_vertex_set],
-                added_vertices=new_vertices,
+        try:
+            affected, influenced = affected_centers(
+                self.graph,
+                delta,
+                max_radius=self.index.max_radius,
+                theta_min=min(self.index.thresholds),
+                core=core,
             )
-            mode = "incremental"
-            if self.config.backend == "fast":
-                dirt = core.dirt_ratio()
-                if dirt > self.config.compact_dirt_ratio:
-                    self._compact_overlay(core)
-                    compacted = True
+            total = self.graph.num_vertices()
+            ratio = len(affected) / total if total else 0.0
+            dirt = 0.0
+            compacted = False
+            patched = 0
+
+            if ratio > threshold:
+                # The overlay tracked every edit, so the fallback folds it
+                # into a pure CSR (identical to re-freezing the mutated graph)
+                # and rebuilds the offline phase over that.
+                self._reset_dynamic_state(compact_overlay=True)
+                self._rebuild_offline()
+                mode = "rebuild"
+            else:
+                new_vertices = list(delta.new_vertices)
+                new_vertex_set = set(new_vertices)
+                ordered = sorted(affected, key=repr)
+                if self.config.backend == "fast":
+                    from repro.fastgraph.offline import RefreshCache, fast_refresh_records
+
+                    cache = self._refresh_cache
+                    if cache is None:
+                        cache = self._refresh_cache = RefreshCache()
+                    cache.invalidate(core.table.index_of, influenced, delta)
+                    fast_refresh_records(
+                        core, self._workspace(), self.index.precomputed, ordered, state,
+                        cache,
+                    )
+                else:
+                    refresh_vertex_aggregates(
+                        self.graph, self.index.precomputed, ordered, state
+                    )
+                patched = patch_tree_index(
+                    self.index,
+                    changed_vertices=[v for v in ordered if v not in new_vertex_set],
+                    added_vertices=new_vertices,
+                )
+                mode = "incremental"
+                if self.config.backend == "fast":
+                    dirt = core.dirt_ratio()
+                    if dirt > self.config.compact_dirt_ratio:
+                        self._compact_overlay(core)
+                        compacted = True
+        except Exception:
+            # The graph and the overlay already carry the batch, but the
+            # records, the tree and the refresh cache may not: rebuild from
+            # the graph and bump the epoch so no cache serves the old state.
+            self._reset_dynamic_state(compact_overlay=False)
+            self._rebuild_offline()
+            self.epoch += 1
+            raise
 
         self.epoch += 1
         return UpdateReport(
@@ -597,6 +607,7 @@ class InfluentialCommunityEngine:
             elapsed_seconds=time.perf_counter() - started,
             overlay_dirt_ratio=dirt,
             compacted=compacted,
+            patched_nodes=patched,
         )
 
     def _invalidate_snapshot(self) -> None:

@@ -14,12 +14,16 @@ the mutated graph:
   edges still count as traversable);
 * the support of an edge inside the ball changed, or the trussness of an
   incident edge changed — those edges' endpoints are seeds too;
-* its influence propagation can cross a modified edge: a path from the seed
-  community through edge ``(a, b)`` with product >= theta only exists when
-  some seed reaches ``a`` with product >= theta, so the reverse max-product
-  Dijkstra from the modified endpoints (cut off at the smallest pre-selected
-  threshold) finds every seed vertex whose propagation could change, and the
-  centres within ``r_max`` hops of them inherit the taint.
+* the influence row of a ball member changed.  By Eq. 4,
+  ``cpp(g, w) = max_{u in g} upp(u, w)``, so a record's scores move only
+  through some member's single-source row ``upp(u, .)``, and that row
+  moves only through a path with product >= theta that crosses an edited
+  arc ``t -> h`` (in the pre- or post-update graph).  The path's prefix up
+  to its first edited arc is unedited, so ``upp(u, t) * p(t -> h)`` is at
+  least the path's product.  The reverse max-product Dijkstra therefore
+  starts at each edited arc's tail ``t`` with that arc's own probability
+  (cut off at the smallest pre-selected threshold), and the centres within
+  ``r_max`` hops of what it reaches inherit the taint.
 
 Everything outside that set keeps records that are bit-for-bit identical to
 what a fresh pre-computation would produce — the equivalence property suite
@@ -64,6 +68,9 @@ class UpdateReport:
     #: Whether the incremental path folded the overlay back into a pure CSR
     #: because the dirt ratio crossed ``EngineConfig.compact_dirt_ratio``.
     compacted: bool = False
+    #: Tree nodes whose aggregates the index patch recomputed (0 for noop
+    #: and rebuild batches, which patch nothing).
+    patched_nodes: int = 0
 
     @property
     def applied_mode(self) -> str:
@@ -94,6 +101,7 @@ class UpdateReport:
             "damage_threshold": self.damage_threshold,
             "overlay_dirt_ratio": round(self.overlay_dirt_ratio, 4),
             "compacted": self.compacted,
+            "patched_nodes": self.patched_nodes,
             "epoch": self.epoch,
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -129,21 +137,44 @@ def _union_rows(core: GraphCore, delta: UpdateDelta):
     return neighbors, probability
 
 
+def _edited_arcs(core: GraphCore, delta: UpdateDelta) -> list:
+    """``(tail, p(tail -> head))`` for both arcs of every edited edge.
+
+    A deletion carries the probabilities it recorded.  A surviving
+    insertion carries its current ones; an edge inserted and deleted again
+    in the same batch is no longer in the graph, and its deletion already
+    recorded its probabilities.
+    """
+    index_of = core.table.index_of
+    arcs = []
+    for u_id, v_id, p_uv, p_vu in delta.deleted_edges:
+        arcs.append((index_of(u_id), p_uv))
+        arcs.append((index_of(v_id), p_vu))
+    for u_id, v_id in delta.inserted_edges:
+        u, v = index_of(u_id), index_of(v_id)
+        if v in core.neighbor_row(u):
+            arcs.append((u, core.probability(u, v)))
+            arcs.append((v, core.probability(v, u)))
+    return arcs
+
+
 def reverse_influence_set(
     graph: SocialNetwork,
     delta: UpdateDelta,
-    sources: Iterable[VertexId],
     threshold: float,
     core: Optional[GraphCore] = None,
 ) -> set:
-    """Vertices that reach a modified endpoint with max-product >= threshold.
+    """Vertices ``w`` with ``upp(w, t) * p(t -> h) >= threshold`` for an edited arc.
 
     Runs a reverse multi-source max-product Dijkstra over the union of the
-    pre- and post-update edge sets: the step from ``vertex`` back to
-    ``neighbour`` multiplies by ``p(neighbour, vertex)`` — the probability the
-    neighbour activates the current vertex — because influence flows forward
-    along the path being reconstructed.  With ``threshold <= 0`` propagation
-    is unbounded, so every vertex is returned (the caller falls back to a
+    pre- and post-update edge sets, started at each edited arc's tail ``t``
+    with the arc's probability ``p(t -> h)``: the step from ``vertex`` back
+    to ``neighbour`` multiplies by ``p(neighbour, vertex)`` — the
+    probability the neighbour activates the current vertex — because
+    influence flows forward along the path being reconstructed.  Every
+    source whose ``upp`` row can differ after ``delta`` is in the result
+    (see the module docstring).  With ``threshold <= 0`` propagation is
+    unbounded, so every vertex is returned (the caller falls back to a
     rebuild).
 
     The traversal runs over int edge ids through the
@@ -151,12 +182,10 @@ def reverse_influence_set(
     the engine maintains (an :class:`~repro.graph.core.AdjacencyCore` view is
     built on the fly when omitted).
     """
-    sources = [s for s in sources if graph.has_vertex(s)]
     if threshold <= 0.0:
         return set(graph.vertices())
     if core is None:
         core = AdjacencyCore(graph)
-    index_of = core.table.index_of
     id_of = core.table.id_of
     neighbors, probability = _union_rows(core, delta)
     # This walk multiplies a path's probabilities endpoint-first; forward
@@ -166,11 +195,12 @@ def reverse_influence_set(
     # relative slack keeps the result a superset of every forward reach.
     cutoff = threshold * (1.0 - 1e-9)
     best: dict[int, float] = {}
-    counter = 0
-    heap: list[tuple[float, int, int]] = []
-    for source in sources:
-        heap.append((-1.0, counter, index_of(source)))
-        counter += 1
+    heap = [
+        (-p, counter, tail)
+        for counter, (tail, p) in enumerate(_edited_arcs(core, delta))
+        if p >= cutoff
+    ]
+    counter = len(heap)
     heapq.heapify(heap)
     while heap:
         negative, _, vertex = heapq.heappop(heap)
@@ -199,10 +229,12 @@ def affected_centers(
     """Centre vertices whose pre-computed records may differ after ``delta``.
 
     Returns ``(centres, influenced)``.  ``influenced`` is the reverse
-    influence set of the edited endpoints at ``theta_min``, endpoints
-    included: every vertex whose single-source propagation at
-    ``theta_min`` can have changed (the fast refresh drops exactly their
-    cached ``upp`` rows; with ``theta_min <= 0`` it is every vertex).
+    influence set of the edited arcs at ``theta_min``
+    (:func:`reverse_influence_set`) plus the edited endpoints: every vertex
+    whose single-source propagation at ``theta_min`` can have changed (the
+    fast refresh drops exactly their cached ``upp`` rows; with
+    ``theta_min <= 0`` it is every vertex).  The endpoints also seed the
+    ``r_max``-hop expansion, because their balls change.
 
     ``core`` is the engine's live :class:`~repro.graph.core.GraphCore` (kept
     in lockstep with ``graph`` by the truss state); when omitted a fresh
@@ -210,9 +242,8 @@ def affected_centers(
     """
     if core is None:
         core = AdjacencyCore(graph)
-    modified = set(delta.touched_vertices)
-    influenced = reverse_influence_set(graph, delta, modified, theta_min, core=core)
-    influenced.update(modified)
+    influenced = reverse_influence_set(graph, delta, theta_min, core=core)
+    influenced.update(delta.touched_vertices)
     seeds = {
         vertex
         for vertex in influenced | delta.changed_edge_vertices()

@@ -308,14 +308,15 @@ class RefreshCache:
     def invalidate(self, index_of, influenced, delta) -> None:
         """Drop the rows the batch behind ``delta`` may have changed.
 
-        ``influenced`` are the vertex ids that reach an edited endpoint with
-        max-product ``>= theta_min`` over the pre- and post-update edges
-        (plus the endpoints themselves), as
-        :func:`~repro.dynamic.maintenance.affected_centers` returns them.  A
-        row changes only if a path from its source with product
-        ``>= theta_min`` crosses an edited edge; that path's prefix up to
-        the first edited endpoint is unedited and at least as probable, so
-        the source is in ``influenced``.  Support arcs go for the edited
+        ``influenced`` are the vertex ids ``w`` with
+        ``upp(w, t) * p(t -> h) >= theta_min`` for some edited arc
+        ``t -> h`` over the pre- and post-update edges (plus the edited
+        endpoints), as :func:`~repro.dynamic.maintenance.affected_centers`
+        returns them.  A row changes only if a path from its source with
+        product ``>= theta_min`` crosses an edited arc; that path's prefix
+        up to and including its first edited arc is at least as probable,
+        and all of it but that arc is unedited, so the source is in
+        ``influenced``.  Support arcs go for the edited
         endpoints (``delta.touched_vertices``) and the endpoints of every
         support-changed edge (``delta.support_changed``).
         """

@@ -4,11 +4,19 @@ Instead of re-packing every vertex, the patcher rebuilds only the aggregates
 along the leaf-to-root paths of the vertices whose pre-computed records
 changed — stopping at the first node on a path whose aggregates come out
 unchanged — and appends brand-new vertices to existing leaves (or a fresh leaf
-under the root when they are full).  The resulting tree may *group* vertices
-differently from a from-scratch build — the builder sorts by a ranking key
-that patched records would shift — but every node aggregate is the exact
-combination of the records below it, so the index-level pruning stays sound
-and patched query answers match a freshly built index bit for bit.
+under the root when they are full).  How much it recomputes depends on the
+packing: the builder lays leaves out breadth-first over the graph
+(:mod:`repro.index.tree`), so the centres one local edit batch refreshes sit
+in a few leaves and the walks up share their ancestors.
+
+The resulting tree may *group* vertices differently from a from-scratch
+build — the builder's ranking and breadth-first order both follow the
+records and the edges that a batch shifts — but every node aggregate is the
+exact combination of the records below it, so the index-level pruning stays
+sound and patched query answers carry the same scores as a freshly built
+index.  Only the visit order can differ, and with it which centre a
+community is attributed to and which of two communities tied at ``sigma_L``
+is kept.
 """
 
 from __future__ import annotations

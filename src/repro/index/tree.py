@@ -1,11 +1,31 @@
 """Construction of the tree index ``I`` (Section V-B).
 
-The builder sorts vertices by a blend of their pre-computed support and score
+The builder ranks vertices by a blend of their pre-computed support and score
 bounds (as described in the paper's "Index Construction" paragraph), packs
-them into leaves of ``leaf_capacity`` vertices, and then groups nodes bottom-up
-with fanout ``gamma`` until a single root remains.  Sorting by the blended key
-places vertices with similar bounds in the same subtree, which sharpens the
-aggregate bounds and therefore the index-level pruning.
+them into leaves of ``leaf_capacity`` vertices in a locality order derived
+from that ranking, and then groups nodes bottom-up with fanout ``gamma``
+until a single root remains.
+
+Packing is by locality, not by the bare ranking sort.  Vertices are laid out
+in breadth-first order over the graph (after Wei et al., "Speedup Graph
+Processing by Graph Ordering", SIGMOD 2016): each search starts at the
+highest-ranked vertex not yet packed and visits neighbours in ranking order,
+so the layout depends on the records and the edge set, never on adjacency
+insertion order.  A dynamic edit changes the records of centres near the
+edit only, and under this packing those centres share a few leaves, so
+:func:`~repro.index.patch.patch_tree_index` recomputes a few leaves and
+their ancestors instead of leaves scattered over the whole tree.  On the
+``sparse-churn`` benchmark network (40 planted communities of 50, 125
+leaves) a 10-edit batch dirties ~20 leaves instead of ~70.  Reads there pay
+a little for it: the ranking sort had grouped the few centres the index can
+prune into leaves of their own, and reads now visit every leaf vertex
+instead of ~98% of them.
+
+The packing fixes the order in which queries visit centres, and with it
+which centre a reported community is attributed to (its ``center``) and
+which of several equal-score communities wins a tie at ``sigma_L``.  Scores
+do not depend on it, vertex sets only through such ties, and both backends
+build the same tree.
 """
 
 from __future__ import annotations
@@ -99,6 +119,32 @@ def _ranking_key(aggregates: VertexAggregates, max_radius: int) -> float:
     return (radius_aggregates.support_upper_bound + score) / 2.0
 
 
+def _locality_order(graph: SocialNetwork, ranked: list) -> list:
+    """Re-order ranked leaf entries breadth-first over ``graph``.
+
+    Each search starts at the highest-ranked entry not yet placed and
+    enqueues neighbours in ranking order, so the result is a function of the
+    ranking and the edge set alone.
+    """
+    rank = {entry.vertex: position for position, entry in enumerate(ranked)}
+    placed: set = set()
+    ordered: list = []
+    for entry in ranked:
+        if entry.vertex in placed:
+            continue
+        placed.add(entry.vertex)
+        queue = [entry.vertex]
+        for vertex in queue:
+            fresh = sorted(
+                (n for n in graph.neighbors(vertex) if n not in placed and n in rank),
+                key=rank.__getitem__,
+            )
+            placed.update(fresh)
+            queue.extend(fresh)
+        ordered.extend(ranked[rank[vertex]] for vertex in queue)
+    return ordered
+
+
 def build_tree_index(
     graph: SocialNetwork,
     precomputed: PrecomputedData | None = None,
@@ -145,6 +191,7 @@ def build_tree_index(
         key=lambda entry: _ranking_key(entry.aggregates, precomputed.max_radius),
         reverse=True,
     )
+    entries = _locality_order(graph, entries)
 
     next_node_id = 0
     leaves: list[IndexNode] = []

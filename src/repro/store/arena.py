@@ -31,8 +31,8 @@ Section map (version 1)
 Determinism: interning follows the graph's vertex iteration order, records
 are laid out in that dense order and reconstruction re-inserts them in the
 same order, so a store round trip rebuilds bit-identical aggregates and —
-because :func:`~repro.index.tree.build_tree_index` sorts stably — an
-identical tree.
+because :func:`~repro.index.tree.build_tree_index` packs by a function of
+the record order and the edge set alone — an identical tree.
 """
 
 from __future__ import annotations

@@ -127,8 +127,12 @@ class TestApplyUpdates:
         assert set(payload) >= {
             "affected_vertices", "damage_ratio", "damage_threshold",
             "support_changed_edges", "truss_changed_edges",
-            "overlay_dirt_ratio", "compacted",
+            "overlay_dirt_ratio", "compacted", "patched_nodes",
         }
+        assert payload["patched_nodes"] == report.patched_nodes > 0
+        assert bridge_engine.apply_updates(UpdateBatch()).as_dict()["patched_nodes"] == 0
+        rebuilt = bridge_engine.apply_updates([EdgeUpdate.insert(4, 5, 0.6)], rebuild=True)
+        assert rebuilt.as_dict()["patched_nodes"] == 0
 
     def test_config_damage_threshold_validation(self):
         with pytest.raises(QueryParameterError):
@@ -248,3 +252,79 @@ def test_reverse_set_survives_a_rounding_straddle(backend):
             engine.graph, max_radius=1, thresholds=(theta,), num_bits=config.num_bits
         )
         assert engine.index.precomputed.vertex_aggregates == fresh.vertex_aggregates
+
+
+#: ``(backend, stage)`` pairs: every stage that runs after the batch is
+#: applied to the graph; only the fast backend compacts an overlay.
+_FAILING_STAGES = [
+    (backend, stage)
+    for backend in ("reference", "fast")
+    for stage in ("affected", "refresh", "patch", "compact")
+    if not (stage == "compact" and backend == "reference")
+]
+
+
+def _stage_target(engine, stage):
+    """``(owner, attribute)`` of the callable that runs ``stage``."""
+    import repro.core.engine as engine_module
+    import repro.fastgraph.offline as offline_module
+
+    if stage == "affected":
+        return engine_module, "affected_centers"
+    if stage == "patch":
+        return engine_module, "patch_tree_index"
+    if stage == "compact":
+        return engine, "_compact_overlay"
+    if engine.config.backend == "fast":
+        return offline_module, "fast_refresh_records"
+    return engine_module, "refresh_vertex_aggregates"
+
+
+@pytest.mark.parametrize(("backend", "stage"), _FAILING_STAGES)
+def test_failed_stage_rebuilds_and_reraises(planted_graph, monkeypatch, backend, stage):
+    """An error after the graph has changed leaves a rebuilt engine, not a stale one."""
+    from repro.index.precompute import precompute
+
+    config = dynamic_config(
+        backend=backend, max_radius=2, thresholds=(0.1, 0.2, 0.3), fanout=3,
+        leaf_capacity=4, compact_dirt_ratio=0.01,
+    )
+    engine = InfluentialCommunityEngine.build(planted_graph, config=config, validate=False)
+    engine.apply_updates([EdgeUpdate.delete(0, 1)], damage_threshold=1.0)
+
+    owner, name = _stage_target(engine, stage)
+    original = getattr(owner, name)
+    calls = []
+
+    def fail_once(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == 1:
+            raise RuntimeError(f"injected failure in {name}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, fail_once)
+    epoch = engine.epoch
+    with pytest.raises(RuntimeError, match="injected failure"):
+        engine.apply_updates(
+            [EdgeUpdate.insert(0, 1, 0.7), EdgeUpdate.delete(2, 3)], damage_threshold=1.0
+        )
+    assert calls == [name]
+    assert engine.epoch == epoch + 1
+    assert not engine.graph.has_edge(2, 3)
+    fresh = precompute(
+        engine.graph, max_radius=2, thresholds=(0.1, 0.2, 0.3), num_bits=config.num_bits
+    )
+    assert engine.index.precomputed.vertex_aggregates == fresh.vertex_aggregates
+
+    rebuilt = InfluentialCommunityEngine.build(engine.graph.copy(), config=config, validate=False)
+    follow_up = [EdgeUpdate.insert(2, 3, 0.5), EdgeUpdate.delete(16, 17)]
+    ours = engine.apply_updates(follow_up, damage_threshold=1.0).as_dict()
+    theirs = rebuilt.apply_updates(follow_up, damage_threshold=1.0).as_dict()
+    for report in (ours, theirs):
+        del report["elapsed_seconds"], report["epoch"]
+    assert ours == theirs
+    assert engine.index.precomputed.vertex_aggregates == rebuilt.index.precomputed.vertex_aggregates
+    query = make_topl_query({"movies"}, k=3, radius=2, theta=0.1, top_l=3)
+    answer = [(c.center, c.vertices, c.score) for c in engine.topl(query)]
+    assert answer == [(c.center, c.vertices, c.score) for c in rebuilt.topl(query)]
+    assert answer

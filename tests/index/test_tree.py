@@ -1,9 +1,16 @@
 """Unit tests for tree-index construction."""
 
+import random
+
 import pytest
 
+from repro.core.config import EngineConfig
+from repro.core.engine import InfluentialCommunityEngine
+from repro.dynamic.updates import EdgeUpdate
 from repro.exceptions import GraphError, IndexStateError
+from repro.graph.generators import planted_community_graph
 from repro.graph.social_network import SocialNetwork
+from repro.graph.traversal import bfs_distances
 from repro.index.node import EntryAggregates
 from repro.index.precompute import precompute
 from repro.index.tree import build_tree_index
@@ -152,3 +159,74 @@ class TestAggregateSoundness:
         )
         with pytest.raises(GraphError, match="mismatched widths: 32 vs 64"):
             EntryAggregates.combine([narrow, wide])
+
+
+def _leaves(node):
+    """The leaves under ``node``, left to right."""
+    if node.is_leaf:
+        return [node]
+    return [leaf for child in node.children for leaf in _leaves(child)]
+
+
+class TestLocalityPacking:
+    """Leaves are packed breadth-first over the graph, from the ranking order."""
+
+    def test_packing_ignores_edge_insertion_order(self, small_world_graph):
+        edges = [
+            (u, v, small_world_graph.probability(u, v), small_world_graph.probability(v, u))
+            for u, v in small_world_graph.edges()
+        ]
+        random.Random(7).shuffle(edges)
+        shuffled = SocialNetwork()
+        for vertex in small_world_graph.vertices():
+            shuffled.add_vertex(vertex, small_world_graph.keywords(vertex))
+        for u, v, p_uv, p_vu in edges:
+            shuffled.add_edge(v, u, p_vu, p_uv)
+        original = build_tree_index(small_world_graph, max_radius=2, leaf_capacity=8, fanout=4)
+        rebuilt = build_tree_index(shuffled, max_radius=2, leaf_capacity=8, fanout=4)
+        assert [leaf.vertices for leaf in _leaves(rebuilt.root)] == [
+            leaf.vertices for leaf in _leaves(original.root)
+        ]
+
+    def test_every_vertex_in_exactly_one_leaf(self, small_world_graph):
+        index = build_tree_index(small_world_graph, max_radius=1, leaf_capacity=6, fanout=3)
+        packed = [vertex for leaf in _leaves(index.root) for vertex in leaf.vertices]
+        assert sorted(packed) == sorted(small_world_graph.vertices())
+        assert all(1 <= len(leaf.vertices) <= 6 for leaf in _leaves(index.root))
+
+    def test_local_batch_dirties_few_leaves(self, monkeypatch):
+        """A 10-edit batch inside one radius-2 ball touches few of 125 leaves."""
+        import repro.core.engine as engine_module
+
+        graph = planted_community_graph(
+            [50] * 40, intra_probability=0.1, inter_probability=0.00005,
+            weight_range=(0.05, 0.3), rng=5,
+        )
+        engine = InfluentialCommunityEngine.build(
+            graph, config=EngineConfig(backend="fast", max_radius=2), validate=False
+        )
+        leaves = _leaves(engine.index.root)
+        assert len(leaves) == 125
+        leaf_of = {vertex: position for position, leaf in enumerate(leaves)
+                   for vertex in leaf.vertices}
+
+        rng = random.Random(5)
+        ball = []
+        while len(ball) < 8:
+            ball = sorted(bfs_distances(graph, rng.randrange(2000), max_depth=2))
+        existing = [(u, v) for u in ball for v in ball if u < v and graph.has_edge(u, v)]
+        missing = [(u, v) for u in ball for v in ball if u < v and not graph.has_edge(u, v)]
+        edits = [EdgeUpdate.delete(u, v) for u, v in rng.sample(existing, 5)]
+        edits += [EdgeUpdate.insert(u, v, 0.2) for u, v in rng.sample(missing, 5)]
+
+        touched = []
+        original = engine_module.patch_tree_index
+
+        def recording(index, changed_vertices=(), added_vertices=()):
+            touched.extend(changed_vertices)
+            return original(index, changed_vertices, added_vertices)
+
+        monkeypatch.setattr(engine_module, "patch_tree_index", recording)
+        report = engine.apply_updates(edits, damage_threshold=1.0)
+        assert report.mode == "incremental" and touched
+        assert len({leaf_of[vertex] for vertex in touched}) <= len(leaves) // 4
