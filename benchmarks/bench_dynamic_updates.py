@@ -46,6 +46,8 @@ COMMUNITY_SIZE = int(os.environ.get("REPRO_BENCH_DYNAMIC_COMMUNITY_SIZE", "50"))
 EDIT_FRACTION = 0.01
 #: Seed for the planted graph, its keywords and the edit batches.
 GRAPH_SEED = 13
+#: Timings per side of the at-scale speedup gate; each side keeps its best.
+SPEEDUP_REPEATS = 5
 
 _DYNAMIC_CONFIG = EngineConfig(max_radius=2, thresholds=(0.1, 0.2, 0.3))
 
@@ -121,6 +123,33 @@ def _measure_incremental_vs_rebuild(graph, engine, batch) -> dict:
     }
 
 
+def _best_incremental_vs_rebuild(graph, batch, repeats: int = SPEEDUP_REPEATS) -> dict:
+    """Best of ``repeats`` timings per side, each on a fresh engine and graph copy.
+
+    Every repetition builds an engine (untimed) over its own copy of
+    ``graph``, times ``batch`` applied to it and then a rebuild over the
+    mutated copy.  One run of either side on a shared host can be slowed
+    several-fold by its neighbours, so the ratio is taken between the two
+    fastest timings.
+    """
+    incremental, rebuild, modes = [], [], set()
+    for _ in range(repeats):
+        working = graph.copy()
+        engine = InfluentialCommunityEngine.build(
+            working, config=_DYNAMIC_CONFIG, validate=False
+        )
+        measurement = _measure_incremental_vs_rebuild(working, engine, batch)
+        modes.add(measurement["report"]["mode"])
+        incremental.append(measurement["incremental_seconds"])
+        rebuild.append(measurement["rebuild_seconds"])
+    return {
+        "modes": sorted(modes),
+        "incremental_seconds": incremental,
+        "rebuild_seconds": rebuild,
+        "speedup": round(min(rebuild) / min(incremental), 3),
+    }
+
+
 # --------------------------------------------------------------------------- #
 # pytest entry points
 # --------------------------------------------------------------------------- #
@@ -150,6 +179,9 @@ def test_incremental_matches_rebuild_answers(dynamic_fixture):
 def test_incremental_beats_rebuild_at_scale(dynamic_fixture):
     """The >= 5x criterion, asserted only at full benchmark scale.
 
+    Both sides are the best of :data:`SPEEDUP_REPEATS` timings on fresh
+    engines (:func:`_best_incremental_vs_rebuild`).
+
     At smoke scale (a handful of communities) the constant costs of the
     affected-region analysis dominate and the ratio is meaningless, so the
     assertion is skipped rather than reported as a regression — the recorded
@@ -160,11 +192,10 @@ def test_incremental_beats_rebuild_at_scale(dynamic_fixture):
             "speedup is only meaningful at full scale "
             f"(REPRO_BENCH_DYNAMIC_COMMUNITIES={NUM_COMMUNITIES} < 20)"
         )
-    graph, engine = dynamic_fixture
+    graph, _ = dynamic_fixture
     batch = localized_batch(graph, max(int(graph.num_edges() * EDIT_FRACTION), 8), rng=59)
-    measurement = _measure_incremental_vs_rebuild(graph, engine, batch)
-    measurement.pop("rebuilt_engine")
-    assert measurement["report"]["mode"] == "incremental"
+    measurement = _best_incremental_vs_rebuild(graph, batch)
+    assert measurement["modes"] == ["incremental"]
     assert measurement["speedup"] >= 5.0, measurement
 
 

@@ -36,22 +36,6 @@ class EntryAggregates:
     per_radius: dict  # radius -> RadiusAggregates
     trussness_bound: int = 2
 
-    def bitvector(self, radius: int) -> BitVector:
-        """Aggregated keyword signature for ``radius``."""
-        return self.per_radius[radius].bitvector
-
-    def support_bound(self, radius: int) -> int:
-        """Maximum edge-support upper bound for ``radius``."""
-        return self.per_radius[radius].support_upper_bound
-
-    def score_bounds(self, radius: int) -> tuple:
-        """``(theta_z, sigma_z)`` pairs for ``radius``."""
-        return self.per_radius[radius].score_bounds
-
-    def score_bound_for(self, radius: int, theta: float) -> float:
-        """Applicable score bound for an online threshold ``theta``."""
-        return self.per_radius[radius].score_bound_for(theta)
-
     @classmethod
     def from_vertex(cls, aggregates: VertexAggregates) -> "EntryAggregates":
         """Wrap the pre-computed record of a single vertex."""

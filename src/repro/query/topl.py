@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.exceptions import GraphError, IndexStateError
 from repro.graph.social_network import SocialNetwork, VertexId
 from repro.graph.traversal import hop_subgraph
 from repro.index.tree import TreeIndex, build_tree_index
 from repro.influence.propagation import community_propagation
 from repro.keywords.bitvector import BitVector
-from repro.pruning.index_rules import index_keyword_prune, index_score_prune, index_support_prune
 from repro.pruning.rules import (
     center_has_query_keyword,
     keyword_prune_by_bitvector,
@@ -83,6 +84,102 @@ class _ResultSet:
     def communities(self) -> tuple:
         """The current communities, best first."""
         return tuple(entry.community for entry in self._entries)
+
+
+def threshold_column(thresholds: tuple, theta: float) -> Optional[int]:
+    """The position in ``thresholds`` of the largest ``theta_z <= theta``.
+
+    ``None`` when ``theta`` is below every pre-selected threshold: no finite
+    bound applies, so the key is ``+inf`` and nothing is score-pruned.  Every
+    record and every node aggregate carries its ``score_bounds`` at exactly
+    ``index.thresholds``, ascending, so ``score_bounds[column][1]`` is the
+    bound :func:`~repro.pruning.rules.select_score_bound` would select.
+    """
+    column = bisect_right(thresholds, theta) - 1
+    return column if column >= 0 else None
+
+
+def walk_index(
+    index: TreeIndex,
+    query: TopLQuery,
+    pruning: PruningConfig,
+    results: Optional[_ResultSet],
+    counters: PruningCounters,
+    statistics: QueryStatistics,
+):
+    """Yield the leaves Algorithm 3 visits for ``query``, best bound first.
+
+    The heap is keyed on each entry's applicable score bound, ties broken by
+    push order.  Lemmas 5-7 are applied inline on the child's radius
+    aggregates against per-query constants: an int AND with the query's
+    keyword bits (:func:`~repro.pruning.index_rules.index_keyword_prune`),
+    int compares against ``k - 2`` and ``k``
+    (:func:`~repro.pruning.index_rules.index_support_prune`,
+    :func:`~repro.pruning.rules.trussness_prune`), and the bound at the
+    :func:`threshold_column`, which is both the score prune
+    (:func:`~repro.pruning.index_rules.index_score_prune`) and the heap key
+    (:func:`~repro.pruning.index_rules.entry_priority`).
+
+    ``results.sigma_l`` is read live, so the consumer's work on one leaf
+    tightens the checks on the entries after it; with score pruning off
+    ``results`` is never read and may be ``None``.  The walk counts
+    ``visited_index_nodes``, ``visited_leaf_vertices``,
+    ``heap_terminated_early`` and the ``index_*`` pruning counters.
+    """
+    root = index.root
+    if root is None:
+        return
+    radius, k = query.radius, query.k
+    required_support = k - 2
+    num_bits = index.precomputed.num_bits
+    query_bits = BitVector.from_keywords(query.keywords, num_bits).bits
+    column = threshold_column(index.thresholds, query.theta)
+    check_keyword, check_support = pruning.keyword, pruning.support
+    # Without a column every key is +inf, so no score check can fire.
+    check_score = pruning.score and column is not None
+    infinity = float("inf")
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    # Max-heap of (negated score bound, tie-breaker, node).
+    heap: list[tuple[float, int, object]] = [(-infinity, 0, root)]
+    counter = 1
+    while heap:
+        negative_key, _, node = heappop(heap)
+        statistics.visited_index_nodes += 1
+        if check_score and -negative_key <= results.sigma_l:
+            statistics.heap_terminated_early = True
+            return
+        if node.is_leaf:
+            statistics.visited_leaf_vertices += len(node.vertices)
+            yield node
+            continue
+        for child in node.children:
+            aggregates = child.aggregates
+            entry = aggregates.per_radius[radius]
+            if check_keyword:
+                vector = entry.bitvector
+                if vector.num_bits != num_bits:
+                    raise GraphError(
+                        f"bit vectors have mismatched widths: {vector.num_bits} vs {num_bits}"
+                    )
+                if not vector.bits & query_bits:
+                    counters.index_keyword += 1
+                    continue
+            if check_support and (
+                entry.support_upper_bound < required_support
+                or aggregates.trussness_bound < k
+            ):
+                counters.index_support += 1
+                continue
+            if column is None:
+                key = infinity
+            else:
+                key = entry.score_bounds[column][1]
+                if check_score and key <= results.sigma_l:
+                    counters.index_score += 1
+                    continue
+            heappush(heap, (-key, counter, child))
+            counter += 1
 
 
 class TopLProcessor:
@@ -171,59 +268,29 @@ class TopLProcessor:
         """Answer a TopL-ICDE query (Algorithm 3)."""
         started = time.perf_counter()
         self.index.validate_radius(query.radius)
-        query_bv = BitVector.from_keywords(query.keywords, self.index.precomputed.num_bits)
         counters = PruningCounters()
         statistics = QueryStatistics()
         results = _ResultSet(query.top_l)
 
-        root = self.index.root
-        if root is None:
-            statistics.elapsed_seconds = time.perf_counter() - started
-            return TopLResult(communities=(), statistics=statistics)
         # Distinct candidate centres frequently extract the same community
         # (every member of a dense cluster is a valid centre for it); scoring
         # is the expensive step, so communities are deduplicated before it.
         scored_vertex_sets: set[frozenset] = set()
-        fast_scan = None
-        if self.backend == "fast":
-            fast_scan = self._fast_leaf_scan(
-                query, results, counters, statistics, scored_vertex_sets
-            )
-
-        # Max-heap of (negated score bound, tie-breaker, node).
-        heap: list[tuple[float, int, object]] = []
-        counter = 0
-        heapq.heappush(heap, (-float("inf"), counter, root))
-        counter += 1
-
-        while heap:
-            negative_key, _, node = heapq.heappop(heap)
-            key = -negative_key
-            statistics.visited_index_nodes += 1
-            if self.pruning.score and key <= results.sigma_l:
-                statistics.heap_terminated_early = True
-                break
-
-            if node.is_leaf:
-                statistics.visited_leaf_vertices += len(node.vertices)
-                centres = self._leaf_centres(node.vertices)
-                if fast_scan is not None:
-                    fast_scan(centres)
-                    continue
-                for vertex in centres:
+        leaves = walk_index(self.index, query, self.pruning, results, counters, statistics)
+        if self.backend == "fast" and self.index.root is not None:
+            scan = self._fast_leaf_scan(query, results, counters, statistics, scored_vertex_sets)
+            for leaf in leaves:
+                scan(self._leaf_centres(leaf.vertices))
+        else:
+            query_bv = BitVector.from_keywords(query.keywords, self.index.precomputed.num_bits)
+            for leaf in leaves:
+                for vertex in self._leaf_centres(leaf.vertices):
                     community = self._process_leaf_vertex(
                         vertex, query, query_bv, results, counters, statistics,
                         scored_vertex_sets,
                     )
                     if community is not None:
                         results.consider(community)
-            else:
-                for child in node.children:
-                    if self._prune_index_entry(child, query, query_bv, results, counters):
-                        continue
-                    child_key = child.aggregates.score_bound_for(query.radius, query.theta)
-                    heapq.heappush(heap, (-child_key, counter, child))
-                    counter += 1
 
         statistics.pruned_by_keyword = counters.keyword + counters.index_keyword
         statistics.pruned_by_support = counters.support + counters.index_support
@@ -236,34 +303,6 @@ class TopLProcessor:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _prune_index_entry(
-        self,
-        entry,
-        query: TopLQuery,
-        query_bv: BitVector,
-        results: _ResultSet,
-        counters: PruningCounters,
-    ) -> bool:
-        """Apply the index-level rules (Lemmas 5-7) to a child entry."""
-        aggregates = entry.aggregates
-        if self.pruning.keyword and index_keyword_prune(
-            aggregates.bitvector(query.radius), query_bv
-        ):
-            counters.index_keyword += 1
-            return True
-        if self.pruning.support and (
-            index_support_prune(aggregates.support_bound(query.radius), query.k)
-            or trussness_prune(aggregates.trussness_bound, query.k)
-        ):
-            counters.index_support += 1
-            return True
-        if self.pruning.score and index_score_prune(
-            aggregates.score_bounds(query.radius), query.theta, results.sigma_l
-        ):
-            counters.index_score += 1
-            return True
-        return False
-
     def _leaf_centres(self, vertices: tuple):
         """The vertices of a visited leaf this processor answers as centres."""
         return vertices
@@ -339,8 +378,11 @@ class TopLProcessor:
           (a vertex's own bits are in its ball vector; a Bloom filter has
           no false negatives), so neither check runs.  With keyword pruning
           off, every centre is scanned and no keyword check runs.
-        * The support and score checks run as the reference runs them,
-          against the live ``sigma_L``.
+        * The support and score checks decide as the reference's do,
+          against the live ``sigma_L``, but on hoisted constants: int
+          compares against ``k - 2`` and ``k``, and the bound at the query's
+          :func:`threshold_column` of each record, read straight from the
+          ``precomputed.vertex_aggregates`` dict.
         * A centre outside T_Q has no seed community, so it counts as an
           empty extraction (``pruned_by_radius``) without a kernel call.
           A T_Q centre calls
@@ -354,10 +396,14 @@ class TopLProcessor:
         qualified_ids = set(map(id_of, members)) if self.pruning.keyword else None
         # T_Q vertex id -> vertex int.
         truss_ints = {id_of(vertex): vertex for vertex in components}
-        vertex_aggregates = self.index.vertex_aggregates
+        records = self.index.precomputed.vertex_aggregates
         seed_community = workspace.seed_community
-        check_support, check_score = self.pruning.support, self.pruning.score
-        radius, k, theta = query.radius, query.k, query.theta
+        radius, k = query.radius, query.k
+        required_support = k - 2
+        column = threshold_column(self.index.thresholds, query.theta)
+        check_support = self.pruning.support
+        # Without a column the bound is +inf and the score check cannot fire.
+        check_score = self.pruning.score and column is not None
 
         def scan(centres) -> None:
             if qualified_ids is not None:
@@ -369,17 +415,20 @@ class TopLProcessor:
             for vertex in centres:
                 statistics.candidates_examined += 1
                 if check_support or check_score:
-                    aggregates = vertex_aggregates(vertex)
-                    radius_aggregates = aggregates.per_radius[radius]
+                    try:
+                        record = records[vertex]
+                    except KeyError:
+                        raise IndexStateError(
+                            f"vertex {vertex!r} is not covered by the index"
+                        ) from None
+                    entry = record.per_radius[radius]
                     if check_support and (
-                        support_prune(radius_aggregates.support_upper_bound, k)
-                        or trussness_prune(aggregates.center_trussness, k)
+                        entry.support_upper_bound < required_support
+                        or record.center_trussness < k
                     ):
                         counters.support += 1
                         continue
-                    if check_score and score_prune(
-                        radius_aggregates.score_bound_for(theta), results.sigma_l
-                    ):
+                    if check_score and entry.score_bounds[column][1] <= results.sigma_l:
                         counters.score += 1
                         continue
                 centre = truss_ints.get(vertex)

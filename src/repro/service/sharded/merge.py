@@ -24,18 +24,15 @@ capacity, then run the stock lazy greedy centrally — selection order,
 
 from __future__ import annotations
 
-import heapq
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.exceptions import ServingError
 from repro.index.tree import TreeIndex
-from repro.keywords.bitvector import BitVector
-from repro.pruning.index_rules import index_keyword_prune, index_support_prune
-from repro.pruning.rules import trussness_prune
-from repro.pruning.stats import PruningConfig
+from repro.pruning.stats import PruningConfig, PruningCounters
 from repro.query.params import TopLQuery
 from repro.query.results import QueryStatistics, SeedCommunity
-from repro.query.topl import _ResultSet
+from repro.query.topl import _ResultSet, walk_index
 
 
 def canonical_visit_order(
@@ -43,9 +40,10 @@ def canonical_visit_order(
 ) -> dict:
     """Map each reachable candidate centre to its canonical visit position.
 
-    Mirrors the :class:`~repro.query.topl.TopLProcessor` traversal — same
-    heap keys, same counter tie-breaking, same keyword/support entry rules —
-    but applies **no score pruning and no early termination**, so the order
+    Runs the :class:`~repro.query.topl.TopLProcessor` traversal itself
+    (:func:`~repro.query.topl.walk_index`: same heap keys, same counter
+    tie-breaking, same keyword/support entry checks) with score pruning
+    off, so **no score pruning and no early termination**, and the order
     is a fixed point every shard's (score-pruned) traversal embeds into.
     Leaf-level pruning is irrelevant here: extra positions for centres no
     shard returns are harmless, while every returned centre is guaranteed a
@@ -53,35 +51,10 @@ def canonical_visit_order(
     """
     index.validate_radius(query.radius)
     positions: dict = {}
-    root = index.root
-    if root is None:
-        return positions
-    query_bv = BitVector.from_keywords(query.keywords, index.precomputed.num_bits)
-
-    heap: list[tuple[float, int, object]] = []
-    counter = 0
-    heapq.heappush(heap, (-float("inf"), counter, root))
-    counter += 1
-    while heap:
-        _, _, node = heapq.heappop(heap)
-        if node.is_leaf:
-            for vertex in node.vertices:
-                positions.setdefault(vertex, len(positions))
-            continue
-        for child in node.children:
-            aggregates = child.aggregates
-            if pruning.keyword and index_keyword_prune(
-                aggregates.bitvector(query.radius), query_bv
-            ):
-                continue
-            if pruning.support and (
-                index_support_prune(aggregates.support_bound(query.radius), query.k)
-                or trussness_prune(aggregates.trussness_bound, query.k)
-            ):
-                continue
-            child_key = child.aggregates.score_bound_for(query.radius, query.theta)
-            heapq.heappush(heap, (-child_key, counter, child))
-            counter += 1
+    unscored = replace(pruning, score=False)
+    for leaf in walk_index(index, query, unscored, None, PruningCounters(), QueryStatistics()):
+        for vertex in leaf.vertices:
+            positions.setdefault(vertex, len(positions))
     return positions
 
 
