@@ -6,8 +6,6 @@ on a mixed TopL/DTopL batch:
 
 * **in-process sequential** — ``CommunityService.batch`` with caches off;
   the baseline every other number is relative to.
-* **in-process parallel** — the same batch at ``workers=4``; doubles as the
-  **correctness gate**: its answers must be bit-identical to sequential.
 * **HTTP buffered** — ``POST /v1/batch`` against a live gateway on
   localhost, answers parsed back from JSON and asserted bit-identical to
   the in-process results.
@@ -86,7 +84,7 @@ def strip_statistics(result_document: dict) -> dict:
 
 
 def measure_paths(service: CommunityService, queries, batch_size=None) -> dict:
-    """All four paths over the same batch, with cross-path equivalence gates."""
+    """All three paths over the same batch, with cross-path equivalence gates."""
     queries = queries if batch_size is None else queries[:batch_size]
     request = BatchRequest(session=_SESSION, queries=queries)
     measurements: dict = {"batch_size": len(queries), "cpu_count": os.cpu_count()}
@@ -99,20 +97,6 @@ def measure_paths(service: CommunityService, queries, batch_size=None) -> dict:
     }
     sequential_wire = [strip_statistics(r) for r in sequential.results]
 
-    started = time.perf_counter()
-    parallel = service.batch(
-        BatchRequest(session=_SESSION, queries=queries, workers=4)
-    )
-    measurements["in_process_parallel"] = {
-        "elapsed_seconds": round(time.perf_counter() - started, 4),
-        "queries_per_second": parallel.statistics["queries_per_second"],
-        "mode": parallel.statistics["mode"],
-    }
-    # Correctness gate #1: parallel ≡ sequential, bit for bit.
-    assert [strip_statistics(r) for r in parallel.results] == sequential_wire, (
-        "parallel in-process answers differ from sequential"
-    )
-
     with AsyncServiceGateway(service, port=0) as gateway:
         url = gateway.url + "/v1/batch"
         started = time.perf_counter()
@@ -122,7 +106,7 @@ def measure_paths(service: CommunityService, queries, batch_size=None) -> dict:
             "elapsed_seconds": round(elapsed, 4),
             "queries_per_second": round(len(queries) / elapsed, 4) if elapsed else 0.0,
         }
-        # Correctness gate #2: the HTTP answer is the in-process answer.
+        # Correctness gate #1: the HTTP answer is the in-process answer.
         assert [
             strip_statistics(r) for r in buffered["results"]
         ] == json.loads(json.dumps(sequential_wire)), (
@@ -137,7 +121,7 @@ def measure_paths(service: CommunityService, queries, batch_size=None) -> dict:
             "elapsed_seconds": round(elapsed, 4),
             "queries_per_second": round(len(queries) / elapsed, 4) if elapsed else 0.0,
         }
-        # Correctness gate #3: streamed lines carry the same answers.
+        # Correctness gate #2: streamed lines carry the same answers.
         streamed = [
             strip_statistics(line["result"]) for line in lines if line["kind"] == "result"
         ]
@@ -164,12 +148,11 @@ def gateway_fixture():
 
 
 def test_http_roundtrip_identical_answers(gateway_fixture):
-    """The three correctness gates, at a small batch (CI smoke)."""
+    """The two correctness gates, at a small batch (CI smoke)."""
     _, service, queries = gateway_fixture
     measurements = measure_paths(service, queries, batch_size=min(len(queries), 8))
     assert set(measurements) >= {
         "in_process_sequential",
-        "in_process_parallel",
         "http_buffered",
         "http_streaming",
     }
@@ -232,12 +215,7 @@ def main(argv=None) -> int:
         "num_edges": graph.num_edges(),
         "measurements": measurements,
     }
-    for path in (
-        "in_process_sequential",
-        "in_process_parallel",
-        "http_buffered",
-        "http_streaming",
-    ):
+    for path in ("in_process_sequential", "http_buffered", "http_streaming"):
         print(f"{path}: {measurements[path]['queries_per_second']:.2f} queries/sec")
     if "http_overhead_factor" in measurements:
         print(

@@ -10,12 +10,6 @@ Each step's request and response documents are captured as JSON transcripts
 The script asserts the lifecycle invariants along the way: the update bumps
 the engine epoch, and the post-update answer differs from a stale cache
 (the epoch-tagged caches make serving a pre-update result impossible).
-
-With ``--shards N`` the same walkthrough runs against the sharded serving
-tier instead — a :class:`repro.service.ShardedCommunityService` (N worker
-processes per session, ``--replicas`` read replicas each) behind the same
-front door.  Every request, response and assertion is unchanged: sharding
-is invisible on the wire.
 """
 
 from __future__ import annotations
@@ -62,16 +56,6 @@ def main(argv=None) -> int:
         "--out", default=None, help="directory for the JSON transcripts"
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="run against the sharded tier with this many worker processes "
-        "per session (0 = one in-process engine per session)",
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=1, help="read replicas per shard"
-    )
-    parser.add_argument(
         "--store",
         action="store_true",
         help="build the session from a packed repro.store file instead of an "
@@ -89,15 +73,7 @@ def main(argv=None) -> int:
     graph = uni(num_vertices=args.vertices, rng=7)
     query = make_topl_query({"movies", "books"}, k=3, radius=2, theta=0.2, top_l=3)
 
-    if args.shards > 0:
-        from repro.service.sharded import ShardedCommunityService
-
-        service = ShardedCommunityService(
-            num_shards=args.shards, replicas=args.replicas, mode="process"
-        )
-        print(f"sharded tier: {args.shards} shards x {args.replicas} replicas")
-    else:
-        service = CommunityService()
+    service = CommunityService()
 
     store_dir = None
     store_path = None
@@ -178,17 +154,7 @@ def main(argv=None) -> int:
             provenance = session["engine"]["store"]
             assert provenance["store_backed"], provenance
             assert not provenance["attached"], provenance
-        if args.shards > 0:
-            shards = session["shards"]
-            assert shards["num_shards"] == args.shards, shards
-            assert all(
-                replica["alive"] and replica["epoch"] == 1
-                for shard in shards["shards"]
-                for replica in shard["replicas"]
-            ), shards
 
-    if args.shards > 0:
-        service.close()
     if store_dir is not None:
         store_dir.cleanup()
 

@@ -8,7 +8,7 @@ The CLI wires the library's pieces together for shell usage::
     repro topl graph.json --keywords movies,books --k 3 --radius 2 --theta 0.2 --top-l 3
     repro dtopl graph.json --keywords movies,books --top-l 3 --candidate-factor 3
     repro sweep graph.json --parameter theta
-    repro serve graph.json --queries 32 --workers 4 --repeat 2
+    repro serve graph.json --queries 32 --repeat 2
     repro batch graph.json --queries 32 --no-cache   # alias of `serve`
     repro update graph.json --script edits.json --out-graph graph2.json
     repro update graph.json --random 50 --out-script edits.json
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("serve", "batch"):
         serve = subparsers.add_parser(
             name,
-            help="answer a batch of mixed TopL/DTopL queries (workers + caching)",
+            help="answer a batch of mixed TopL/DTopL queries (with caching)",
         )
         _add_serve_arguments(serve)
 
@@ -201,20 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="session name the pre-loaded graph is hosted under",
     )
     gateway.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="partition each session over this many shard worker processes "
-        "(0 = serve each session from one in-process engine)",
-    )
-    gateway.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="read replicas per shard (round-robin routing, automatic "
-        "failover; only meaningful with --shards)",
-    )
-    gateway.add_argument(
         "--max-pending",
         type=int,
         default=64,
@@ -262,20 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-enforce-gates",
         action="store_true",
         help="report gate failures in the table instead of exiting non-zero",
-    )
-    scenario_run.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="additionally replay each scenario's trace on a sharded facade "
-        "with this many shards and gate answer equivalence against the "
-        "unsharded replay (0 = skip the sharded pass)",
-    )
-    scenario_run.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="read replicas per shard for the --shards replay",
     )
 
     scenario_report = actions.add_parser(
@@ -371,7 +343,6 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="fraction of the batch answered as DTopL-ICDE queries",
     )
     parser.add_argument("--candidate-factor", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
     parser.add_argument(
         "--repeat",
         type=int,
@@ -391,12 +362,6 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="propagation cache capacity",
-    )
-    parser.add_argument(
-        "--start-method",
-        default=None,
-        choices=["fork", "spawn", "forkserver"],
-        help="multiprocessing start method (default: fork when available)",
     )
     parser.add_argument("--out", default=None, help="optionally write a JSON report")
 
@@ -637,7 +602,6 @@ def _serving_config_from_args(args: argparse.Namespace) -> ServingConfig:
     result_cache = 0 if args.no_cache else args.result_cache
     propagation_cache = 0 if args.no_cache else args.propagation_cache
     return ServingConfig(
-        workers=args.workers,
         result_cache_capacity=(
             DEFAULT_RESULT_CACHE_CAPACITY if result_cache is None else result_cache
         ),
@@ -646,7 +610,6 @@ def _serving_config_from_args(args: argparse.Namespace) -> ServingConfig:
             if propagation_cache is None
             else propagation_cache
         ),
-        start_method=args.start_method,
     )
 
 
@@ -658,23 +621,16 @@ def _command_serve(args: argparse.Namespace) -> int:
     rows = []
     for round_number in range(1, max(args.repeat, 1) + 1):
         response = service.batch(
-            BatchRequest(
-                session=CLI_SESSION, queries=tuple(queries), workers=args.workers
-            )
+            BatchRequest(session=CLI_SESSION, queries=tuple(queries))
         )
         statistics = response.statistics
         rows.append(
             {
                 "round": round_number,
                 "queries": statistics["total_queries"],
-                "mode": statistics["mode"],
-                "workers": statistics["workers"],
                 "wall_clock_s": round(statistics["elapsed_seconds"], 4),
                 "qps": round(statistics["queries_per_second"], 2),
                 "cache_hits": statistics["result_cache_hits"],
-                # Propagation hits are counted inside the executing process,
-                # so parallel rounds report the workers' caches here even
-                # though the parent-side totals below stay at zero.
                 "prop_hits": statistics["propagation_cache_hits"],
                 "executed": statistics["executed"],
             }
@@ -791,17 +747,8 @@ def _command_update(args: argparse.Namespace) -> int:
 
 def _command_gateway(args: argparse.Namespace) -> int:
     from repro.service.agateway import AsyncServiceGateway
-    from repro.service.sharded import ShardedCommunityService
 
-    if args.shards > 0:
-        service = ShardedCommunityService(
-            num_shards=args.shards,
-            replicas=args.replicas,
-            mode="process",
-            supervise_interval=2.0,
-        )
-    else:
-        service = CommunityService()
+    service = CommunityService()
     if args.graph:
         response = service.build(
             BuildRequest(
@@ -821,18 +768,13 @@ def _command_gateway(args: argparse.Namespace) -> int:
         service, host=args.host, port=args.port, max_pending=args.max_pending
     )
     gateway.start()
-    topology = (
-        f"{args.shards} shards x {args.replicas} replicas, " if args.shards > 0 else ""
-    )
-    print(f"serving the v1 API on {gateway.url} ({topology}Ctrl-C to stop)")
+    print(f"serving the v1 API on {gateway.url} (Ctrl-C to stop)")
     try:
         gateway.serve_forever()
     except KeyboardInterrupt:
         print("gateway stopped")
     finally:
         gateway.shutdown()
-        if args.shards > 0:
-            service.close()
     return 0
 
 
@@ -879,7 +821,6 @@ def _command_scenario(args: argparse.Namespace) -> int:
             specs.extend(smoke_catalog())
         service = CommunityService()
         reports = []
-        sharded_failures = []
         for spec in specs:
             started = time.perf_counter()
             report = run_scenario(spec, service=service)
@@ -889,29 +830,11 @@ def _command_scenario(args: argparse.Namespace) -> int:
                 f"speedup {report.speedup:.2f}x)"
             )
             reports.append(report)
-            if args.shards > 0:
-                from repro.scenarios.sharded import run_scenario_sharded
-
-                sharded = run_scenario_sharded(
-                    spec, num_shards=args.shards, replicas=args.replicas
-                )
-                print(
-                    f"  sharded replay ({args.shards} shards): "
-                    f"equivalence={'ok' if sharded.equivalence else 'FAILED'} "
-                    f"over {sharded.operations} operations"
-                )
-                if not sharded.passed:
-                    sharded_failures.append(spec.name)
         print(format_scenario_table(reports))
         if args.out:
             write_scenarios_document(reports, args.out)
             print(f"scenario document written to {args.out}")
         failed = [report.scenario for report in reports if not report.passed]
-        failed.extend(
-            f"{name} (sharded replay)"
-            for name in sharded_failures
-            if name not in failed
-        )
         if failed and not args.no_enforce_gates:
             print(f"error: gates failed for: {', '.join(failed)}", file=sys.stderr)
             return 2

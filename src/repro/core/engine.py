@@ -32,17 +32,11 @@ from repro.dynamic.maintenance import (
 )
 from repro.dynamic.truss_maintenance import IncrementalTrussState
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
-from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.graph.social_network import SocialNetwork, VertexId
 from repro.graph.validation import validate_graph
 from repro.index.patch import patch_tree_index
 from repro.index.precompute import precompute
-from repro.index.serialization import (
-    load_index,
-    precomputed_from_dict,
-    precomputed_to_dict,
-    save_index,
-)
+from repro.index.serialization import load_index, save_index
 from repro.index.tree import TreeIndex, build_tree_index
 from repro.pruning.stats import PruningConfig
 from repro.query.baselines.kcore_baseline import compare_with_kcore, kcore_community
@@ -79,9 +73,8 @@ class InfluentialCommunityEngine:
         #: incremental updates patch it *in place* (no re-freeze); only
         #: rebuilds and compactions swap the object.  The workspace (scratch
         #: arrays over the snapshot) is shared the same way and re-synced
-        #: incrementally; it is single-threaded, which is safe because the
-        #: engine's own query methods are sequential (parallel serving
-        #: workers build their own).
+        #: incrementally; it is single-threaded, which is safe because every
+        #: query over this engine runs sequentially.
         self._frozen = None
         self._fast_workspace = None
         #: Reference backend's dynamic view (``AdjacencyCore``), kept in
@@ -90,8 +83,7 @@ class InfluentialCommunityEngine:
         #: Store anchoring (see :meth:`from_store` / :meth:`checkpoint_store`):
         #: the open :class:`~repro.store.StoreHandle` (keeps the mmap pages
         #: alive), its provenance dict, and the engine epoch the store file
-        #: matches.  Workers may attach to the file only while
-        #: ``epoch == _store_epoch`` (:meth:`store_attachment`).
+        #: matches (``attached`` in :meth:`store_provenance`).
         self._store_handle = None
         self._store_info: Optional[dict] = None
         self._store_epoch: Optional[int] = None
@@ -219,9 +211,9 @@ class InfluentialCommunityEngine:
         Works from any state — a pristine build, a store-backed session, or
         a dirty :class:`~repro.fastgraph.delta.DeltaCSR` overlay mid-stream
         (packing re-freezes the live graph, which equals compacting the
-        overlay) — and re-anchors the engine on the new file:
-        :meth:`store_attachment` is valid again until the next effective
-        update.  Returns the pack info dict.
+        overlay) — and re-anchors the engine on the new file: it reads as
+        ``attached`` again until the next effective update.  Returns the
+        pack info dict.
         """
         from repro.store import pack_store
 
@@ -241,21 +233,6 @@ class InfluentialCommunityEngine:
         self._store_epoch = self.epoch
         return info
 
-    def store_attachment(self) -> Optional[dict]:
-        """Worker-attach payload fragment, or ``None`` when not attachable.
-
-        Serving workers may reconstruct this engine by opening its store
-        file *only* while the engine still matches the packed generation
-        (``epoch == _store_epoch``): the store holds the base generation's
-        records, so attaching a dirty engine through it would pair stale
-        records with replayed edits.  After updates, :meth:`to_payload`
-        falls back to shipping the graph (or call :meth:`checkpoint_store`
-        first).
-        """
-        if self._store_info is not None and self._store_epoch == self.epoch:
-            return {"store_path": self._store_info["path"]}
-        return None
-
     def store_provenance(self) -> dict:
         """The storage-provenance block of :meth:`describe` (always present)."""
         if self._store_info is None:
@@ -265,51 +242,6 @@ class InfluentialCommunityEngine:
             **self._store_info,
             "attached": self._store_epoch == self.epoch,
         }
-
-    # ------------------------------------------------------------------ #
-    # shipping the engine to another process
-    # ------------------------------------------------------------------ #
-    def to_payload(self) -> dict:
-        """The picklable document :meth:`from_payload` rebuilds this engine from.
-
-        The one way an engine reaches another process (spawn-mode serving
-        workers, shard replicas).  While :meth:`store_attachment` is valid
-        the payload names only the store file, which the receiver mmaps —
-        start-up is flat in the graph size.  Otherwise it carries the live
-        graph (every applied update included) and the pre-computed records;
-        the receiver rebuilds the deterministic tree and, on the ``fast``
-        backend, pays one freeze, whose CSR equals a compacted overlay.
-        """
-        payload = {"config": dataclasses.asdict(self.config), "epoch": self.epoch}
-        attachment = self.store_attachment()
-        if attachment is not None:
-            payload["store_path"] = attachment["store_path"]
-            return payload
-        payload.update(
-            graph=graph_to_dict(self.graph),
-            precomputed=precomputed_to_dict(self.index.precomputed),
-            fanout=self.index.fanout,
-            leaf_capacity=self.index.leaf_capacity,
-        )
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "InfluentialCommunityEngine":
-        """Rebuild an engine from :meth:`to_payload` without the offline phase."""
-        config = EngineConfig(**payload["config"])
-        if payload.get("store_path") is not None:
-            engine = cls.from_store(payload["store_path"], config=config)
-        else:
-            graph = graph_from_dict(payload["graph"])
-            index = build_tree_index(
-                graph,
-                precomputed=precomputed_from_dict(payload["precomputed"]),
-                fanout=payload["fanout"],
-                leaf_capacity=payload["leaf_capacity"],
-            )
-            engine = cls(graph, index, config)
-        engine.epoch = payload["epoch"]
-        return engine
 
     # ------------------------------------------------------------------ #
     # online queries
@@ -664,17 +596,14 @@ class InfluentialCommunityEngine:
     # ------------------------------------------------------------------ #
     def serve(
         self,
-        workers: int = 1,
         result_cache_capacity: Optional[int] = None,
         propagation_cache_capacity: Optional[int] = None,
         pruning: Optional[PruningConfig] = None,
-        start_method: Optional[str] = None,
     ):
         """Return a :class:`~repro.serve.batch.BatchQueryEngine` over this engine.
 
         The serving engine keeps LRU caches (whole results and
-        ``community_propagation`` scores) alive across batches and can answer
-        batches in parallel with ``workers`` processes; see
+        ``community_propagation`` scores) alive across batches; see
         :mod:`repro.serve.batch`.
         """
         from repro.serve.batch import (
@@ -685,7 +614,6 @@ class InfluentialCommunityEngine:
         )
 
         config = ServingConfig(
-            workers=workers,
             result_cache_capacity=(
                 DEFAULT_RESULT_CACHE_CAPACITY
                 if result_cache_capacity is None
@@ -696,7 +624,6 @@ class InfluentialCommunityEngine:
                 if propagation_cache_capacity is None
                 else propagation_cache_capacity
             ),
-            start_method=start_method,
         )
         return BatchQueryEngine(self, config=config, pruning=pruning)
 

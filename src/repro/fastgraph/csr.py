@@ -12,8 +12,8 @@ ints of a :class:`~repro.fastgraph.vertex_table.VertexTable`:
   to (each edge owns exactly two arcs), and ``edge_u``/``edge_v`` map an edge
   id back to its endpoint ints.
 
-Everything lives in stdlib :class:`array.array` buffers — compact, picklable
-and cheap to hand to worker processes.  When numpy is installed (detected
+Everything lives in stdlib :class:`array.array` buffers — compact and
+picklable.  When numpy is installed (detected
 once at import, :data:`NUMPY_AVAILABLE`) the buffers are additionally exposed
 zero-copy as ndarrays via :meth:`CSRGraph.as_numpy`.  The kernels in
 :mod:`repro.fastgraph.kernels` are stdlib-only so the library's

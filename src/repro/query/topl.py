@@ -280,11 +280,11 @@ class TopLProcessor:
         if self.backend == "fast" and self.index.root is not None:
             scan = self._fast_leaf_scan(query, results, counters, statistics, scored_vertex_sets)
             for leaf in leaves:
-                scan(self._leaf_centres(leaf.vertices))
+                scan(leaf.vertices)
         else:
             query_bv = BitVector.from_keywords(query.keywords, self.index.precomputed.num_bits)
             for leaf in leaves:
-                for vertex in self._leaf_centres(leaf.vertices):
+                for vertex in leaf.vertices:
                     community = self._process_leaf_vertex(
                         vertex, query, query_bv, results, counters, statistics,
                         scored_vertex_sets,
@@ -303,10 +303,6 @@ class TopLProcessor:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _leaf_centres(self, vertices: tuple):
-        """The vertices of a visited leaf this processor answers as centres."""
-        return vertices
-
     def _process_leaf_vertex(
         self,
         vertex: VertexId,

@@ -20,9 +20,6 @@ Layout
     End-to-end execution (build → replay → gates) and the report value.
 :mod:`~repro.scenarios.catalog`
     The built-in scenario catalog (smoke + nightly tiers).
-:mod:`~repro.scenarios.sharded`
-    Sharded replay mode: the same trace on a sharded facade, gated
-    bit-identical to the unsharded replay.
 :mod:`~repro.scenarios.report`
     ``BENCH_scenarios.json`` emission and ASCII summaries.
 :mod:`~repro.scenarios.bench_schema`
@@ -39,7 +36,6 @@ from repro.scenarios.bench_schema import (
 from repro.scenarios.catalog import catalog, get_scenario, scenario_names, smoke_catalog
 from repro.scenarios.generators import apply_probability_model, build_scenario_graph
 from repro.scenarios.pipeline import BACKENDS, BackendRun, ScenarioReport, run_scenario
-from repro.scenarios.sharded import ShardedReplayReport, run_scenario_sharded
 from repro.scenarios.report import (
     BENCH_NAME,
     format_scenario_table,
@@ -90,8 +86,6 @@ __all__ = [
     "load_scenario_file",
     "load_scenarios_document",
     "run_scenario",
-    "run_scenario_sharded",
-    "ShardedReplayReport",
     "scenario_from_json",
     "scenario_names",
     "scenarios_document",

@@ -1,4 +1,4 @@
-"""Batch query serving layer: worker pools and result/propagation caching.
+"""Batch query serving layer: sequential batches with result/propagation caching.
 
 See :class:`repro.serve.batch.BatchQueryEngine` for the main entry point; the
 usual way to obtain one is :meth:`repro.core.engine.InfluentialCommunityEngine.serve`.

@@ -12,11 +12,8 @@ API:
 * :mod:`repro.service.facade` — :class:`CommunityService`, which owns
   engine lifecycle behind *named sessions* so one process can host many
   graphs/indexes.
-* :mod:`repro.service.sharded` — :class:`ShardedCommunityService`, the
-  same facade surface answered by a pool of replicated shard workers
-  with an exact (bit-identical) merge.
 * :mod:`repro.service.agateway` — :class:`AsyncServiceGateway`, the
-  stdlib HTTP front door exposing either facade as
+  stdlib HTTP front door exposing the facade as
   ``POST /v1/{build,topl,dtopl,update,batch}`` plus
   ``GET /v1/{sessions,health}``, with NDJSON streaming for batches,
   keep-alive, request coalescing and bounded-queue backpressure
@@ -35,7 +32,6 @@ from repro.service.errors import (
 )
 from repro.service.agateway import AsyncServiceGateway, run_async_gateway
 from repro.service.facade import CommunityService, SessionInfo
-from repro.service.sharded import ShardedCommunityService
 from repro.service.schema import (
     SCHEMA_VERSION,
     BatchRequest,
@@ -66,7 +62,6 @@ __all__ = [
     "service_error_from_exception",
     "CommunityService",
     "SessionInfo",
-    "ShardedCommunityService",
     "AsyncServiceGateway",
     "run_async_gateway",
     "BuildRequest",

@@ -1,8 +1,8 @@
 """HTTP front door: the service API over the wire, stdlib only.
 
-:class:`AsyncServiceGateway` exposes any
-:class:`~repro.service.facade.CommunityService` (the sharded facade
-included) from a single ``asyncio`` event loop:
+:class:`AsyncServiceGateway` exposes a
+:class:`~repro.service.facade.CommunityService` from a single ``asyncio``
+event loop:
 
 ================================  =============================================
 endpoint                          request / response document
@@ -72,6 +72,14 @@ from repro.service.schema import (
 #: graph documents are the only legitimately large payloads.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds a keep-alive connection may sit idle before its next request
+#: starts; after that the gateway closes it.
+IDLE_TIMEOUT_SECONDS = 75.0
+
+#: Seconds a started request has to deliver the rest of its header block and
+#: its whole body; a client that stalls mid-request is disconnected.
+READ_TIMEOUT_SECONDS = 30.0
+
 _POST_ENDPOINTS = ("build", "topl", "dtopl", "update", "batch")
 
 #: Endpoints whose identical in-flight requests may share one execution.
@@ -91,7 +99,7 @@ class AsyncServiceGateway:
     Parameters
     ----------
     service:
-        Any :class:`CommunityService` (the sharded facade included).
+        The :class:`CommunityService` to expose.
     max_pending:
         Concurrent-execution bound; further requests get ``429``.
         Coalesced waiters do not count — they hold no executor slot.
@@ -230,7 +238,7 @@ class AsyncServiceGateway:
         self._stats["connections"] += 1
         try:
             while True:
-                request = await self._read_request(reader)
+                request = await self._read_request(reader, writer)
                 if request is None:
                     break
                 keep_alive = await self._dispatch(request, writer)
@@ -242,7 +250,7 @@ class AsyncServiceGateway:
             asyncio.IncompleteReadError,
             asyncio.LimitOverrunError,
         ):
-            pass  # the client went away or sent garbage framing: drop quietly
+            pass  # the client went away, stalled or sent garbage framing: drop quietly
         except asyncio.CancelledError:
             pass  # gateway shutdown cancelled this keep-alive connection
         finally:
@@ -252,19 +260,35 @@ class AsyncServiceGateway:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _read_request(self, reader) -> Optional[dict]:
+    async def _read_request(self, reader, writer) -> Optional[dict]:
         """Parse one HTTP request; ``None`` on a clean EOF between requests.
 
         When the body cannot be delimited safely it is left unread and the
         request carries a ``framing_error`` ``(status, message)`` instead;
         the dispatcher answers it and closes the connection.
+
+        The first byte of a request must arrive within
+        :data:`IDLE_TIMEOUT_SECONDS`, the rest of it (header block and body)
+        within :data:`READ_TIMEOUT_SECONDS`.  On expiry a timer aborts the
+        transport, which ends the pending read as a client hang-up would.
+        A timer handle rather than ``asyncio.wait_for`` keeps the keep-alive
+        path free of a task per read.
         """
+        loop = asyncio.get_running_loop()
+        timer = loop.call_later(IDLE_TIMEOUT_SECONDS, writer.transport.abort)
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as error:
-            if not error.partial:
-                return None  # clean close between keep-alive requests
-            raise
+            try:
+                first = await reader.readexactly(1)
+            except asyncio.IncompleteReadError:
+                return None  # clean close (or idle timeout) between requests
+            timer.cancel()
+            timer = loop.call_later(READ_TIMEOUT_SECONDS, writer.transport.abort)
+            return await self._read_rest_of_request(reader, first)
+        finally:
+            timer.cancel()
+
+    async def _read_rest_of_request(self, reader, first: bytes) -> dict:
+        head = first + await reader.readuntil(b"\r\n\r\n")
         request_line, *header_lines = head.decode("latin-1").split("\r\n")
         parts = request_line.split()
         if len(parts) != 3:

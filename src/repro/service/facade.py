@@ -5,8 +5,8 @@ owns a registry of *sessions* — each one a built
 :class:`~repro.core.engine.InfluentialCommunityEngine` plus a persistent
 :class:`~repro.serve.batch.BatchQueryEngine` whose epoch-tagged result and
 propagation caches live as long as the session — and executes the typed
-requests of :mod:`repro.service.schema` against them.  Serving workers and
-remote clients bind to a session *name*, never to a pickled engine.
+requests of :mod:`repro.service.schema` against them.  In-process callers
+and remote clients bind to a session *name*, never to an engine object.
 
 Single queries route through the session's serving engine (`answer`), so
 they share the same caches as batches and absorb dynamic updates through
@@ -120,7 +120,7 @@ class CommunityService:
     ----------
     serving_config:
         Default :class:`~repro.serve.batch.ServingConfig` for the serving
-        engine each session keeps (cache capacities, worker default).
+        engine each session keeps (cache capacities).
     """
 
     def __init__(self, serving_config: Optional[ServingConfig] = None) -> None:
@@ -162,7 +162,7 @@ class CommunityService:
         the workload runner, deprecation shims, tests — so they share the
         facade's serving machinery without a wire round trip.
         ``serving_config`` overrides the service-wide default for this
-        session (cache capacities, worker default, start method).
+        session (cache capacities).
         """
         if not session:
             raise MalformedRequestError("session name must be non-empty")
@@ -370,12 +370,14 @@ class CommunityService:
             if override is not None:
                 # A pruning override gets its own serving engine (cache keys
                 # include the pruning config at construction time), but it
-                # keeps the session's serving knobs — cache capacities and
-                # worker defaults must not silently change per request.
+                # keeps the session's cache capacities, which must not
+                # silently change per request.
                 serving = BatchQueryEngine(
                     session.engine, config=session.serving.config, pruning=override
                 )
-            batch = serving.run(request.queries, workers=request.workers)
+            # ``request.workers`` is accepted for wire compatibility and
+            # ignored: batches run sequentially in-process.
+            batch = serving.run(request.queries)
             session.requests_served += 1
             return BatchResponse(
                 session=session.name,

@@ -507,7 +507,12 @@ class UpdateRequest(_WireDocument):
 
 @dataclass(frozen=True)
 class BatchRequest(_WireDocument):
-    """Answer a mixed TopL/DTopL batch against a session (order-stable)."""
+    """Answer a mixed TopL/DTopL batch against a session (order-stable).
+
+    ``workers`` is accepted and validated for compatibility with existing
+    version-1 clients, then ignored: batches are answered sequentially and
+    the response's ``statistics.workers`` reads 1.
+    """
 
     queries: tuple = ()
     session: str = "default"

@@ -16,8 +16,9 @@ checksummed binary container instead:
 laid out 64-byte aligned so every numeric buffer reconstructs as a
 **zero-copy view over a single ``mmap``** (stdlib ``memoryview`` casts; numpy
 ``frombuffer`` views work on the same buffers when numpy is present).
-Opening a store therefore skips the offline phase entirely, worker processes
-attach to the same physical pages instead of each rebuilding a private copy,
+Opening a store therefore skips the offline phase entirely, processes that
+open the same file share its physical pages instead of each rebuilding a
+private copy,
 and a crash mid-write can never corrupt a store (the writer goes through
 :func:`repro.graph.io.atomic_open`).
 

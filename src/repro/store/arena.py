@@ -246,8 +246,8 @@ def open_store(path: PathLike, mmap: bool = True, verify: bool = True) -> StoreH
 
     ``mmap=True`` (default) maps the file read-only and reconstructs every
     numeric buffer as a zero-copy ``memoryview`` cast into the mapping —
-    opening cost is flat in the buffer sizes and worker processes attaching
-    to the same file share physical pages.  ``mmap=False`` reads the file
+    opening cost is flat in the buffer sizes and processes opening the same
+    file share physical pages.  ``mmap=False`` reads the file
     into heap memory once instead (same views over a private copy).
 
     ``verify=False`` skips the per-section CRC pass (structure and bounds

@@ -93,7 +93,6 @@ class ExperimentRunner:
     def serving_session_for(
         self,
         graph: SocialNetwork,
-        workers: int = 1,
         result_cache_capacity: Optional[int] = None,
         propagation_cache_capacity: Optional[int] = None,
     ) -> str:
@@ -106,11 +105,10 @@ class ExperimentRunner:
         """
         key = (
             f"{self._graph_key(graph)}"
-            f":w{workers}:rc{result_cache_capacity}:pc{propagation_cache_capacity}"
+            f":rc{result_cache_capacity}:pc{propagation_cache_capacity}"
         )
         if not self._service.has_session(key):
             config = ServingConfig(
-                workers=workers,
                 result_cache_capacity=(
                     DEFAULT_RESULT_CACHE_CAPACITY
                     if result_cache_capacity is None
@@ -126,23 +124,6 @@ class ExperimentRunner:
                 self.engine_for(graph), session=key, serving_config=config
             )
         return key
-
-    def serving_for(
-        self,
-        graph: SocialNetwork,
-        workers: int = 1,
-        result_cache_capacity: Optional[int] = None,
-        propagation_cache_capacity: Optional[int] = None,
-    ):
-        """The serving engine behind :meth:`serving_session_for` (old signature)."""
-        return self._service.serving(
-            self.serving_session_for(
-                graph,
-                workers=workers,
-                result_cache_capacity=result_cache_capacity,
-                propagation_cache_capacity=propagation_cache_capacity,
-            )
-        )
 
     def measure_topl(
         self,
@@ -215,7 +196,6 @@ class ExperimentRunner:
         self,
         graph: SocialNetwork,
         queries: Sequence[Union[TopLQuery, DTopLQuery]],
-        workers: int = 1,
         result_cache_capacity: Optional[int] = None,
         propagation_cache_capacity: Optional[int] = None,
     ) -> SweepPoint:
@@ -229,20 +209,17 @@ class ExperimentRunner:
         """
         session = self.serving_session_for(
             graph,
-            workers=workers,
             result_cache_capacity=result_cache_capacity,
             propagation_cache_capacity=propagation_cache_capacity,
         )
         response = self._service.batch(
-            BatchRequest(session=session, queries=tuple(queries), workers=workers)
+            BatchRequest(session=session, queries=tuple(queries))
         )
         statistics = response.statistics
         return SweepPoint(
             settings={
                 "dataset": graph.name,
                 "batch_size": len(queries),
-                "workers": statistics["workers"],
-                "mode": statistics["mode"],
             },
             metrics={
                 "wall_clock_s": statistics["elapsed_seconds"],

@@ -1,4 +1,4 @@
-"""Tests for the batch serving engine: caching, worker pools, order stability."""
+"""Tests for the batch serving engine: caching, deduplication, order stability."""
 
 from __future__ import annotations
 
@@ -7,7 +7,12 @@ import pytest
 from repro.exceptions import ServingError
 from repro.query.params import DTopLQuery
 from repro.query.results import DTopLResult, TopLResult
-from repro.serve.batch import BatchQueryEngine, ServingConfig
+from repro.serve.batch import (
+    DEFAULT_PROPAGATION_CACHE_CAPACITY,
+    DEFAULT_RESULT_CACHE_CAPACITY,
+    BatchQueryEngine,
+    ServingConfig,
+)
 from repro.workloads.queries import QueryWorkload
 
 
@@ -35,16 +40,14 @@ def mixed_queries(serve_workload):
 class TestServingConfig:
     def test_defaults_valid(self):
         config = ServingConfig()
-        assert config.workers == 1
+        assert config.result_cache_capacity == DEFAULT_RESULT_CACHE_CAPACITY
+        assert config.propagation_cache_capacity == DEFAULT_PROPAGATION_CACHE_CAPACITY
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"workers": 0},
             {"result_cache_capacity": -1},
             {"propagation_cache_capacity": -1},
-            {"start_method": "thread"},
-            {"chunk_size": 0},
         ],
     )
     def test_invalid_configuration_rejected(self, kwargs):
@@ -132,47 +135,10 @@ class TestSequentialServing:
         with pytest.raises(ServingError):
             small_engine.serve().run(["nonsense"])
 
-    def test_rejects_invalid_worker_override(self, small_engine, mixed_queries):
-        with pytest.raises(ServingError):
-            small_engine.serve().run(mixed_queries, workers=0)
-
-
-class TestParallelServing:
-    def test_fork_results_equal_sequential_and_order_stable(
-        self, small_engine, mixed_queries
-    ):
-        sequential = small_engine.serve(result_cache_capacity=0).run(mixed_queries)
-        parallel = small_engine.serve(result_cache_capacity=0).run(
-            mixed_queries, workers=2
-        )
-        assert parallel.statistics.mode in ("fork", "spawn", "forkserver")
-        assert parallel.statistics.executed == len(mixed_queries)
-        assert [_fingerprint(r) for r in parallel] == [
-            _fingerprint(r) for r in sequential
-        ]
-
-    def test_parallel_fills_result_cache(self, small_engine, mixed_queries):
-        serving = small_engine.serve()
-        first = serving.run(mixed_queries, workers=2)
-        second = serving.run(mixed_queries)
-        assert first.statistics.executed > 0
-        assert second.statistics.result_cache_hits == len(mixed_queries)
-
-    def test_spawn_rebuild_strategy_matches(self, small_engine, mixed_queries):
-        queries = mixed_queries[:3]
-        sequential = small_engine.serve(result_cache_capacity=0).run(queries)
-        spawned = small_engine.serve(
-            result_cache_capacity=0, start_method="spawn"
-        ).run(queries, workers=2)
-        assert spawned.statistics.mode == "spawn"
-        assert [_fingerprint(r) for r in spawned] == [
-            _fingerprint(r) for r in sequential
-        ]
-
 
 class TestEngineWrappers:
     def test_serve_builds_configured_engine(self, small_engine):
-        serving = small_engine.serve(workers=2, result_cache_capacity=7)
+        serving = small_engine.serve(result_cache_capacity=7)
         assert isinstance(serving, BatchQueryEngine)
-        assert serving.config.workers == 2
+        assert serving.config.result_cache_capacity == 7
         assert serving.result_cache.capacity == 7

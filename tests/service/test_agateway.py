@@ -4,9 +4,10 @@ Besides the ``/v1`` surface (``test_gateway.py``), the
 :class:`AsyncServiceGateway` owes its clients connection reuse, a closed
 connection whenever a request body cannot be delimited (so unread bytes are
 never parsed as the next request), quiet handling of clients that vanish,
-single execution of identical in-flight reads, and a bounded pending queue
+single execution of identical in-flight reads, a bounded pending queue
 that answers ``429`` with ``Retry-After`` instead of queueing without
-limit.
+limit, and a closed connection for clients that stall mid-request or sit
+idle between requests.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import time
 import pytest
 
 from repro.query.params import make_topl_query
+from repro.service import agateway as agateway_mod
 from repro.service.agateway import MAX_BODY_BYTES, AsyncServiceGateway
 from repro.service.facade import CommunityService
 from repro.service.schema import BatchRequest, ToplRequest
@@ -286,6 +288,71 @@ def test_undelimited_post_body_is_not_parsed_as_a_request(gateway, framing):
     # Exactly one response, then EOF: the smuggled GET was never answered.
     assert b"HTTP/1.1" not in body
     assert json.loads(body)["error"]["code"] == "MALFORMED_REQUEST"
+
+
+def _read_until_closed(raw) -> bytes:
+    """Everything the server sends before it closes (fails after 10 s)."""
+    raw.settimeout(10)
+    data = b""
+    while True:
+        chunk = raw.recv(4096)
+        if not chunk:
+            return data
+        data += chunk
+
+
+class TestStalledClients:
+    """Stalled and idle connections are closed, not held open forever."""
+
+    @pytest.fixture(autouse=True)
+    def short_timeouts(self, monkeypatch):
+        monkeypatch.setattr(agateway_mod, "IDLE_TIMEOUT_SECONDS", 0.3)
+        monkeypatch.setattr(agateway_mod, "READ_TIMEOUT_SECONDS", 0.5)
+
+    def test_half_sent_header_is_closed(self, gateway):
+        with socket.create_connection((gateway.host, gateway.port), timeout=30) as raw:
+            raw.sendall(b"POST /v1/topl HTTP/1.1\r\nHost: x\r\n")
+            assert _read_until_closed(raw) == b""
+
+    def test_body_that_never_arrives_is_closed(self, gateway):
+        with socket.create_connection((gateway.host, gateway.port), timeout=30) as raw:
+            raw.sendall(
+                b"POST /v1/topl HTTP/1.1\r\n"
+                b"Host: x\r\n"
+                b"Content-Length: 100\r\n"
+                b"\r\n"
+                b'{"query":'
+            )
+            assert _read_until_closed(raw) == b""
+
+    def test_idle_keep_alive_connection_is_closed(self, gateway):
+        with socket.create_connection((gateway.host, gateway.port), timeout=30) as raw:
+            raw.sendall(b"GET /v1/sessions HTTP/1.1\r\nHost: x\r\n\r\n")
+            head, body = _read_until_closed(raw).split(b"\r\n\r\n", 1)
+            # One keep-alive answer, then the idle connection is closed.
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert b"connection: close" not in head.lower()
+            assert json.loads(body)["sessions"]
+
+    def test_slow_client_within_the_limit_is_answered(self, gateway, monkeypatch):
+        monkeypatch.setattr(agateway_mod, "READ_TIMEOUT_SECONDS", 5.0)
+        body = json.dumps(ToplRequest(query=TOPL, session="hosted").to_json()).encode()
+        request = (
+            b"POST /v1/topl HTTP/1.1\r\n"
+            b"Host: x\r\n"
+            b"Connection: close\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+            b"\r\n" + body
+        )
+        with socket.create_connection((gateway.host, gateway.port), timeout=30) as raw:
+            # Each pause is under the idle timeout, and the whole request
+            # arrives well inside the read timeout.
+            for start in range(0, len(request), len(request) // 4 + 1):
+                raw.sendall(request[start : start + len(request) // 4 + 1])
+                time.sleep(0.2)
+            head, answer = _read_until_closed(raw).split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert json.loads(answer)["communities"]
 
 
 class _SlowService(CommunityService):

@@ -137,6 +137,43 @@ class TestRoutes:
         assert "result_cache" in body["cache_statistics"]
 
 
+class TestBatchWorkersField:
+    """``BatchRequest.workers`` stays a version-1 wire field: accepted,
+    validated, and ignored — every batch is answered sequentially."""
+
+    @staticmethod
+    def _answers(document: dict) -> list:
+        return [
+            {key: value for key, value in result.items() if key != "statistics"}
+            for result in document["results"]
+        ]
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 64])
+    def test_accepted_and_answered_sequentially(self, gateway, built_engine, workers):
+        in_process = CommunityService()
+        in_process.adopt(built_engine, session="hosted")
+        expected = self._answers(
+            in_process.batch(
+                BatchRequest(session="hosted", queries=(TOPL, DTOPL, TOPL))
+            ).to_json()
+        )
+        request = BatchRequest(session="hosted", queries=(TOPL, DTOPL, TOPL), workers=workers)
+        status, over_http = http_json(gateway, "POST", "/v1/batch", request.to_json())
+        assert status == 200
+        for document in (in_process.batch(request).to_json(), over_http):
+            assert document["statistics"]["workers"] == 1
+            assert document["statistics"]["mode"] == "sequential"
+            assert self._answers(document) == expected
+
+    @pytest.mark.parametrize("workers", [0, True], ids=["zero", "true"])
+    def test_invalid_values_stay_malformed(self, gateway, workers):
+        document = BatchRequest(session="hosted", queries=(TOPL,)).to_json()
+        document["workers"] = workers
+        status, body = http_json(gateway, "POST", "/v1/batch", document)
+        assert status == 400
+        assert body["error"]["code"] == "MALFORMED_REQUEST"
+
+
 class TestStreaming:
     def test_batch_ndjson_via_query_parameter(self, gateway):
         status, raw = http(

@@ -5,9 +5,8 @@ topl/dtopl → update → batch — against two sessions over the same graph, on
 per backend, asserting every response **bit-identical** on the wire: the
 fast session's snapshot is patched in place (DeltaCSR overlay, no
 re-freeze) while the reference session patches dict structures, and a
-remote client must not be able to tell them apart.  One scenario finishes
-with a spawn-mode parallel batch after an update, whose workers start from
-the engine payload of the updated (overlay-carrying) fast session.
+remote client must not be able to tell them apart — with the default
+pruning stack and with a request-level pruning override alike.
 """
 
 from __future__ import annotations
@@ -20,15 +19,19 @@ from repro.dynamic.updates import random_update_batch
 from repro.graph.datasets import uni
 from repro.graph.io import graph_to_dict
 from repro.query.params import make_dtopl_query, make_topl_query
-from repro.serve.batch import ServingConfig
 from repro.service.facade import CommunityService
 from repro.service.schema import BatchRequest, BuildRequest, DToplRequest, ToplRequest, UpdateRequest
 
 QUERIES = [
     make_topl_query({"movies", "books"}, k=3, radius=2, theta=0.2, top_l=3),
     make_topl_query({"sports"}, k=3, radius=1, theta=0.1, top_l=5),
+    make_topl_query({"movies"}, k=4, radius=2, theta=0.1, top_l=4),
     make_dtopl_query({"movies", "music"}, k=3, radius=2, theta=0.2, top_l=2),
+    make_dtopl_query({"books"}, k=4, radius=2, theta=0.1, top_l=3, candidate_factor=2),
 ]
+
+#: Request-level pruning override: answered off a per-request serving engine.
+NO_SCORE_PRUNING = {"score": False}
 
 
 def _strip_timings(node):
@@ -62,7 +65,7 @@ def _build_sessions(service: CommunityService, graph_doc: dict) -> None:
         )
 
 
-def _run_lifecycle(service: CommunityService, seed: int, workers: int = 1) -> None:
+def _run_lifecycle(service: CommunityService, seed: int) -> None:
     graph = uni(num_vertices=110, rng=7 + seed)
     _build_sessions(service, graph_to_dict(graph))
     script = random_update_batch(
@@ -102,17 +105,29 @@ def _run_lifecycle(service: CommunityService, seed: int, workers: int = 1) -> No
                 seed, round_index, endpoint, query,
             )
 
+        overridden = {
+            backend: _wire(
+                service.batch(
+                    BatchRequest(
+                        session=backend, queries=tuple(QUERIES), pruning=NO_SCORE_PRUNING
+                    )
+                )
+            )
+            for backend in ("reference", "fast")
+        }
+        assert overridden["reference"] == overridden["fast"], (
+            seed, round_index, "pruning override",
+        )
+
     batch_responses = {
         backend: service.batch(
-            BatchRequest(session=backend, queries=tuple(QUERIES), workers=workers)
+            BatchRequest(session=backend, queries=tuple(QUERIES))
         )
         for backend in ("reference", "fast")
     }
     ours, theirs = (_wire(batch_responses[b]) for b in ("reference", "fast"))
     for document in (ours, theirs):
         document.pop("cache_statistics", None)
-        document["statistics"].pop("mode", None)
-        document["statistics"].pop("workers", None)
     assert ours == theirs, seed
 
     for backend in ("reference", "fast"):
@@ -123,17 +138,6 @@ def _run_lifecycle(service: CommunityService, seed: int, workers: int = 1) -> No
 def test_lifecycle_bit_identical_across_backends(seed):
     """build → update → topl/dtopl → update → batch: fast ≡ reference."""
     _run_lifecycle(CommunityService(), seed)
-
-
-def test_lifecycle_with_spawn_parallel_batch_after_update():
-    """The closing batch runs on spawn workers, which rebuild the fast
-    session's engine from its payload: the live post-update graph."""
-    service = CommunityService(
-        serving_config=ServingConfig(
-            workers=2, start_method="spawn", result_cache_capacity=0
-        )
-    )
-    _run_lifecycle(service, seed=99, workers=2)
 
 
 def test_fast_session_snapshot_is_patched_not_refrozen():

@@ -23,7 +23,6 @@ def _fingerprint(result):
 def test_provenance_of_built_engine(store_engine):
     assert store_engine.store_provenance() == {"store_backed": False}
     assert store_engine.describe()["store"] == {"store_backed": False}
-    assert store_engine.store_attachment() is None
 
 
 def test_provenance_of_store_backed_engine(packed_store):
@@ -37,7 +36,6 @@ def test_provenance_of_store_backed_engine(packed_store):
     assert provenance["attached"] is True
     assert provenance["file_size"] > 0
     assert engine.describe()["store"] == provenance
-    assert engine.store_attachment() == {"store_path": packed_store}
 
 
 def test_heap_residency(packed_store):
@@ -77,8 +75,7 @@ def test_update_detaches_the_store(packed_store):
     assert engine.epoch == 1
     provenance = engine.store_provenance()
     assert provenance["store_backed"] is True  # origin is still the store...
-    assert provenance["attached"] is False  # ...but workers must not attach
-    assert engine.store_attachment() is None
+    assert provenance["attached"] is False  # ...but no longer matches the file
 
 
 def test_checkpoint_reanchors_the_attachment(packed_store, tmp_path):
@@ -86,14 +83,17 @@ def test_checkpoint_reanchors_the_attachment(packed_store, tmp_path):
     batch = UpdateBatch(
         [EdgeUpdate.insert(0, 900, 0.9, 0.9, keywords_v={"movies"})]
     )
+    assert engine.store_provenance()["attached"] is True
     engine.apply_updates(batch, damage_threshold=1.0)
-    assert engine.store_attachment() is None
+    assert engine.store_provenance()["attached"] is False
 
     checkpoint = tmp_path / "gen1.repro-store"
     info = engine.checkpoint_store(str(checkpoint))
     assert info["generation"] == 1
-    assert engine.store_attachment() == {"store_path": str(checkpoint)}
-    assert engine.store_provenance()["generation"] == 1
+    provenance = engine.store_provenance()
+    assert provenance["attached"] is True
+    assert provenance["path"] == str(checkpoint)
+    assert provenance["generation"] == 1
 
     # The checkpoint captures the post-update state: a fresh attach answers
     # like the updated engine, including the inserted vertex.

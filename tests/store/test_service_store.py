@@ -1,25 +1,19 @@
-"""Service + serving wiring of the store: build-from-path, flat worker attach."""
+"""Service wiring of the store: build-from-path, flat open."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import engine as engine_mod
-from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
-from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.exceptions import MalformedRequestError
-from repro.fastgraph.delta import DeltaCSR
+from repro.graph import io as graph_io
 from repro.graph.social_network import SocialNetwork
-from repro.pruning.stats import PruningConfig
-from repro.query.params import make_dtopl_query, make_topl_query
-from repro.serve import batch as batch_mod
+from repro.query.params import make_topl_query
 from repro.service.facade import CommunityService
 from repro.service.schema import BuildRequest, ToplRequest
 
 
 TOPL = make_topl_query({"movies"}, k=3, radius=2, theta=0.1, top_l=3)
-DTOPL = make_dtopl_query({"movies"}, k=3, radius=2, theta=0.1, top_l=2)
 
 
 def _fingerprint(result):
@@ -103,12 +97,12 @@ class TestFacadeStoreBuild:
 
 
 # --------------------------------------------------------------------------- #
-# spawn workers: attach, don't rebuild
+# opening a store: attach, don't rebuild
 # --------------------------------------------------------------------------- #
 class TestSpawnWorkerAttach:
     @pytest.fixture
     def counters(self, monkeypatch):
-        """Count the two rebuild costs a store attach must never pay."""
+        """Count the two rebuild costs a store open must never pay."""
         calls = {"freeze": 0, "graph_from_dict": 0}
         original_freeze = SocialNetwork.freeze
 
@@ -118,107 +112,23 @@ class TestSpawnWorkerAttach:
 
         def counting_graph_from_dict(document):
             calls["graph_from_dict"] += 1
-            raise AssertionError("store-attached worker deserialized a graph")
+            raise AssertionError("opening a store deserialized a graph")
 
         monkeypatch.setattr(SocialNetwork, "freeze", counting_freeze)
-        monkeypatch.setattr(engine_mod, "graph_from_dict", counting_graph_from_dict)
+        monkeypatch.setattr(graph_io, "graph_from_dict", counting_graph_from_dict)
         return calls
 
-    @pytest.fixture(autouse=True)
-    def reset_worker_globals(self):
-        yield
-        batch_mod._WORKER_PROCESSORS = None
-        batch_mod._WORKER_ENGINE = None
-
-    def test_payload_ships_only_the_store_path(self, packed_store):
-        engine = InfluentialCommunityEngine.from_store(packed_store)
-        payload = engine.to_payload()
-        assert payload["store_path"] == packed_store
-        assert "graph" not in payload and "precomputed" not in payload
-
     @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_worker_startup_is_flat(self, packed_store, counters, backend):
-        """Worker start-up from a store payload neither freezes nor parses.
+    def test_worker_startup_is_flat(self, packed_store, store_engine, counters, backend):
+        """Opening a store and answering from it neither freezes nor parses.
 
-        This is the flat-startup property: attach cost is the mmap open, not
-        a function of the graph size.  Run in-process so the counters see it.
+        This is the flat-startup property: open cost is the mmap, not a
+        function of the graph size.  Answers equal the packing engine's.
         """
         engine = InfluentialCommunityEngine.from_store(
             packed_store, config_overrides={"backend": backend}
         )
-        batch_mod._worker_init(engine.to_payload(), PruningConfig.all_enabled(), 0)
+        answer = engine.topl(TOPL)
         assert counters == {"freeze": 0, "graph_from_dict": 0}
-        # The worker's engine holds the store open for the worker's lifetime.
-        assert batch_mod._WORKER_ENGINE.store_provenance()["store_backed"]
-
-        position, result = batch_mod._worker_answer((0, TOPL))
-        assert position == 0
-        assert _fingerprint(result) == _fingerprint(engine.topl(TOPL))
-
-    @pytest.mark.slow
-    def test_spawn_batch_equals_sequential(self, packed_store):
-        engine = InfluentialCommunityEngine.from_store(packed_store)
-        queries = [
-            make_topl_query({"movies"}, k=3, radius=2, theta=0.1, top_l=3),
-            make_topl_query({"books"}, k=3, radius=2, theta=0.1, top_l=2),
-            make_topl_query({"movies", "books"}, k=3, radius=1, theta=0.2, top_l=3),
-        ]
-        sequential = engine.serve(result_cache_capacity=0).run(queries)
-        spawned = engine.serve(result_cache_capacity=0, start_method="spawn").run(
-            queries, workers=2
-        )
-        assert [_fingerprint(r) for r in sequential.results] == [
-            _fingerprint(r) for r in spawned.results
-        ]
-
-
-# --------------------------------------------------------------------------- #
-# engine payload: store path when pristine, the live graph otherwise
-# --------------------------------------------------------------------------- #
-class TestShardedPoolAttach:
-    def test_payload_and_rebuild_round_trip(self, packed_store):
-        engine = InfluentialCommunityEngine.from_store(packed_store)
-        payload = engine.to_payload()
-        assert payload["store_path"] == packed_store
-        assert "graph" not in payload
-
-        replica = InfluentialCommunityEngine.from_payload(payload)
-        assert replica.epoch == engine.epoch
-        assert _fingerprint(replica.topl(TOPL)) == _fingerprint(engine.topl(TOPL))
-
-    def test_dirty_engine_falls_back_to_serialized_payload(self, packed_store):
-        engine = InfluentialCommunityEngine.from_store(packed_store)
-        engine.apply_updates(
-            UpdateBatch([EdgeUpdate.insert(0, 902, 0.9, 0.9, keywords_v={"movies"})]),
-            damage_threshold=1.0,
-        )
-        payload = engine.to_payload()
-        assert "store_path" not in payload
-        assert "graph" in payload
-        replica = InfluentialCommunityEngine.from_payload(payload)
-        assert _fingerprint(replica.topl(TOPL)) == _fingerprint(engine.topl(TOPL))
-
-    def test_overlay_engine_round_trips_bit_identically(self, store_graph_factory):
-        """A fast engine mid-overlay ships its live graph; answers stay exact."""
-        graph = store_graph_factory()
-        u, v = next(iter(graph.edges()))
-        engine = InfluentialCommunityEngine.build(
-            graph, config=EngineConfig(max_radius=2, backend="fast"), validate=False
-        )
-        report = engine.apply_updates(
-            UpdateBatch([
-                EdgeUpdate.delete(u, v),
-                EdgeUpdate.insert(0, 903, 0.9, 0.9, keywords_v={"movies"}),
-            ]),
-            damage_threshold=1.0,
-        )
-        assert report.mode == "incremental" and not report.compacted
-        assert isinstance(engine.frozen_graph(), DeltaCSR)
-
-        replica = InfluentialCommunityEngine.from_payload(engine.to_payload())
-        assert replica.epoch == engine.epoch
-        exact = lambda result: tuple((c.vertices, c.score) for c in result)  # noqa: E731
-        assert exact(replica.topl(TOPL)) == exact(engine.topl(TOPL))
-        ours, theirs = replica.dtopl(DTOPL), engine.dtopl(DTOPL)
-        assert exact(ours) == exact(theirs)
-        assert ours.diversity_score == theirs.diversity_score
+        assert engine.store_provenance()["store_backed"]
+        assert _fingerprint(answer) == _fingerprint(store_engine.topl(TOPL))

@@ -79,26 +79,3 @@ def test_serve_no_cache_executes_every_round(graph_path, capsys):
     captured = capsys.readouterr().out
     assert exit_code == 0
     assert "0 hits / 0 lookups" in captured
-
-
-def test_serve_parallel_workers(graph_path, capsys):
-    exit_code = main(
-        [
-            "serve",
-            graph_path,
-            "--queries",
-            "4",
-            "--k",
-            "3",
-            "--top-l",
-            "3",
-            "--seed",
-            "7",
-            "--workers",
-            "2",
-            "--no-cache",
-        ]
-    )
-    captured = capsys.readouterr().out
-    assert exit_code == 0
-    assert "fork" in captured or "spawn" in captured
