@@ -48,6 +48,7 @@ class TestServingConfig:
         [
             {"result_cache_capacity": -1},
             {"propagation_cache_capacity": -1},
+            {"result_cache_capacity": 0, "propagation_cache_capacity": -1},
         ],
     )
     def test_invalid_configuration_rejected(self, kwargs):
