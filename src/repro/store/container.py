@@ -43,7 +43,7 @@ PathLike = Union[str, Path]
 #: File magic: 8 bytes, never changes across versions.
 MAGIC = b"REPROSTO"
 #: Current container format version (bump on any incompatible layout change).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: Section payloads start on multiples of this (keeps int64/float64 casts
 #: aligned and plays nicely with cache lines / page boundaries).
 ALIGNMENT = 64

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
@@ -17,13 +17,7 @@ from repro.graph.datasets import synthetic_small_world
 from repro.graph.social_network import SocialNetwork
 from repro.pruning.stats import PruningConfig
 from repro.query.params import DTopLQuery, TopLQuery
-from repro.serve.batch import (
-    DEFAULT_PROPAGATION_CACHE_CAPACITY,
-    DEFAULT_RESULT_CACHE_CAPACITY,
-    ServingConfig,
-)
 from repro.service.facade import CommunityService
-from repro.service.schema import BatchRequest
 from repro.workloads.queries import QueryWorkload
 from repro.workloads.sweeps import PAPER_PARAMETER_GRID, ParameterGrid, SweepPoint
 
@@ -32,10 +26,8 @@ from repro.workloads.sweeps import PAPER_PARAMETER_GRID, ParameterGrid, SweepPoi
 class ExperimentRunner:
     """Builds engines per graph and measures query methods over sweeps.
 
-    Engines are hosted as sessions of one :class:`CommunityService` — the
-    runner binds work to session names and routes batch measurements through
-    :class:`~repro.service.schema.BatchRequest` objects, the same boundary
-    remote clients use.
+    Engines are hosted as sessions of one :class:`CommunityService`, one
+    session per graph.
     """
 
     grid: ParameterGrid = PAPER_PARAMETER_GRID
@@ -90,41 +82,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # measurements
     # ------------------------------------------------------------------ #
-    def serving_session_for(
-        self,
-        graph: SocialNetwork,
-        result_cache_capacity: Optional[int] = None,
-        propagation_cache_capacity: Optional[int] = None,
-    ) -> str:
-        """Host a serving session for ``graph`` at the given knobs (idempotent).
-
-        Keyed like :meth:`engine_for` plus the serving knobs, so repeated
-        sweep steps over the same graph share result/propagation caches —
-        the session's serving engine persists, exactly like production
-        traffic against one gateway session.
-        """
-        key = (
-            f"{self._graph_key(graph)}"
-            f":rc{result_cache_capacity}:pc{propagation_cache_capacity}"
-        )
-        if not self._service.has_session(key):
-            config = ServingConfig(
-                result_cache_capacity=(
-                    DEFAULT_RESULT_CACHE_CAPACITY
-                    if result_cache_capacity is None
-                    else result_cache_capacity
-                ),
-                propagation_cache_capacity=(
-                    DEFAULT_PROPAGATION_CACHE_CAPACITY
-                    if propagation_cache_capacity is None
-                    else propagation_cache_capacity
-                ),
-            )
-            self._service.adopt(
-                self.engine_for(graph), session=key, serving_config=config
-            )
-        return key
-
     def measure_topl(
         self,
         graph: SocialNetwork,
@@ -189,44 +146,6 @@ class ExperimentRunner:
                 "communities": len(result),
                 "gain_evaluations": result.increment_evaluations,
                 "candidates": result.candidates_considered,
-            },
-        )
-
-    def measure_batch(
-        self,
-        graph: SocialNetwork,
-        queries: Sequence[Union[TopLQuery, DTopLQuery]],
-        result_cache_capacity: Optional[int] = None,
-        propagation_cache_capacity: Optional[int] = None,
-    ) -> SweepPoint:
-        """Serve a mixed query batch through the batch path and capture throughput.
-
-        The serving session is cached per graph + knobs, so calling this for
-        consecutive sweep settings reuses warm caches — the production shape
-        of a parameter sweep.  The measurement itself travels as a
-        :class:`BatchRequest` through the service facade, the same boundary
-        a remote client hits.
-        """
-        session = self.serving_session_for(
-            graph,
-            result_cache_capacity=result_cache_capacity,
-            propagation_cache_capacity=propagation_cache_capacity,
-        )
-        response = self._service.batch(
-            BatchRequest(session=session, queries=tuple(queries))
-        )
-        statistics = response.statistics
-        return SweepPoint(
-            settings={
-                "dataset": graph.name,
-                "batch_size": len(queries),
-            },
-            metrics={
-                "wall_clock_s": statistics["elapsed_seconds"],
-                "queries_per_second": statistics["queries_per_second"],
-                "executed": statistics["executed"],
-                "result_cache_hits": statistics["result_cache_hits"],
-                "propagation_cache_hits": statistics["propagation_cache_hits"],
             },
         )
 

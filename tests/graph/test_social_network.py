@@ -231,3 +231,80 @@ class TestDerivedViews:
         for vertex in (5, 2, 9):
             graph.add_vertex(vertex)
         assert list(graph.vertices()) == [5, 2, 9]
+
+
+class TestLazySocialNetwork:
+    """A graph built from a snapshot on first touch, then an ordinary one."""
+
+    class _CountingSource:
+        def __init__(self, graph):
+            self.name = graph.name
+            self.snapshot = graph.freeze()
+            self.thaws = 0
+
+        def thaw(self):
+            self.thaws += 1
+            return self.snapshot.thaw()
+
+    def _lazy(self, graph):
+        from repro.graph.social_network import LazySocialNetwork
+
+        source = self._CountingSource(graph)
+        return LazySocialNetwork(source), source
+
+    def test_name_reads_without_thawing(self, two_cliques_bridge):
+        from repro.graph.social_network import LazySocialNetwork
+
+        lazy, source = self._lazy(two_cliques_bridge)
+        assert lazy.name == two_cliques_bridge.name
+        assert isinstance(lazy, SocialNetwork)
+        assert type(lazy) is LazySocialNetwork
+        assert source.thaws == 0
+
+    def test_first_touch_thaws_once_and_becomes_plain(self, two_cliques_bridge):
+        lazy, source = self._lazy(two_cliques_bridge)
+        assert lazy.num_edges() == two_cliques_bridge.num_edges()
+        assert type(lazy) is SocialNetwork
+        assert list(lazy.vertices()) == list(two_cliques_bridge.vertices())
+        for u, v in two_cliques_bridge.edges():
+            assert lazy.probability(u, v) == two_cliques_bridge.probability(u, v)
+            assert lazy.probability(v, u) == two_cliques_bridge.probability(v, u)
+        for vertex in two_cliques_bridge.vertices():
+            assert lazy.keywords(vertex) == two_cliques_bridge.keywords(vertex)
+        assert source.thaws == 1
+
+    @pytest.mark.parametrize(
+        "touch",
+        [
+            lambda graph: len(graph),
+            lambda graph: 0 in graph,
+            lambda graph: list(graph),
+            lambda graph: graph.keyword_domain(),
+            lambda graph: graph.add_edge(0, 100, 0.5),
+            lambda graph: graph._prob,
+            lambda graph: graph.copy(),
+        ],
+    )
+    def test_every_kind_of_touch_thaws(self, two_cliques_bridge, touch):
+        lazy, source = self._lazy(two_cliques_bridge)
+        touch(lazy)
+        assert type(lazy) is SocialNetwork
+        assert source.thaws == 1
+
+    def test_mutation_after_thaw_is_kept(self, two_cliques_bridge):
+        lazy, _ = self._lazy(two_cliques_bridge)
+        lazy.add_edge(0, 100, 0.5)
+        assert lazy.has_edge(0, 100)
+        assert lazy.num_edges() == two_cliques_bridge.num_edges() + 1
+
+    def test_copies_and_pickles_are_plain_graphs(self, two_cliques_bridge):
+        import copy
+        import pickle
+
+        for clone in (
+            copy.deepcopy(self._lazy(two_cliques_bridge)[0]),
+            pickle.loads(pickle.dumps(self._lazy(two_cliques_bridge)[0])),
+        ):
+            assert type(clone) is SocialNetwork
+            assert clone.num_edges() == two_cliques_bridge.num_edges()
+            assert list(clone.vertices()) == list(two_cliques_bridge.vertices())

@@ -105,7 +105,7 @@ class TestSessions:
         assert info["name"] == "main"
         assert info["engine"]["backend"] == "reference"
         assert info["engine"]["epoch"] == 0
-        assert info["engine"]["index_schema_version"] == 1
+        assert info["engine"]["index_schema_version"] == 2
 
     def test_health_reuses_engine_describe(self, service):
         document = service.health().to_json()

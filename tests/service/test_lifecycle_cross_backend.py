@@ -12,11 +12,12 @@ pruning stack and with a request-level pruning override alike.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from repro.dynamic.updates import random_update_batch
-from repro.graph.datasets import uni
+from repro.graph.generators import planted_community_graph
 from repro.graph.io import graph_to_dict
 from repro.query.params import make_dtopl_query, make_topl_query
 from repro.service.facade import CommunityService
@@ -53,6 +54,34 @@ def _wire(response) -> dict:
     return document
 
 
+def _lifecycle_graph(seed: int):
+    """Nine planted communities of 12, two of the query keywords per vertex.
+
+    Dense enough that every lifecycle query has communities to return, so
+    the cross-backend comparisons are over real answers.
+    """
+    graph = planted_community_graph(
+        [12] * 9, intra_probability=0.5, inter_probability=0.01, rng=7 + seed,
+        name="lifecycle",
+    )
+    rng = random.Random(seed)
+    for vertex in graph.vertices():
+        graph.set_keywords(vertex, rng.sample(("movies", "books", "sports", "music"), 2))
+    return graph
+
+
+def _answer_both(service: CommunityService, query) -> dict:
+    """One query on both sessions, as timing-free wire documents."""
+    if isinstance(query, type(QUERIES[0])):
+        request_type = ToplRequest
+    else:
+        request_type = DToplRequest
+    return {
+        backend: _wire(service.dispatch(request_type(session=backend, query=query)))
+        for backend in ("reference", "fast")
+    }
+
+
 def _build_sessions(service: CommunityService, graph_doc: dict) -> None:
     for backend in ("reference", "fast"):
         service.build(
@@ -66,8 +95,14 @@ def _build_sessions(service: CommunityService, graph_doc: dict) -> None:
 
 
 def _run_lifecycle(service: CommunityService, seed: int) -> None:
-    graph = uni(num_vertices=110, rng=7 + seed)
+    graph = _lifecycle_graph(seed)
     _build_sessions(service, graph_to_dict(graph))
+    nonempty = 0
+    for query in QUERIES:
+        answered = _answer_both(service, query)
+        assert answered["reference"] == answered["fast"], (seed, "before updates", query)
+        nonempty += bool(answered["fast"]["communities"])
+    assert nonempty >= 1, seed
     script = random_update_batch(
         graph, 14, rng=seed, insert_ratio=0.5, grow_probability=0.2,
         keyword_pool=("movies", "books", "sports"),
@@ -91,19 +126,8 @@ def _run_lifecycle(service: CommunityService, seed: int) -> None:
         assert ours == theirs, (seed, round_index)
 
         for query in QUERIES:
-            if isinstance(query, type(QUERIES[0])):
-                request_type, endpoint = ToplRequest, "topl"
-            else:
-                request_type, endpoint = DToplRequest, "dtopl"
-            answered = {
-                backend: service.dispatch(
-                    request_type(session=backend, query=query)
-                )
-                for backend in ("reference", "fast")
-            }
-            assert _wire(answered["reference"]) == _wire(answered["fast"]), (
-                seed, round_index, endpoint, query,
-            )
+            answered = _answer_both(service, query)
+            assert answered["reference"] == answered["fast"], (seed, round_index, query)
 
         overridden = {
             backend: _wire(
@@ -145,7 +169,7 @@ def test_fast_session_snapshot_is_patched_not_refrozen():
     import repro.graph.social_network as social_network_module
 
     service = CommunityService()
-    graph = uni(num_vertices=110, rng=3)
+    graph = _lifecycle_graph(3)
     _build_sessions(service, graph_to_dict(graph))
     script = random_update_batch(graph, 8, rng=5, insert_ratio=0.5)
 

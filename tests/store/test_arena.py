@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -105,3 +106,96 @@ def test_malformed_meta_is_typed(tmp_path):
     write_container(str(path), [("meta", b'{"num_vertices": "not-a-number"}')])
     with pytest.raises(StoreFormatError):
         open_store(str(path))
+
+
+
+def _sections(path: str) -> dict:
+    """Every section of a store, as bytes by name."""
+    from repro.store.container import RawStore
+
+    raw = RawStore.open(path, use_mmap=False)
+    return {name: bytes(raw.section(name)) for name in raw.sections}
+
+
+def _layout(path: str) -> tuple[list, list]:
+    sections = _sections(path)
+    shape = memoryview(sections["tree_shape"]).cast("q").tolist()
+    return shape, memoryview(sections["tree_vertices"]).cast("q").tolist()
+
+
+def _open_edited(source: str, target, **replaced):
+    """Open a copy of a store with some sections replaced (checksums valid)."""
+    sections = {**_sections(source), **replaced}
+    write_container(str(target), list(sections.items()))
+    return open_store(str(target))
+
+
+def test_store_carries_the_tree_layout(store_engine, packed_store):
+    from repro.index.tree import tree_layout
+
+    shape, order = _layout(packed_store)
+    live_shape, live_vertices = tree_layout(store_engine.index)
+    assert shape == live_shape
+    index_of = store_engine.graph.freeze().table.index_of
+    assert order == [index_of(vertex) for vertex in live_vertices]
+    assert tree_layout(open_store(packed_store).index) == (live_shape, live_vertices)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda shape, order: (shape[:-1], order), id="truncated-shape"),
+        pytest.param(
+            lambda shape, order: ([shape[0] + 1] + shape[1:], order), id="child-count-past-end"
+        ),
+        pytest.param(lambda shape, order: (shape + [-1], order), id="trailing-token"),
+        pytest.param(lambda shape, order: ([shape[0], 0] + shape[1:], order), id="empty-leaf"),
+        pytest.param(
+            lambda shape, order: (shape, [order[0]] + order[:-1]), id="duplicated-vertex"
+        ),
+        pytest.param(
+            lambda shape, order: (shape, order[:-1] + [len(order)]), id="vertex-out-of-range"
+        ),
+        pytest.param(lambda shape, order: (shape, order[:-1] + [-1]), id="negative-vertex"),
+    ],
+)
+def test_corrupt_layout_is_typed(packed_store, tmp_path, corrupt):
+    from array import array
+
+    shape, order = corrupt(*_layout(packed_store))
+    with pytest.raises(StoreFormatError, match="tree"):
+        _open_edited(
+            packed_store,
+            tmp_path / "corrupt.repro-store",
+            tree_shape=array("q", shape).tobytes(),
+            tree_vertices=array("q", order).tobytes(),
+        )
+
+
+def test_layout_section_of_odd_length_is_typed(packed_store, tmp_path):
+    tree_shape = _sections(packed_store)["tree_shape"] + b"\x00"
+    with pytest.raises(StoreFormatError, match="tree_shape"):
+        _open_edited(packed_store, tmp_path / "odd.repro-store", tree_shape=tree_shape)
+
+
+@pytest.mark.parametrize("position", [-1, 10_000], ids=["negative", "past-the-end"])
+def test_keyword_position_outside_the_vocabulary_is_typed(packed_store, tmp_path, position):
+    keywords = json.loads(_sections(packed_store)["keywords"])
+    keywords["sets"][0] = [position]
+    with pytest.raises(StoreFormatError, match="vocabulary"):
+        _open_edited(
+            packed_store,
+            tmp_path / "keywords.repro-store",
+            keywords=json.dumps(keywords).encode("utf-8"),
+        )
+
+
+def test_repeated_vertex_id_is_typed(packed_store, tmp_path):
+    vertex_ids = json.loads(_sections(packed_store)["vertex_ids"])
+    vertex_ids[1] = vertex_ids[0]
+    with pytest.raises(StoreFormatError, match="twice"):
+        _open_edited(
+            packed_store,
+            tmp_path / "ids.repro-store",
+            vertex_ids=json.dumps(vertex_ids).encode("utf-8"),
+        )

@@ -30,7 +30,7 @@ def test_provenance_of_store_backed_engine(packed_store):
     provenance = engine.store_provenance()
     assert provenance["store_backed"] is True
     assert provenance["path"] == packed_store
-    assert provenance["format_version"] == 1
+    assert provenance["format_version"] == 2
     assert provenance["residency"] == "mmap"
     assert provenance["generation"] == 0
     assert provenance["attached"] is True
@@ -126,3 +126,62 @@ def test_checkpoint_generation_chain(packed_store, tmp_path):
     assert engine.checkpoint_store(str(first))["generation"] == 1
     assert engine.checkpoint_store(str(second))["generation"] == 2
     assert open_store(str(second)).info["generation"] == 2
+
+
+def test_fast_reads_never_build_the_dict_graph(packed_store, monkeypatch):
+    """Reads, batches, describe and health run on the store's CSR alone.
+
+    The dict graph is built on the first update instead, after which it is
+    an ordinary ``SocialNetwork`` and the answers still match the reference
+    backend.
+    """
+    from repro.fastgraph.csr import CSRGraph
+    from repro.graph.social_network import LazySocialNetwork, SocialNetwork
+    from repro.query.params import make_dtopl_query
+    from repro.service import CommunityService
+    from repro.service.schema import BatchRequest, BuildRequest, DToplRequest, ToplRequest
+
+    dtopl = make_dtopl_query({"movies", "books"}, k=3, radius=2, theta=0.1, top_l=2)
+    reference = InfluentialCommunityEngine.from_store(
+        packed_store, config_overrides={"backend": "reference"}
+    )
+    engine = InfluentialCommunityEngine.from_store(
+        packed_store, config_overrides={"backend": "fast"}
+    )
+    service = CommunityService()
+
+    def refuse(self):
+        raise AssertionError("a read built the dict graph")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CSRGraph, "thaw", refuse)
+        answers = [engine.topl(TOPL).communities, engine.dtopl(dtopl).communities]
+        served = engine.serve().run([TOPL, dtopl])
+        described = engine.describe()
+        service.build(
+            BuildRequest(
+                session="s", store_path=packed_store, config={"backend": "fast"}
+            )
+        )
+        service.topl(ToplRequest(session="s", query=TOPL))
+        service.dtopl(DToplRequest(session="s", query=dtopl))
+        service.batch(BatchRequest(session="s", queries=(TOPL, dtopl)))
+        service.health()
+        service.sessions()
+    assert type(engine.graph) is LazySocialNetwork
+    assert type(service.engine("s").graph) is LazySocialNetwork
+
+    expected = [reference.topl(TOPL).communities, reference.dtopl(dtopl).communities]
+    assert answers[0]
+    assert answers == expected
+    assert [result.communities for result in served] == expected
+    assert described["graph"] == reference.describe()["graph"]
+
+    batch = UpdateBatch([EdgeUpdate.insert(1, 901, 0.8, 0.8, keywords_v={"movies"})])
+    engine.apply_updates(batch, damage_threshold=1.0)
+    reference.apply_updates(batch, damage_threshold=1.0)
+    assert type(engine.graph) is SocialNetwork
+    assert engine.topl(TOPL).communities == reference.topl(TOPL).communities
+    assert engine.dtopl(dtopl).communities == reference.dtopl(dtopl).communities
+    assert engine.describe()["graph"] == reference.describe()["graph"]
+    assert engine.describe()["graph"]["num_vertices"] == 29

@@ -61,7 +61,7 @@ class TestStatsDescribe:
         # The same describe() document /v1/health serves.
         assert document["backend"] == "reference"
         assert document["epoch"] == 0
-        assert document["index_schema_version"] == 1
+        assert document["index_schema_version"] == 2
         assert document["index"]["max_radius"] == 2
         assert document["dynamic"] == {"upp_rows": None, "upp_entries": None}
 
