@@ -5,13 +5,15 @@ trip on top of the in-process serving path.  This bench quantifies that tax
 on a mixed TopL/DTopL batch:
 
 * **in-process sequential** — ``CommunityService.batch`` with caches off,
-  timed on the second run of the batch (the first warms the session up);
-  the baseline every other number is relative to.
+  timed after one untimed warm-up batch; the baseline every other number
+  is relative to.
 * **HTTP buffered** — ``POST /v1/batch`` against a live gateway on
   localhost, answers parsed back from JSON and asserted bit-identical to
   the in-process results.
 * **HTTP streaming** — ``POST /v1/batch?stream=1`` (NDJSON), result lines
   asserted identical to the buffered ones.
+
+Each path runs the batch ``TIMED_BATCHES`` (5) times and reports the median.
 
 Run as pytest (``pytest benchmarks/bench_gateway.py``) or standalone to
 record a JSON baseline::
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 import urllib.request
@@ -42,6 +45,8 @@ from repro.workloads.reporting import bench_envelope
 
 #: Batch size of the gateway measurement.
 BATCH_SIZE = int(os.environ.get("REPRO_BENCH_GATEWAY_BATCH", "24"))
+#: Timed batches per path; each path reports the median of its batches.
+TIMED_BATCHES = 5
 #: Seed for the bench graph (the query workload is seeded separately, 97).
 GRAPH_SEED = 41
 
@@ -84,56 +89,69 @@ def strip_statistics(result_document: dict) -> dict:
     return {k: v for k, v in result_document.items() if k != "statistics"}
 
 
+def _timed(run):
+    """Call ``run()`` ``TIMED_BATCHES`` times: (median seconds, every result)."""
+    timings, results = [], []
+    for _ in range(TIMED_BATCHES):
+        started = time.perf_counter()
+        results.append(run())
+        timings.append(time.perf_counter() - started)
+    return statistics.median(timings), results
+
+
+def _path_measurement(elapsed: float, num_queries: int) -> dict:
+    return {
+        "elapsed_seconds": round(elapsed, 4),
+        "queries_per_second": round(num_queries / elapsed, 4) if elapsed else 0.0,
+    }
+
+
 def measure_paths(service: CommunityService, queries, batch_size=None) -> dict:
-    """All three paths over the same batch, with cross-path equivalence gates."""
+    """All three paths over the same batch, with cross-path equivalence gates.
+
+    Each path runs the batch ``TIMED_BATCHES`` times and reports its median,
+    so one slow batch (a collection, a neighbour's burst) does not move the
+    HTTP overhead factor.
+    """
     queries = queries if batch_size is None else queries[:batch_size]
     request = BatchRequest(session=_SESSION, queries=queries)
-    measurements: dict = {"batch_size": len(queries), "cpu_count": os.cpu_count()}
+    document = request.to_json()
+    measurements: dict = {
+        "batch_size": len(queries),
+        "batches_per_path": TIMED_BATCHES,
+        "cpu_count": os.cpu_count(),
+    }
 
     # One untimed batch first: a fresh session's first batch pays one-off
     # warm-up (the fast snapshot's workspace, first-touch allocations), which
     # would otherwise land in the baseline and make the HTTP factor read < 1.
     service.batch(request)
-    started = time.perf_counter()
-    sequential = service.batch(request)
-    measurements["in_process_sequential"] = {
-        "elapsed_seconds": round(time.perf_counter() - started, 4),
-        "queries_per_second": sequential.statistics["queries_per_second"],
-    }
-    sequential_wire = [strip_statistics(r) for r in sequential.results]
+    elapsed, runs = _timed(lambda: service.batch(request))
+    measurements["in_process_sequential"] = _path_measurement(elapsed, len(queries))
+    sequential_wire = json.loads(
+        json.dumps([strip_statistics(r) for r in runs[-1].results])
+    )
 
     with AsyncServiceGateway(service, port=0) as gateway:
         url = gateway.url + "/v1/batch"
-        started = time.perf_counter()
-        buffered = json.loads(post_json(url, request.to_json()))
-        elapsed = time.perf_counter() - started
-        measurements["http_buffered"] = {
-            "elapsed_seconds": round(elapsed, 4),
-            "queries_per_second": round(len(queries) / elapsed, 4) if elapsed else 0.0,
-        }
+        elapsed, runs = _timed(lambda: json.loads(post_json(url, document)))
+        measurements["http_buffered"] = _path_measurement(elapsed, len(queries))
         # Correctness gate #1: the HTTP answer is the in-process answer.
-        assert [
-            strip_statistics(r) for r in buffered["results"]
-        ] == json.loads(json.dumps(sequential_wire)), (
-            "HTTP buffered answers differ from in-process"
-        )
+        for buffered in runs:
+            assert [
+                strip_statistics(r) for r in buffered["results"]
+            ] == sequential_wire, "HTTP buffered answers differ from in-process"
 
-        started = time.perf_counter()
-        raw = post_json(url + "?stream=1", request.to_json())
-        elapsed = time.perf_counter() - started
-        lines = [json.loads(line) for line in raw.splitlines()]
-        measurements["http_streaming"] = {
-            "elapsed_seconds": round(elapsed, 4),
-            "queries_per_second": round(len(queries) / elapsed, 4) if elapsed else 0.0,
-        }
+        elapsed, runs = _timed(lambda: post_json(url + "?stream=1", document))
+        measurements["http_streaming"] = _path_measurement(elapsed, len(queries))
         # Correctness gate #2: streamed lines carry the same answers.
-        streamed = [
-            strip_statistics(line["result"]) for line in lines if line["kind"] == "result"
-        ]
-        assert streamed == json.loads(json.dumps(sequential_wire)), (
-            "NDJSON streamed answers differ from in-process"
-        )
-        assert lines[-1]["kind"] == "summary"
+        for raw in runs:
+            lines = [json.loads(line) for line in raw.splitlines()]
+            streamed = [
+                strip_statistics(line["result"]) for line in lines if line["kind"] == "result"
+            ]
+            assert streamed == sequential_wire, "NDJSON streamed answers differ from in-process"
+            assert lines[-1]["kind"] == "summary"
 
     http_qps = measurements["http_buffered"]["queries_per_second"]
     seq_qps = measurements["in_process_sequential"]["queries_per_second"]

@@ -13,11 +13,6 @@ The CLI wires the library's pieces together for shell usage::
     repro update graph.json --script edits.json --out-graph graph2.json
     repro update graph.json --random 50 --out-script edits.json
     repro gateway graph.json --port 8344             # HTTP service API
-    repro scenario list                              # built-in scenario catalog
-    repro scenario run --smoke --out BENCH_scenarios.json
-    repro scenario run planted-wc-bursty --spec my_scenario.toml
-    repro scenario report BENCH_scenarios.json
-    repro scenario validate BENCH_*.json             # BENCH schema gate
     repro store pack graph.json --out graph.repro-store
     repro store inspect graph.repro-store            # header + section table
     repro store verify graph.repro-store             # checksums + full decode
@@ -206,64 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="front door backpressure bound: concurrent requests "
         "beyond this get 429 + Retry-After",
-    )
-
-    scenario = subparsers.add_parser(
-        "scenario",
-        help="declarative multi-dataset screening (list / run / report / validate)",
-    )
-    actions = scenario.add_subparsers(dest="action", required=True)
-
-    scenario_list = actions.add_parser("list", help="print the scenario catalog")
-    scenario_list.add_argument(
-        "--smoke", action="store_true", help="only the PR-gate smoke subset"
-    )
-
-    scenario_run = actions.add_parser(
-        "run", help="execute scenarios end-to-end on both backends and gate them"
-    )
-    scenario_run.add_argument(
-        "names",
-        nargs="*",
-        metavar="NAME",
-        help="catalog scenario names (see `repro scenario list`)",
-    )
-    scenario_run.add_argument(
-        "--all", action="store_true", help="run the whole built-in catalog"
-    )
-    scenario_run.add_argument(
-        "--smoke", action="store_true", help="run the smoke subset of the catalog"
-    )
-    scenario_run.add_argument(
-        "--spec",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="also run this scenario spec file (.toml or .json; repeatable)",
-    )
-    scenario_run.add_argument(
-        "--out", default=None, help="write the BENCH_scenarios.json document here"
-    )
-    scenario_run.add_argument(
-        "--no-enforce-gates",
-        action="store_true",
-        help="report gate failures in the table instead of exiting non-zero",
-    )
-
-    scenario_report = actions.add_parser(
-        "report", help="summarise a previously recorded BENCH_scenarios.json"
-    )
-    scenario_report.add_argument("document", help="BENCH_scenarios.json path")
-
-    scenario_validate = actions.add_parser(
-        "validate",
-        help="validate BENCH_*.json documents against the checked-in schema",
-    )
-    scenario_validate.add_argument(
-        "documents",
-        nargs="*",
-        metavar="FILE",
-        help="BENCH JSON files (default: ./BENCH_*.json)",
     )
 
     store = subparsers.add_parser(
@@ -778,96 +715,6 @@ def _command_gateway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_scenario(args: argparse.Namespace) -> int:
-    from repro.scenarios import (
-        catalog,
-        format_scenario_table,
-        get_scenario,
-        load_scenario_file,
-        load_scenarios_document,
-        run_scenario,
-        smoke_catalog,
-        validate_bench_file,
-        write_scenarios_document,
-    )
-
-    if args.action == "list":
-        specs = smoke_catalog() if args.smoke else catalog()
-        rows = [
-            {
-                "name": spec.name,
-                "smoke": "yes" if spec.smoke else "",
-                "recipe": spec.graph.recipe,
-                "model": spec.probabilities.model,
-                "trace": spec.trace.kind,
-                "|V|": spec.graph.num_vertices,
-                "ops": spec.trace.operations,
-                "description": spec.description,
-            }
-            for spec in specs
-        ]
-        print(format_table(rows, title="scenario catalog"))
-        return 0
-
-    if args.action == "run":
-        specs = []
-        if args.all:
-            specs.extend(catalog())
-        elif args.smoke:
-            specs.extend(smoke_catalog())
-        specs.extend(get_scenario(name) for name in args.names)
-        specs.extend(load_scenario_file(path) for path in args.spec)
-        if not specs:  # bare `repro scenario run` means the PR gate subset
-            specs.extend(smoke_catalog())
-        service = CommunityService()
-        reports = []
-        for spec in specs:
-            started = time.perf_counter()
-            report = run_scenario(spec, service=service)
-            print(
-                f"ran {spec.name} in {time.perf_counter() - started:.1f}s "
-                f"(equivalence={'ok' if report.equivalence else 'FAILED'}, "
-                f"speedup {report.speedup:.2f}x)"
-            )
-            reports.append(report)
-        print(format_scenario_table(reports))
-        if args.out:
-            write_scenarios_document(reports, args.out)
-            print(f"scenario document written to {args.out}")
-        failed = [report.scenario for report in reports if not report.passed]
-        if failed and not args.no_enforce_gates:
-            print(f"error: gates failed for: {', '.join(failed)}", file=sys.stderr)
-            return 2
-        return 0
-
-    if args.action == "report":
-        reports = load_scenarios_document(args.document)
-        print(format_scenario_table(reports, title=f"scenario report ({args.document})"))
-        failed = [report.scenario for report in reports if not report.passed]
-        if failed:
-            print(f"error: gates failed for: {', '.join(failed)}", file=sys.stderr)
-            return 2
-        return 0
-
-    # validate
-    from pathlib import Path
-
-    paths = [Path(p) for p in args.documents] or sorted(Path(".").glob("BENCH_*.json"))
-    if not paths:
-        print("error: no BENCH_*.json documents found", file=sys.stderr)
-        return 2
-    failures = 0
-    for path in paths:
-        errors = validate_bench_file(path)
-        if errors:
-            failures += 1
-            for message in errors:
-                print(f"error: {message}", file=sys.stderr)
-        else:
-            print(f"{path}: ok")
-    return 2 if failures else 0
-
-
 def _command_store(args: argparse.Namespace) -> int:
     from repro.store import inspect_store, pack_store, verify_store
 
@@ -929,7 +776,6 @@ _COMMANDS = {
     "batch": _command_serve,
     "update": _command_update,
     "gateway": _command_gateway,
-    "scenario": _command_scenario,
     "store": _command_store,
 }
 

@@ -90,12 +90,11 @@ class DynamicUpdateError(ReproError):
 
 
 class ScenarioError(ReproError):
-    """Raised when a scenario specification is malformed or a gate fails.
+    """The error of the removed declarative scenario harness.
 
-    Scenario specs (see :mod:`repro.scenarios.spec`) are validated strictly —
-    unknown sections or keys, out-of-domain values, and unloadable spec files
-    all raise this; the pipeline also raises it when a scenario's declared
-    gates (equivalence, non-degeneracy) do not hold.
+    Nothing in the tree raises it any more.  It stays because its wire code
+    ``SCENARIO_INVALID`` is part of the append-only code table of
+    :mod:`repro.service.errors`.
     """
 
 

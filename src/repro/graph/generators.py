@@ -376,3 +376,33 @@ def assign_uniform_weights(
         graph.set_probability(u, v, _draw_probability(generator, weight_range))
         graph.set_probability(v, u, _draw_probability(generator, weight_range))
     return graph
+
+
+#: The TRIVALENCY model's probability levels (influence-maximisation literature).
+TRIVALENCY_VALUES = (0.1, 0.01, 0.001)
+
+
+def assign_weighted_cascade(graph: SocialNetwork) -> SocialNetwork:
+    """Set ``p(u -> v) = 1 / deg(v)`` on every directional edge.
+
+    The weighted-cascade model of independent-cascade influence: influence
+    concentrates on low-degree targets.  Mutates and returns ``graph``; draws
+    nothing at random.
+    """
+    for u, v in graph.edges():
+        graph.set_probability(u, v, 1.0 / graph.degree(v))
+        graph.set_probability(v, u, 1.0 / graph.degree(u))
+    return graph
+
+
+def assign_trivalency(graph: SocialNetwork, rng: RandomLike = None) -> SocialNetwork:
+    """Draw every directional edge probability uniformly from :data:`TRIVALENCY_VALUES`.
+
+    Mutates and returns ``graph``; ``rng`` is consumed in edge-iteration
+    order, ``u -> v`` before ``v -> u``.
+    """
+    generator = _resolve_rng(rng)
+    for u, v in graph.edges():
+        graph.set_probability(u, v, generator.choice(TRIVALENCY_VALUES))
+        graph.set_probability(v, u, generator.choice(TRIVALENCY_VALUES))
+    return graph

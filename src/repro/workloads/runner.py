@@ -152,29 +152,3 @@ class ExperimentRunner:
     def workload_for(self, graph: SocialNetwork, seed: Optional[int] = None) -> QueryWorkload:
         """Build a reproducible query workload for ``graph``."""
         return QueryWorkload(graph, rng=self.rng_seed if seed is None else seed)
-
-    # ------------------------------------------------------------------ #
-    # scenario screening
-    # ------------------------------------------------------------------ #
-    def run_scenario(self, scenario, enforce_gates: bool = False):
-        """Execute one declarative scenario through this runner's service.
-
-        ``scenario`` is a :class:`~repro.scenarios.spec.ScenarioSpec` or a
-        catalog scenario name; returns the
-        :class:`~repro.scenarios.pipeline.ScenarioReport`.  The scenario's
-        sessions are namespaced and dropped on completion, so they never
-        collide with the runner's per-graph sessions.
-        """
-        from repro.scenarios.catalog import get_scenario
-        from repro.scenarios.pipeline import run_scenario as _run
-        from repro.scenarios.spec import ScenarioSpec
-
-        spec = scenario if isinstance(scenario, ScenarioSpec) else get_scenario(scenario)
-        return _run(spec, service=self._service, enforce_gates=enforce_gates)
-
-    def run_scenarios(self, scenarios, enforce_gates: bool = False) -> list:
-        """Run several scenarios (specs or catalog names) and collect reports."""
-        return [
-            self.run_scenario(scenario, enforce_gates=enforce_gates)
-            for scenario in scenarios
-        ]

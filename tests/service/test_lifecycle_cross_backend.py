@@ -11,7 +11,6 @@ pruning stack and with a request-level pruning override alike.
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -22,6 +21,7 @@ from repro.graph.io import graph_to_dict
 from repro.query.params import make_dtopl_query, make_topl_query
 from repro.service.facade import CommunityService
 from repro.service.schema import BatchRequest, BuildRequest, DToplRequest, ToplRequest, UpdateRequest
+from tests.service.conftest import wire
 
 QUERIES = [
     make_topl_query({"movies", "books"}, k=3, radius=2, theta=0.2, top_l=3),
@@ -33,25 +33,6 @@ QUERIES = [
 
 #: Request-level pruning override: answered off a per-request serving engine.
 NO_SCORE_PRUNING = {"score": False}
-
-
-def _strip_timings(node):
-    if isinstance(node, dict):
-        for key in ("elapsed_seconds", "elapsed_ms", "queries_per_second"):
-            node.pop(key, None)
-        for value in node.values():
-            _strip_timings(value)
-    elif isinstance(node, list):
-        for value in node:
-            _strip_timings(value)
-
-
-def _wire(response) -> dict:
-    """Timing-free canonical wire form, through real JSON text."""
-    document = json.loads(json.dumps(response.to_json()))
-    document.pop("session", None)
-    _strip_timings(document)
-    return document
 
 
 def _lifecycle_graph(seed: int):
@@ -77,7 +58,7 @@ def _answer_both(service: CommunityService, query) -> dict:
     else:
         request_type = DToplRequest
     return {
-        backend: _wire(service.dispatch(request_type(session=backend, query=query)))
+        backend: wire(service.dispatch(request_type(session=backend, query=query)))
         for backend in ("reference", "fast")
     }
 
@@ -116,7 +97,7 @@ def _run_lifecycle(service: CommunityService, seed: int) -> None:
             responses[backend] = service.update(
                 UpdateRequest(session=backend, edits=edits, damage_threshold=1.0)
             )
-        ours, theirs = (_wire(responses[b]) for b in ("reference", "fast"))
+        ours, theirs = (wire(responses[b]) for b in ("reference", "fast"))
         # Reports agree on everything except the backend-specific overlay
         # fields (the reference backend has no overlay to dirty).
         for report in (ours["report"], theirs["report"]):
@@ -130,7 +111,7 @@ def _run_lifecycle(service: CommunityService, seed: int) -> None:
             assert answered["reference"] == answered["fast"], (seed, round_index, query)
 
         overridden = {
-            backend: _wire(
+            backend: wire(
                 service.batch(
                     BatchRequest(
                         session=backend, queries=tuple(QUERIES), pruning=NO_SCORE_PRUNING
@@ -149,7 +130,7 @@ def _run_lifecycle(service: CommunityService, seed: int) -> None:
         )
         for backend in ("reference", "fast")
     }
-    ours, theirs = (_wire(batch_responses[b]) for b in ("reference", "fast"))
+    ours, theirs = (wire(batch_responses[b]) for b in ("reference", "fast"))
     for document in (ours, theirs):
         document.pop("cache_statistics", None)
     assert ours == theirs, seed
