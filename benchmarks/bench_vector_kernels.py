@@ -14,7 +14,11 @@ bench records what that buys on top of the existing fast backend, in
   Barabási–Albert power-law graph where the batched kernels have real
   arrays to chew on;
 * **the whole-graph support kernel** (``supports``) timed on its own on
-  the power-law graph.
+  the power-law graph;
+* **each tier's traced build peak** (``traced_peak_mb``): the
+  ``tracemalloc`` peak of one more, untimed build per tier and network —
+  the transient scratch of the offline pass, which sets the process's
+  peak RSS on the in-process benchmark workloads.
 
 Correctness is part of the bench: the support comparison asserts exact
 equality, both end-to-end builds assert bit-identical pre-computed records,
@@ -34,6 +38,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -108,6 +113,21 @@ def measure_index_build(graph, config: EngineConfig, kernel_tier: str) -> dict:
     }
 
 
+def traced_peak_mb(graph, config: EngineConfig, kernel_tier: str) -> float:
+    """``tracemalloc`` peak (MB) of one offline build (precompute + tree).
+
+    A separate, untimed build: tracing slows allocation-heavy code, so the
+    timed builds run without it.
+    """
+    tracemalloc.start()
+    try:
+        measure_index_build(graph, config, kernel_tier)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(peak / 2**20, 2)
+
+
 def measure_kernels(graph) -> dict:
     """Stdlib-vs-vector timing of the support count, equality asserted.
 
@@ -173,7 +193,7 @@ def assert_answers_identical(graph) -> None:
     assert dtopl["stdlib"].diversity_score == dtopl["vector"].diversity_score
 
 
-def _network_section(graph, config: EngineConfig, best: dict) -> dict:
+def _network_section(graph, config: EngineConfig, best: dict, peaks: dict) -> dict:
     speedup = best["stdlib"]["total_seconds"] / max(best["vector"]["total_seconds"], 1e-9)
     return {
         "name": graph.name,
@@ -182,7 +202,10 @@ def _network_section(graph, config: EngineConfig, best: dict) -> dict:
         # The config every build ran with; each build states its own tier.
         "config": {**config.describe(), "kernel_tier": list(best)},
         "end_to_end": {
-            tier: {k: v for k, v in measurement.items() if not k.startswith("_")}
+            tier: {
+                **{k: v for k, v in measurement.items() if not k.startswith("_")},
+                "traced_peak_mb": peaks[tier],
+            }
             for tier, measurement in best.items()
         },
         "speedup_vector_vs_stdlib": round(speedup, 3),
@@ -217,13 +240,21 @@ def test_tiers_build_identical_indexes(tier_builds):
 def test_recorded_config_is_what_ran(bench_network, tier_builds):
     stdlib, vector = tier_builds
     section = _network_section(
-        bench_network, _BENCH_CONFIG, {"stdlib": stdlib, "vector": vector}
+        bench_network, _BENCH_CONFIG, {"stdlib": stdlib, "vector": vector},
+        {"stdlib": 1.0, "vector": 1.0},
     )
     assert section["config"]["backend"] == "fast"
     assert section["config"]["kernel_tier"] == ["stdlib", "vector"]
     assert [run["kernel_tier"] for run in section["end_to_end"].values()] == [
         "stdlib", "vector",
     ]
+    assert [run["traced_peak_mb"] for run in section["end_to_end"].values()] == [1.0, 1.0]
+
+
+def test_traced_peak_is_recorded(bench_network):
+    """The recorder's memory column: a positive traced peak per tier."""
+    for tier in ("stdlib", "vector"):
+        assert traced_peak_mb(bench_network, _BENCH_CONFIG, tier) > 0
 
 
 def test_tier_answers_identical(bench_network):
@@ -295,6 +326,10 @@ def main(argv=None) -> int:
     )
     assert_answers_identical(bench_graph)
     print("equivalence gate: records and TopL/DTopL answers identical across tiers")
+    bench_peaks = {
+        tier: traced_peak_mb(bench_graph, _BENCH_CONFIG, tier) for tier in best_bench
+    }
+    print(f"traced build peaks (MB): {bench_peaks}")
     bench_speedup = (
         best_bench["stdlib"]["total_seconds"] / best_bench["vector"]["total_seconds"]
     )
@@ -330,6 +365,10 @@ def main(argv=None) -> int:
         best_powerlaw["vector"]["_precomputed"], best_powerlaw["stdlib"]["_precomputed"]
     )
     print("equivalence gate: power-law records identical across tiers")
+    powerlaw_peaks = {
+        tier: traced_peak_mb(powerlaw_graph, _POWERLAW_CONFIG, tier) for tier in best_powerlaw
+    }
+    print(f"power-law traced build peaks (MB): {powerlaw_peaks}")
 
     report = {
         # equivalence=True: bit-identical records + identical answers asserted above.
@@ -341,9 +380,11 @@ def main(argv=None) -> int:
         ),
         "numpy_version": NUMPY_VERSION,
         "networks": {
-            "fastcore": _network_section(bench_graph, _BENCH_CONFIG, best_bench),
+            "fastcore": _network_section(bench_graph, _BENCH_CONFIG, best_bench, bench_peaks),
             "powerlaw": {
-                **_network_section(powerlaw_graph, _POWERLAW_CONFIG, best_powerlaw),
+                **_network_section(
+                    powerlaw_graph, _POWERLAW_CONFIG, best_powerlaw, powerlaw_peaks
+                ),
                 "kernels": kernels,
             },
         },

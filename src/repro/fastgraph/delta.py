@@ -124,16 +124,6 @@ class DeltaCSR:
         """Live undirected edges (base minus tombstones plus live overlay)."""
         return self._base_edges - self._num_dead_base + self._num_live_extra
 
-    @property
-    def num_retired_edges(self) -> int:
-        """Edge ids retired by deletions (base tombstones + dead overlay)."""
-        return self._num_dead_base + (len(self._extra_u) - self._num_live_extra)
-
-    @property
-    def num_overlay_edges(self) -> int:
-        """Overlay (spilled) edges ever inserted, live or since retired."""
-        return len(self._extra_u)
-
     def dirt_ratio(self) -> float:
         """How far the overlay has drifted from a pure CSR.
 

@@ -156,10 +156,15 @@ def fast_precompute(
     return data
 
 
-#: Memory cap for one batched offline block: the batch kernel keeps three
-#: dense per-(centre, vertex) state arrays, so a block holds at most this
-#: many slots x vertices entries (~17 bytes each => ~70 MB peak).
-_VECTOR_BLOCK_ENTRIES = 4_000_000
+#: Work bound of one batched offline block, in array entries: a block holds
+#: at most this many (centre, vertex) keys, and every arc gather and
+#: score-bound sort inside it takes at most this many entries, so its
+#: scratch stays within a few tens of bytes per entry whatever the ball
+#: sizes.  Measured ``tracemalloc`` peak of the whole vector ``precompute``
+#: on the 40 x 50 planted network (2,000 vertices, r = 2, B = 64): 9 MB, down
+#: from 63 MB with one 4M-key block; build kernel time is flat from 250k up,
+#: and rises ~50% at 100k on the r = 3 planted-query network.
+_VECTOR_BLOCK_WORK = 250_000
 
 
 def _vector_ball_aggregates(
@@ -168,21 +173,28 @@ def _vector_ball_aggregates(
     """Run the batched vector Algorithm 2 over ``centres`` in blocks.
 
     Returns per-centre ``{radius: RadiusAggregates}`` dicts in order.
-    Blocks cap the dense per-(centre, vertex) scratch of
-    :func:`~repro.fastgraph.vectorised.ball_aggregates_batch`; results are
-    independent per centre, so blocking changes nothing but peak memory.
-    The thresholded relaxation CSR is built once and shared by every block.
+    Blocks and the runs inside them cap the scratch of
+    :func:`~repro.fastgraph.vectorised.ball_aggregates_batch` at
+    :data:`_VECTOR_BLOCK_WORK` entries; results are independent per centre,
+    so blocking changes nothing but peak memory.  The thresholded
+    relaxation CSR and the keyword bit array are built once and shared by
+    every block.
     """
+    import numpy as np
+
     from repro.fastgraph.vectorised import _thresholded_arcs, ball_aggregates_batch
 
     arcs = _thresholded_arcs(csr, thresholds[0])
-    block = max(1, _VECTOR_BLOCK_ENTRIES // max(csr.num_vertices, 1))
+    arc_supports = supports[csr.as_numpy()["arc_edge"]]
+    if num_bits <= 64:
+        keyword_bits = np.asarray(keyword_bits, dtype=np.uint64)
+    block = max(1, _VECTOR_BLOCK_WORK // max(csr.num_vertices, 1))
     results = []
     for start in range(0, len(centres), block):
         results.extend(
             ball_aggregates_batch(
                 csr, arcs, centres[start : start + block], max_radius,
-                thresholds, num_bits, keyword_bits, supports,
+                thresholds, num_bits, keyword_bits, arc_supports, _VECTOR_BLOCK_WORK,
             )
         )
     return results

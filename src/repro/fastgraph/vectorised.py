@@ -42,12 +42,10 @@ _EMPTY_INT = np.empty(0, dtype=np.int64)
 
 def _concat_ranges(starts, lengths):
     """Concatenate ``range(starts[i], starts[i] + lengths[i])`` for all ``i``."""
-    total = int(lengths.sum())
-    if total == 0:
+    ends = np.cumsum(lengths)
+    if ends.size == 0 or ends[-1] == 0:
         return _EMPTY_INT
-    offsets = np.arange(total, dtype=np.int64)
-    offsets -= np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.repeat(starts, lengths) + offsets
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1], dtype=np.int64)
 
 
 # --------------------------------------------------------------------------- #
@@ -138,6 +136,33 @@ def _thresholded_arcs(csr: CSRGraph, threshold: float) -> tuple:
     )
 
 
+def _runs(lengths, limit: int) -> list:
+    """Cut consecutive keys into runs whose ``lengths`` total at most ``limit``.
+
+    Returns ``(lo, hi)`` bounds that cover every key in order.  A key whose
+    own length exceeds ``limit`` gets a run of its own, so no run is empty.
+    """
+    ends = np.cumsum(lengths)
+    if ends.size == 0 or ends[-1] <= limit:
+        return [(0, lengths.size)]
+    bounds = []
+    lo = 0
+    while lo < lengths.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + limit, "right")))
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+def _segment_starts(slots):
+    """Positions where a non-decreasing ``slots`` array starts a new value."""
+    change = np.empty(slots.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(slots[1:], slots[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
 def ball_aggregates_batch(
     csr: CSRGraph,
     arcs: tuple,
@@ -146,7 +171,8 @@ def ball_aggregates_batch(
     thresholds,
     num_bits: int,
     keyword_bits,
-    supports,
+    arc_supports,
+    work: int,
 ):
     """Algorithm 2 bodies for a *block* of centres, as one array program.
 
@@ -158,9 +184,17 @@ def ball_aggregates_batch(
     batches across centres instead: centre ``b`` works on flat keys
     ``b * n + vertex``, which keeps every slot's state disjoint while BFS,
     shell scans and the propagation fixpoint each run as a handful of
-    whole-block operations.  Frontier compaction and per-target maxima use
-    scatter + rescan (``np.maximum.at`` and flat masks) rather than sorting
-    — an order of magnitude cheaper at these sizes.
+    whole-block operations.  BFS dedup and fixpoint frontiers use a dense
+    per-key scatter plus a flat rescan, which returns keys ascending, i.e.
+    slot-major; the shell fold then reduces each slot's run of a shell
+    with ``reduceat`` instead of scattering per member.
+
+    ``work`` bounds the scratch beyond the block's dense per-key arrays:
+    every arc gather (BFS expansion, shell scan, fixpoint relaxation) is
+    cut into runs of at most ``work`` arcs, and the score-bound assembly
+    sorts at most ``work`` padded values at a time.  Runs change no result: BFS
+    marks and label maxima are order-free, and a label improved by a later
+    run re-enters the next frontier.
 
     Per slot, the computation is exactly the stdlib ``_ball_aggregates``:
     slots never interact (keys are partitioned by ``b``); the per-slot
@@ -169,10 +203,10 @@ def ball_aggregates_batch(
     label, scatter-maxes them and repeats until no label improves — at
     which point every label is the maximum stepwise-rounded path product
     the stdlib heap settles; per-shell keyword ORs accumulate the same bit
-    masks; and per-threshold score bounds are sequential ``np.cumsum``
-    prefix sums over the unique descending ordering of each slot's value
-    multiset — so every output int and float matches the scalar pass bit
-    for bit.
+    masks (``uint64`` up to 64 bits, Python ints beyond); and per-threshold
+    score bounds are sequential ``np.cumsum`` prefix sums along each slot's
+    row of descending values — so every output int and float matches the
+    scalar pass bit for bit.
     """
     from repro.index.precompute import RadiusAggregates
     from repro.keywords.bitvector import BitVector
@@ -183,89 +217,93 @@ def ball_aggregates_batch(
     num_keys = num_slots * n
     indptr = views["indptr"]
     heads = views["indices"]
-    arc_edge = views["arc_edge"]
     threshold = thresholds[0]
     arc_indptr, arc_heads, arc_probs, row_max = arcs
+    centres = np.asarray(centres, dtype=np.int64)
 
-    # ---- batched BFS: shells[d] holds the keys first reached at depth d.
-    # Frontier dedup is a scatter into ``dist`` plus a flat rescan; the
-    # rescan returns keys ascending, i.e. slot-major per-depth shells.
-    centre_keys = (
-        np.arange(num_slots, dtype=np.int64) * n
-        + np.asarray(centres, dtype=np.int64)
-    )
-    dist = np.full(num_keys, -1, dtype=np.int8)
+    # ---- batched BFS with the support fold riding on it.  shells[d]
+    # holds the keys first reached at depth d, ascending (slot-major).
+    # Edge (m, w) belongs to ball_r exactly when both hop distances are
+    # <= r, so scanning each shell-r member's arcs for endpoints already at
+    # depth <= r sees every ball edge at the first radius that contains it.
+    # Expanding shell d - 1 gathers exactly those arcs for r = d - 1, and
+    # the one pass past the last depth scans shell r_max without expanding
+    # it.  The centre's own arcs all end in shell 1, whose scan sees them.
+    # Every shell member beyond the centre has an arc, so each slot's
+    # segment of a gather is non-empty and ``reduceat`` sees no empty one.
+    centre_keys = np.arange(num_slots, dtype=np.int64) * n + centres
+    # An unreached key reads as one hop past the last radius, so it fails
+    # every ``reached < depth`` test below.
+    unseen = max_radius + 1
+    dist = np.full(num_keys, unseen, dtype=np.min_scalar_type(unseen))
     dist[centre_keys] = 0
     shells = [centre_keys]
-    frontier = centre_keys
-    for depth in range(1, max_radius + 1):
+    bound_accumulator = np.zeros(num_slots, dtype=np.int64)
+    bound_per_radius = []
+    for depth in range(1, max_radius + 2):
+        frontier = shells[depth - 1]
         vertex = frontier % n
         base = frontier - vertex
+        slot = base // n
         starts = indptr[vertex]
         lengths = indptr[vertex + 1] - starts
-        neighbour_keys = np.repeat(base, lengths) + heads[_concat_ranges(starts, lengths)]
-        neighbour_keys = neighbour_keys[dist[neighbour_keys] < 0]
-        if neighbour_keys.size == 0:
-            shells.extend([_EMPTY_INT] * (max_radius - depth + 1))
-            break
-        dist[neighbour_keys] = depth
-        frontier = np.flatnonzero(dist == depth)
-        shells.append(frontier)
+        for lo, hi in _runs(lengths, work):
+            arc_index = _concat_ranges(starts[lo:hi], lengths[lo:hi])
+            keys = np.repeat(base[lo:hi], lengths[lo:hi]) + heads[arc_index]
+            reached = dist[keys]
+            if depth <= max_radius:
+                dist[keys[reached == unseen]] = depth
+            if depth > 1 and arc_index.size:
+                # Supports are >= 0 and the bound starts at 0, so masking
+                # arcs that leave the ball to 0 leaves every maximum as is.
+                segments = _segment_starts(slot[lo:hi])
+                offsets = (np.cumsum(lengths[lo:hi]) - lengths[lo:hi])[segments]
+                touched = slot[lo:hi][segments]
+                bound_accumulator[touched] = np.maximum(
+                    bound_accumulator[touched],
+                    np.maximum.reduceat(
+                        np.where(reached < depth, arc_supports[arc_index], 0), offsets
+                    ),
+                )
+        if depth > 1:
+            bound_per_radius.append(bound_accumulator.tolist())
+        if depth <= max_radius:
+            shells.append(np.flatnonzero(dist == depth))
 
-    # ---- shell-incremental keyword OR and support upper bound (batched
-    # per-slot maxima).  Bit vectors that fit an int64 OR-scatter in one
-    # pass; wider ones accumulate in Python ints.
-    bound_accumulator = np.zeros(num_slots, dtype=np.int64)
-    bits_per_radius = []
-    bound_per_radius = []
-    narrow_bits = num_bits < 64
+    # ---- shell-incremental keyword OR: each slot's run of a shell reduced
+    # in one ``reduceat``, seeded with the centre's bits.
+    narrow_bits = num_bits <= 64
     if narrow_bits:
-        keyword_bits_np = np.asarray(keyword_bits, dtype=np.int64)
-        bits_accumulator = np.zeros(num_slots, dtype=np.int64)
+        keyword_bits_np = np.asarray(keyword_bits, dtype=np.uint64)
+        bits_accumulator = keyword_bits_np[centres]
     else:
-        bits_accumulator = [0] * num_slots
+        bits_accumulator = [keyword_bits[centre] for centre in centres.tolist()]
+    bits_per_radius = []
     for radius in range(1, max_radius + 1):
         shell = shells[radius]
-        if radius == 1:  # the centre itself folds in at radius 1
-            shell = np.concatenate((shells[0], shell))
         if shell.size:
             vertex = shell % n
-            base = shell - vertex
-            slot = base // n
+            slot = (shell - vertex) // n
             if narrow_bits:
-                np.bitwise_or.at(bits_accumulator, slot, keyword_bits_np[vertex])
+                segments = _segment_starts(slot)
+                bits_accumulator[slot[segments]] |= np.bitwise_or.reduceat(
+                    keyword_bits_np[vertex], segments
+                )
             else:
                 for s, member in zip(slot.tolist(), vertex.tolist()):
                     bits_accumulator[s] |= keyword_bits[member]
-            # Edge (m, w) belongs to ball_r exactly when both hop
-            # distances are <= r; scanning each new member's arcs against
-            # already-distanced endpoints sees every ball edge at the
-            # first radius that contains it.
-            starts = indptr[vertex]
-            lengths = indptr[vertex + 1] - starts
-            arc_index = _concat_ranges(starts, lengths)
-            arc_base = np.repeat(base, lengths)
-            endpoint_depth = dist[arc_base + heads[arc_index]]
-            inside = (endpoint_depth >= 0) & (endpoint_depth <= radius)
-            if inside.any():
-                np.maximum.at(
-                    bound_accumulator,
-                    np.repeat(slot, lengths)[inside],
-                    supports[arc_edge[arc_index[inside]]],
-                )
-        if narrow_bits:
-            bits_per_radius.append(bits_accumulator.tolist())
-        else:
-            bits_per_radius.append(list(bits_accumulator))
-        bound_per_radius.append(bound_accumulator.copy())
+        bits_per_radius.append(
+            bits_accumulator.tolist() if narrow_bits else list(bits_accumulator)
+        )
 
     # ---- chained per-radius propagation: one whole-block fixpoint per
     # radius, labels carried into the next (the incremental-seeding scheme
-    # of the scalar kernel, run for every slot at once).
+    # of the scalar kernel, run for every slot at once), each radius's
+    # score bounds assembled as soon as its labels settle.
     best = np.zeros(num_keys, dtype=np.float64)
     in_region = np.zeros(num_keys, dtype=bool)
     improved = np.zeros(num_keys, dtype=bool)
-    values_per_radius = []
+    sums_per_radius = []
     for radius in range(1, max_radius + 1):
         seeds = shells[radius]
         if radius == 1:
@@ -277,98 +315,125 @@ def ball_aggregates_batch(
         seed_round = True
         while frontier.size:
             vertex = frontier % n
-            if seed_round:
-                # Every frontier label is exactly 1.0: products are the
-                # arc probabilities themselves (multiplying by 1.0 is
-                # exact), all >= threshold by CSR construction.
-                seed_round = False
-                starts = arc_indptr[vertex]
-                lengths = arc_indptr[vertex + 1] - starts
-                arc_index = _concat_ranges(starts, lengths)
-                if arc_index.size == 0:
-                    break
-                targets = (
-                    np.repeat(frontier - vertex, lengths) + arc_heads[arc_index]
-                )
-                products = arc_probs[arc_index]
-                keep = products > best[targets]
-            else:
+            if not seed_round:
                 # A key whose label cannot clear the threshold through even
                 # its best arc emits nothing: labels are <= 1 and IEEE
                 # multiplication is monotone, so ``label * p <= label *
                 # row_max < threshold`` for every arc.  Dropping those keys
-                # (and then sub-threshold products, before the expensive
-                # target gather) removes the bulk of the confirmation
-                # rounds' work without changing a single relaxation.
+                # (and then sub-threshold products, before the target
+                # gather) removes the bulk of the confirmation rounds' work
+                # without changing a single relaxation.
                 labels = best[frontier]
                 viable = labels * row_max[vertex] >= threshold
                 frontier = frontier[viable]
-                if frontier.size == 0:
-                    break
                 vertex = vertex[viable]
                 labels = labels[viable]
-                starts = arc_indptr[vertex]
-                lengths = arc_indptr[vertex + 1] - starts
-                arc_index = _concat_ranges(starts, lengths)
-                if arc_index.size == 0:
-                    break
-                products = np.repeat(labels, lengths) * arc_probs[arc_index]
-                passing = products >= threshold
-                products = products[passing]
-                if products.size == 0:
-                    break
-                targets = (
-                    np.repeat(frontier - vertex, lengths) + arc_heads[arc_index]
-                )[passing]
+            base = frontier - vertex
+            starts = arc_indptr[vertex]
+            lengths = arc_indptr[vertex + 1] - starts
+            for lo, hi in _runs(lengths, work):
+                arc_index = _concat_ranges(starts[lo:hi], lengths[lo:hi])
+                targets = np.repeat(base[lo:hi], lengths[lo:hi]) + arc_heads[arc_index]
+                if seed_round:
+                    # Every seed label is exactly 1.0: products are the
+                    # arc probabilities themselves (multiplying by 1.0 is
+                    # exact), all >= threshold by CSR construction.
+                    products = arc_probs[arc_index]
+                else:
+                    products = (
+                        np.repeat(labels[lo:hi], lengths[lo:hi]) * arc_probs[arc_index]
+                    )
+                    passing = products >= threshold
+                    products = products[passing]
+                    targets = targets[passing]
                 keep = products > best[targets]
-            targets = targets[keep]
-            if targets.size == 0:
-                break
-            products = products[keep]
-            # Scatter-max per target key (same floats as any per-group
-            # max), then rescan the touched mask for the next frontier.
-            improved[targets] = True
-            np.maximum.at(best, targets, products)
-            in_region[targets] = True
+                targets = targets[keep]
+                # Scatter-max per target key (same floats as any per-group
+                # max); the rescan below collects the next frontier.
+                improved[targets] = True
+                np.maximum.at(best, targets, products[keep])
+            seed_round = False
             frontier = np.flatnonzero(improved)
             improved[frontier] = False
-        # Snapshot per-slot settled values; ``flatnonzero`` keys ascend,
-        # so the block is already slot-major and each slot's multiset is
-        # sorted descending in the assembly below.
+            in_region[frontier] = True
         settled = np.flatnonzero(in_region)
-        boundaries = np.searchsorted(
-            settled, np.arange(num_slots + 1, dtype=np.int64) * n
-        )
-        values_per_radius.append((best[settled], boundaries))
+        bounds = np.searchsorted(settled, np.arange(num_slots + 1, dtype=np.int64) * n)
+        sums_per_radius.append(_score_sums(best[settled], bounds, thresholds, work))
 
-    # ---- per-centre assembly: prefix-sum score bounds per threshold.
-    thresholds_np = np.asarray(thresholds, dtype=np.float64)
-    num_thresholds = len(thresholds)
-    empty_sums = [0.0] * num_thresholds
     results = []
     for slot in range(num_slots):
         per_radius = {}
         for radius in range(1, max_radius + 1):
-            all_values, boundaries = values_per_radius[radius - 1]
-            values = all_values[boundaries[slot] : boundaries[slot + 1]]
-            if values.size:
-                ascending = np.sort(values)
-                descending = ascending[::-1]
-                running = np.cumsum(descending)
-                sums = [
-                    float(running[count - 1]) if count else 0.0
-                    for count in (
-                        values.size
-                        - np.searchsorted(ascending, thresholds_np, "left")
-                    ).tolist()
-                ]
-            else:
-                sums = empty_sums
             per_radius[radius] = RadiusAggregates(
                 radius=radius,
                 bitvector=BitVector(bits_per_radius[radius - 1][slot], num_bits),
-                support_upper_bound=int(bound_per_radius[radius - 1][slot]),
-                score_bounds=tuple(zip(thresholds, sums)),
+                support_upper_bound=bound_per_radius[radius - 1][slot],
+                score_bounds=tuple(zip(thresholds, sums_per_radius[radius - 1][slot])),
             )
         results.append(per_radius)
     return results
+
+
+#: Rows at least this wide are summed one at a time: their per-row numpy
+#: calls (~4 us) then cost less than a padded batch's gather and scatter
+#: (~10 ns per label).  On rows captured from the powerlaw-12000 and the
+#: perfbench planted builds, switch points from 256 to 1024 timed alike;
+#: batching every row doubled the powerlaw assembly time.
+_WIDE_ROW = 512
+
+
+def _score_sums(values, bounds, thresholds, work) -> list:
+    """Per-slot, per-threshold score bounds over the settled labels of a block.
+
+    ``values[bounds[s]:bounds[s + 1]]`` are slot ``s``'s labels, all
+    ``>= thresholds[0]`` (the fixpoint keeps no smaller one).  Each slot's
+    labels are negated and sorted ascending — descending order of the
+    labels — and ``np.cumsum`` runs along them: a sequential prefix sum,
+    the stdlib pass's running sum addition for addition with every sign
+    flipped (exact under round-to-nearest).  The bound at ``theta`` is the
+    prefix over the labels ``>= theta``.  Rows go through in order of
+    width: narrow ones as the rows of zero-padded arrays of at most
+    ``work`` entries whose widths differ by at most 2x, wide ones alone.
+    Every slot holds its centre at label 1.0, so no row is empty
+    (``reduceat`` sees no empty segment) and every count is at least 1.
+    Returns one list of floats per slot.
+    """
+    starts = bounds[:-1]
+    widths = np.diff(bounds)
+    num_slots = widths.size
+    counts = np.stack(
+        [widths]
+        + [np.add.reduceat(values >= theta, starts, dtype=np.int64) for theta in thresholds[1:]],
+        axis=1,
+    )
+    sums = np.empty(counts.shape, dtype=np.float64)
+    by_width = np.argsort(widths, kind="stable")
+    sorted_widths = widths[by_width]
+    lo = int(np.searchsorted(sorted_widths, _WIDE_ROW))
+    for slot in by_width[lo:].tolist():
+        row = -values[starts[slot] : bounds[slot + 1]]
+        row.sort()
+        sums[slot] = -np.cumsum(row)[counts[slot] - 1]
+    narrow = lo
+    lo = 0
+    while lo < narrow:
+        # The widest row of a batch is its last.
+        padded_sizes = np.arange(1, narrow - lo + 1) * sorted_widths[lo:narrow]
+        hi = min(
+            lo + int(np.searchsorted(padded_sizes, work, "right")),
+            int(np.searchsorted(sorted_widths[:narrow], 2 * sorted_widths[lo], "right")),
+        )
+        hi = max(hi, lo + 1)
+        slots = by_width[lo:hi]
+        slot_widths = widths[slots]
+        width = int(slot_widths[-1])
+        index = _concat_ranges(starts[slots], slot_widths)
+        padded = np.zeros((hi - lo, width), dtype=np.float64)
+        padded.ravel()[
+            index + np.repeat(np.arange(hi - lo) * width - starts[slots], slot_widths)
+        ] = -values[index]
+        padded.sort(axis=1)
+        running = np.cumsum(padded, axis=1)
+        sums[slots] = -np.take_along_axis(running, counts[slots] - 1, axis=1)
+        lo = hi
+    return sums.tolist()

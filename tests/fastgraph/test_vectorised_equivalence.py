@@ -11,7 +11,8 @@ and hypothesis-generated graphs (supports, the peel they feed, and block
 aggregates over arbitrary centre samples against the stdlib records and the
 chained per-radius propagation), then ``precompute`` under both tiers across
 bit widths (both sides of the 64-bit OR branch), ``theta_min = 0``, a
-``vertices=`` subset and more than one centre block, then engine answers
+``vertices=`` subset, more than one centre block and deep radii, a bound on
+the vector pass's traced memory peak, then engine answers
 across all three tiers plus the reference backend, incremental updates on a
 vector-built engine, and store-attached engines.
 
@@ -38,20 +39,24 @@ from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import random_update_batch
 from repro.exceptions import GraphError, QueryParameterError
 from repro.fastgraph import edge_supports_csr, freeze, resolve_kernel_tier
+from repro.fastgraph import vectorised
 from repro.fastgraph.kernels import CSRWorkspace, truss_peel
 from repro.fastgraph.vectorised import (
     _thresholded_arcs,
     ball_aggregates_batch,
     edge_supports_vector,
 )
+from repro.graph.generators import planted_community_graph
+from repro.graph.keyword_assignment import assign_keywords
+from repro.graph.social_network import SocialNetwork
 from repro.index.precompute import precompute
-from repro.keywords.bitvector import BitVector
+from repro.keywords.bitvector import BitVector, hash_keyword
 from repro.query.params import make_dtopl_query, make_topl_query
 from repro.store import pack_store
 
 from tests.fastgraph.test_backend_equivalence import assert_precomputed_equal
 from tests.fastgraph.test_kernel_equivalence import seeded_graph
-from tests.property.strategies import social_networks
+from tests.property.strategies import KEYWORD_POOL, social_networks
 
 _THRESHOLDS = (0.1, 0.3)
 
@@ -100,24 +105,29 @@ def _assert_kernels_agree(rng, graph) -> None:
     n = csr.num_vertices
     centres = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
     thresholds = tuple(sorted(rng.sample((0.0, 0.05, 0.1, 0.2, 0.35, 0.6), 3)))
-    for num_bits in (16, 96):  # both sides of the int64 OR branch
-        batch = ball_aggregates_batch(
-            csr, _thresholded_arcs(csr, thresholds[0]), centres, 3, thresholds,
-            num_bits, _keyword_bits(csr, num_bits), vector_supports,
-        )
+    arc_supports = vector_supports[csr.as_numpy()["arc_edge"]]
+    for num_bits in (16, 96):  # both sides of the uint64 OR branch
         stdlib = precompute(
             graph, max_radius=3, thresholds=thresholds, num_bits=num_bits,
             backend="fast", kernel_tier="stdlib",
         )
-        assert len(batch) == len(centres)
-        for centre, per_radius in zip(centres, batch):
-            expected = stdlib.vertex_aggregates[csr.table.id_of(centre)].per_radius
-            assert per_radius == expected, (centre, thresholds, num_bits)
-            for aggregates in per_radius.values():
-                # Plain python scalars at the boundary: np.int64 is not an
-                # int and would break JSON serialization downstream.
-                assert type(aggregates.support_upper_bound) is int
-                assert all(type(sigma) is float for _, sigma in aggregates.score_bounds)
+        # One run per gather, then runs of at most 3 arcs (slots split
+        # across runs).
+        for work in (10**9, 3):
+            batch = ball_aggregates_batch(
+                csr, _thresholded_arcs(csr, thresholds[0]), centres, 3, thresholds,
+                num_bits, _keyword_bits(csr, num_bits), arc_supports, work,
+            )
+            assert len(batch) == len(centres)
+            for centre, per_radius in zip(centres, batch):
+                expected = stdlib.vertex_aggregates[csr.table.id_of(centre)].per_radius
+                assert per_radius == expected, (centre, thresholds, num_bits, work)
+                for aggregates in per_radius.values():
+                    # Plain python scalars at the boundary: np.int64 is not
+                    # an int and would break JSON serialization downstream.
+                    assert type(aggregates.support_upper_bound) is int
+                    assert type(aggregates.bitvector.bits) is int
+                    assert all(type(sigma) is float for _, sigma in aggregates.score_bounds)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -161,7 +171,7 @@ def test_nested_propagation_bit_identical(seed):
         values = workspace.nested_propagation_values(order, cuts, theta)
         (per_radius,) = ball_aggregates_batch(
             csr, _thresholded_arcs(csr, theta), [centre], 3, (theta,), 16,
-            _keyword_bits(csr, 16), supports,
+            _keyword_bits(csr, 16), supports[csr.as_numpy()["arc_edge"]], 10**9,
         )
         for radius in (1, 2, 3):
             running = 0.0
@@ -180,11 +190,40 @@ def _precompute_both(graph, **kwargs):
     return vector, stdlib, reference
 
 
+def _top_bit_keyword(num_bits):
+    """A keyword that hashes to the highest bit of a ``num_bits`` vector."""
+    return next(
+        word for word in (f"w{i}" for i in range(100_000))
+        if hash_keyword(word, num_bits) == num_bits - 1
+    )
+
+
+def _with_edge_cases(graph, num_bits):
+    """``graph`` plus the corners of the batched fold and fixpoint.
+
+    Two isolated centres (no arcs at all: no shell 1, nothing to relax), a
+    pendant pair whose balls stop growing at radius 1 (empty outer shells)
+    and whose one arc carries ``p = 0`` one way, a ``p = 0`` arc on a
+    vertex of the main graph, and keywords on the top bit of the vector
+    (bit 63 at B = 64 is the sign bit of an int64).
+    """
+    top = _top_bit_keyword(num_bits)
+    graph.add_vertex(10_001, (top,))
+    graph.add_vertex(10_002, ("movies", top))
+    graph.add_edge(10_003, 10_004, 0.0, 0.4)
+    graph.add_vertex(10_003, (top,))
+    anchor = min(graph.vertices(), key=repr)
+    graph.add_edge(anchor, 10_005, 0.0, 0.0)
+    graph.add_vertex(anchor, (top,))
+    return graph
+
+
 @pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("num_bits", (16, 32, 64, 96))
+@pytest.mark.parametrize("num_bits", (16, 32, 63, 64, 65, 96))
 def test_precompute_bit_identical_across_tiers(seed, num_bits):
-    """B < 64 ORs keyword bits as int64 arrays; B >= 64 as Python ints."""
+    """B <= 64 ORs keyword bits as uint64 arrays; B > 64 as Python ints."""
     _, graph = seeded_graph(seed)
+    _with_edge_cases(graph, num_bits)
     vector, stdlib, reference = _precompute_both(
         graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits
     )
@@ -216,25 +255,81 @@ def test_precompute_tiers_agree_on_a_vertex_subset(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("num_bits", (32, 96))
+@pytest.mark.parametrize("num_bits", (32, 63, 64, 65, 96))
 def test_precompute_tiers_agree_across_blocks(seed, num_bits, monkeypatch):
-    """Centre blocks are independent: cutting the build into many changes nothing."""
+    """Centre blocks are independent: cutting the build into many changes nothing.
+
+    Two centres per block, so the isolated centres and the pendant pair of
+    :func:`_with_edge_cases` share blocks with each other and with the
+    main graph, and the same work bound cuts gathers into runs of at most
+    ``2 n`` arcs.  The blocked build runs twice: with the default
+    ``_WIDE_ROW`` and with every score-bound row summed on its own.
+    """
     import repro.fastgraph.offline as offline
 
     _, graph = seeded_graph(seed)
+    _with_edge_cases(graph, num_bits)
     whole = precompute(
         graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits,
         backend="fast", kernel_tier="vector",
     )
-    # Two centres per block.
     monkeypatch.setattr(
-        offline, "_VECTOR_BLOCK_ENTRIES", max(2, 2 * graph.num_vertices())
+        offline, "_VECTOR_BLOCK_WORK", max(2, 2 * graph.num_vertices())
     )
     vector, stdlib, _ = _precompute_both(
         graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits
     )
     assert_precomputed_equal(vector, whole, seed)
     assert_precomputed_equal(vector, stdlib, seed)
+    monkeypatch.setattr(vectorised, "_WIDE_ROW", 1)
+    vector = precompute(
+        graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits,
+        backend="fast", kernel_tier="vector",
+    )
+    assert_precomputed_equal(vector, stdlib, seed)
+
+
+@pytest.mark.parametrize("max_radius", (130, 255, 260))
+def test_precompute_tiers_agree_at_deep_radii(max_radius):
+    """Hop depths past any small integer width: the BFS depth array widens.
+
+    A 300-vertex path, so balls keep growing up to the largest radius; the
+    depth array used to be int8 (an ``OverflowError`` from r = 128).
+    """
+    graph = SocialNetwork()
+    for vertex in range(300):
+        graph.add_vertex(vertex, (KEYWORD_POOL[vertex % len(KEYWORD_POOL)],))
+    for vertex in range(299):
+        graph.add_edge(vertex, vertex + 1, 0.9, 0.8)
+    kwargs = dict(max_radius=max_radius, thresholds=_THRESHOLDS, vertices=[0, 150, 299])
+    vector = precompute(graph, backend="fast", kernel_tier="vector", **kwargs)
+    stdlib = precompute(graph, backend="fast", kernel_tier="stdlib", **kwargs)
+    assert_precomputed_equal(vector, stdlib, max_radius)
+
+
+def test_vector_precompute_scratch_is_bounded_by_its_work():
+    """The vector pass's traced peak stays far below ``block x n`` scratch.
+
+    A 2,000-vertex sparse planted network (40 communities of 50), r = 2,
+    B = 64.  Blocks of ``_VECTOR_BLOCK_WORK // n`` centres keep the dense
+    per-key arrays small, and every gather and score-bound sort is cut to
+    the same bound; the whole ``precompute`` (supports, peel, output
+    records included) peaked at 63 MB when one block held every centre,
+    and at 9 MB with the bound.
+    """
+    import tracemalloc
+
+    graph = planted_community_graph([50] * 40, 0.1, 0.00005, rng=7)
+    assign_keywords(graph, keywords_per_vertex=3, domain_size=50, rng=7)
+    tracemalloc.start()
+    try:
+        precompute(
+            graph, max_radius=2, num_bits=64, backend="fast", kernel_tier="vector"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def _fingerprint(result):
