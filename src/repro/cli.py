@@ -9,7 +9,7 @@ The CLI wires the library's pieces together for shell usage::
     repro dtopl graph.json --keywords movies,books --top-l 3 --candidate-factor 3
     repro sweep graph.json --parameter theta
     repro serve graph.json --queries 32 --repeat 2
-    repro batch graph.json --queries 32 --no-cache   # alias of `serve`
+    repro serve graph.json --queries 32 --no-cache
     repro update graph.json --script edits.json --out-graph graph2.json
     repro update graph.json --random 50 --out-script edits.json
     repro gateway graph.json --port 8344             # HTTP service API
@@ -123,12 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--index", default=None, help="optional pre-built index JSON")
     sweep.add_argument("--seed", type=int, default=97)
 
-    for name in ("serve", "batch"):
-        serve = subparsers.add_parser(
-            name,
-            help="answer a batch of mixed TopL/DTopL queries (with caching)",
-        )
-        _add_serve_arguments(serve)
+    serve = subparsers.add_parser(
+        "serve",
+        help="answer a batch of mixed TopL/DTopL queries (with caching)",
+    )
+    _add_serve_arguments(serve)
 
     update = subparsers.add_parser(
         "update",
@@ -773,7 +772,6 @@ _COMMANDS = {
     "dtopl": _command_dtopl,
     "sweep": _command_sweep,
     "serve": _command_serve,
-    "batch": _command_serve,
     "update": _command_update,
     "gateway": _command_gateway,
     "store": _command_store,

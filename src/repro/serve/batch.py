@@ -127,6 +127,21 @@ class BatchResult:
         return self.results[index]
 
 
+@dataclass
+class CachedResult:
+    """One result-cache entry: a result and, once encoded, its wire tail.
+
+    ``wire_tail`` is the UTF-8 JSON of the result's response document after
+    the envelope (see :func:`repro.service.schema.response_tail`), filled in
+    by the first front-door hit that needs it.  It lives and dies with the
+    entry, under the same key and the same eviction: a re-executed result for
+    the key may carry other statistics, so its text must not outlive it.
+    """
+
+    result: QueryResult
+    wire_tail: Optional[bytes] = None
+
+
 # --------------------------------------------------------------------------- #
 # the serving engine
 # --------------------------------------------------------------------------- #
@@ -144,18 +159,6 @@ class BatchQueryEngine:
     pruning:
         Pruning rules applied to every query; ``None`` means the full stack.
     """
-
-    @classmethod
-    def for_session(cls, service, session: str = "default") -> "BatchQueryEngine":
-        """The serving engine behind a :class:`~repro.service.facade.CommunityService` session.
-
-        The preferred binding for long-lived consumers: a session *name*
-        instead of an engine object, so the consumer sees whatever engine the
-        service currently hosts under that name (rebuilds included).  Returns the
-        session's persistent serving engine — caches are shared with every
-        other consumer of the session.
-        """
-        return service.serving(session)
 
     def __init__(
         self,
@@ -220,11 +223,26 @@ class BatchQueryEngine:
         if self.result_cache is not None:
             cached = self.result_cache.get(key)
             if cached is not None:
-                return cached
+                return cached.result
         result = self._execute(query)
         if self.result_cache is not None:
-            self.result_cache.put(key, result)
+            self.result_cache.put(key, CachedResult(result))
         return result
+
+    def cached(self, query: Query) -> Optional[CachedResult]:
+        """The result-cache entry :meth:`answer` would hit for ``query``, or ``None``.
+
+        ``None`` when result caching is off, when the engine was updated
+        since the last call (the next ``answer`` re-binds first) or when the
+        key is absent; such a miss counts no lookup.  A hit counts one,
+        exactly as it would in ``answer``.
+        """
+        if self.result_cache is None or self.engine.epoch != self._epoch:
+            return None
+        key = query_cache_key(query, self.pruning, self._epoch)
+        if key not in self.result_cache:
+            return None
+        return self.result_cache.get(key)
 
     def _execute(self, query: Query) -> QueryResult:
         if isinstance(query, DTopLQuery):
@@ -259,7 +277,7 @@ class BatchQueryEngine:
                     query_cache_key(query, self.pruning, self._epoch)
                 )
                 if cached is not None:
-                    results[position] = cached
+                    results[position] = cached.result
                     statistics.result_cache_hits += 1
                 else:
                     pending.append((position, query))
@@ -278,11 +296,11 @@ class BatchQueryEngine:
                     # cache (unless a tiny capacity evicted it since).
                     cached = self.result_cache.get(key)
                     if cached is not None:
-                        results[position] = cached
+                        results[position] = cached.result
                         statistics.deduplicated += 1
                         continue
                 result = self._execute(query)
-                self.result_cache.put(key, result)
+                self.result_cache.put(key, CachedResult(result))
                 executed_keys.add(key)
             results[position] = result
             statistics.executed += 1
@@ -310,10 +328,3 @@ class BatchQueryEngine:
                 else dict(empty)
             ),
         }
-
-    def clear_caches(self) -> None:
-        """Drop every cached entry (statistics are kept)."""
-        if self.result_cache is not None:
-            self.result_cache.clear()
-        if self.propagation_cache is not None:
-            self.propagation_cache.clear()

@@ -33,11 +33,19 @@ comes from the structured error code (404 for ``UNKNOWN_SESSION``, 422 for
 * **coalescing** — identical in-flight *read* requests (``topl``, ``dtopl``,
   buffered ``batch``) execute once; every waiter gets the same response
   document.  Mutations (``build``, ``update``) are never coalesced.
-* **backpressure** — at most ``max_pending`` requests execute concurrently;
-  beyond that the gateway answers ``429`` with a ``Retry-After`` header
-  instead of piling up unbounded work.
-* the facade's blocking work runs on the default executor, so the loop
-  itself never blocks and slow queries do not starve health probes.
+* **backpressure** — at most ``max_pending`` requests execute concurrently
+  on the executor; beyond that the gateway answers ``429`` with a
+  ``Retry-After`` header instead of piling up unbounded work.
+* **cache hits on the loop** — a ``topl``/``dtopl`` read that hits the
+  session's result cache is answered on the loop itself
+  (:meth:`~repro.service.facade.CommunityService.cached_body`), from a
+  body tail encoded once and kept with the cache entry.  The loop never
+  waits on a lock: a read whose session is busy goes to the executor.  A
+  hit holds no executor slot and is neither coalesced nor counted
+  against ``max_pending``.
+* every other request — misses, updates, builds, batches — runs the
+  facade's blocking work on the default executor, so the loop itself never
+  blocks and slow queries do not starve health probes.
 
 Use it as a context manager (tests) or through ``serve_forever`` (the
 CLI)::
@@ -339,6 +347,14 @@ class AsyncServiceGateway:
         self, writer, status: int, document: dict, extra_headers=(), close=False
     ) -> bool:
         body = json.dumps(document).encode("utf-8")
+        return await self._send_body(
+            writer, status, body, extra_headers=extra_headers, close=close
+        )
+
+    async def _send_body(
+        self, writer, status: int, body: bytes, extra_headers=(), close=False
+    ) -> bool:
+        """Write one JSON response; ``False`` when the connection must end."""
         head = [
             f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
             "Content-Type: application/json",
@@ -426,6 +442,10 @@ class AsyncServiceGateway:
         if endpoint == "batch" and self._wants_stream(request, parsed.query):
             await self._stream_batch(writer, payload)
             return False  # the closed connection delimits the stream
+
+        body = self.service.cached_body(endpoint, payload)
+        if body is not None:
+            return await self._send_body(writer, 200, body, close=not keep) and keep
 
         if self._pending >= self.max_pending:
             self._stats["rejected"] += 1

@@ -15,7 +15,8 @@ directly (the caches are exact).
 
 Thread-safety: one lock per session serialises execution against it (the
 engine's processors share scratch state), while different sessions run
-concurrently — which is what the threading HTTP gateway needs.
+concurrently on the HTTP gateway's executor threads.  The gateway's event
+loop only ever *tries* a lock (:meth:`CommunityService.cached_body`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.exceptions import (
 )
 from repro.graph.io import graph_from_dict, load_graph_json
 from repro.pruning.stats import PruningConfig
+from repro.query.results import DTopLResult
 from repro.serve.batch import BatchQueryEngine, ServingConfig
 from repro.service.errors import service_error_from_exception
 from repro.service.schema import (
@@ -54,6 +56,8 @@ from repro.service.schema import (
     ToplResponse,
     UpdateRequest,
     UpdateResponse,
+    response_body,
+    response_tail,
     result_to_wire,
 )
 
@@ -101,6 +105,25 @@ class _Session:
             created_unix=self.created_unix,
             requests_served=self.requests_served,
         )
+
+
+def _read_response(session: _Session, result, elapsed_seconds: float):
+    """The ``topl``/``dtopl`` response that carries ``result``."""
+    common = dict(
+        session=session.name,
+        epoch=session.engine.epoch,
+        elapsed_seconds=elapsed_seconds,
+        communities=result.communities,
+        statistics=result.statistics.as_dict(),
+    )
+    if isinstance(result, DTopLResult):
+        return DToplResponse(
+            diversity_score=result.diversity_score,
+            increment_evaluations=result.increment_evaluations,
+            candidates_considered=result.candidates_considered,
+            **common,
+        )
+    return ToplResponse(**common)
 
 
 def _pruning_from_wire(pruning: Optional[dict]) -> Optional[PruningConfig]:
@@ -276,36 +299,73 @@ class CommunityService:
 
     def topl(self, request: ToplRequest) -> ToplResponse:
         """``POST /v1/topl``: one TopL-ICDE query through the session caches."""
-        session = self._session(request.session)
-        started = time.perf_counter()
-        with session.lock:
-            result = self._answer(session, request.query, request.pruning)
-            session.requests_served += 1
-            return ToplResponse(
-                session=session.name,
-                epoch=session.engine.epoch,
-                elapsed_seconds=time.perf_counter() - started,
-                communities=result.communities,
-                statistics=result.statistics.as_dict(),
-            )
+        return self._read(request)
 
     def dtopl(self, request: DToplRequest) -> DToplResponse:
         """``POST /v1/dtopl``: one DTopL-ICDE query through the session caches."""
+        return self._read(request)
+
+    def _read(self, request: Union[ToplRequest, DToplRequest]):
         session = self._session(request.session)
         started = time.perf_counter()
         with session.lock:
             result = self._answer(session, request.query, request.pruning)
             session.requests_served += 1
-            return DToplResponse(
-                session=session.name,
-                epoch=session.engine.epoch,
-                elapsed_seconds=time.perf_counter() - started,
-                communities=result.communities,
-                diversity_score=result.diversity_score,
-                increment_evaluations=result.increment_evaluations,
-                candidates_considered=result.candidates_considered,
-                statistics=result.statistics.as_dict(),
+            return _read_response(session, result, time.perf_counter() - started)
+
+    def cached_body(self, endpoint: str, payload) -> Optional[bytes]:
+        """The response body of a ``topl``/``dtopl`` result-cache hit, or ``None``.
+
+        The gateway calls this on its event loop before it hands a read to
+        the executor, so it never waits on a lock.  It answers a plain hit
+        only, and returns ``None`` for anything else, which
+        :meth:`handle_json` then answers: another endpoint, a request that
+        does not decode, a ``pruning`` override, an unknown session, a lock
+        held by another thread, an engine updated since the session's last
+        read, result caching off, or a miss.  A hit counts in the cache
+        statistics and in ``requests_served`` exactly as :meth:`topl` would
+        count it, and the body is ``json.dumps`` of :meth:`topl`'s document
+        byte for byte, ``elapsed_seconds`` aside.  The entry keeps the
+        encoded tail, so later hits dump only the envelope.
+        """
+        if endpoint not in ("topl", "dtopl"):
+            return None
+        from repro.service.schema import decode_request
+
+        try:
+            request = decode_request(endpoint, payload)
+        except Exception:
+            return None
+        if request.pruning is not None:
+            return None
+        # `adopt` holds the registry lock while it builds a serving engine.
+        if not self._registry_lock.acquire(blocking=False):
+            return None
+        try:
+            session = self._sessions.get(request.session)
+        finally:
+            self._registry_lock.release()
+        if session is None:
+            return None
+        started = time.perf_counter()
+        if not session.lock.acquire(blocking=False):
+            return None
+        try:
+            entry = session.serving.cached(request.query)
+            if entry is None:
+                return None
+            session.requests_served += 1
+            if entry.wire_tail is None:
+                document = _read_response(session, entry.result, 0.0).to_json()
+                entry.wire_tail = response_tail(document)
+            return response_body(
+                session.name,
+                session.engine.epoch,
+                time.perf_counter() - started,
+                entry.wire_tail,
             )
+        finally:
+            session.lock.release()
 
     def _answer(self, session: _Session, query, pruning: Optional[dict]):
         """Route one query through the session's serving engine.

@@ -26,6 +26,7 @@ same way the in-process serving layer does.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -619,6 +620,27 @@ def _envelope(session: str, epoch: int, elapsed_seconds: float) -> dict:
 
 
 _ENVELOPE_FIELDS = ("schema_version", "api_version", "session", "epoch", "elapsed_seconds")
+
+
+def response_tail(document: dict) -> bytes:
+    """UTF-8 JSON of a response ``document`` after its envelope fields.
+
+    :func:`response_body` joins a fresh envelope to it.  The join is byte
+    for byte ``json.dumps`` of the whole document with that envelope:
+    ``to_json`` puts the envelope first, and ``json.dumps`` encodes an
+    object member by member.  ``document`` must carry a payload besides
+    the envelope (every query response does).
+    """
+    payload = {
+        name: value for name, value in document.items() if name not in _ENVELOPE_FIELDS
+    }
+    return json.dumps(payload).encode("utf-8")[1:]
+
+
+def response_body(session: str, epoch: int, elapsed_seconds: float, tail: bytes) -> bytes:
+    """A response body: a fresh envelope followed by an encoded ``tail``."""
+    envelope = json.dumps(_envelope(session, epoch, elapsed_seconds))
+    return envelope[:-1].encode("utf-8") + b", " + tail
 
 
 def _decode_envelope(payload, what: str) -> dict:

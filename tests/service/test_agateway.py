@@ -6,14 +6,16 @@ connection whenever a request body cannot be delimited (so unread bytes are
 never parsed as the next request), quiet handling of clients that vanish,
 single execution of identical in-flight reads, a bounded pending queue
 that answers ``429`` with ``Retry-After`` instead of queueing without
-limit, and a closed connection for clients that stall mid-request or sit
-idle between requests.
+limit, a closed connection for clients that stall mid-request or sit
+idle between requests, and result-cache hits answered on the event loop
+with the executor path's bytes and counters.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import random
 import socket
 import struct
 import threading
@@ -21,11 +23,19 @@ import time
 
 import pytest
 
-from repro.query.params import make_topl_query
+from repro.dynamic.updates import EdgeUpdate
+from repro.query.params import make_dtopl_query, make_topl_query
 from repro.service import agateway as agateway_mod
 from repro.service.agateway import MAX_BODY_BYTES, AsyncServiceGateway
 from repro.service.facade import CommunityService
-from repro.service.schema import BatchRequest, ToplRequest
+from repro.service.schema import (
+    BatchRequest,
+    BuildRequest,
+    DToplRequest,
+    ToplRequest,
+    UpdateRequest,
+    result_to_wire,
+)
 
 TOPL = make_topl_query({"movies", "books"}, k=3, radius=2, theta=0.2, top_l=3)
 
@@ -444,3 +454,225 @@ class TestCoalescingAndBackpressure:
             assert response.getheader("Retry-After") == "1"
             assert body["error"]["code"] == "OVERLOADED"
             assert gateway.statistics()["rejected"] == 1
+
+
+class _CountingService(CommunityService):
+    """Records the endpoint of every request that reaches ``handle_json``."""
+
+    def __init__(self):
+        super().__init__()
+        self.executed = []
+
+    def handle_json(self, endpoint, payload):
+        self.executed.append(endpoint)
+        return super().handle_json(endpoint, payload)
+
+
+def _raw_post(conn, path, document):
+    conn.request(
+        "POST",
+        path,
+        body=json.dumps(document),
+        headers={"Content-Type": "application/json"},
+    )
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+def _requests_served(service, session):
+    (info,) = [s for s in service.sessions().sessions if s["name"] == session]
+    return info["requests_served"]
+
+
+def _zipf_stream(count, seed):
+    """Reads over a small query pool, repeated with Zipf-like weights."""
+    keyword_sets = (
+        {"movies", "books"},
+        {"technology"},
+        {"skincare"},
+        {"crafts", "fitness"},
+        {"sports"},
+        {"movies"},
+        {"cooking", "home-decor"},
+    )
+    pool = []
+    for keywords in keyword_sets:
+        pool.append(("topl", make_topl_query(keywords, k=3, radius=2, theta=0.2, top_l=3)))
+        pool.append(
+            ("dtopl", make_dtopl_query(keywords, k=3, radius=2, theta=0.2, top_l=2))
+        )
+    weights = [1.0 / (rank + 1) for rank in range(len(pool))]
+    return random.Random(seed).choices(pool, weights=weights, k=count)
+
+
+def _wire_request(endpoint, query, session):
+    request_type = DToplRequest if endpoint == "dtopl" else ToplRequest
+    return request_type(query=query, session=session).to_json()
+
+
+class TestCacheHitsOnTheLoop:
+    """Result-cache hits are answered on the event loop, misses on the executor."""
+
+    def test_zipf_stream_matches_an_in_process_twin(self, built_engine):
+        service = _CountingService()
+        service.adopt(built_engine, session="hosted")
+        twin = CommunityService()
+        twin.adopt(built_engine, session="hosted")
+        stream = _zipf_stream(80, seed=11)
+        with AsyncServiceGateway(service, port=0) as gateway:
+            conn = http.client.HTTPConnection(gateway.host, gateway.port, timeout=30)
+            try:
+                for endpoint, query in stream:
+                    document = _wire_request(endpoint, query, "hosted")
+                    status, body = _raw_post(conn, f"/v1/{endpoint}", document)
+                    expected, failure = twin.handle_json(endpoint, document)
+                    assert status == 200 and failure is None
+                    served = json.loads(body)
+                    expected["elapsed_seconds"] = served["elapsed_seconds"]
+                    expected["statistics"]["elapsed_seconds"] = served["statistics"][
+                        "elapsed_seconds"
+                    ]
+                    assert body == json.dumps(expected).encode("utf-8")
+            finally:
+                conn.close()
+            counters = gateway.statistics()
+        assert counters["requests"] == len(stream)
+        assert counters["coalesced"] == 0
+        assert counters["rejected"] == 0
+        cache = service.serving("hosted").cache_statistics()
+        assert cache == twin.serving("hosted").cache_statistics()
+        assert _requests_served(service, "hosted") == len(stream)
+        assert _requests_served(twin, "hosted") == len(stream)
+        # Only the misses took the executor; every hit was answered on the loop.
+        misses = cache["result_cache"]["misses"]
+        assert 0 < misses < len(stream)
+        assert len(service.executed) == misses
+        assert cache["result_cache"]["hits"] == len(stream) - misses
+
+    def test_a_held_session_lock_does_not_block_the_loop(self, built_engine):
+        service = CommunityService()
+        service.adopt(built_engine, session="hosted")
+        document = ToplRequest(query=TOPL, session="hosted").to_json()
+        with AsyncServiceGateway(service, port=0) as gateway:
+            conn = http.client.HTTPConnection(gateway.host, gateway.port, timeout=30)
+            try:
+                status, warm = _raw_post(conn, "/v1/topl", document)
+                assert status == 200
+                results = {}
+
+                def read():
+                    reader_conn = http.client.HTTPConnection(
+                        gateway.host, gateway.port, timeout=30
+                    )
+                    try:
+                        results["read"] = _raw_post(reader_conn, "/v1/topl", document)
+                    finally:
+                        reader_conn.close()
+
+                lock = service._session("hosted").lock
+                lock.acquire()
+                try:
+                    before = gateway.statistics()["requests"]
+                    reader = threading.Thread(target=read)
+                    reader.start()
+                    deadline = time.time() + 5
+                    while gateway.statistics()["requests"] == before and time.time() < deadline:
+                        time.sleep(0.01)
+                    # The cached read is parked behind the lock: health still answers.
+                    started = time.perf_counter()
+                    conn.request("GET", "/v1/health")
+                    health = conn.getresponse()
+                    assert json.loads(health.read())["status"] == "ok"
+                    assert time.perf_counter() - started < 5
+                    reader.join(timeout=0.3)
+                    assert reader.is_alive() and "read" not in results
+                finally:
+                    lock.release()
+                reader.join(timeout=10)
+            finally:
+                conn.close()
+        status, body = results["read"]
+        assert status == 200
+        assert json.loads(body)["communities"] == json.loads(warm)["communities"]
+        assert service.serving("hosted").cache_statistics()["result_cache"]["hits"] == 1
+
+    def test_cached_body_never_waits_on_a_lock(self, built_engine):
+        service = CommunityService()
+        service.adopt(built_engine, session="hosted")
+        document = ToplRequest(query=TOPL, session="hosted").to_json()
+        service.handle_json("topl", document)
+        assert service.cached_body("topl", document) is not None
+        for lock in (service._session("hosted").lock, service._registry_lock):
+            held, release = threading.Event(), threading.Event()
+
+            def hold(lock=lock):
+                with lock:
+                    held.set()
+                    release.wait(timeout=10)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            try:
+                assert held.wait(timeout=5)
+                assert service.cached_body("topl", document) is None
+            finally:
+                release.set()
+                holder.join(timeout=10)
+        assert service.cached_body("topl", document) is not None
+
+    def test_an_update_retires_the_cached_body(self, service_graph_doc):
+        service = CommunityService()
+        service.build(
+            BuildRequest(session="live", graph=service_graph_doc, config={"max_radius": 2})
+        )
+        document = ToplRequest(query=TOPL, session="live").to_json()
+        with AsyncServiceGateway(service, port=0) as gateway:
+            conn = http.client.HTTPConnection(gateway.host, gateway.port, timeout=30)
+            try:
+                post(conn, "/v1/topl", document)
+                status, before = post(conn, "/v1/topl", document)
+                assert status == 200 and before["epoch"] == 0
+                status, updated = post(
+                    conn,
+                    "/v1/update",
+                    UpdateRequest(
+                        session="live",
+                        edits=(EdgeUpdate.insert(0, 61, 0.4),),
+                        damage_threshold=1.0,
+                    ).to_json(),
+                )
+                assert status == 200 and updated["epoch"] == 1
+                # The serving engine has not seen the new epoch yet.
+                assert service.cached_body("topl", document) is None
+                status, after = post(conn, "/v1/topl", document)
+            finally:
+                conn.close()
+        assert status == 200 and after["epoch"] == 1
+        assert after["communities"] == json.loads(
+            json.dumps(result_to_wire(service.engine("live").topl(TOPL))["communities"])
+        )
+        cache = service.serving("live").cache_statistics()["result_cache"]
+        assert (cache["hits"], cache["misses"]) == (1, 2)
+
+    def test_overrides_and_malformed_requests_reach_handle_json(self, built_engine):
+        service = _CountingService()
+        service.adopt(built_engine, session="hosted")
+        plain = ToplRequest(query=TOPL, session="hosted").to_json()
+        override = ToplRequest(
+            query=TOPL, session="hosted", pruning={"score": False}
+        ).to_json()
+        malformed = {"schema_version": 1, "session": "hosted"}
+        with AsyncServiceGateway(service, port=0) as gateway:
+            conn = http.client.HTTPConnection(gateway.host, gateway.port, timeout=30)
+            try:
+                assert post(conn, "/v1/topl", plain)[0] == 200
+                assert post(conn, "/v1/topl", plain)[0] == 200
+                assert post(conn, "/v1/topl", override)[0] == 200
+                assert post(conn, "/v1/topl", override)[0] == 200
+                status, body = post(conn, "/v1/topl", malformed)
+            finally:
+                conn.close()
+        assert status == 400
+        assert body["error"]["code"] == "MALFORMED_REQUEST"
+        # The second plain read was a hit on the loop; nothing else was.
+        assert service.executed == ["topl"] * 4

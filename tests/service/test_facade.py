@@ -14,7 +14,7 @@ from repro.exceptions import (
     UnknownSessionError,
 )
 from repro.query.params import make_dtopl_query, make_topl_query
-from repro.serve.batch import BatchQueryEngine, ServingConfig
+from repro.serve.batch import ServingConfig
 from repro.service.facade import CommunityService
 from repro.service.schema import (
     BatchRequest,
@@ -299,11 +299,6 @@ class TestLifecycle:
 
 
 class TestServingBindings:
-    def test_for_session_binds_by_name(self, service):
-        serving = BatchQueryEngine.for_session(service, "main")
-        assert serving is service.serving("main")
-        assert serving.engine is service.engine("main")
-
     def test_custom_serving_config_per_session(self, built_engine):
         service = CommunityService()
         service.adopt(

@@ -1,4 +1,4 @@
-"""CLI tests for the `repro serve` / `repro batch` subcommands."""
+"""CLI tests for the `repro serve` subcommand."""
 
 from __future__ import annotations
 
@@ -28,11 +28,11 @@ def test_serve_prints_throughput(graph_path, capsys):
     assert "result_cache" in captured
 
 
-def test_batch_alias_and_repeat_hits_cache(graph_path, capsys, tmp_path):
+def test_serve_repeat_hits_cache(graph_path, capsys, tmp_path):
     out_path = tmp_path / "report.json"
     exit_code = main(
         [
-            "batch",
+            "serve",
             graph_path,
             "--queries",
             "6",
