@@ -8,7 +8,7 @@ from repro.index.precompute import (
     VertexAggregates,
     precompute,
 )
-from repro.index.node import EntryAggregates, IndexNode, LeafVertexEntry, make_internal, make_leaf
+from repro.index.node import EntryAggregates, IndexNode, LeafVertexEntry, make_internal
 from repro.index.tree import DEFAULT_FANOUT, DEFAULT_LEAF_CAPACITY, TreeIndex, build_tree_index
 from repro.index.serialization import (
     load_index,
@@ -28,7 +28,6 @@ __all__ = [
     "IndexNode",
     "LeafVertexEntry",
     "make_internal",
-    "make_leaf",
     "DEFAULT_FANOUT",
     "DEFAULT_LEAF_CAPACITY",
     "TreeIndex",

@@ -17,10 +17,13 @@ non-leaf entry, which keeps the pruning code uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.exceptions import GraphError
 from repro.index.precompute import RadiusAggregates, VertexAggregates
 from repro.keywords.bitvector import BitVector
+
+_sigma = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -74,16 +77,18 @@ def _combine_radii(per_radius_maps: list[dict]) -> dict:
 
     The radii and the thresholds come from the first entry; the keyword
     signatures are OR-ed as plain ints, checking that every width agrees.
+    Every entry lists its score bounds at the same thresholds in the same
+    order (the index's ``thresholds``), so the bounds are maxed by position,
+    from a floor of 0.0.
     """
     first = per_radius_maps[0]
     combined: dict[int, RadiusAggregates] = {}
     for radius in sorted(first):
         head = first[radius]
         num_bits = head.bitvector.num_bits
-        thresholds = [theta for theta, _ in head.score_bounds]
-        best_scores = {theta: 0.0 for theta in thresholds}
         bits = 0
         support_bound = 0
+        pairs: list = []
         for per_radius in per_radius_maps:
             radius_aggregates = per_radius[radius]
             vector = radius_aggregates.bitvector
@@ -94,14 +99,16 @@ def _combine_radii(per_radius_maps: list[dict]) -> dict:
             bits |= vector.bits
             if radius_aggregates.support_upper_bound > support_bound:
                 support_bound = radius_aggregates.support_upper_bound
-            for theta, sigma in radius_aggregates.score_bounds:
-                if sigma > best_scores.get(theta, 0.0):
-                    best_scores[theta] = sigma
+            pairs += radius_aggregates.score_bounds
+        width = len(head.score_bounds)
         combined[radius] = RadiusAggregates(
             radius=radius,
             bitvector=BitVector(bits, num_bits),
             support_upper_bound=support_bound,
-            score_bounds=tuple((theta, best_scores[theta]) for theta in thresholds),
+            score_bounds=tuple(
+                (theta, max(0.0, max(map(_sigma, pairs[position::width]))))
+                for position, (theta, _) in enumerate(head.score_bounds)
+            ),
         )
     return combined
 
@@ -164,17 +171,6 @@ class LeafVertexEntry:
     def entry(self) -> EntryAggregates:
         """The record wrapped as a single-vertex index entry."""
         return EntryAggregates.from_vertex(self.aggregates)
-
-
-def make_leaf(entries: list[LeafVertexEntry], node_id: int) -> IndexNode:
-    """Build a leaf node from vertex entries."""
-    aggregates = EntryAggregates.from_records([entry.aggregates for entry in entries])
-    return IndexNode(
-        aggregates=aggregates,
-        vertices=tuple(entry.vertex for entry in entries),
-        children=(),
-        node_id=node_id,
-    )
 
 
 def make_internal(children: list[IndexNode], node_id: int) -> IndexNode:

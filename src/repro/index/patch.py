@@ -2,12 +2,27 @@
 
 Instead of re-packing every vertex, the patcher rebuilds only the aggregates
 along the leaf-to-root paths of the vertices whose pre-computed records
-changed — stopping at the first node on a path whose aggregates come out
-unchanged — and appends brand-new vertices to existing leaves (or a fresh leaf
-under the root when they are full).  How much it recomputes depends on the
-packing: the builder lays leaves out breadth-first over the graph
-(:mod:`repro.index.tree`), so the centres one local edit batch refreshes sit
-in a few leaves and the walks up share their ancestors.
+changed — deepest nodes first, stopping at the first node on a path whose
+aggregates come out unchanged — and appends brand-new vertices on the tree's
+right spine.  How much it recomputes depends on the packing: the builder lays
+leaves out breadth-first over the graph (:mod:`repro.index.tree`), so the
+centres one local edit batch refreshes sit in a few leaves and the walks up
+share their ancestors.
+
+A patch costs in proportion to the leaves it changes times the tree's
+height, not to the graph:
+
+* the vertex → leaf and node → parent maps the walks need are built by one
+  full-tree walk on the index's first patch and kept (in a private field of
+  :class:`~repro.index.tree.TreeIndex`) and maintained by later patches; a
+  patch rebuilds them only when ``index.root`` is no longer the root they
+  were built for;
+* new vertices fill the right-most leaf; a full one gets a new leaf sibling
+  under the deepest right-spine node with fewer than ``fanout`` children,
+  wrapped in new internal nodes down to the old leaf's depth, or under a new
+  root when the whole spine is full.  No node grows past ``fanout``, so the
+  nodes a growth batch recombines stay small however many vertices the index
+  receives.
 
 The resulting tree may *group* vertices differently from a from-scratch
 build — the builder's ranking and breadth-first order both follow the
@@ -25,11 +40,22 @@ from typing import Iterable, Sequence
 
 from repro.exceptions import IndexStateError
 from repro.graph.social_network import VertexId
-from repro.index.node import EntryAggregates, IndexNode, LeafVertexEntry, make_internal, make_leaf
+from repro.index.node import EntryAggregates, IndexNode
 from repro.index.tree import TreeIndex
 
 
-def _collect_structure(index: TreeIndex):
+class _TreeMaps:
+    """The vertex → leaf and ``id(node)`` → parent maps of one tree."""
+
+    __slots__ = ("root", "leaf_of", "parent_of")
+
+    def __init__(self, root: IndexNode, leaf_of: dict, parent_of: dict) -> None:
+        self.root = root
+        self.leaf_of = leaf_of
+        self.parent_of = parent_of
+
+
+def _collect_structure(index: TreeIndex) -> _TreeMaps:
     """Walk the tree once: vertex -> leaf node, id(node) -> parent node."""
     leaf_of: dict[VertexId, IndexNode] = {}
     parent_of: dict[int, IndexNode] = {}
@@ -43,7 +69,7 @@ def _collect_structure(index: TreeIndex):
             for child in node.children:
                 parent_of[id(child)] = node
                 stack.append(child)
-    return leaf_of, parent_of
+    return _TreeMaps(index.root, leaf_of, parent_of)
 
 
 def _recompute_aggregates(node: IndexNode, records: dict) -> bool:
@@ -81,7 +107,9 @@ def patch_tree_index(
     Returns
     -------
     int
-        Number of tree nodes whose aggregates were recomputed.
+        Number of tree nodes whose aggregates were recomputed; each node
+        counts once, so it is at most the number of dirty leaves times the
+        tree's height plus one.
     """
     records = index.precomputed.vertex_aggregates
     added = list(added_vertices)
@@ -94,97 +122,107 @@ def patch_tree_index(
     if index.root is None:
         if not added:
             return 0
-        entries = [LeafVertexEntry(vertex=vertex, aggregates=records[vertex]) for vertex in added]
-        leaves = [
-            make_leaf(entries[start:start + index.leaf_capacity], node_id=position)
-            for position, start in enumerate(range(0, len(entries), index.leaf_capacity))
-        ]
-        root = leaves[0] if len(leaves) == 1 else make_internal(leaves, node_id=len(leaves))
-        index.root = root
-        index.num_nodes = root.count_nodes()
-        return index.num_nodes
+        index.root = _new_node(index)
+    maps = index._patch_maps
+    if maps is None or maps.root is not index.root:
+        maps = index._patch_maps = _collect_structure(index)
+    leaf_of, parent_of = maps.leaf_of, maps.parent_of
 
-    leaf_of, parent_of = _collect_structure(index)
     dirty: dict[int, IndexNode] = {}
-
     for vertex in changed_vertices:
         leaf = leaf_of.get(vertex)
         if leaf is None:
             raise IndexStateError(f"vertex {vertex!r} is not covered by the index")
         dirty[id(leaf)] = leaf
 
-    spare: IndexNode | None = None
-    for vertex in added:
-        # Reuse the last spare leaf across appends; re-scan only once full.
-        if spare is None or len(spare.vertices) >= index.leaf_capacity:
-            spare = _leaf_with_capacity(index, leaf_of, parent_of)
-        spare.vertices = spare.vertices + (vertex,)
-        leaf_of[vertex] = spare
-        dirty[id(spare)] = spare
+    if added:
+        spine = _right_spine(index.root)
+        for vertex in added:
+            if len(spine[-1].vertices) >= index.leaf_capacity:
+                spine = _grow_spine(index, maps, spine)
+            leaf = spine[-1]
+            leaf.vertices = leaf.vertices + (vertex,)
+            leaf_of[vertex] = leaf
+            dirty[id(leaf)] = leaf
 
-    # Walk up level by level, stopping at nodes whose aggregates came out
+    # Recompute deepest nodes first, so every node is combined once, after
+    # all of its dirty children, and stop at nodes whose aggregates came out
     # unchanged: their ancestors already combine exactly these values.
+    levels: dict[int, dict[int, IndexNode]] = {}
+    for key, leaf in dirty.items():
+        levels.setdefault(_depth(leaf, parent_of), {})[key] = leaf
     patched = 0
-    current = dirty
-    while current:
-        parents: dict[int, IndexNode] = {}
-        for node in current.values():
+    for depth in range(max(levels, default=-1), -1, -1):
+        for node in levels.pop(depth, {}).values():
             patched += 1
             if not _recompute_aggregates(node, records):
                 continue
             parent = parent_of.get(id(node))
             if parent is not None:
-                parents[id(parent)] = parent
-        current = parents
+                levels.setdefault(depth - 1, {})[id(parent)] = parent
     return patched
 
 
-def _leaf_with_capacity(
-    index: TreeIndex,
-    leaf_of: dict,
-    parent_of: dict,
-) -> IndexNode:
-    """Find (or create) a leaf with room for one more vertex.
+def _depth(node: IndexNode, parent_of: dict) -> int:
+    """Number of edges from ``node`` up to the root."""
+    depth = 0
+    parent = parent_of.get(id(node))
+    while parent is not None:
+        depth += 1
+        parent = parent_of.get(id(parent))
+    return depth
 
-    Preference order: the shallowest right-most leaf with spare capacity —
-    found by walking leaves once — otherwise a new leaf hung off the root
-    (promoting a leaf-root to an internal node first).  The root's fanout may
-    temporarily exceed ``gamma``; a damage-triggered rebuild restores the
-    packed shape.
+
+def _right_spine(root: IndexNode) -> list:
+    """The nodes from ``root`` down along last children to the last leaf."""
+    spine = [root]
+    while not spine[-1].is_leaf:
+        spine.append(spine[-1].children[-1])
+    return spine
+
+
+def _new_node(index: TreeIndex, children: tuple = ()) -> IndexNode:
+    """A new node numbered after every existing one.
+
+    Its aggregates are the empty placeholder, which never equals a
+    recomputed aggregate, so the first recompute below it always propagates
+    up to it.
     """
-    spare = None
-    stack = [index.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            if len(node.vertices) < index.leaf_capacity:
-                spare = node
-                break
-        else:
-            stack.extend(node.children)
-    if spare is not None:
-        return spare
-
-    # The empty placeholder never equals a recomputed aggregate, so the new
-    # leaf's first recompute always propagates to its parent.
-    placeholder = EntryAggregates(per_radius={}, trussness_bound=2)
-    new_leaf = IndexNode(
-        aggregates=placeholder, vertices=(), children=(), node_id=index.num_nodes
+    node = IndexNode(
+        aggregates=EntryAggregates(per_radius={}, trussness_bound=2),
+        vertices=(),
+        children=children,
+        node_id=index.num_nodes,
     )
-    root = index.root
-    if root.is_leaf:
-        new_root = IndexNode(
-            aggregates=root.aggregates,
-            vertices=(),
-            children=(root, new_leaf),
-            node_id=index.num_nodes + 1,
-        )
-        parent_of[id(root)] = new_root
-        parent_of[id(new_leaf)] = new_root
-        index.root = new_root
-        index.num_nodes += 2
-    else:
-        root.children = root.children + (new_leaf,)
-        parent_of[id(new_leaf)] = root
-        index.num_nodes += 1
-    return new_leaf
+    index.num_nodes += 1
+    return node
+
+
+def _grow_spine(index: TreeIndex, maps: _TreeMaps, spine: list) -> list:
+    """Add an empty leaf at the end of the tree; return the new right spine.
+
+    The leaf goes under the deepest spine node with room, inside a chain of
+    new internal nodes that puts it at the depth of the full leaf ``spine``
+    ends in; when every spine node is full, a new root takes the old root and
+    the chain as its two children.  Only the spine's own depth is assumed,
+    so trees with uneven leaf depths (or a root wider than ``fanout``,
+    written by earlier versions) grow the same way.
+    """
+    parent_of = maps.parent_of
+    attach = len(spine) - 2
+    while attach >= 0 and len(spine[attach].children) >= index.fanout:
+        attach -= 1
+    chain = [_new_node(index)]
+    for _ in range(len(spine) - attach - 2):
+        chain.append(_new_node(index, children=(chain[-1],)))
+        parent_of[id(chain[-2])] = chain[-1]
+    top = chain[-1]
+    if attach >= 0:
+        parent = spine[attach]
+        parent.children = parent.children + (top,)
+        parent_of[id(top)] = parent
+        return spine[:attach + 1] + chain[::-1]
+    old_root = index.root
+    index.root = maps.root = _new_node(index, children=(old_root, top))
+    parent_of[id(old_root)] = parent_of[id(top)] = index.root
+    return [index.root] + chain[::-1]

@@ -65,6 +65,8 @@ class TreeIndex:
         Maximum number of children per non-leaf node.
     leaf_capacity:
         Maximum number of vertices per leaf node.
+    num_nodes:
+        Number of nodes in the tree; node ids are unique below it.
     """
 
     root: IndexNode | None
@@ -72,6 +74,10 @@ class TreeIndex:
     fanout: int = DEFAULT_FANOUT
     leaf_capacity: int = DEFAULT_LEAF_CAPACITY
     num_nodes: int = field(default=0)
+    # The vertex -> leaf and node -> parent maps of
+    # :func:`~repro.index.patch.patch_tree_index`: built by the first patch,
+    # kept up to date by later ones, never saved.
+    _patch_maps: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def max_radius(self) -> int:
@@ -237,7 +243,9 @@ def assemble_tree_index(
     by :func:`~repro.index.node.make_internal`), which is what keeps the
     index-level pruning sound whatever the layout.  Nodes are numbered in
     preorder.  ``fanout`` and ``leaf_capacity`` are recorded, not enforced:
-    a patched tree may have uneven leaves and a root wider than ``fanout``.
+    a patched tree may have uneven leaves and leaves at uneven depths, and
+    one saved before patches grew on the right spine may have a root wider
+    than ``fanout``.
     """
     if fanout < 2:
         raise IndexStateError(f"fanout must be >= 2, got {fanout}")

@@ -24,6 +24,7 @@ from repro.index.tree import assemble_tree_index, build_tree_index, tree_layout
 from repro.query.params import DTopLQuery, make_dtopl_query, make_topl_query
 
 from tests.conftest import build_two_cliques_bridge
+from tests.index.test_patch_invariant import _assert_aggregates_exact
 
 KEYWORDS = ("movies", "books", "music", "sports", "travel")
 BATCHES = 60
@@ -119,19 +120,28 @@ def test_json_round_trip_after_churn(churned_engine, tmp_path):
 
 
 def test_root_wider_than_fanout_round_trips(tmp_path):
-    """Appended vertices hang new leaves off the root past ``fanout``."""
+    """A root wider than ``fanout`` reopens as it was and grows on its spine.
+
+    Patches no longer widen the root, but stores and index documents saved
+    by earlier versions can hold one, with leaves at uneven depths.
+    """
     config = EngineConfig(max_radius=2, fanout=2, leaf_capacity=2, backend="fast")
     engine = InfluentialCommunityEngine.build(
         build_two_cliques_bridge(), config=config, validate=False
     )
-    edits = [EdgeUpdate.insert(9, 100 + offset, 0.5) for offset in range(5)]
-    assert engine.apply_updates(edits, damage_threshold=1.0).mode == "incremental"
+    vertices = [vertex for leaf in _leaves(engine.index) for vertex in leaf]
+    # A root of four children: two leaves, an internal node over two
+    # leaves, and a last leaf, all of them full.
+    shape = [4, -2, -2, 2, -2, -2, -2]
+    engine.index = assemble_tree_index(
+        engine.index.precomputed, shape, vertices,
+        fanout=config.fanout, leaf_capacity=config.leaf_capacity,
+    )
     assert len(engine.index.root.children) > config.fanout
-    assert {len(leaf) for leaf in _leaves(engine.index)} != {config.leaf_capacity}
 
     engine.checkpoint_store(tmp_path / "wide.repro-store")
     reopened = InfluentialCommunityEngine.from_store(tmp_path / "wide.repro-store")
-    assert tree_layout(reopened.index) == tree_layout(engine.index)
+    assert tree_layout(reopened.index) == tree_layout(engine.index) == (shape, vertices)
     engine.save_index(tmp_path / "wide.json")
     reloaded = InfluentialCommunityEngine.from_saved_index(
         engine.graph, tmp_path / "wide.json", config=engine.config
@@ -141,6 +151,19 @@ def test_root_wider_than_fanout_round_trips(tmp_path):
     assert engine.topl(query).communities
     assert reopened.topl(query).communities == engine.topl(query).communities
     assert reloaded.topl(query).communities == engine.topl(query).communities
+
+    # Every spine node is full, so the new leaf goes under a new root, one
+    # level below it like the old last leaf; the wide root keeps its width.
+    wide_root = reopened.index.root
+    edits = [EdgeUpdate.insert(100, 101, 0.5), EdgeUpdate.insert(101, 102, 0.5)]
+    assert reopened.apply_updates(edits, damage_threshold=1.0).mode == "incremental"
+    root = reopened.index.root
+    assert root.children[0] is wide_root and len(wide_root.children) == 4
+    assert [len(node.children) for node in (root, root.children[1])] == [2, 2]
+    assert [leaf.vertices for leaf in root.children[1].children] == [(100, 101), (102,)]
+    assert reopened.index.num_nodes == len(tree_layout(reopened.index)[0]) == len(shape) + 4
+    _assert_aggregates_exact(reopened.index)
+    assert reopened.topl(query).communities == engine.topl(query).communities
 
 
 def test_assembling_a_build_layout_gives_the_same_tree(two_cliques_bridge):
