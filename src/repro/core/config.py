@@ -7,6 +7,7 @@ examples all agree on one configuration object.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.dynamic.maintenance import DEFAULT_DAMAGE_THRESHOLD
@@ -53,16 +54,11 @@ class EngineConfig:
         Higher values compact less often (more overlay scan cost per query),
         lower values compact eagerly; the default keeps compaction amortized
         O(1) per edit.  See ``docs/backends.md``.
-    kernel_tier:
-        Fast backend only: which implementation runs the offline pass
-        (Algorithm 2, at build and rebuild).  ``"auto"`` (default) selects
-        the batched numpy pass when numpy is importable and the stdlib
-        pass otherwise; ``"stdlib"`` forces the dependency-free pass;
-        ``"vector"`` requires numpy and fails loudly without it.  Both are
-        bit-identical — the knob is purely a performance trade, orthogonal
-        to ``backend``.  Queries, refreshes and peels always run the stdlib
-        kernels.  Ignored by the reference backend.  See
-        ``docs/backends.md``.
+
+    Which kernel runs the fast backend's offline pass is not a setting: the
+    batched numpy pass runs when numpy imports, the stdlib record kernel
+    otherwise, and both produce the same bytes (``describe()["kernels"]``
+    reports the active one).
     """
 
     max_radius: int = DEFAULT_MAX_RADIUS
@@ -73,7 +69,6 @@ class EngineConfig:
     damage_threshold: float = DEFAULT_DAMAGE_THRESHOLD
     backend: str = "reference"
     compact_dirt_ratio: float = 0.25
-    kernel_tier: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_radius < 1:
@@ -105,14 +100,6 @@ class EngineConfig:
             raise QueryParameterError(
                 f"compact_dirt_ratio must be > 0, got {self.compact_dirt_ratio}"
             )
-        # Membership only — whether "vector" is actually runnable (numpy
-        # present) is resolved where kernels are built, so a config object
-        # stays constructible on hosts without numpy.
-        if self.kernel_tier not in ("auto", "stdlib", "vector"):
-            raise QueryParameterError(
-                "kernel_tier must be 'auto', 'stdlib' or 'vector', "
-                f"got {self.kernel_tier!r}"
-            )
 
     @classmethod
     def paper_defaults(cls) -> "EngineConfig":
@@ -130,5 +117,16 @@ class EngineConfig:
             "damage_threshold": self.damage_threshold,
             "backend": self.backend,
             "compact_dirt_ratio": self.compact_dirt_ratio,
-            "kernel_tier": self.kernel_tier,
         }
+
+
+#: Settings earlier releases took and this one accepts and ignores.  Format-2
+#: store files pack ``dataclasses.asdict(config)``, and v1 wire clients may
+#: send them in ``BuildRequest.config``.  ``kernel_tier`` picked the fast
+#: backend's offline kernel, which the platform now decides.
+RETIRED_SETTINGS = frozenset({"kernel_tier"})
+
+
+def without_retired_settings(settings: Mapping) -> dict:
+    """``settings`` as a new dict without its :data:`RETIRED_SETTINGS` keys."""
+    return {key: value for key, value in settings.items() if key not in RETIRED_SETTINGS}

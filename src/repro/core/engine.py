@@ -32,17 +32,16 @@ from repro.dynamic.maintenance import (
 )
 from repro.dynamic.truss_maintenance import IncrementalTrussState
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
-from repro.graph.social_network import LazySocialNetwork, SocialNetwork, VertexId
+from repro.graph.social_network import LazySocialNetwork, SocialNetwork
 from repro.graph.validation import validate_graph
 from repro.index.patch import patch_tree_index
 from repro.index.precompute import precompute
 from repro.index.serialization import load_index, save_index
 from repro.index.tree import TreeIndex, build_tree_index
 from repro.pruning.stats import PruningConfig
-from repro.query.baselines.kcore_baseline import compare_with_kcore, kcore_community
 from repro.query.dtopl import DTopLProcessor
 from repro.query.params import DTopLQuery, TopLQuery
-from repro.query.results import DTopLResult, SeedCommunity, TopLResult
+from repro.query.results import DTopLResult, TopLResult
 from repro.query.topl import TopLProcessor
 
 
@@ -121,7 +120,6 @@ class InfluentialCommunityEngine:
             num_bits=config.num_bits,
             backend=config.backend,
             frozen=frozen,
-            kernel_tier=config.kernel_tier,
         )
         index = build_tree_index(
             graph,
@@ -507,8 +505,8 @@ class InfluentialCommunityEngine:
                         cache = self._refresh_cache = RefreshCache()
                     cache.invalidate(core.table.index_of, influenced, delta)
                     fast_refresh_records(
-                        core, self._workspace(), self.index.precomputed, ordered, state,
-                        cache,
+                        core, self._workspace(), self.index.precomputed, ordered,
+                        state.supports_by_edge_id(), state.trussness_of_vertex, cache,
                     )
                 else:
                     refresh_vertex_aggregates(
@@ -593,7 +591,6 @@ class InfluentialCommunityEngine:
             num_bits=self.config.num_bits,
             backend=self.config.backend,
             frozen=self.frozen_graph(),
-            kernel_tier=self.config.kernel_tier,
         )
         self.index = build_tree_index(
             self.graph,
@@ -637,24 +634,6 @@ class InfluentialCommunityEngine:
             ),
         )
         return BatchQueryEngine(self, config=config, pruning=pruning)
-
-    # ------------------------------------------------------------------ #
-    # analysis helpers
-    # ------------------------------------------------------------------ #
-    def kcore_comparison(
-        self, community: SeedCommunity, k: Optional[int] = None
-    ) -> dict:
-        """Figure 5-style comparison of a result community against the k-core around its centre."""
-        return compare_with_kcore(
-            self.graph,
-            community,
-            k=k if k is not None else community.k,
-            theta=community.influenced.threshold,
-        )
-
-    def kcore_community(self, center: VertexId, k: int, theta: float) -> Optional[SeedCommunity]:
-        """Extract the k-core community around ``center`` scored at ``theta``."""
-        return kcore_community(self.graph, center, k, theta)
 
     def describe(self) -> dict:
         """Return a summary of the engine (graph size, index shape, configuration).
@@ -711,25 +690,16 @@ class InfluentialCommunityEngine:
     def _kernel_diagnostics(self) -> dict:
         """The ``kernels`` block of :meth:`describe`.
 
-        ``requested`` is the configured knob; ``active`` the tier the
-        offline pass actually runs on — resolved for the fast backend
-        (``"unavailable"`` when an explicit ``"vector"`` has no numpy to run
-        on), ``None`` on the reference backend, which has no kernel tiers.
+        ``active`` is the kernel the fast backend's offline pass runs on:
+        ``"vector"`` when numpy imports, ``"stdlib"`` otherwise (the
+        platform decides; there is no setting).  It is ``None`` on the
+        reference backend, which has one implementation.
         """
-        from repro.exceptions import GraphError
+        from repro.fastgraph import offline
         from repro.fastgraph.csr import NUMPY_VERSION
-        from repro.fastgraph.kernels import resolve_kernel_tier
 
-        requested = self.config.kernel_tier
         if self.config.backend != "fast":
             active = None
         else:
-            try:
-                active = resolve_kernel_tier(requested)
-            except GraphError:
-                active = "unavailable"
-        return {
-            "requested": requested,
-            "active": active,
-            "numpy_version": NUMPY_VERSION,
-        }
+            active = "vector" if offline.NUMPY_AVAILABLE else "stdlib"
+        return {"active": active, "numpy_version": NUMPY_VERSION}

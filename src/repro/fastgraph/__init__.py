@@ -20,16 +20,18 @@ This package provides a compact, immutable mirror of a social network:
   over dense ints: stamp-based triangle/support counting, bucket-peel truss
   decomposition, BFS hop balls, binary-heap max-product Dijkstra, and the
   online seed-community fixpoint;
-* :mod:`~repro.fastgraph.vectorised` runs the offline pass's support count
-  and per-centre aggregation as batched numpy array programs over the
-  zero-copy CSR views — bit-identical outputs, selected through the
-  ``kernel_tier`` knob (``"auto"`` uses it whenever numpy is importable);
-  every online kernel has the one stdlib implementation;
 * :mod:`~repro.fastgraph.offline` re-implements the offline pre-computation
   (Algorithm 2) on top of those kernels, producing a
   :class:`~repro.index.precompute.PrecomputedData` that is **bit-for-bit
   identical** to the reference backend's (the cross-backend equivalence
-  suite in ``tests/fastgraph`` enforces this);
+  suite in ``tests/fastgraph`` enforces this).  Without numpy the build is
+  the incremental record refresh run over every centre, so build and
+  refresh share one kernel;
+* :mod:`~repro.fastgraph.vectorised` runs the offline pass's support count
+  and per-centre aggregation as batched numpy array programs over the
+  zero-copy CSR views — bit-identical outputs, used whenever numpy is
+  importable (the platform decides; there is no setting).  Every online
+  kernel has the one stdlib implementation;
 * :class:`~repro.fastgraph.delta.DeltaCSR` makes the snapshot *mutable*: a
   tombstone/spill overlay implementing the same
   :class:`~repro.graph.core.GraphCore` protocol, patched in place by the
@@ -45,11 +47,9 @@ build, online extraction and scoring, and dynamic maintenance through it.  See
 from repro.fastgraph.csr import NUMPY_AVAILABLE, NUMPY_VERSION, CSRGraph, freeze
 from repro.fastgraph.delta import DeltaCSR
 from repro.fastgraph.kernels import (
-    KERNEL_TIERS,
     bfs_hop_ball,
     community_propagation_csr,
     edge_supports_csr,
-    resolve_kernel_tier,
     truss_decomposition_csr,
 )
 from repro.fastgraph.offline import RefreshCache, fast_precompute, fast_refresh_records
@@ -58,7 +58,6 @@ from repro.fastgraph.vertex_table import VertexTable
 __all__ = [
     "CSRGraph",
     "DeltaCSR",
-    "KERNEL_TIERS",
     "NUMPY_AVAILABLE",
     "NUMPY_VERSION",
     "RefreshCache",
@@ -69,6 +68,5 @@ __all__ = [
     "fast_precompute",
     "fast_refresh_records",
     "freeze",
-    "resolve_kernel_tier",
     "truss_decomposition_csr",
 ]

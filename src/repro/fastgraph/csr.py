@@ -19,8 +19,8 @@ zero-copy as ndarrays via :meth:`CSRGraph.as_numpy`.  The kernels in
 :mod:`repro.fastgraph.kernels` are stdlib-only so the library's
 no-dependency guarantee holds; when numpy is importable the offline pass
 (:mod:`repro.fastgraph.vectorised`) runs as batched array programs over
-these views — bit-identical outputs, selected through the ``kernel_tier``
-engine knob (see ``docs/backends.md``).
+these views — bit-identical outputs, used whenever numpy imports (see
+``docs/backends.md``).
 
 Neighbour order inside a row follows the source graph's adjacency insertion
 order, which keeps :meth:`CSRGraph.thaw` a faithful round-trip.

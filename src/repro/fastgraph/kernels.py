@@ -36,9 +36,9 @@ the region they visit, not to ``|V|``.
 
 The kernels here are pure Python, with no dependencies, and every query,
 refresh and peel runs them.  Only the offline pass has a second
-implementation: with numpy, ``kernel_tier`` lets
-:func:`~repro.fastgraph.offline.fast_precompute` count supports and
-aggregate the per-centre balls with the batched array programs of
+implementation: when numpy imports,
+:func:`~repro.fastgraph.offline.fast_precompute` counts supports and
+aggregates the per-centre balls with the batched array programs of
 :mod:`repro.fastgraph.vectorised` (bit-identical outputs; see
 ``docs/backends.md``).
 """
@@ -644,65 +644,6 @@ class CSRWorkspace:
             popped[vertex] = 0
         return result
 
-    def nested_propagation_values(self, order, cuts, threshold: float) -> list:
-        """Propagation value lists for a nested family of seed balls.
-
-        ``order`` is a BFS visit order and ``cuts`` the prefix lengths that
-        delimit the balls (one per radius, non-decreasing).  For each cut
-        this returns the propagation probabilities of the ball's influenced
-        community, **sorted descending** — exactly the value sequence the
-        reference pops, so prefix sums over it are bit-identical.
-
-        Instead of re-running the full multi-source Dijkstra per ball, the
-        labels of ball ``r`` are carried into ball ``r + 1``: they form a
-        max-product fixpoint (no relaxation over them can improve), so when
-        the shell vertices new at ``r + 1`` become seeds at probability 1,
-        only vertices whose label *strictly improves* can affect anything —
-        the incremental pass relaxes those alone.  Every label still equals
-        the maximum stepwise path product from the current seed set, which
-        is what makes the values identical to a fresh run.
-        """
-        self.ensure_entries()
-        best = self._best
-        in_region = self._popped
-        ranked_arcs = self.ranked_arcs
-        settled: list[int] = []
-        out = []
-        previous_cut = 0
-        for cut in cuts:
-            heap = []
-            for position in range(previous_cut, cut):
-                seed = order[position]
-                if best[seed] < 1.0:
-                    if not in_region[seed]:
-                        in_region[seed] = 1
-                        settled.append(seed)
-                    best[seed] = 1.0
-                    heap.append((-1.0, seed))
-            previous_cut = cut
-            heapify(heap)
-            while heap:
-                negative_probability, vertex = heappop(heap)
-                probability = -negative_probability
-                if probability < best[vertex]:
-                    continue  # superseded by a later improvement
-                for edge_probability, neighbour in ranked_arcs[vertex]:
-                    next_probability = probability * edge_probability
-                    if next_probability < threshold:
-                        break
-                    if next_probability <= best[neighbour]:
-                        continue
-                    if not in_region[neighbour]:
-                        in_region[neighbour] = 1
-                        settled.append(neighbour)
-                    best[neighbour] = next_probability
-                    heappush(heap, (-next_probability, neighbour))
-            out.append(sorted((best[vertex] for vertex in settled), reverse=True))
-        for vertex in settled:
-            best[vertex] = 0.0
-            in_region[vertex] = 0
-        return out
-
 
 def bfs_hop_ball(csr: CSRGraph, source: int, radius: int) -> dict[int, int]:
     """Return ``{vertex int: hop distance}`` for the ``radius``-ball of ``source``.
@@ -747,34 +688,3 @@ def community_propagation_csr(
     id_of = csr.table.id_of
     cpp = {id_of(vertex): probability for vertex, probability in pairs}
     return InfluencedCommunity(seed_vertices=seeds, cpp=cpp, threshold=threshold)
-
-
-# --------------------------------------------------------------------------- #
-# kernel tiers
-# --------------------------------------------------------------------------- #
-#: Valid values of the ``kernel_tier`` engine knob.
-KERNEL_TIERS = ("auto", "stdlib", "vector")
-
-
-def resolve_kernel_tier(kernel_tier: str = "auto") -> str:
-    """Resolve the ``kernel_tier`` knob to a concrete tier.
-
-    ``"auto"`` picks ``"vector"`` when numpy is importable and ``"stdlib"``
-    otherwise; an explicit ``"vector"`` without numpy raises (the caller
-    asked for something the environment cannot provide), and an explicit
-    ``"stdlib"`` always wins — the opt-out for bisecting or benchmarking.
-    """
-    from repro.fastgraph.csr import NUMPY_AVAILABLE
-
-    if kernel_tier not in KERNEL_TIERS:
-        raise GraphError(
-            f"kernel_tier must be one of {KERNEL_TIERS}, got {kernel_tier!r}"
-        )
-    if kernel_tier == "auto":
-        return "vector" if NUMPY_AVAILABLE else "stdlib"
-    if kernel_tier == "vector" and not NUMPY_AVAILABLE:
-        raise GraphError(
-            "kernel_tier 'vector' requires numpy (pip install "
-            "'repro-topl-icde[fast]'); use 'auto' to fall back silently"
-        )
-    return kernel_tier

@@ -14,14 +14,17 @@ work per centre:
 * the support upper bound is likewise an incremental max over per-arc
   global supports (an array lookup), where the reference allocates and
   hashes a ``frozenset`` edge key per ball edge per radius;
-* influence score bounds run the workspace max-product Dijkstra
-  (:meth:`~repro.fastgraph.kernels.CSRWorkspace.nested_propagation_values`),
-  summing in descending order — hence a bit-reproducible float sum.
+* influence score bounds max-merge single-source ``upp`` rows over each
+  nested ball (:meth:`RefreshCache.merged_values`) and sum the values in
+  descending order — hence a bit-reproducible float sum.
 
-With numpy (``kernel_tier`` resolving to ``"vector"``) the supports and the
+The platform picks the kernel, not a setting.  Without numpy the build is
+the incremental refresh (:func:`fast_refresh_records`) run over every
+centre from an empty :class:`RefreshCache`, so build and refresh share one
+record kernel.  With numpy (:data:`NUMPY_AVAILABLE`) the supports and the
 per-centre bodies run as the batched array programs of
 :mod:`repro.fastgraph.vectorised` instead — the same bytes, several times
-faster.  The truss peel is the stdlib kernel on both tiers.
+faster.  The truss peel is the stdlib kernel on both.
 
 The incremental aggregations are exact, not approximate: hop balls are
 nested in the radius, OR and max are monotone, and supports are measured in
@@ -34,11 +37,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.exceptions import GraphError
-from repro.fastgraph.csr import freeze
+from repro.fastgraph.csr import NUMPY_AVAILABLE, freeze
 from repro.fastgraph.kernels import (
     CSRWorkspace,
     edge_supports_csr,
-    resolve_kernel_tier,
     supports_as_dict,
     truss_peel,
 )
@@ -53,17 +55,16 @@ def fast_precompute(
     num_bits: int,
     vertices: Iterable | None = None,
     frozen=None,
-    kernel_tier: str = "auto",
 ):
     """Run the offline pre-computation over a frozen snapshot of ``graph``.
 
     Parameters and result match
     :func:`repro.index.precompute.precompute`; see the module docstring for
     the equivalence argument.  Pass ``frozen`` (a ``CSRGraph`` of the same
-    graph) to reuse an existing snapshot instead of freezing again.
-    ``kernel_tier`` selects the stdlib per-centre pass or the batched
-    vector pass (:func:`~repro.fastgraph.kernels.resolve_kernel_tier`);
-    both produce the same bytes.  Callers normally go through
+    graph) to reuse an existing snapshot instead of freezing again.  The
+    batched vector pass runs exactly when numpy imports
+    (:data:`NUMPY_AVAILABLE`), the refresh kernel otherwise; both produce
+    the same bytes.  Callers normally go through
     ``precompute(..., backend="fast")`` rather than calling this directly.
     """
     # Deferred import: repro.index.precompute routes its fast backend here,
@@ -85,68 +86,40 @@ def fast_precompute(
         thresholds=ordered_thresholds,
         num_bits=num_bits,
     )
-    vector = resolve_kernel_tier(kernel_tier) == "vector"
     lists = (csr.indptr.tolist(), csr.indices.tolist(), csr.arc_edge.tolist())
-    if vector:
+    if NUMPY_AVAILABLE:
         from repro.fastgraph.vectorised import edge_supports_vector
 
         supports = edge_supports_vector(csr)
     else:
         supports = edge_supports_csr(csr, lists)
-    # ``tolist()`` on both tiers: Python ints from here on, so the
+    # ``tolist()`` on both paths: Python ints from here on, so the
     # serialised index never carries numpy scalars.
     support_list = supports.tolist()
     data.global_edge_support = supports_as_dict(csr, support_list)
     _, vertex_truss = truss_peel(csr, support_list, lists)
 
+    index_of = csr.table.index_of
+    id_of = csr.table.id_of
+    if not NUMPY_AVAILABLE:
+        ids = map(id_of, range(csr.num_vertices)) if vertices is None else vertices
+        fast_refresh_records(
+            csr, CSRWorkspace(csr), data, ids, support_list,
+            lambda vertex: vertex_truss[index_of(vertex)], RefreshCache(),
+        )
+        return data
+
+    if vertices is None:
+        centres = list(range(csr.num_vertices))
+    else:
+        centres = [index_of(vertex) for vertex in vertices]
     keyword_bits = [
         BitVector.from_keywords(keywords, num_bits).bits for keywords in csr.keywords
     ]
-
-    index_of = csr.table.index_of
-    id_of = csr.table.id_of
-    if vertices is None:
-        centres = range(csr.num_vertices)
-    else:
-        centres = [index_of(vertex) for vertex in vertices]
-
-    if vector:
-        per_radius_list = _vector_ball_aggregates(
-            csr, list(centres), max_radius, ordered_thresholds, num_bits,
-            keyword_bits, supports,
-        )
-        per_radius_pairs = zip(centres, per_radius_list)
-    else:
-        workspace = CSRWorkspace(csr)
-        workspace.ensure_entries()
-        # Per-vertex (edge support, neighbour) pairs, sorted by descending
-        # support so the shell scan below can stop at the first entry that
-        # cannot beat the running maximum.
-        support_arcs = [
-            tuple(
-                sorted(
-                    (
-                        (support_list[edge_id], head)
-                        for edge_id, head in workspace.edge_arcs[u]
-                    ),
-                    reverse=True,
-                )
-            )
-            for u in range(csr.num_vertices)
-        ]
-        per_radius_pairs = (
-            (
-                centre,
-                _ball_aggregates(
-                    workspace, centre, max_radius, ordered_thresholds, num_bits,
-                    keyword_bits.__getitem__, support_arcs.__getitem__,
-                    workspace.nested_propagation_values,
-                ),
-            )
-            for centre in centres
-        )
-
-    for centre, per_radius in per_radius_pairs:
+    per_radius_list = _vector_ball_aggregates(
+        csr, centres, max_radius, ordered_thresholds, num_bits, keyword_bits, supports
+    )
+    for centre, per_radius in zip(centres, per_radius_list):
         data.vertex_aggregates[id_of(centre)] = VertexAggregates(
             vertex=id_of(centre),
             keyword_bitvector=BitVector(keyword_bits[centre], num_bits),
@@ -201,26 +174,17 @@ def _vector_ball_aggregates(
 
 
 def _ball_aggregates(
-    workspace, centre, max_radius, thresholds, num_bits, bits_of, support_arcs_of,
-    propagation_values,
+    workspace, cache, centre, max_radius, thresholds, num_bits, bits_of, support_arcs_of
 ):
     """The per-centre body of Algorithm 2 on the array backend.
 
-    One BFS ball, shell-incremental OR/max aggregation, and the chained
-    per-radius propagation, returning ``{radius: RadiusAggregates}``.
-    Shared — float for float — by the full offline pass
-    (:func:`fast_precompute`, eager per-vertex tables behind the accessors)
-    and the incremental refresh (:func:`fast_refresh_records`, a
-    :class:`RefreshCache` behind them), which is what keeps patched records
-    bit-identical to a rebuild.
+    One BFS ball, shell-incremental OR/max aggregation, and the per-radius
+    score bounds from ``cache``'s merged rows, returning
+    ``{radius: RadiusAggregates}``.
 
     ``bits_of(vertex)`` returns the vertex's keyword bits as an int;
     ``support_arcs_of(vertex)`` its ``(edge support, neighbour)`` pairs
-    sorted descending.  ``propagation_values(order, cuts, threshold)``
-    returns one descending value list per nested ball, with the contract of
-    :meth:`~repro.fastgraph.kernels.CSRWorkspace.nested_propagation_values`
-    (which the offline pass passes; the refresh passes
-    :meth:`RefreshCache.merged_values`).
+    sorted descending.
     """
     from repro.index.precompute import RadiusAggregates
 
@@ -256,7 +220,7 @@ def _ball_aggregates(
         bits_per_radius.append(bits)
         bound_per_radius.append(support_bound)
 
-    value_lists = propagation_values(order, cuts, smallest_theta)
+    value_lists = cache.merged_values(workspace, order, cuts, smallest_theta)
     per_radius: dict[int, RadiusAggregates] = {}
     for radius in range(1, max_radius + 1):
         # The values are descending — exactly the order the reference
@@ -350,16 +314,20 @@ class RefreshCache:
         }
 
     def merged_values(self, workspace, order, cuts, threshold: float) -> list:
-        """:meth:`~repro.fastgraph.kernels.CSRWorkspace.nested_propagation_values` from rows.
+        """Propagation value lists for a nested family of seed balls.
 
-        For each nested ball (``order[:cut]``, cut per radius) the values
-        are ``1.0`` per member plus, per non-member ``w``, the max of the
-        members' ``upp(., w)`` — merged shell by shell — sorted descending.
-        That is the same list, float for float: a multi-source max-product
-        label is the max over sources of the single-source labels (a path
-        through another seed never beats starting at that seed with 1.0,
-        and rounding is monotone), and the ``theta`` cut commutes with the
-        max.
+        ``order`` is a BFS visit order and ``cuts`` the prefix lengths that
+        delimit the balls (one per radius, non-decreasing).  For each nested
+        ball (``order[:cut]``) the values are ``1.0`` per member plus, per
+        non-member ``w``, the max of the members' ``upp(., w)`` — merged
+        shell by shell — sorted descending.  That is exactly the value
+        sequence the reference
+        :func:`~repro.influence.propagation.community_propagation` of the
+        ball pops, float for float: a multi-source max-product label is the
+        max over sources of the single-source labels (a path through another
+        seed never beats starting at that seed with 1.0, and rounding is
+        monotone), and the ``theta`` cut commutes with the max.  Prefix sums
+        over it are therefore bit-identical to the reference score bounds.
         """
         # Build every missing row before borrowing the workspace's ``_best``
         # scratch, which ``propagate`` uses and resets.
@@ -393,46 +361,49 @@ class RefreshCache:
         return out
 
 
-def fast_refresh_records(core, workspace, data, vertices, truss_state, cache) -> int:
+def fast_refresh_records(
+    core, workspace, data, vertices, supports_by_id, trussness_of, cache
+) -> int:
     """Recompute the records of ``vertices`` in place on the fast backend.
 
-    The incremental counterpart of :func:`fast_precompute`: the same
-    per-centre loop (one BFS, shell-incremental OR/max aggregation,
-    per-radius score bounds), but run over a *mutable* core — normally a
-    :class:`~repro.fastgraph.delta.DeltaCSR` overlay patched in place by the
-    dynamic layer — against the supports and trussness the
-    :class:`~repro.dynamic.truss_maintenance.IncrementalTrussState` maintains
-    exactly, instead of re-deriving them from scratch.  The score bounds
-    come from max-merging cached ``upp`` rows
-    (:meth:`RefreshCache.merged_values`) rather than a nested multi-source
-    Dijkstra per centre.  Because the inputs are exact and the per-centre
-    arithmetic is shared, the refreshed records are bit-identical to both a
-    reference refresh and a full fast rebuild (the cross-backend dynamic
-    suite enforces this).
+    The per-centre loop of Algorithm 2 (one BFS, shell-incremental OR/max
+    aggregation, per-radius score bounds from max-merged cached ``upp`` rows,
+    :meth:`RefreshCache.merged_values`) over any graph core.  It is both the
+    numpy-free offline pass (:func:`fast_precompute` runs it over every
+    centre of a frozen ``CSRGraph`` with an empty cache) and the incremental
+    refresh (the engine runs it over the centres a batch touched, on the
+    :class:`~repro.fastgraph.delta.DeltaCSR` overlay the dynamic layer
+    patches in place, with the supports and trussness the
+    :class:`~repro.dynamic.truss_maintenance.IncrementalTrussState` keeps
+    exact).  Because the inputs are exact and the per-centre arithmetic is
+    one function, refreshed records are bit-identical to both a reference
+    refresh and a full rebuild (the cross-backend dynamic suite enforces
+    this).
 
     Parameters
     ----------
     core:
-        The engine's current fast core (``CSRGraph`` or ``DeltaCSR``).
+        The graph core (``CSRGraph`` or ``DeltaCSR``).
     workspace:
         A :class:`~repro.fastgraph.kernels.CSRWorkspace` over ``core``;
         synced here before use.
     data:
-        The live :class:`~repro.index.precompute.PrecomputedData`; records
-        are replaced in ``data.vertex_aggregates``.
+        The :class:`~repro.index.precompute.PrecomputedData` to fill;
+        records are replaced in ``data.vertex_aggregates``.
     vertices:
-        Centre vertices (original ids) whose records to refresh.
-    truss_state:
-        The engine's incremental truss state (supports by edge id, vertex
-        trussness).
+        Centre vertices (original ids) whose records to compute.
+    supports_by_id:
+        Edge supports indexed by the core's int edge ids (a list or a dict).
+    trussness_of:
+        ``trussness_of(vertex id) -> int``, the centre's vertex trussness.
     cache:
-        The engine's :class:`RefreshCache`, already invalidated for the
-        batch (:meth:`RefreshCache.invalidate`); read and filled here.
+        A :class:`RefreshCache`, already invalidated for the batch
+        (:meth:`RefreshCache.invalidate`); read and filled here.
 
     Returns
     -------
     int
-        Number of records refreshed.
+        Number of records computed.
     """
     from repro.index.precompute import VertexAggregates
 
@@ -440,7 +411,6 @@ def fast_refresh_records(core, workspace, data, vertices, truss_state, cache) ->
     workspace.ensure_entries()  # the scalar refresh sweeps the entry tuples
     num_bits = data.num_bits
     index_of = core.table.index_of
-    supports_by_id = truss_state.supports_by_edge_id()
     edge_arcs = workspace.edge_arcs
     keyword_bits = cache.keyword_bits
     support_arcs = cache.support_arcs
@@ -453,6 +423,8 @@ def fast_refresh_records(core, workspace, data, vertices, truss_state, cache) ->
         return bits
 
     def support_arcs_of(member: int) -> tuple:
+        # Sorted by descending support so the shell scan can stop at the
+        # first entry that cannot beat the running maximum.
         arcs = support_arcs.get(member)
         if arcs is None:
             arcs = tuple(
@@ -467,21 +439,18 @@ def fast_refresh_records(core, workspace, data, vertices, truss_state, cache) ->
             support_arcs[member] = arcs
         return arcs
 
-    def propagation_values(order, cuts, threshold):
-        return cache.merged_values(workspace, order, cuts, threshold)
-
     refreshed = 0
     for vertex_id in vertices:
         centre = index_of(vertex_id)
         per_radius = _ball_aggregates(
-            workspace, centre, data.max_radius, data.thresholds, num_bits,
-            bits_of, support_arcs_of, propagation_values,
+            workspace, cache, centre, data.max_radius, data.thresholds, num_bits,
+            bits_of, support_arcs_of,
         )
         data.vertex_aggregates[vertex_id] = VertexAggregates(
             vertex=vertex_id,
             keyword_bitvector=BitVector(bits_of(centre), num_bits),
             per_radius=per_radius,
-            center_trussness=truss_state.trussness_of_vertex(vertex_id),
+            center_trussness=trussness_of(vertex_id),
         )
         refreshed += 1
     return refreshed

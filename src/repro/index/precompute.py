@@ -180,7 +180,6 @@ def precompute(
     vertices: Iterable[VertexId] | None = None,
     backend: str = "reference",
     frozen=None,
-    kernel_tier: str = "auto",
 ) -> PrecomputedData:
     """Run the offline pre-computation (Algorithm 2) over ``graph``.
 
@@ -206,11 +205,6 @@ def precompute(
         backend (the engine passes the one it will also serve queries
         from, so the graph is frozen once per epoch).  Ignored on the
         reference backend.
-    kernel_tier:
-        Fast backend only: which implementation runs the pass — ``"auto"``
-        (the batched numpy pass when numpy is importable), ``"stdlib"`` or
-        ``"vector"``.  Both are bit-identical.  Ignored on the
-        reference backend.
 
     Returns
     -------
@@ -228,7 +222,6 @@ def precompute(
             num_bits=num_bits,
             vertices=vertices,
             frozen=frozen,
-            kernel_tier=kernel_tier,
         )
     if backend != "reference":
         raise GraphError(f"backend must be 'reference' or 'fast', got {backend!r}")

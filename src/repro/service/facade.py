@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro._version import __version__ as _API_VERSION
-from repro.core.config import EngineConfig
+from repro.core.config import EngineConfig, without_retired_settings
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import UpdateBatch
 from repro.exceptions import (
@@ -232,7 +232,7 @@ class CommunityService:
             graph = load_graph_json(request.graph_path)
         else:
             graph = None  # store-backed: the store carries the graph
-        config_kwargs = dict(request.config or {})
+        config_kwargs = without_retired_settings(request.config or {})
         known = {f.name for f in dataclasses.fields(EngineConfig)}
         unknown = set(config_kwargs) - known
         if unknown:

@@ -313,7 +313,7 @@ def _collector_paused():
 
 
 def _reconstruct(raw: RawStore) -> StoreHandle:
-    from repro.core.config import EngineConfig
+    from repro.core.config import EngineConfig, without_retired_settings
 
     meta = raw.json_section("meta")
     n = int(meta["num_vertices"])
@@ -412,7 +412,7 @@ def _reconstruct(raw: RawStore) -> StoreHandle:
     }
 
     tree = _assemble_tree(raw, meta, precomputed, ids)
-    config_payload = dict(meta["config"])
+    config_payload = without_retired_settings(meta["config"])
     config_payload["thresholds"] = tuple(config_payload.get("thresholds", thresholds))
     config = EngineConfig(**config_payload)
     info = {

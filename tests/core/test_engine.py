@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.exceptions import GraphError
+from repro.query.baselines import compare_with_kcore, kcore_community
 from repro.query.params import make_dtopl_query, make_topl_query
 
 
@@ -60,9 +61,11 @@ class TestQueries:
             two_cliques_bridge, config=EngineConfig(max_radius=2)
         )
         topl = engine.topl(make_topl_query({"movies"}, k=4, radius=1, theta=0.1, top_l=1)).best
-        comparison = engine.kcore_comparison(topl, k=3)
+        comparison = compare_with_kcore(
+            engine.graph, topl, k=3, theta=topl.influenced.threshold
+        )
         assert comparison["topl_icde"]["score"] > 0
-        community = engine.kcore_community(0, k=3, theta=0.1)
+        community = kcore_community(engine.graph, 0, k=3, theta=0.1)
         assert community is not None
         assert community.vertices == frozenset(range(4))
 

@@ -5,10 +5,9 @@ backend-matrix job exports ``fast``, which runs every engine through the
 array core and every directly-constructed truss state over a
 :class:`~repro.fastgraph.delta.DeltaCSR` overlay — the same assertions then
 prove the incremental fast path bit-identical to the reference rebuilds.
-``REPRO_TEST_KERNELS`` additionally pins the fast backend's kernel tier:
-the CI kernels-matrix job exports ``vector``, so every build and rebuild
-runs the batched numpy offline pass and the incremental refreshes continue
-its records.
+Fast builds and rebuilds run the offline pass the installed packages give
+(the batched numpy pass when numpy imports, the numpy-free record kernel
+otherwise), and the incremental refreshes continue their records.
 """
 
 from __future__ import annotations
@@ -33,14 +32,11 @@ __all__ = [
 
 #: Backend the dynamic suite runs on; the CI matrix exports fast.
 DYNAMIC_BACKEND = os.environ.get("REPRO_TEST_BACKEND", "reference")
-#: Kernel tier of the fast backend; the kernels-matrix leg exports vector.
-DYNAMIC_KERNELS = os.environ.get("REPRO_TEST_KERNELS", "auto")
 
 
 def dynamic_config(**overrides) -> EngineConfig:
-    """An :class:`EngineConfig` on the backend + kernel tier under test."""
+    """An :class:`EngineConfig` on the backend under test."""
     overrides.setdefault("backend", DYNAMIC_BACKEND)
-    overrides.setdefault("kernel_tier", DYNAMIC_KERNELS)
     return EngineConfig(**overrides)
 
 

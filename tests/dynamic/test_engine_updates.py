@@ -308,7 +308,14 @@ def test_failed_stage_rebuilds_and_reraises(planted_graph, monkeypatch, backend,
         engine.apply_updates(
             [EdgeUpdate.insert(0, 1, 0.7), EdgeUpdate.delete(2, 3)], damage_threshold=1.0
         )
-    assert calls == [name]
+    # The update enters the stage once.  Without numpy, the rebuild after the
+    # failure runs the same record kernel once more, over every centre.
+    import repro.fastgraph.offline as offline_module
+
+    rebuild_runs_stage = (
+        backend == "fast" and stage == "refresh" and not offline_module.NUMPY_AVAILABLE
+    )
+    assert calls == [name] * (2 if rebuild_runs_stage else 1)
     assert engine.epoch == epoch + 1
     assert not engine.graph.has_edge(2, 3)
     fresh = precompute(

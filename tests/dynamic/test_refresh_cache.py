@@ -18,8 +18,8 @@ The sequences mix localised and scattered churn, brand-new vertices that
 carry keywords, compactions of the snapshot overlay (a small
 ``compact_dirt_ratio``) and a ``theta_min = 0`` configuration, where every
 batch empties the row cache.  The engines always run the fast backend (the
-reference backend keeps no cache), built on the kernel tier the suite is
-pinned to.
+reference backend keeps no cache), built on the offline pass the installed
+packages give (vector with numpy, the numpy-free row kernel without).
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ everything observable is identical — pre-computed records bit for bit
 community, score for score.  The CI backend-matrix leg runs this module
 with ``REPRO_TEST_BACKEND=fast`` (also the default here); the variable
 selects the backend under test, which is always compared against a
-reference-backend build of the same graph.  ``REPRO_TEST_KERNELS``
-additionally pins the fast backend's kernel tier (``stdlib`` or
-``vector``) — the CI kernels-matrix leg exports ``vector`` so the numpy
-offline pass faces the same gates as the stdlib one.
+reference-backend build of the same graph.  The fast backend's offline pass
+is the one the installed packages give: the batched numpy pass when numpy
+imports, the numpy-free record kernel otherwise, so running this module
+with and without numpy puts both passes through the same gates.
 """
 
 from __future__ import annotations
@@ -32,17 +32,6 @@ from tests.property.strategies import KEYWORD_POOL, social_networks
 
 #: Backend under test; the CI matrix exports REPRO_TEST_BACKEND=fast.
 BACKEND = os.environ.get("REPRO_TEST_BACKEND", "fast")
-#: Kernel tier of the fast backend; the kernels-matrix leg exports "vector".
-KERNEL_TIER = os.environ.get("REPRO_TEST_KERNELS", "auto")
-
-if KERNEL_TIER == "vector":
-    from repro.fastgraph.csr import NUMPY_AVAILABLE
-
-    if not NUMPY_AVAILABLE:  # pragma: no cover - guards a misconfigured matrix leg
-        pytest.skip(
-            "REPRO_TEST_KERNELS=vector needs numpy", allow_module_level=True
-        )
-
 _THRESHOLDS = (0.1, 0.3)
 
 
@@ -89,7 +78,6 @@ def _check_precompute(seed: int) -> None:
     reference = precompute(graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=32)
     fast = precompute(
         graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=32, backend=BACKEND,
-        kernel_tier=KERNEL_TIER,
     )
     assert_precomputed_equal(fast, reference, seed)
 
@@ -102,7 +90,7 @@ def _check_answers(seed: int) -> None:
         graph.copy(),
         config=EngineConfig(
             max_radius=2, thresholds=_THRESHOLDS, fanout=3, leaf_capacity=4,
-            backend=BACKEND, kernel_tier=KERNEL_TIER,
+            backend=BACKEND,
         ),
         validate=False,
     )
@@ -154,7 +142,6 @@ def test_hypothesis_precompute_bit_identical(graph):
     reference = precompute(graph, max_radius=2, thresholds=_THRESHOLDS, num_bits=32)
     fast = precompute(
         graph, max_radius=2, thresholds=_THRESHOLDS, num_bits=32, backend=BACKEND,
-        kernel_tier=KERNEL_TIER,
     )
     assert_precomputed_equal(fast, reference, "hypothesis")
 
@@ -165,7 +152,6 @@ def test_serving_layer_inherits_backend():
         graph,
         config=EngineConfig(
             max_radius=2, thresholds=_THRESHOLDS, backend=BACKEND,
-            kernel_tier=KERNEL_TIER,
         ),
         validate=False,
     )
@@ -184,7 +170,6 @@ def test_dynamic_updates_fall_back_and_stay_equivalent():
         graph,
         config=EngineConfig(
             max_radius=2, thresholds=_THRESHOLDS, backend=BACKEND,
-            kernel_tier=KERNEL_TIER,
         ),
         validate=False,
     )

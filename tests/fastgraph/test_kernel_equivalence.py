@@ -112,26 +112,19 @@ def test_propagation_bit_identical(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_nested_propagation_values_match_per_radius_runs(seed):
-    """The chained per-radius pass equals three independent propagations."""
+    """The merged rows of each nested ball equal an independent propagation."""
     _, graph = seeded_graph(seed)
     if graph.num_edges() == 0:
         pytest.skip("edgeless graph")
     csr = freeze(graph)
     workspace = CSRWorkspace(csr)
     centre = csr.table.index_of(next(iter(graph.vertices())))
-    order = workspace.bfs_ball(centre, 3)
-    dist = workspace.dist
-    cuts = []
-    position = 0
-    for radius in (1, 2, 3):
-        while position < len(order) and dist[order[position]] <= radius:
-            position += 1
-        cuts.append(position)
-    chained = workspace.nested_propagation_values(order, cuts, 0.1)
+    order, cuts = _nested_cuts(workspace, centre, 3)
+    merged = RefreshCache().merged_values(workspace, order, cuts, 0.1)
     for radius, cut in enumerate(cuts, start=1):
         seeds = frozenset(csr.table.id_of(v) for v in order[:cut])
         reference = community_propagation(graph, seeds, 0.1)
-        assert chained[radius - 1] == sorted(reference.cpp.values(), reverse=True), (
+        assert merged[radius - 1] == sorted(reference.cpp.values(), reverse=True), (
             seed,
             radius,
         )
@@ -153,17 +146,18 @@ def _nested_cuts(workspace, centre: int, max_radius: int) -> tuple[list, list]:
 )
 @pytest.mark.parametrize("seed", range(2))
 def test_row_merge_matches_nested_propagation(seed, kind, overlay):
-    """Max-merged single-source ``upp`` rows == the nested multi-source pass.
+    """Max-merged single-source ``upp`` rows == a propagation per nested ball.
 
-    The fast refresh derives every centre's score-bound values from cached
-    rows (:meth:`~repro.fastgraph.offline.RefreshCache.merged_values`); the
-    lists must equal :meth:`nested_propagation_values` float for float, on
-    every centre's nested balls, and over a ``DeltaCSR`` overlay after
-    mixed edits.
+    Every fast record derives its score-bound values from cached rows
+    (:meth:`~repro.fastgraph.offline.RefreshCache.merged_values`); the
+    lists must equal the reference ``community_propagation`` of each of a
+    centre's nested balls, sorted descending, float for float — on every
+    centre, and over a ``DeltaCSR`` overlay after mixed edits.
     """
     graph = _graph(kind, seed)
     frozen = freeze(graph)
     workspace = CSRWorkspace(frozen)
+    core = frozen
     if overlay:
         core = DeltaCSR(frozen)
         workspace.rebind(core)
@@ -172,13 +166,19 @@ def test_row_merge_matches_nested_propagation(seed, kind, overlay):
         script.apply_to(graph)
         core.replay(script)
         workspace.sync()
+    id_of = core.table.id_of
     for theta in (0.0, 0.1, 0.35):
         cache = RefreshCache()  # rows are per-theta; shared by every centre
+        expected_of: dict = {}  # nested balls repeat across centres
         for centre in range(workspace.n):
             order, cuts = _nested_cuts(workspace, centre, 3)
-            expected = workspace.nested_propagation_values(order, cuts, theta)
             merged = cache.merged_values(workspace, order, cuts, theta)
-            assert merged == expected, (kind, theta, centre)
+            for radius, cut in enumerate(cuts, start=1):
+                seeds = frozenset(map(id_of, order[:cut]))
+                if seeds not in expected_of:
+                    cpp = community_propagation(graph, seeds, theta).cpp
+                    expected_of[seeds] = sorted(cpp.values(), reverse=True)
+                assert merged[radius - 1] == expected_of[seeds], (kind, theta, centre, radius)
 
 
 @settings(max_examples=40, deadline=None)

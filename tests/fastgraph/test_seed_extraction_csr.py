@@ -16,14 +16,10 @@ On top of the answers, the fast and reference backends must do the same
 *work*: every :class:`~repro.query.results.QueryStatistics` counter agrees
 (a centre outside T_Q counts as ``pruned_by_radius``, exactly like an
 empty extraction), except the wall clock and the cache counters.
-
-``REPRO_TEST_KERNELS`` pins the offline kernel tier of the engine-level
-checks, as in ``test_backend_equivalence.py``.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -31,7 +27,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
-from repro.fastgraph.csr import NUMPY_AVAILABLE, freeze
+from repro.fastgraph.csr import freeze
 from repro.fastgraph.delta import DeltaCSR
 from repro.fastgraph.kernels import CSRWorkspace
 from repro.graph.generators import newman_watts_strogatz_graph, planted_community_graph
@@ -39,12 +35,6 @@ from repro.graph.social_network import SocialNetwork
 from repro.pruning.stats import PruningConfig
 from repro.query.params import make_dtopl_query, make_topl_query
 from repro.query.seed import extract_seed_community
-
-#: Kernel tier of the engine-level checks; the kernels-matrix leg exports "vector".
-KERNEL_TIER = os.environ.get("REPRO_TEST_KERNELS", "auto")
-
-if KERNEL_TIER == "vector" and not NUMPY_AVAILABLE:  # pragma: no cover - misconfigured leg
-    pytest.skip("REPRO_TEST_KERNELS=vector needs numpy", allow_module_level=True)
 
 KS = (2, 3, 4, 5)
 RADII = (1, 2, 3)
@@ -240,14 +230,14 @@ def test_overlay_after_mixed_edits(seed):
     _assert_every_centre_matches(graph, workspace, _keyword_sets(seed))
 
 
-def _engines(graph, kernel_tier=KERNEL_TIER):
+def _engines(graph):
     config = dict(max_radius=3, thresholds=(0.1, 0.2), fanout=3, leaf_capacity=4)
     reference = InfluentialCommunityEngine.build(
         graph, config=EngineConfig(**config), validate=False
     )
     fast = InfluentialCommunityEngine.build(
         graph.copy(),
-        config=EngineConfig(**config, backend="fast", kernel_tier=kernel_tier),
+        config=EngineConfig(**config, backend="fast"),
         validate=False,
     )
     return reference, fast

@@ -4,27 +4,30 @@ The vector tier is the offline pass alone (Algorithm 2): numpy counts the
 edge supports (:func:`~repro.fastgraph.vectorised.edge_supports_vector`) and
 aggregates blocks of centres at once
 (:func:`~repro.fastgraph.vectorised.ball_aggregates_batch`); every online
-kernel is the stdlib one.  Its contract is *bit identity* with the stdlib
-pass — identical ints for supports and trussness, bit-identical floats for
-score bounds — so this module compares the pass kernel by kernel on seeded
-and hypothesis-generated graphs (supports, the peel they feed, and block
-aggregates over arbitrary centre samples against the stdlib records and the
-chained per-radius propagation), then ``precompute`` under both tiers across
-bit widths (both sides of the 64-bit OR branch), ``theta_min = 0``, a
-``vertices=`` subset, more than one centre block and deep radii, a bound on
-the vector pass's traced memory peak, then engine answers
-across all three tiers plus the reference backend, incremental updates on a
-vector-built engine, and store-attached engines.
+kernel is the stdlib one.  It runs whenever numpy imports; without numpy the
+build is the record refresh run over every centre.  Its contract is *bit
+identity* with that numpy-free pass — identical ints for supports and
+trussness, bit-identical floats for score bounds — so this module compares
+the pass kernel by kernel on seeded and hypothesis-generated graphs
+(supports, the peel they feed, and block aggregates over arbitrary centre
+samples against the numpy-free records and the reference propagation of
+each nested ball), then ``precompute`` on both paths across bit widths
+(both sides of the 64-bit OR branch), ``theta_min = 0``, a ``vertices=``
+subset, more than one centre block and deep radii, a bound on the vector
+pass's traced memory peak, then engine answers on both paths plus the
+reference backend, incremental updates on a vector-built engine, and
+store-attached engines.
 
-The whole module is skipped when numpy is absent (the stdlib fallback is what
-the rest of the suite already exercises); the CI kernels-matrix leg runs the
-fastgraph suite with ``REPRO_TEST_KERNELS=vector`` to force the tier through
-``tests/fastgraph/test_backend_equivalence.py`` as well.
+The numpy-free side is chosen through one seam: :func:`numpy_free` patches
+``repro.fastgraph.offline.NUMPY_AVAILABLE`` to ``False``.  The whole module
+is skipped when numpy is absent (the numpy-free pass is then what every
+other fastgraph test runs).
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -37,9 +40,7 @@ if not NUMPY_AVAILABLE:  # pragma: no cover - exercised by the no-numpy CI leg
 from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import random_update_batch
-from repro.exceptions import GraphError, QueryParameterError
-from repro.fastgraph import edge_supports_csr, freeze, resolve_kernel_tier
-from repro.fastgraph import vectorised
+from repro.fastgraph import edge_supports_csr, freeze, offline, vectorised
 from repro.fastgraph.kernels import CSRWorkspace, truss_peel
 from repro.fastgraph.vectorised import (
     _thresholded_arcs,
@@ -50,6 +51,7 @@ from repro.graph.generators import planted_community_graph
 from repro.graph.keyword_assignment import assign_keywords
 from repro.graph.social_network import SocialNetwork
 from repro.index.precompute import precompute
+from repro.influence.propagation import community_propagation
 from repro.keywords.bitvector import BitVector, hash_keyword
 from repro.query.params import make_dtopl_query, make_topl_query
 from repro.store import pack_store
@@ -59,6 +61,20 @@ from tests.fastgraph.test_kernel_equivalence import seeded_graph
 from tests.property.strategies import KEYWORD_POOL, social_networks
 
 _THRESHOLDS = (0.1, 0.3)
+
+
+@contextmanager
+def numpy_free():
+    """Run the fast offline pass as it runs without numpy (the refresh kernel)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(offline, "NUMPY_AVAILABLE", False)
+        yield
+
+
+def numpy_free_precompute(graph, **kwargs):
+    """``precompute(graph, backend="fast", **kwargs)`` on the numpy-free pass."""
+    with numpy_free():
+        return precompute(graph, backend="fast", **kwargs)
 
 
 def _assert_supports_agree(graph) -> None:
@@ -91,7 +107,7 @@ def _assert_kernels_agree(rng, graph) -> None:
     -> ``ball_aggregates_batch``.  The block here is a random sample of
     centres in random order, repeats allowed (slots must stay disjoint),
     with a random threshold ladder, and every output must equal the stdlib
-    per-centre records of the same centres.
+    numpy-free records of the same centres.
     """
     csr = freeze(graph)
     vector_supports = edge_supports_vector(csr)
@@ -107,9 +123,8 @@ def _assert_kernels_agree(rng, graph) -> None:
     thresholds = tuple(sorted(rng.sample((0.0, 0.05, 0.1, 0.2, 0.35, 0.6), 3)))
     arc_supports = vector_supports[csr.as_numpy()["arc_edge"]]
     for num_bits in (16, 96):  # both sides of the uint64 OR branch
-        stdlib = precompute(
-            graph, max_radius=3, thresholds=thresholds, num_bits=num_bits,
-            backend="fast", kernel_tier="stdlib",
+        stdlib = numpy_free_precompute(
+            graph, max_radius=3, thresholds=thresholds, num_bits=num_bits
         )
         # One run per gather, then runs of at most 3 arcs (slots split
         # across runs).
@@ -151,31 +166,29 @@ def test_hypothesis_kernels_bit_identical(graph):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_nested_propagation_bit_identical(seed):
-    """The batched fixpoint vs the chained per-radius propagation.
+    """The batched fixpoint vs a reference propagation per nested ball.
 
     Algorithm 2's inner loop: each radius's score bound is the descending
-    prefix sum of :meth:`CSRWorkspace.nested_propagation_values` on the
-    nested balls of one centre, float for float.
+    sum of the reference ``community_propagation`` of the centre's ball at
+    that radius, float for float.
     """
     _, graph = seeded_graph(seed)
     csr = freeze(graph)
     workspace = CSRWorkspace(csr)
     centre = 0
     order = workspace.bfs_ball(centre, 3)
-    cuts = [
-        sum(1 for vertex in order if workspace.dist[vertex] <= radius)
-        for radius in (1, 2, 3)
-    ]
+    dist = workspace.dist
     supports = edge_supports_vector(csr)
     for theta in (0.0, 0.1):
-        values = workspace.nested_propagation_values(order, cuts, theta)
         (per_radius,) = ball_aggregates_batch(
             csr, _thresholded_arcs(csr, theta), [centre], 3, (theta,), 16,
             _keyword_bits(csr, 16), supports[csr.as_numpy()["arc_edge"]], 10**9,
         )
         for radius in (1, 2, 3):
+            ball = frozenset(csr.table.id_of(v) for v in order if dist[v] <= radius)
+            reference = community_propagation(graph, ball, theta)
             running = 0.0
-            for probability in values[radius - 1]:
+            for probability in sorted(reference.cpp.values(), reverse=True):
                 running += probability
             assert per_radius[radius].score_bounds == ((theta, running),), (
                 seed, theta, radius,
@@ -183,9 +196,9 @@ def test_nested_propagation_bit_identical(seed):
 
 
 def _precompute_both(graph, **kwargs):
-    """``(vector, stdlib, reference)`` precomputes of ``graph`` with ``kwargs``."""
-    vector = precompute(graph, backend="fast", kernel_tier="vector", **kwargs)
-    stdlib = precompute(graph, backend="fast", kernel_tier="stdlib", **kwargs)
+    """``(vector, numpy-free, reference)`` precomputes of ``graph`` with ``kwargs``."""
+    vector = precompute(graph, backend="fast", **kwargs)
+    stdlib = numpy_free_precompute(graph, **kwargs)
     reference = precompute(graph, **kwargs)
     return vector, stdlib, reference
 
@@ -270,8 +283,7 @@ def test_precompute_tiers_agree_across_blocks(seed, num_bits, monkeypatch):
     _, graph = seeded_graph(seed)
     _with_edge_cases(graph, num_bits)
     whole = precompute(
-        graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits,
-        backend="fast", kernel_tier="vector",
+        graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits, backend="fast"
     )
     monkeypatch.setattr(
         offline, "_VECTOR_BLOCK_WORK", max(2, 2 * graph.num_vertices())
@@ -283,8 +295,7 @@ def test_precompute_tiers_agree_across_blocks(seed, num_bits, monkeypatch):
     assert_precomputed_equal(vector, stdlib, seed)
     monkeypatch.setattr(vectorised, "_WIDE_ROW", 1)
     vector = precompute(
-        graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits,
-        backend="fast", kernel_tier="vector",
+        graph, max_radius=3, thresholds=_THRESHOLDS, num_bits=num_bits, backend="fast"
     )
     assert_precomputed_equal(vector, stdlib, seed)
 
@@ -302,8 +313,8 @@ def test_precompute_tiers_agree_at_deep_radii(max_radius):
     for vertex in range(299):
         graph.add_edge(vertex, vertex + 1, 0.9, 0.8)
     kwargs = dict(max_radius=max_radius, thresholds=_THRESHOLDS, vertices=[0, 150, 299])
-    vector = precompute(graph, backend="fast", kernel_tier="vector", **kwargs)
-    stdlib = precompute(graph, backend="fast", kernel_tier="stdlib", **kwargs)
+    vector = precompute(graph, backend="fast", **kwargs)
+    stdlib = numpy_free_precompute(graph, **kwargs)
     assert_precomputed_equal(vector, stdlib, max_radius)
 
 
@@ -323,9 +334,7 @@ def test_vector_precompute_scratch_is_bounded_by_its_work():
     assign_keywords(graph, keywords_per_vertex=3, domain_size=50, rng=7)
     tracemalloc.start()
     try:
-        precompute(
-            graph, max_radius=2, num_bits=64, backend="fast", kernel_tier="vector"
-        )
+        precompute(graph, max_radius=2, num_bits=64, backend="fast")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -336,23 +345,20 @@ def _fingerprint(result):
     return tuple((c.center, c.vertices, c.score) for c in result)
 
 
-def _build_engines(make_graph, tiers=("stdlib", "vector", "auto")):
-    engines = {
-        tier: InfluentialCommunityEngine.build(
+def _build_engines(make_graph):
+    """Engines on the numpy-free pass, the vector pass and the reference backend."""
+    config = EngineConfig(max_radius=2, thresholds=_THRESHOLDS, backend="fast")
+    with numpy_free():
+        stdlib = InfluentialCommunityEngine.build(make_graph(), config=config, validate=False)
+    return {
+        "stdlib": stdlib,
+        "vector": InfluentialCommunityEngine.build(make_graph(), config=config, validate=False),
+        "reference": InfluentialCommunityEngine.build(
             make_graph(),
-            config=EngineConfig(
-                max_radius=2, thresholds=_THRESHOLDS, backend="fast", kernel_tier=tier
-            ),
+            config=EngineConfig(max_radius=2, thresholds=_THRESHOLDS),
             validate=False,
-        )
-        for tier in tiers
+        ),
     }
-    engines["reference"] = InfluentialCommunityEngine.build(
-        make_graph(),
-        config=EngineConfig(max_radius=2, thresholds=_THRESHOLDS),
-        validate=False,
-    )
-    return engines
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -386,9 +392,7 @@ def test_vector_built_engine_stays_exact_after_updates():
     rng, graph = seeded_graph(903)
     engine = InfluentialCommunityEngine.build(
         graph,
-        config=EngineConfig(
-            max_radius=2, thresholds=_THRESHOLDS, backend="fast", kernel_tier="vector"
-        ),
+        config=EngineConfig(max_radius=2, thresholds=_THRESHOLDS, backend="fast"),
         validate=False,
     )
     batch = random_update_batch(graph, 6, rng=rng, insert_ratio=0.5)
@@ -412,15 +416,12 @@ def test_store_attached_engine_runs_vector_tier(tmp_path):
     _, graph = seeded_graph(904)
     built = InfluentialCommunityEngine.build(
         graph,
-        config=EngineConfig(
-            max_radius=2, thresholds=_THRESHOLDS, backend="fast", kernel_tier="vector"
-        ),
+        config=EngineConfig(max_radius=2, thresholds=_THRESHOLDS, backend="fast"),
         validate=False,
     )
     path = tmp_path / "vector.repro-store"
     pack_store(built, str(path))
     attached = InfluentialCommunityEngine.from_store(str(path))
-    assert attached.config.kernel_tier == "vector"
     assert attached.describe()["kernels"]["active"] == "vector"
     from tests.property.strategies import KEYWORD_POOL
 
@@ -428,28 +429,32 @@ def test_store_attached_engine_runs_vector_tier(tmp_path):
     assert _fingerprint(attached.topl(query)) == _fingerprint(built.topl(query))
 
 
-def test_resolve_kernel_tier():
-    assert resolve_kernel_tier("auto") == "vector"  # numpy is importable here
-    assert resolve_kernel_tier("stdlib") == "stdlib"
-    assert resolve_kernel_tier("vector") == "vector"
-    with pytest.raises(GraphError):
-        resolve_kernel_tier("simd")
+def test_active_tier_is_vector_with_numpy():
+    _, graph = seeded_graph(905)
+    engine = InfluentialCommunityEngine.build(
+        graph, config=EngineConfig(max_radius=2, backend="fast"), validate=False
+    )
+    assert engine.describe()["kernels"]["active"] == "vector"  # numpy imports here
 
 
-def test_resolve_kernel_tier_without_numpy(monkeypatch):
-    import repro.fastgraph.csr as csr_module
+def test_active_tier_is_stdlib_without_numpy():
+    """The module flag is the only switch: build, rebuild and describe follow it."""
+    rng, graph = seeded_graph(905)
+    config = EngineConfig(max_radius=2, thresholds=_THRESHOLDS, backend="fast")
+    with numpy_free():
+        engine = InfluentialCommunityEngine.build(graph, config=config, validate=False)
+        assert engine.describe()["kernels"]["active"] == "stdlib"
+        batch = random_update_batch(graph, 4, rng=rng, insert_ratio=0.5)
+        assert engine.apply_updates(batch, rebuild=True).mode == "rebuild"
+    reference = precompute(engine.graph, max_radius=2, thresholds=_THRESHOLDS)
+    assert_precomputed_equal(engine.index.precomputed, reference, "numpy-free rebuild")
 
-    monkeypatch.setattr(csr_module, "NUMPY_AVAILABLE", False)
-    assert resolve_kernel_tier("auto") == "stdlib"
-    assert resolve_kernel_tier("stdlib") == "stdlib"
-    with pytest.raises(GraphError, match="numpy"):
-        resolve_kernel_tier("vector")
 
-
-def test_engine_config_validates_kernel_tier():
-    assert EngineConfig(kernel_tier="vector").describe()["kernel_tier"] == "vector"
-    with pytest.raises(QueryParameterError):
-        EngineConfig(kernel_tier="simd")
+def test_engine_config_has_no_kernel_tier():
+    """The kernel is not a setting; only old inputs may still name it."""
+    assert "kernel_tier" not in EngineConfig().describe()
+    with pytest.raises(TypeError):
+        EngineConfig(kernel_tier="vector")
 
 
 def test_describe_surfaces_kernel_diagnostics():
@@ -460,7 +465,7 @@ def test_describe_surfaces_kernel_diagnostics():
         validate=False,
     )
     kernels = fast.describe()["kernels"]
-    assert kernels == {"requested": "auto", "active": "vector", "numpy_version": kernels["numpy_version"]}
+    assert kernels == {"active": "vector", "numpy_version": kernels["numpy_version"]}
     assert kernels["numpy_version"]
     reference = InfluentialCommunityEngine.build(
         graph.copy(),

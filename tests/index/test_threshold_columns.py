@@ -7,9 +7,9 @@ per query in ``index.thresholds``
 ``select_score_bound`` picks only if every record and every node aggregate,
 for every radius, lists its ``(theta_z, sigma_z)`` pairs at exactly those
 thetas in ascending order.  This module checks it after a fresh build (both
-backends, both kernel tiers of the fast offline pass), after patches that
-append vertices (including the empty placeholder leaf a full tree grows), and
-on store-opened engines.
+backends; on the fast one, both the numpy-free and the vector offline pass),
+after patches that append vertices (including the empty placeholder leaf a
+full tree grows), and on store-opened engines.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import EdgeUpdate, random_update_batch
+from repro.fastgraph import offline
 from repro.fastgraph.csr import NUMPY_AVAILABLE
 from repro.graph.generators import planted_community_graph
 
@@ -28,7 +29,8 @@ from tests.conftest import build_two_cliques_bridge
 
 THRESHOLDS = (0.05, 0.1, 0.2, 0.3)
 KEYWORDS = ("movies", "books", "sports", "travel", "food", "music")
-#: (backend, kernel tier); the reference backend ignores the tier.
+#: (backend, offline pass): "stdlib" patches ``offline.NUMPY_AVAILABLE`` to
+#: ``False``, "vector" needs numpy; the reference backend has one pass.
 BUILDS = (
     ("reference", "auto"),
     ("fast", "stdlib"),
@@ -64,10 +66,10 @@ def assert_threshold_columns(index) -> None:
     assert nodes == index.num_nodes
 
 
-def _config(backend: str, tier: str, **overrides) -> EngineConfig:
+def _config(backend: str, **overrides) -> EngineConfig:
     settings = dict(max_radius=3, thresholds=THRESHOLDS, leaf_capacity=2, fanout=2)
     settings.update(overrides)
-    return EngineConfig(backend=backend, kernel_tier=tier, **settings)
+    return EngineConfig(backend=backend, **settings)
 
 
 def _planted(seed: int):
@@ -82,9 +84,11 @@ def _planted(seed: int):
 
 @pytest.mark.parametrize("backend,tier", BUILDS)
 @pytest.mark.parametrize("seed", range(3))
-def test_fresh_build(backend, tier, seed):
+def test_fresh_build(backend, tier, seed, monkeypatch):
+    if tier == "stdlib":
+        monkeypatch.setattr(offline, "NUMPY_AVAILABLE", False)
     _, graph = _planted(seed)
-    engine = InfluentialCommunityEngine.build(graph, _config(backend, tier), validate=False)
+    engine = InfluentialCommunityEngine.build(graph, _config(backend), validate=False)
     assert_threshold_columns(engine.index)
 
 
@@ -94,7 +98,7 @@ def test_patch_with_a_placeholder_leaf(backend):
     # which starts from the empty placeholder aggregate.
     engine = InfluentialCommunityEngine.build(
         build_two_cliques_bridge(),
-        _config(backend, "auto", leaf_capacity=5, fanout=4),
+        _config(backend, leaf_capacity=5, fanout=4),
         validate=False,
     )
     assert all(len(leaf.vertices) == 5 for leaf in engine.index.root.children)
@@ -110,7 +114,7 @@ def test_patch_with_a_placeholder_leaf(backend):
 @pytest.mark.parametrize("seed", range(2))
 def test_patched_batches_with_arrivals(backend, seed):
     rng, graph = _planted(seed)
-    engine = InfluentialCommunityEngine.build(graph, _config(backend, "auto"), validate=False)
+    engine = InfluentialCommunityEngine.build(graph, _config(backend), validate=False)
     arrivals = 0
     for _ in range(6):
         batch = random_update_batch(
@@ -132,7 +136,7 @@ def test_patched_batches_with_arrivals(backend, seed):
 @pytest.mark.parametrize("backend", ("reference", "fast"))
 def test_store_opened_engine(backend, tmp_path):
     _, graph = _planted(4)
-    built = InfluentialCommunityEngine.build(graph, _config("fast", "auto"), validate=False)
+    built = InfluentialCommunityEngine.build(graph, _config("fast"), validate=False)
     path = tmp_path / "columns.repro-store"
     built.checkpoint_store(str(path))
     opened = InfluentialCommunityEngine.from_store(

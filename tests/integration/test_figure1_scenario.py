@@ -14,6 +14,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.graph.social_network import SocialNetwork
+from repro.query.baselines import compare_with_kcore
 from repro.query.params import make_dtopl_query, make_topl_query
 
 
@@ -95,7 +96,9 @@ class TestTopLScenario:
         """Figure 5 shape: the TopL community influences at least as many users."""
         query = make_topl_query({"movies"}, k=4, radius=1, theta=0.1, top_l=1)
         best = marketing_engine.topl(query).best
-        comparison = marketing_engine.kcore_comparison(best, k=4)
+        comparison = compare_with_kcore(
+            marketing_engine.graph, best, k=4, theta=best.influenced.threshold
+        )
         assert (
             comparison["topl_icde"]["influenced_users"]
             >= comparison["kcore"]["influenced_users"]

@@ -398,7 +398,6 @@ def _comparable(op: str, document: dict) -> dict:
         for key in ("backend", "kernels", "dynamic"):
             engine.pop(key, None)
         engine["config"].pop("backend", None)
-        engine["config"].pop("kernel_tier", None)
     return document
 
 

@@ -98,6 +98,42 @@ class TestSessions:
                 )
             )
 
+    def test_retired_kernel_tier_setting_is_accepted_and_ignored(
+        self, service_graph_doc
+    ):
+        """Version-1 clients may still send ``kernel_tier`` on a wire build.
+
+        The platform picks the offline kernel now, so the key is dropped
+        before the config is built: the build succeeds and answers exactly
+        as one without it.
+        """
+        service = CommunityService()
+        answers = []
+        for session, extra in (("old", {"kernel_tier": "vector"}), ("new", {})):
+            document = BuildRequest(
+                session=session,
+                graph=service_graph_doc,
+                config={"max_radius": 2, "backend": "fast", **extra},
+            ).to_json()
+            response, failure = service.handle_json("build", document)
+            assert failure is None, response
+            assert "kernel_tier" not in response["engine"]["config"]
+            response, failure = service.handle_json(
+                "topl", ToplRequest(query=TOPL, session=session).to_json()
+            )
+            assert failure is None, response
+            answers.append(response["communities"])
+        assert answers[0] == answers[1]
+
+    def test_unknown_setting_next_to_a_retired_one_rejected(self, service_graph_doc):
+        service = CommunityService()
+        document = BuildRequest(session="x", graph=service_graph_doc).to_json()
+        document["config"] = {"kernel_tier": "vector", "warp_factor": 9}
+        response, failure = service.handle_json("build", document)
+        assert failure is not None
+        assert response["error"]["code"] == "MALFORMED_REQUEST"
+        assert "warp_factor" in response["error"]["message"]
+
     def test_sessions_response_reports_diagnostics(self, service):
         document = service.sessions().to_json()
         assert document["api_version"] == __version__

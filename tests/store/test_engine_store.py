@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import types
+
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.exceptions import QueryParameterError
 from repro.query.params import make_topl_query
-from repro.store import open_store
+from repro.store import arena, open_store, pack_store
+from repro.store.container import RawStore
 
 
 TOPL = make_topl_query({"movies"}, k=3, radius=2, theta=0.1, top_l=3)
@@ -36,6 +41,40 @@ def test_provenance_of_store_backed_engine(packed_store):
     assert provenance["attached"] is True
     assert provenance["file_size"] > 0
     assert engine.describe()["store"] == provenance
+
+
+@pytest.mark.parametrize("backend", ("reference", "fast"))
+def test_store_packed_with_kernel_tier_opens(store_graph, tmp_path, monkeypatch, backend):
+    """Stores packed while ``kernel_tier`` was a setting carry it in their config.
+
+    Such a file opens, the retired key is ignored, and the engine answers
+    ``==`` a fresh build of the same graph.
+    """
+    config = EngineConfig(max_radius=2, backend=backend)
+    built = InfluentialCommunityEngine.build(store_graph.copy(), config=config, validate=False)
+    monkeypatch.setattr(
+        arena,
+        "dataclasses",
+        types.SimpleNamespace(
+            asdict=lambda value: {**dataclasses.asdict(value), "kernel_tier": "stdlib"}
+        ),
+    )
+    path = str(tmp_path / "kernel-tier.repro-store")
+    pack_store(built, path)
+    monkeypatch.undo()
+    packed = RawStore.open(path, use_mmap=False).json_section("meta")["config"]
+    assert packed["kernel_tier"] == "stdlib"
+
+    assert open_store(path).config == config
+    opened = InfluentialCommunityEngine.from_store(path)
+    fresh = InfluentialCommunityEngine.build(store_graph.copy(), config=config, validate=False)
+    assert opened.config == fresh.config
+    assert opened.index.precomputed.vertex_aggregates == fresh.index.precomputed.vertex_aggregates
+    answers = [
+        [(c.center, c.vertices, c.score) for c in engine.topl(TOPL)]
+        for engine in (opened, fresh)
+    ]
+    assert answers[0] == answers[1] and answers[0]
 
 
 def test_heap_residency(packed_store):
