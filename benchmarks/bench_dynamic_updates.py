@@ -267,8 +267,9 @@ def measure_update_backends(
     fast_report = fast_engine.apply_updates(batch, damage_threshold=1.0)
     measurements["fast_incremental_seconds"] = round(time.perf_counter() - started, 4)
     # The copy happens outside the timed window: the real fallback
-    # (`_rebuild_offline`) rebuilds in place and never pays it.
-    mutated_copy = fast_graph.copy()
+    # (`_rebuild_offline`) rebuilds in place and never pays it.  Fast updates
+    # leave `fast_graph` as built; the engine's `graph` view is the mutated one.
+    mutated_copy = fast_engine.graph.copy()
     started = time.perf_counter()
     rebuilt_fast = InfluentialCommunityEngine.build(
         mutated_copy, config=fast_config, validate=False

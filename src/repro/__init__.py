@@ -36,6 +36,7 @@ from repro.exceptions import (
     ServiceRequestError,
     ServingError,
     SessionExistsError,
+    StaleGraphViewError,
     StoreFormatError,
     UnknownSessionError,
     UnsupportedSchemaVersionError,
@@ -74,6 +75,7 @@ __all__ = [
     "ServiceRequestError",
     "ServingError",
     "SessionExistsError",
+    "StaleGraphViewError",
     "StoreFormatError",
     "UnknownSessionError",
     "UnsupportedSchemaVersionError",

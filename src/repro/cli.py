@@ -595,6 +595,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 def _command_update(args: argparse.Namespace) -> int:
     from repro.dynamic.updates import UpdateBatch, random_update_batch
     from repro.exceptions import DynamicUpdateError
+    from repro.graph.core import AdjacencyCore
 
     # Argument validation and script loading come before the engine build:
     # the offline phase is the expensive step, and misuse should fail fast.
@@ -619,7 +620,7 @@ def _command_update(args: argparse.Namespace) -> int:
             focus=focus,
             focus_radius=args.focus_radius,
         )
-    batch.validate_against(graph)
+    batch.validate_against(AdjacencyCore(graph))
     if args.out_script:
         batch.save(args.out_script)
         print(f"edit script ({len(batch)} edits) written to {args.out_script}")
@@ -666,9 +667,10 @@ def _command_update(args: argparse.Namespace) -> int:
     if rows:
         print(format_table(rows, title="dynamic update replay"))
     engine = service.engine(CLI_SESSION)
+    shape = engine.graph_summary()
     print(
-        f"graph after replay: |V| = {engine.graph.num_vertices()}, "
-        f"|E| = {engine.graph.num_edges()} "
+        f"graph after replay: |V| = {shape['num_vertices']}, "
+        f"|E| = {shape['num_edges']} "
         f"(backend {engine.config.backend}, epoch {engine.epoch}, "
         f"overlay dirt {engine.overlay_dirt_ratio():.3f})"
     )

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.core.config import EngineConfig
-from repro.exceptions import QueryParameterError
+from repro.exceptions import QueryParameterError, StaleGraphViewError
 from repro.dynamic.maintenance import (
     UpdateReport,
     affected_centers,
@@ -32,6 +32,8 @@ from repro.dynamic.maintenance import (
 )
 from repro.dynamic.truss_maintenance import IncrementalTrussState
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
+from repro.fastgraph.csr import freeze
+from repro.fastgraph.delta import DeltaCSR
 from repro.graph.social_network import LazySocialNetwork, SocialNetwork
 from repro.graph.validation import validate_graph
 from repro.index.patch import patch_tree_index
@@ -45,6 +47,35 @@ from repro.query.results import DTopLResult, TopLResult
 from repro.query.topl import TopLProcessor
 
 
+class _EpochSnapshot:
+    """The source a fast engine's lazy :attr:`~InfluentialCommunityEngine.graph`
+    thaws: the snapshot of one epoch (the overlay mutates in place, so later
+    epochs refuse)."""
+
+    __slots__ = ("_engine", "_epoch", "name")
+
+    def __init__(self, engine: "InfluentialCommunityEngine") -> None:
+        self._engine = engine
+        self._epoch = engine.epoch
+        self.name = engine.graph_summary()["name"]
+
+    def _current(self) -> "InfluentialCommunityEngine":
+        engine = self._engine
+        if engine.epoch != self._epoch:
+            raise StaleGraphViewError(
+                f"this graph view shows epoch {self._epoch} and was first read at "
+                f"epoch {engine.epoch}; read engine.graph again"
+            )
+        return engine
+
+    @property
+    def num_vertices(self) -> int:
+        return self._current().graph_summary()["num_vertices"]
+
+    def thaw(self) -> SocialNetwork:
+        return self._current().csr_snapshot().thaw()
+
+
 class InfluentialCommunityEngine:
     """Offline pre-computation + online query answering in one object."""
 
@@ -54,7 +85,9 @@ class InfluentialCommunityEngine:
         index: TreeIndex,
         config: EngineConfig,
     ) -> None:
-        self.graph = graph
+        #: The graph :attr:`graph` hands out, and the epoch it shows.
+        self._graph = graph
+        self._graph_epoch = 0
         self.index = index
         self.config = config
         #: Bumped by every effective :meth:`apply_updates`; serving layers tag
@@ -76,8 +109,8 @@ class InfluentialCommunityEngine:
         #: query over this engine runs sequentially.
         self._frozen = None
         self._fast_workspace = None
-        #: Reference backend's dynamic view (``AdjacencyCore``), kept in
-        #: lockstep with ``graph`` by the truss state.
+        #: Reference backend's dynamic view (``AdjacencyCore``): the truss
+        #: state applies every edit through it to ``graph``.
         self._reference_core = None
         #: Store anchoring (see :meth:`from_store` / :meth:`checkpoint_store`):
         #: the open :class:`~repro.store.StoreHandle` (keeps the mmap pages
@@ -98,6 +131,11 @@ class InfluentialCommunityEngine:
         validate: bool = True,
     ) -> "InfluentialCommunityEngine":
         """Run the offline phase over ``graph`` and return a ready engine.
+
+        On the ``fast`` backend, :meth:`apply_updates` edits the engine's
+        array snapshot and leaves ``graph`` as it was: read :attr:`graph`
+        for the current network.  The ``reference`` backend edits ``graph``
+        itself.
 
         Parameters
         ----------
@@ -126,6 +164,7 @@ class InfluentialCommunityEngine:
             precomputed=precomputed,
             fanout=config.fanout,
             leaf_capacity=config.leaf_capacity,
+            frozen=frozen,
         )
         engine = cls(graph=graph, index=index, config=config)
         # Reuse the offline phase's snapshot for online queries; one freeze
@@ -172,9 +211,9 @@ class InfluentialCommunityEngine:
         The dict graph (:attr:`graph`) is a
         :class:`~repro.graph.social_network.LazySocialNetwork`: it is built
         from the store's CSR the first time something reads it.  Fast-backend
-        reads and :meth:`describe` never do, so a read-only session never
-        builds it; the first update, checkpoint or reference-backend read
-        does, once.
+        reads, updates, checkpoints and :meth:`describe` never do, so a fast
+        session never builds it unless its caller reads :attr:`graph`; the
+        reference backend's first read or update does, once.
 
         ``config`` replaces the packed :class:`EngineConfig` wholesale;
         ``config_overrides`` patches individual fields of it (e.g.
@@ -215,8 +254,8 @@ class InfluentialCommunityEngine:
 
         Works from any state — a pristine build, a store-backed session, or
         a dirty :class:`~repro.fastgraph.delta.DeltaCSR` overlay mid-stream
-        (packing re-freezes the live graph, which equals compacting the
-        overlay) — and re-anchors the engine on the new file: it reads as
+        (packing compacts a copy of the overlay, see :meth:`csr_snapshot`)
+        — and re-anchors the engine on the new file: it reads as
         ``attached`` again until the next effective update.  Returns the
         pack info dict.
         """
@@ -247,6 +286,45 @@ class InfluentialCommunityEngine:
             **self._store_info,
             "attached": self._store_epoch == self.epoch,
         }
+
+    # ------------------------------------------------------------------ #
+    # the graph
+    # ------------------------------------------------------------------ #
+    @property
+    def graph(self) -> SocialNetwork:
+        """The social network at the current epoch.
+
+        Reference backend: the dict graph every update mutates.  Fast
+        backend: the graph the engine was built or opened with until the
+        first effective update (updates never mutate it), then one
+        :class:`~repro.graph.social_network.LazySocialNetwork` per epoch
+        over the snapshot.  A view first read after a later update raises
+        :class:`~repro.exceptions.StaleGraphViewError`.
+        """
+        if self.config.backend == "fast" and self._graph_epoch != self.epoch:
+            self._graph = LazySocialNetwork(_EpochSnapshot(self))
+            self._graph_epoch = self.epoch
+        return self._graph
+
+    def graph_summary(self) -> dict:
+        """``name``, ``num_vertices`` and ``num_edges`` of the current graph,
+        read off the fast snapshot when there is one (no dict graph built)."""
+        core = self._frozen if self.config.backend == "fast" else None
+        if core is not None:
+            name, vertices, edges = core.name, core.num_vertices, core.num_edges
+        else:
+            graph = self._graph
+            name, vertices, edges = graph.name, graph.num_vertices(), graph.num_edges()
+        return {"name": name, "num_vertices": vertices, "num_edges": edges}
+
+    def csr_snapshot(self):
+        """The current graph as a pure :class:`~repro.fastgraph.csr.CSRGraph`:
+        the fast snapshot (an overlay compacted into a copy) or a freeze of
+        the reference dict graph."""
+        snapshot = self.frozen_graph()
+        if snapshot is None:
+            return freeze(self._graph)
+        return snapshot.compact() if isinstance(snapshot, DeltaCSR) else snapshot
 
     # ------------------------------------------------------------------ #
     # online queries
@@ -298,7 +376,7 @@ class InfluentialCommunityEngine:
         if self.config.backend != "fast":
             return None
         if self._frozen is None:
-            self._frozen = self.graph.freeze()
+            self._frozen = self._graph.freeze()
         return self._frozen
 
     def _workspace(self):
@@ -332,8 +410,6 @@ class InfluentialCommunityEngine:
         state is re-bound when the core object changes.
         """
         if self.config.backend == "fast":
-            from repro.fastgraph.delta import DeltaCSR
-
             frozen = self.frozen_graph()
             if not isinstance(frozen, DeltaCSR):
                 frozen = DeltaCSR(frozen)
@@ -347,7 +423,7 @@ class InfluentialCommunityEngine:
         if self._reference_core is None:
             from repro.graph.core import AdjacencyCore
 
-            self._reference_core = AdjacencyCore(self.graph)
+            self._reference_core = AdjacencyCore(self._graph)
             if self._truss_state is not None:
                 self._truss_state.rebind_core(self._reference_core)
         return self._reference_core
@@ -400,10 +476,6 @@ class InfluentialCommunityEngine:
         """
         if not isinstance(batch, UpdateBatch):
             batch = UpdateBatch(batch)
-        if isinstance(self.graph, LazySocialNetwork):
-            # The update path runs on the dict graph: build it before
-            # anything mutates.
-            self.graph.materialise()
         threshold = (
             self.config.damage_threshold if damage_threshold is None else damage_threshold
         )
@@ -416,24 +488,25 @@ class InfluentialCommunityEngine:
         if len(batch) == 0:
             return UpdateReport(
                 mode="noop", insertions=0, deletions=0, new_vertices=0,
-                affected_vertices=0, total_vertices=self.graph.num_vertices(),
+                affected_vertices=0, total_vertices=self.graph_summary()["num_vertices"],
                 support_changed_edges=0, truss_changed_edges=0,
                 damage_ratio=0.0, damage_threshold=threshold, epoch=self.epoch,
                 elapsed_seconds=time.perf_counter() - started,
                 overlay_dirt_ratio=self.overlay_dirt_ratio(),
             )
 
+        # The one graph an update mutates: the fast snapshot's overlay, or
+        # the reference view that applies each edit to the dict graph.
+        core = self._dynamic_core()
         if rebuild:
             # A forced rebuild discards all incremental bookkeeping, so skip
-            # it: mutate the graph directly and re-run the offline phase.
-            # The snapshot overlay was *not* kept in lockstep on this path,
-            # so it is dropped rather than compacted.
-            batch.validate_against(self.graph)
-            new_vertices = batch.apply_to(self.graph)
-            self._reset_dynamic_state(compact_overlay=False)
+            # it: apply the batch to the core and re-run the offline phase.
+            batch.validate_against(core)
+            new_vertices = batch.apply_to(core)
+            self._reset_dynamic_state()
             self._rebuild_offline()
             self.epoch += 1
-            total = self.graph.num_vertices()
+            total = self.graph_summary()["num_vertices"]
             return UpdateReport(
                 mode="rebuild",
                 insertions=batch.num_insertions,
@@ -449,22 +522,19 @@ class InfluentialCommunityEngine:
                 elapsed_seconds=time.perf_counter() - started,
             )
 
-        core = self._dynamic_core()
         state = self._truss_state
         if state is None:
             # First dynamic batch since (re)build: adopt the offline support
             # map by reference so it stays in sync, and pay one full peeling
             # to seed the trussness map.
             state = IncrementalTrussState(
-                self.graph,
-                supports=self.index.precomputed.global_edge_support,
-                core=core,
+                core, supports=self.index.precomputed.global_edge_support
             )
             self._truss_state = state
         # state.apply validates the whole script before mutating anything, so
-        # an invalid batch raises here and leaves the engine untouched.  The
-        # graph and the core mutate in lockstep: on the fast backend the
-        # snapshot overlay is patched in place, with no re-freeze.
+        # an invalid batch raises here and leaves the engine untouched.  On
+        # the fast backend the snapshot overlay is patched in place, with no
+        # re-freeze.
         delta = state.apply(batch)
         if self.config.backend != "fast":
             # No workspace consumes the reference view's mutation log
@@ -474,13 +544,12 @@ class InfluentialCommunityEngine:
 
         try:
             affected, influenced = affected_centers(
-                self.graph,
+                core,
                 delta,
                 max_radius=self.index.max_radius,
                 theta_min=min(self.index.thresholds),
-                core=core,
             )
-            total = self.graph.num_vertices()
+            total = self.graph_summary()["num_vertices"]
             ratio = len(affected) / total if total else 0.0
             dirt = 0.0
             compacted = False
@@ -488,9 +557,8 @@ class InfluentialCommunityEngine:
 
             if ratio > threshold:
                 # The overlay tracked every edit, so the fallback folds it
-                # into a pure CSR (identical to re-freezing the mutated graph)
-                # and rebuilds the offline phase over that.
-                self._reset_dynamic_state(compact_overlay=True)
+                # into a pure CSR and rebuilds the offline phase over that.
+                self._reset_dynamic_state()
                 self._rebuild_offline()
                 mode = "rebuild"
             else:
@@ -510,7 +578,7 @@ class InfluentialCommunityEngine:
                     )
                 else:
                     refresh_vertex_aggregates(
-                        self.graph, self.index.precomputed, ordered, state
+                        self._graph, self.index.precomputed, ordered, state
                     )
                 patched = patch_tree_index(
                     self.index,
@@ -524,10 +592,10 @@ class InfluentialCommunityEngine:
                         self._compact_overlay(core)
                         compacted = True
         except Exception:
-            # The graph and the overlay already carry the batch, but the
-            # records, the tree and the refresh cache may not: rebuild from
-            # the graph and bump the epoch so no cache serves the old state.
-            self._reset_dynamic_state(compact_overlay=False)
+            # The core already carries the batch, but the records, the tree
+            # and the refresh cache may not: rebuild over the core and bump
+            # the epoch so no cache serves the old state.
+            self._reset_dynamic_state()
             self._rebuild_offline()
             self.epoch += 1
             raise
@@ -551,26 +619,15 @@ class InfluentialCommunityEngine:
             patched_nodes=patched,
         )
 
-    def _invalidate_snapshot(self) -> None:
-        self._frozen = None
-        self._fast_workspace = None
-
-    def _reset_dynamic_state(self, compact_overlay: bool) -> None:
-        """Drop all incremental bookkeeping ahead of an offline rebuild.
-
-        ``compact_overlay=True`` (damage fallback) folds an in-lockstep
-        overlay into a pure CSR so the rebuild reuses it instead of paying a
-        fresh ``freeze()``; ``False`` (forced rebuild, overlay not synced)
-        drops the snapshot entirely.
-        """
+    def _reset_dynamic_state(self) -> None:
+        """Drop all incremental bookkeeping ahead of an offline rebuild, and
+        fold the overlay (which carries every edit) into the CSR it runs over."""
         self._truss_state = None
         self._refresh_cache = None
         self._reference_core = None
-        if compact_overlay and hasattr(self._frozen, "compact"):
+        if isinstance(self._frozen, DeltaCSR):
             self._frozen = self._frozen.compact()
             self._fast_workspace = None
-        else:
-            self._invalidate_snapshot()
 
     def _compact_overlay(self, overlay) -> None:
         """Fold the snapshot overlay back into a pure CSR (amortized).
@@ -583,20 +640,23 @@ class InfluentialCommunityEngine:
         self._fast_workspace = None
 
     def _rebuild_offline(self) -> None:
-        """Re-run the offline phase over the current graph (in place)."""
+        """Re-run the offline phase over the current graph (in place); the
+        fast passes read only the snapshot, never the dict graph."""
+        frozen = self.frozen_graph()
         precomputed = precompute(
-            self.graph,
+            self._graph,
             max_radius=self.config.max_radius,
             thresholds=self.config.thresholds,
             num_bits=self.config.num_bits,
             backend=self.config.backend,
-            frozen=self.frozen_graph(),
+            frozen=frozen,
         )
         self.index = build_tree_index(
-            self.graph,
+            self._graph,
             precomputed=precomputed,
             fanout=self.config.fanout,
             leaf_capacity=self.config.leaf_capacity,
+            frozen=frozen,
         )
 
     # ------------------------------------------------------------------ #
@@ -646,27 +706,12 @@ class InfluentialCommunityEngine:
         """
         from repro.index.serialization import INDEX_FORMAT_VERSION
 
-        core = self._frozen if self.config.backend == "fast" else None
-        if core is not None:
-            # The snapshot is kept in lockstep with the graph; reading it
-            # leaves a store-opened session's dict graph unbuilt.
-            graph = {
-                "name": core.name,
-                "num_vertices": core.num_vertices,
-                "num_edges": core.num_edges,
-            }
-        else:
-            graph = {
-                "name": self.graph.name,
-                "num_vertices": self.graph.num_vertices(),
-                "num_edges": self.graph.num_edges(),
-            }
         return {
             "backend": self.config.backend,
             "kernels": self._kernel_diagnostics(),
             "epoch": self.epoch,
             "index_schema_version": INDEX_FORMAT_VERSION,
-            "graph": graph,
+            "graph": self.graph_summary(),
             "index": self.index.describe(),
             "dynamic": self._dynamic_diagnostics(),
             "config": self.config.describe(),

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.dynamic.truss_maintenance import IncrementalTrussState, UpdateDelta
-from repro.graph.core import AdjacencyCore, GraphCore
+from repro.graph.core import GraphCore
 from repro.graph.social_network import SocialNetwork, VertexId
 from repro.index.precompute import PrecomputedData, compute_vertex_record
 from repro.keywords.bitvector import BitVector
@@ -158,12 +158,7 @@ def _edited_arcs(core: GraphCore, delta: UpdateDelta) -> list:
     return arcs
 
 
-def reverse_influence_set(
-    graph: SocialNetwork,
-    delta: UpdateDelta,
-    threshold: float,
-    core: Optional[GraphCore] = None,
-) -> set:
+def reverse_influence_set(core: GraphCore, delta: UpdateDelta, threshold: float) -> set:
     """Vertices ``w`` with ``upp(w, t) * p(t -> h) >= threshold`` for an edited arc.
 
     Runs a reverse multi-source max-product Dijkstra over the union of the
@@ -177,15 +172,12 @@ def reverse_influence_set(
     unbounded, so every vertex is returned (the caller falls back to a
     rebuild).
 
-    The traversal runs over int edge ids through the
-    :class:`~repro.graph.core.GraphCore` protocol; ``core`` is whatever view
-    the engine maintains (an :class:`~repro.graph.core.AdjacencyCore` view is
-    built on the fly when omitted).
+    The traversal runs over dense ints through the
+    :class:`~repro.graph.core.GraphCore` protocol; ``core`` is the
+    post-update graph the engine maintains.
     """
     if threshold <= 0.0:
-        return set(graph.vertices())
-    if core is None:
-        core = AdjacencyCore(graph)
+        return set(core.table)
     id_of = core.table.id_of
     neighbors, probability = _union_rows(core, delta)
     # This walk multiplies a path's probabilities endpoint-first; forward
@@ -220,11 +212,10 @@ def reverse_influence_set(
 
 
 def affected_centers(
-    graph: SocialNetwork,
+    core: GraphCore,
     delta: UpdateDelta,
     max_radius: int,
     theta_min: float,
-    core: Optional[GraphCore] = None,
 ) -> tuple[set, set]:
     """Centre vertices whose pre-computed records may differ after ``delta``.
 
@@ -236,22 +227,18 @@ def affected_centers(
     ``theta_min <= 0`` it is every vertex).  The endpoints also seed the
     ``r_max``-hop expansion, because their balls change.
 
-    ``core`` is the engine's live :class:`~repro.graph.core.GraphCore` (kept
-    in lockstep with ``graph`` by the truss state); when omitted a fresh
-    reference view is built, which yields the same sets.
+    ``core`` is the engine's live :class:`~repro.graph.core.GraphCore`, after
+    the truss state applied ``delta`` to it.
     """
-    if core is None:
-        core = AdjacencyCore(graph)
-    influenced = reverse_influence_set(graph, delta, theta_min, core=core)
+    influenced = reverse_influence_set(core, delta, theta_min)
     influenced.update(delta.touched_vertices)
+    table = core.table
+    index_of = table.index_of
+    id_of = table.id_of
     seeds = {
-        vertex
-        for vertex in influenced | delta.changed_edge_vertices()
-        if graph.has_vertex(vertex)
+        vertex for vertex in influenced | delta.changed_edge_vertices() if vertex in table
     }
 
-    index_of = core.table.index_of
-    id_of = core.table.id_of
     neighbors, _ = _union_rows(core, delta)
     affected = {index_of(vertex) for vertex in seeds}
     frontier = list(affected)
@@ -263,12 +250,7 @@ def affected_centers(
                     affected.add(neighbour)
                     next_frontier.append(neighbour)
         frontier = next_frontier
-    centres = {
-        vertex_id
-        for vertex_id in (id_of(vertex) for vertex in affected)
-        if graph.has_vertex(vertex_id)
-    }
-    return centres, influenced
+    return {id_of(vertex) for vertex in affected}, influenced
 
 
 def refresh_vertex_aggregates(

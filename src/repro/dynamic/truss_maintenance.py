@@ -1,10 +1,10 @@
 """Incremental truss maintenance: exact supports and trussness under edits.
 
-:class:`IncrementalTrussState` keeps the edge-support map and the full truss
-decomposition of a mutable :class:`~repro.graph.social_network.SocialNetwork`
-up to date while an :class:`~repro.dynamic.updates.UpdateBatch` is applied,
-touching only the region an edit can actually reach instead of re-peeling the
-whole graph.
+:class:`IncrementalTrussState` applies an
+:class:`~repro.dynamic.updates.UpdateBatch` to a
+:class:`~repro.graph.core.GraphCore` and keeps the edge-support map and the
+full truss decomposition of that graph up to date, touching only the region
+an edit can actually reach instead of re-peeling the whole graph.
 
 The algorithm rests on the local fixpoint characterisation of trussness (the
 truss analogue of the h-index characterisation of core numbers): ``tau(f)``
@@ -28,9 +28,10 @@ the exact decomposition of the mutated graph:
 
 The worklist runs over **int edge ids** through the
 :class:`~repro.graph.core.GraphCore` protocol, so the same code maintains a
-reference :class:`~repro.graph.core.AdjacencyCore` view and a fast
-:class:`~repro.fastgraph.delta.DeltaCSR` overlay — there is no
-backend-specific maintenance path.  The public :attr:`supports` and
+reference :class:`~repro.graph.core.AdjacencyCore` (and the dict graph it
+wraps) and a fast :class:`~repro.fastgraph.delta.DeltaCSR` overlay — there
+is no backend-specific maintenance path, and the core is the only thing an
+edit mutates.  The public :attr:`supports` and
 :attr:`trussness` maps keep the reference ``frozenset`` keying (and the
 adopt-by-reference contract with ``PrecomputedData.global_edge_support``);
 they are written through on every change, while the hot triangle loops touch
@@ -38,7 +39,8 @@ only the id-keyed twins.
 
 Every quantity is exact after :meth:`IncrementalTrussState.apply` returns —
 the equivalence test-suite checks bit-for-bit equality against a fresh
-:func:`~repro.truss.decomposition.truss_decomposition` of the mutated graph.
+:func:`~repro.truss.decomposition.truss_decomposition` of a reference graph
+mutated by the same script.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from typing import Optional
 
 from repro.dynamic.updates import INSERT, UpdateBatch
 from repro.graph.core import AdjacencyCore, GraphCore
-from repro.graph.social_network import SocialNetwork, VertexId
+from repro.graph.social_network import VertexId
 from repro.truss.decomposition import TrussDecomposition, truss_decomposition
-from repro.truss.support import edge_key, edge_support
+from repro.truss.support import edge_key
 
 
 @dataclass
@@ -104,8 +106,11 @@ class IncrementalTrussState:
 
     Parameters
     ----------
-    graph:
-        The live network; :meth:`apply` mutates it.
+    core:
+        The live :class:`~repro.graph.core.GraphCore` the worklist runs
+        over; :meth:`apply` mutates it (the reference engine's
+        :class:`~repro.graph.core.AdjacencyCore`, the fast engine's
+        :class:`~repro.fastgraph.delta.DeltaCSR` overlay).
     supports:
         Optional pre-computed support map to adopt **by reference** — passing
         ``PrecomputedData.global_edge_support`` keeps the offline data in sync
@@ -113,44 +118,45 @@ class IncrementalTrussState:
     decomposition:
         Optional decomposition to seed the trussness map from; computed fresh
         (one full peeling) when omitted.
-    core:
-        Optional :class:`~repro.graph.core.GraphCore` the worklist runs over,
-        kept in lockstep with ``graph`` by :meth:`apply`.  Defaults to a
-        fresh :class:`~repro.graph.core.AdjacencyCore` view; the fast-backend
-        engine passes its live :class:`~repro.fastgraph.delta.DeltaCSR`
-        overlay so the same edits patch the query snapshot in place.
     """
 
     def __init__(
         self,
-        graph: SocialNetwork,
+        core: GraphCore,
         supports: Optional[dict] = None,
         decomposition: Optional[TrussDecomposition] = None,
-        core: Optional[GraphCore] = None,
     ) -> None:
-        self.graph = graph
-        self.core = core if core is not None else AdjacencyCore(graph)
-        self.supports = supports if supports is not None else edge_support(graph)
+        self.core = core
+        self.supports = supports if supports is not None else self._fresh_supports()
         if decomposition is None:
             decomposition = self._fresh_decomposition()
         self.trussness = dict(decomposition.edge_trussness)
         self._vertex_trussness = dict(decomposition.vertex_trussness)
         self._bind_core_maps()
 
+    def _fresh_supports(self) -> dict:
+        """Every live edge's triangle count, keyed like ``edge_support``."""
+        core = self.core
+        supports: dict = {}
+        for edge_id in core.live_edge_ids():
+            a, b = core.edge_endpoints(edge_id)
+            common = core.neighbor_row(a).keys() & core.neighbor_row(b).keys()
+            supports[core.edge_key(edge_id)] = len(common)
+        return supports
+
     def _fresh_decomposition(self) -> TrussDecomposition:
         """One full peeling, on the cheapest representation available.
 
-        A pristine CSR-backed core peels over the array buffers; anything
-        else (a reference view, or an overlay that already carries edits)
-        peels the live graph.  Trussness is a graph invariant, so the seed
-        values are identical either way.
+        A reference view peels its dict graph; an overlay peels its CSR base
+        when pristine and its compaction otherwise.  Trussness is a graph
+        invariant, so the seed values are identical either way.
         """
-        base = getattr(self.core, "base", None)
-        if base is not None and not self.core.is_dirty:
-            from repro.fastgraph.kernels import truss_decomposition_csr
+        core = self.core
+        if isinstance(core, AdjacencyCore):
+            return truss_decomposition(core.graph)
+        from repro.fastgraph.kernels import truss_decomposition_csr
 
-            return truss_decomposition_csr(base)
-        return truss_decomposition(self.graph)
+        return truss_decomposition_csr(core.compact() if core.is_dirty else core.base)
 
     def _bind_core_maps(self) -> None:
         """(Re)derive the id-keyed hot maps from the public keyed maps.
@@ -173,7 +179,7 @@ class IncrementalTrussState:
         self._tau = tau
 
     def rebind_core(self, core: GraphCore) -> None:
-        """Point the worklist at a new core over the same (current) graph."""
+        """Point the worklist at a new core holding the same (current) graph."""
         self.core = core
         self._bind_core_maps()
 
@@ -199,14 +205,13 @@ class IncrementalTrussState:
     # application
     # ------------------------------------------------------------------ #
     def apply(self, batch: UpdateBatch) -> UpdateDelta:
-        """Apply ``batch`` to the graph, maintaining supports and trussness.
+        """Apply ``batch`` to the core, maintaining supports and trussness.
 
         The batch is validated up front (all-or-nothing); each edit then
         updates supports locally and settles trussness to the exact values
-        for the intermediate graph before the next edit is applied.  The
-        core is kept in lockstep with the graph, edit by edit.
+        for the intermediate graph before the next edit is applied.
         """
-        batch.validate_against(self.graph)
+        batch.validate_against(self.core)
         delta = UpdateDelta()
         for update in batch:
             if update.op == INSERT:
@@ -233,15 +238,15 @@ class IncrementalTrussState:
     # ------------------------------------------------------------------ #
     def _apply_delete(self, update, delta: UpdateDelta) -> None:
         u_id, v_id = update.u, update.v
-        graph, core = self.graph, self.core
-        p_uv = graph.probability(u_id, v_id)
-        p_vu = graph.probability(v_id, u_id)
+        core = self.core
         index_of = core.table.index_of
-        row_u = core.neighbor_row(index_of(u_id))
-        row_v = core.neighbor_row(index_of(v_id))
+        u, v = index_of(u_id), index_of(v_id)
+        p_uv = core.probability(u, v)
+        p_vu = core.probability(v, u)
+        row_u = core.neighbor_row(u)
+        row_v = core.neighbor_row(v)
         # Triangle edge pairs, collected before the rows mutate.
         common = [(row_u[w], row_v[w]) for w in row_u.keys() & row_v.keys()]
-        graph.remove_edge(u_id, v_id)
         edge_id = core.note_delete(u_id, v_id)
 
         key = edge_key(u_id, v_id)
@@ -265,14 +270,12 @@ class IncrementalTrussState:
 
     def _apply_insert(self, update, delta: UpdateDelta) -> None:
         u_id, v_id = update.u, update.v
-        graph, core = self.graph, self.core
-        for vertex, keywords in ((u_id, update.keywords_u), (v_id, update.keywords_v)):
-            if not graph.has_vertex(vertex):
-                graph.add_vertex(vertex, keywords)
+        core = self.core
+        for vertex in (u_id, v_id):
+            if vertex not in core.table:
                 delta.new_vertices.append(vertex)
                 self._vertex_trussness[vertex] = 2
         p_uv, p_vu = update.resolved_probabilities()
-        graph.add_edge(u_id, v_id, p_uv, p_vu)
         edge_id = core.note_insert(
             u_id, v_id, p_uv, p_vu,
             keywords_u=update.keywords_u, keywords_v=update.keywords_v,
@@ -407,7 +410,7 @@ class IncrementalTrussState:
 
     def _refresh_vertex_trussness(self, delta: UpdateDelta) -> None:
         """Recompute vertex trussness around everything the batch touched."""
-        graph, core = self.graph, self.core
+        core = self.core
         trussness = self._tau
         index_of = core.table.index_of
         stale = set(delta.touched_vertices)
@@ -415,7 +418,7 @@ class IncrementalTrussState:
         for key in delta.truss_changed:
             stale.update(key)
         for vertex in stale:
-            if not graph.has_vertex(vertex):  # pragma: no cover - edge-only edits
+            if vertex not in core.table:  # pragma: no cover - edge-only edits
                 self._vertex_trussness.pop(vertex, None)
                 continue
             best = 2

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.exceptions import DynamicUpdateError
+from repro.graph.core import GraphCore
 from repro.graph.social_network import SocialNetwork, VertexId
 from repro.truss.support import edge_key
 
@@ -101,9 +102,9 @@ class EdgeUpdate:
 
         ``p_uv`` defaults to :data:`DEFAULT_INSERT_PROBABILITY` and ``p_vu``
         to ``p_uv``.  This is the single source of the defaulting rule:
-        every application site (direct graph apply, incremental truss
-        maintenance, overlay replay, JSON encoding) shares it, which is what
-        keeps a replayed ``DeltaCSR`` overlay bit-identical to its parent.
+        every application site (:meth:`UpdateBatch.apply_to`, incremental
+        truss maintenance, JSON encoding) shares it, which is what keeps the
+        two graph cores bit-identical under the same script.
         """
         p_uv = DEFAULT_INSERT_PROBABILITY if self.p_uv is None else self.p_uv
         return p_uv, (p_uv if self.p_vu is None else self.p_vu)
@@ -143,7 +144,8 @@ class UpdateBatch:
     """An ordered edit script over a social network.
 
     The batch is immutable once constructed; :meth:`validate_against`
-    dry-runs the whole script against a graph so application is all-or-nothing.
+    dry-runs the whole script against a graph core so application is
+    all-or-nothing.
     """
 
     def __init__(self, updates: Iterable[EdgeUpdate] = ()) -> None:
@@ -185,22 +187,22 @@ class UpdateBatch:
     # ------------------------------------------------------------------ #
     # validation
     # ------------------------------------------------------------------ #
-    def validate_against(self, graph: SocialNetwork) -> None:
-        """Dry-run the script against ``graph``; raise before any mutation.
+    def validate_against(self, core: GraphCore) -> None:
+        """Dry-run the script against ``core``; raise before any mutation.
 
         Sequential semantics: each edit is checked against the edge set
         produced by the edits before it, so ``insert(a, b)`` followed by
         ``delete(a, b)`` is valid even when ``{a, b}`` is not in the graph.
         """
         # Edges inserted (True) or deleted (False) by earlier edits of this
-        # script; every other edge is looked up in the graph, so validation
+        # script; every other edge is looked up in the core, so validation
         # costs O(edits) rather than O(|E|).
         pending: dict[frozenset, bool] = {}
         for position, update in enumerate(self.updates):
             key = update.key
             exists = pending.get(key)
             if exists is None:
-                exists = graph.has_edge(update.u, update.v)
+                exists = core.has_edge(update.u, update.v)
             if update.op == INSERT:
                 if exists:
                     raise DynamicUpdateError(
@@ -222,8 +224,8 @@ class UpdateBatch:
                     )
                 pending[key] = False
 
-    def apply_to(self, graph: SocialNetwork) -> list:
-        """Apply the script to ``graph`` directly, with no index maintenance.
+    def apply_to(self, core: GraphCore) -> list:
+        """Apply the script to ``core`` directly, with no index maintenance.
 
         Used by forced rebuilds, where incremental bookkeeping would be
         thrown away anyway.  Returns the vertices the script created, in
@@ -233,17 +235,16 @@ class UpdateBatch:
         new_vertices: list[VertexId] = []
         for update in self.updates:
             if update.op == INSERT:
-                for vertex, keywords in (
-                    (update.u, update.keywords_u),
-                    (update.v, update.keywords_v),
-                ):
-                    if not graph.has_vertex(vertex):
-                        graph.add_vertex(vertex, keywords)
-                        new_vertices.append(vertex)
+                new_vertices.extend(
+                    vertex for vertex in (update.u, update.v) if vertex not in core.table
+                )
                 p_uv, p_vu = update.resolved_probabilities()
-                graph.add_edge(update.u, update.v, p_uv, p_vu)
+                core.note_insert(
+                    update.u, update.v, p_uv, p_vu,
+                    keywords_u=update.keywords_u, keywords_v=update.keywords_v,
+                )
             else:
-                graph.remove_edge(update.u, update.v)
+                core.note_delete(update.u, update.v)
         return new_vertices
 
     # ------------------------------------------------------------------ #

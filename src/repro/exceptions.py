@@ -42,6 +42,11 @@ class InvalidProbabilityError(GraphError):
         self.value = value
 
 
+class StaleGraphViewError(GraphError):
+    """Raised when a fast engine's lazy graph view is first read after a
+    later update changed the snapshot behind it; read ``engine.graph`` again."""
+
+
 class QueryParameterError(ReproError):
     """Raised when TopL-ICDE / DTopL-ICDE query parameters are invalid."""
 

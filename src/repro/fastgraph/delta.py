@@ -45,7 +45,6 @@ from repro.fastgraph.csr import _FLOAT, _INT, CSRGraph
 from array import array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dynamic.updates import UpdateBatch
     from repro.graph.social_network import VertexId
 
 
@@ -151,6 +150,12 @@ class DeltaCSR:
 
     def degree(self, vertex: int) -> int:
         return len(self.neighbor_row(vertex))
+
+    def has_edge(self, u_id: "VertexId", v_id: "VertexId") -> bool:
+        table = self.table
+        if u_id not in table or v_id not in table:
+            return False
+        return table.index_of(v_id) in self.neighbor_row(table.index_of(u_id))
 
     def neighbor_row(self, vertex: int) -> Mapping[int, int]:
         row = self._rows[vertex]
@@ -287,24 +292,6 @@ class DeltaCSR:
         self.mutation_log.append(u_int)
         self.mutation_log.append(v_int)
         return edge_id
-
-    def replay(self, batch: "UpdateBatch") -> None:
-        """Apply a validated edit script to the overlay alone.
-
-        Probabilities are resolved exactly as
-        :meth:`~repro.dynamic.updates.UpdateBatch.apply_to` resolves them.
-        """
-        from repro.dynamic.updates import INSERT
-
-        for update in batch:
-            if update.op == INSERT:
-                p_uv, p_vu = update.resolved_probabilities()
-                self.note_insert(
-                    update.u, update.v, p_uv, p_vu,
-                    keywords_u=update.keywords_u, keywords_v=update.keywords_v,
-                )
-            else:
-                self.note_delete(update.u, update.v)
 
     # ------------------------------------------------------------------ #
     # compaction

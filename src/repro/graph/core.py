@@ -30,14 +30,14 @@ Conventions shared by every implementation:
   deleted edge *retires* its id, and re-inserting the same endpoint pair
   yields a fresh id (edge-id stability is what lets per-id maps survive
   edits);
-* ``note_insert``/``note_delete`` are called *after* the owning
-  ``SocialNetwork`` (if any) has been mutated, with the resolved directional
-  probabilities.
+* ``note_insert``/``note_delete`` are the only way an edit reaches a
+  graph: the core applies the edit itself (an :class:`AdjacencyCore` to the
+  ``SocialNetwork`` it wraps), given the resolved directional probabilities.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.fastgraph.vertex_table import VertexTable
 
@@ -69,6 +69,10 @@ class GraphCore(Protocol):
 
     def degree(self, vertex: int) -> int:
         """Live structural degree of ``vertex``."""
+        ...  # pragma: no cover - protocol stub
+
+    def has_edge(self, u_id: "VertexId", v_id: "VertexId") -> bool:
+        """Whether the live graph holds the edge ``{u_id, v_id}`` (original ids)."""
         ...  # pragma: no cover - protocol stub
 
     def neighbor_row(self, vertex: int) -> Mapping[int, int]:
@@ -112,11 +116,11 @@ class GraphCore(Protocol):
         keywords_u: frozenset = frozenset(),
         keywords_v: frozenset = frozenset(),
     ) -> int:
-        """Record an edge insertion (endpoints interned on demand); return its id."""
+        """Apply an edge insertion (endpoints created on demand); return its id."""
         ...  # pragma: no cover - protocol stub
 
     def note_delete(self, u: "VertexId", v: "VertexId") -> int:
-        """Record an edge deletion; return the retired edge id."""
+        """Apply an edge deletion; return the retired edge id."""
         ...  # pragma: no cover - protocol stub
 
 
@@ -124,11 +128,11 @@ class AdjacencyCore:
     """A live :class:`GraphCore` view over a mutable ``SocialNetwork``.
 
     Construction interns every vertex and numbers every edge (iteration
-    order, so two cores over equal graphs agree); after that the owner must
-    report each applied edit through :meth:`note_insert`/:meth:`note_delete`
-    so the int-indexed rows track the dict adjacency exactly.  Probabilities
-    are *not* copied — they are read through to the live graph — so the core
-    adds no float state to keep in sync.
+    order, so two cores over equal graphs agree).  After that every edit goes
+    through :meth:`note_insert`/:meth:`note_delete`, which apply it to the
+    wrapped graph and to the int-indexed rows together, so the two cannot
+    drift apart.  Probabilities are *not* copied — they are read through to
+    the live graph — so the core adds no float state to keep in sync.
     """
 
     __slots__ = ("graph", "name", "table", "_rows", "_ends", "_num_live", "mutation_log")
@@ -164,6 +168,9 @@ class AdjacencyCore:
 
     def degree(self, vertex: int) -> int:
         return len(self._rows[vertex])
+
+    def has_edge(self, u_id: "VertexId", v_id: "VertexId") -> bool:
+        return self.graph.has_edge(u_id, v_id)
 
     def neighbor_row(self, vertex: int) -> Mapping[int, int]:
         return self._rows[vertex]
@@ -209,11 +216,14 @@ class AdjacencyCore:
         keywords_u: frozenset = frozenset(),
         keywords_v: frozenset = frozenset(),
     ) -> int:
-        for vertex in (u, v):
+        graph = self.graph
+        for vertex, keywords in ((u, keywords_u), (v, keywords_v)):
             if vertex not in self.table:
+                graph.add_vertex(vertex, keywords)
                 index = self.table.intern(vertex)
                 self._rows.append({})
                 self.mutation_log.append(index)
+        graph.add_edge(u, v, p_uv, p_vu)
         index_of = self.table.index_of
         u_int, v_int = index_of(u), index_of(v)
         edge_id = len(self._ends)
@@ -226,6 +236,7 @@ class AdjacencyCore:
         return edge_id
 
     def note_delete(self, u: "VertexId", v: "VertexId") -> int:
+        self.graph.remove_edge(u, v)
         index_of = self.table.index_of
         u_int, v_int = index_of(u), index_of(v)
         edge_id = self._rows[u_int].pop(v_int)

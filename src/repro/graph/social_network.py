@@ -273,7 +273,7 @@ class SocialNetwork:
         arrays — the representation the ``fast`` backend's kernels run on.
         The snapshot does not track later out-of-band mutations of this
         graph; apply edits through the dynamic layer (which patches a
-        :class:`~repro.fastgraph.delta.DeltaCSR` overlay in lockstep) or
+        :class:`~repro.fastgraph.delta.DeltaCSR` overlay in place) or
         re-freeze (``CSRGraph.thaw()`` converts back).
         """
         from repro.fastgraph.csr import freeze as _freeze
@@ -360,9 +360,10 @@ _THAW_LOCK = threading.Lock()
 class LazySocialNetwork(SocialNetwork):
     """A :class:`SocialNetwork` built from a snapshot on first touch.
 
-    ``source`` is anything with a ``name`` and a ``thaw()`` returning an
-    equal :class:`SocialNetwork` (a :class:`~repro.fastgraph.csr.CSRGraph`
-    in practice).  ``name`` reads without building anything; the first read
+    ``source`` is anything with a ``name``, a ``num_vertices`` count and a
+    ``thaw()`` returning an equal :class:`SocialNetwork` (a
+    :class:`~repro.fastgraph.csr.CSRGraph` in practice).  ``name`` and
+    :meth:`num_vertices` read without building anything; the first read
     of the contents (any method, or a private dict directly) thaws the
     source, moves the dicts in and turns this object into a plain
     :class:`SocialNetwork`, so every later access costs what it always
@@ -387,6 +388,12 @@ class LazySocialNetwork(SocialNetwork):
             for slot in _CONTENT_SLOTS.values():
                 slot.__set__(self, slot.__get__(thawed))
             self.__class__ = SocialNetwork
+
+    def num_vertices(self) -> int:
+        with _THAW_LOCK:
+            if type(self) is LazySocialNetwork:
+                return _CONTENT_SLOTS["_adj"].__get__(self).num_vertices
+        return SocialNetwork.num_vertices(self)
 
     def __reduce_ex__(self, protocol):
         LazySocialNetwork.materialise(self)

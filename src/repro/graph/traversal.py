@@ -10,7 +10,6 @@ reduce to hop distances, so everything in this module is unweighted BFS.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
 from typing import Optional
 
 from repro.exceptions import GraphError, VertexNotFoundError
@@ -141,17 +140,3 @@ def pairwise_hop_distance(
     """Return the hop distance between ``u`` and ``v`` or ``None`` if disconnected."""
     distances = bfs_distances(graph, u, allowed=allowed)
     return distances.get(v)
-
-
-def k_hop_neighborhood_sizes(
-    graph: SocialNetwork, centers: Iterable[VertexId], radius: int
-) -> dict[VertexId, int]:
-    """Return ``|hop(c, radius)|`` for each centre in ``centers``.
-
-    Convenience helper used by the workload generators to pick interesting
-    query centres (well-connected vertices) and by the statistics module.
-    """
-    sizes: dict[VertexId, int] = {}
-    for center in centers:
-        sizes[center] = len(bfs_distances(graph, center, max_depth=radius))
-    return sizes

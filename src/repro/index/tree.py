@@ -132,12 +132,13 @@ def _ranking_key(aggregates: VertexAggregates, max_radius: int) -> float:
     return (radius_aggregates.support_upper_bound + score) / 2.0
 
 
-def _locality_order(graph: SocialNetwork, ranked: list) -> list:
-    """Re-order ranked vertices breadth-first over ``graph``.
+def _locality_order(neighbors, ranked: list) -> list:
+    """Re-order ranked vertices breadth-first over a graph.
 
-    Each search starts at the highest-ranked vertex not yet placed and
-    enqueues neighbours in ranking order, so the result is a function of the
-    ranking and the edge set alone.
+    ``neighbors(vertex)`` iterates a vertex's neighbours.  Each search starts
+    at the highest-ranked vertex not yet placed and enqueues neighbours in
+    ranking order, so the result is a function of the ranking and the edge
+    set alone.
     """
     rank = {vertex: position for position, vertex in enumerate(ranked)}
     placed: set = set()
@@ -149,7 +150,7 @@ def _locality_order(graph: SocialNetwork, ranked: list) -> list:
         queue = [start]
         for vertex in queue:
             fresh = sorted(
-                (n for n in graph.neighbors(vertex) if n not in placed and n in rank),
+                (n for n in neighbors(vertex) if n not in placed and n in rank),
                 key=rank.__getitem__,
             )
             placed.update(fresh)
@@ -185,19 +186,30 @@ def packing_layout(
     precomputed: PrecomputedData,
     fanout: int = DEFAULT_FANOUT,
     leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
+    frozen=None,
 ) -> tuple[list, list]:
     """The layout a fresh build packs: ``(shape, vertices)``.
 
     The vertices are ranked by :func:`_ranking_key` and re-ordered
-    breadth-first over ``graph``; the shape is :func:`_packed_shape` over
-    them.  See :func:`assemble_tree_index` for the two lists.
+    breadth-first over ``graph``, or over ``frozen`` (a
+    :class:`~repro.fastgraph.csr.CSRGraph` of the same graph) when given;
+    the shape is :func:`_packed_shape` over them.  See
+    :func:`assemble_tree_index` for the two lists.
     """
     max_radius = precomputed.max_radius
     records = precomputed.vertex_aggregates
     ranked = sorted(
         records, key=lambda vertex: _ranking_key(records[vertex], max_radius), reverse=True
     )
-    vertices = _locality_order(graph, ranked)
+    if frozen is None:
+        neighbors = graph.neighbors
+    else:
+        index_of, id_of = frozen.table.index_of, frozen.table.id_of
+
+        def neighbors(vertex):
+            return map(id_of, frozen.neighbors(index_of(vertex)))
+
+    vertices = _locality_order(neighbors, ranked)
     return _packed_shape(len(vertices), fanout, leaf_capacity), vertices
 
 
@@ -325,6 +337,7 @@ def build_tree_index(
     precomputed: PrecomputedData | None = None,
     fanout: int = DEFAULT_FANOUT,
     leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
+    frozen=None,
     **precompute_kwargs,
 ) -> TreeIndex:
     """Build the tree index over ``graph``.
@@ -344,6 +357,9 @@ def build_tree_index(
         Maximum children per non-leaf node (``gamma``), at least 2.
     leaf_capacity:
         Maximum vertices per leaf, at least 1.
+    frozen:
+        Optional CSR snapshot of ``graph`` the packing walks instead of
+        ``graph`` (the fast backend passes the one its offline pass ran on).
     """
     if fanout < 2:
         raise IndexStateError(f"fanout must be >= 2, got {fanout}")
@@ -351,5 +367,5 @@ def build_tree_index(
         raise IndexStateError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
     if precomputed is None:
         precomputed = precompute(graph, **precompute_kwargs)
-    shape, vertices = packing_layout(graph, precomputed, fanout, leaf_capacity)
+    shape, vertices = packing_layout(graph, precomputed, fanout, leaf_capacity, frozen)
     return assemble_tree_index(precomputed, shape, vertices, fanout, leaf_capacity)

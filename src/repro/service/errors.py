@@ -29,6 +29,7 @@ from repro.exceptions import (
     ServiceRequestError,
     ServingError,
     SessionExistsError,
+    StaleGraphViewError,
     StoreFormatError,
     UnknownSessionError,
     UnsupportedSchemaVersionError,
@@ -59,6 +60,7 @@ ERROR_CODES: dict[type, str] = {
     UnsupportedSchemaVersionError: "UNSUPPORTED_SCHEMA_VERSION",
     UnknownSessionError: "UNKNOWN_SESSION",
     SessionExistsError: "SESSION_EXISTS",
+    StaleGraphViewError: "STALE_GRAPH_VIEW",
 }
 
 #: HTTP status the gateway answers with, per code.  Anything absent is 400

@@ -33,7 +33,6 @@ from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import UpdateBatch
 from repro.exceptions import (
     MalformedRequestError,
-    ReproError,
     SessionExistsError,
     UnknownSessionError,
 )
@@ -407,17 +406,12 @@ class CommunityService:
                 rebuild=request.rebuild,
             )
             session.requests_served += 1
-            graph = session.engine.graph
             return UpdateResponse(
                 session=session.name,
                 epoch=session.engine.epoch,
                 elapsed_seconds=time.perf_counter() - started,
                 report=report.as_dict(),
-                graph={
-                    "name": graph.name,
-                    "num_vertices": graph.num_vertices(),
-                    "num_edges": graph.num_edges(),
-                },
+                graph=session.engine.graph_summary(),
             )
 
     def batch(self, request: BatchRequest) -> BatchResponse:

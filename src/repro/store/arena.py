@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import Union
 
 from repro.exceptions import IndexStateError, SerializationError, StoreFormatError
-from repro.fastgraph.csr import _FLOAT, _INT, CSRGraph, freeze
+from repro.fastgraph.csr import _FLOAT, _INT, CSRGraph
 from repro.fastgraph.vertex_table import VertexTable
 from repro.graph.social_network import LazySocialNetwork
 from repro.index.precompute import PrecomputedData, RadiusAggregates, VertexAggregates
@@ -128,16 +128,17 @@ class StoreHandle:
 def pack_store(engine, path: PathLike, generation: int = 0) -> dict:
     """Pack ``engine``'s graph + offline phase into a store file at ``path``.
 
-    Works for any engine state: the graph is re-frozen deterministically
-    (for a dirty fast engine this equals ``DeltaCSR.compact()``, which is
-    proven bit-identical to freezing the mutated reference graph) and the
-    index records are taken as they currently stand, so a store packed after
+    Works for any engine state: the graph is the engine's
+    :meth:`~repro.core.engine.InfluentialCommunityEngine.csr_snapshot` (a
+    dirty fast engine's overlay compacted into a copy, which is proven
+    bit-identical to freezing the mutated reference graph) and the index
+    records are taken as they currently stand, so a store packed after
     incremental updates reopens to exactly the current answers.
 
     Returns the writer's info dict (path / format_version / file_size /
     sections) extended with ``generation``.
     """
-    csr = freeze(engine.graph)
+    csr = engine.csr_snapshot()
     precomputed = engine.index.precomputed
     config = engine.config
     n, num_edges = csr.num_vertices, csr.num_edges

@@ -104,17 +104,3 @@ class QueryWorkload:
     def dtopl_batch(self, size: int, **kwargs) -> list[DTopLQuery]:
         """Generate a batch of DTopL-ICDE queries (one keyword sample each)."""
         return [self.dtopl_query(**kwargs) for _ in range(size)]
-
-    def sample_centers(self, count: int, min_degree: int = 0) -> list:
-        """Sample candidate centre vertices (optionally requiring a minimum degree).
-
-        Used by the Figure 2 DBLP sampling protocol and by the case-study
-        bench to pick well-connected centres.
-        """
-        candidates = [
-            v for v in self.graph.vertices() if self.graph.degree(v) >= min_degree
-        ]
-        if not candidates:
-            return []
-        count = min(count, len(candidates))
-        return self._rng.sample(candidates, count)

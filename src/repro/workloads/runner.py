@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.graph.datasets import synthetic_small_world
 from repro.graph.social_network import SocialNetwork
 from repro.pruning.stats import PruningConfig
-from repro.query.params import DTopLQuery, TopLQuery
+from repro.query.params import TopLQuery
 from repro.service.facade import CommunityService
 from repro.workloads.queries import QueryWorkload
 from repro.workloads.sweeps import PAPER_PARAMETER_GRID, ParameterGrid, SweepPoint
@@ -102,50 +102,6 @@ class ExperimentRunner:
                 "best_score": result.scores[0] if result.scores else 0.0,
                 "pruned": result.statistics.total_pruned,
                 "scored": result.statistics.communities_scored,
-            },
-        )
-
-    def measure_dtopl(
-        self,
-        graph: SocialNetwork,
-        query: DTopLQuery,
-        method: Union[str, Callable] = "greedy_wp",
-    ) -> SweepPoint:
-        """Run one DTopL-ICDE query with the chosen method and capture metrics.
-
-        ``method`` is ``"greedy_wp"`` (the paper's algorithm), ``"greedy_wop"``
-        or ``"optimal"``, or any callable with the baseline signature.
-        """
-        from repro.query.baselines.greedy_wop import greedy_wop_dtopl
-        from repro.query.baselines.optimal import optimal_dtopl
-
-        engine = self.engine_for(graph)
-        named: dict[str, Callable] = {
-            "greedy_wop": lambda: greedy_wop_dtopl(graph, query, index=engine.index),
-            "optimal": lambda: optimal_dtopl(graph, query, index=engine.index),
-            "greedy_wp": lambda: engine.dtopl(query),
-        }
-        if callable(method):
-            runner = lambda: method(graph, query, index=engine.index)  # noqa: E731
-            method_name = getattr(method, "__name__", "custom")
-        else:
-            if method not in named:
-                raise KeyError(
-                    f"unknown DTopL method {method!r}; expected one of {sorted(named)}"
-                )
-            runner = named[method]
-            method_name = method
-        started = time.perf_counter()
-        result = runner()
-        elapsed = time.perf_counter() - started
-        return SweepPoint(
-            settings={"dataset": graph.name, **query.describe(), "method": method_name},
-            metrics={
-                "wall_clock_s": elapsed,
-                "diversity_score": result.diversity_score,
-                "communities": len(result),
-                "gain_evaluations": result.increment_evaluations,
-                "candidates": result.candidates_considered,
             },
         )
 

@@ -19,12 +19,15 @@ from hypothesis import strategies as st
 from repro.core.config import EngineConfig
 from repro.dynamic.truss_maintenance import IncrementalTrussState
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
+from repro.fastgraph.delta import DeltaCSR
+from repro.graph.core import AdjacencyCore
 from repro.truss.support import edge_key
 from tests.property.strategies import KEYWORD_POOL, social_networks
 
 __all__ = [
     "DYNAMIC_BACKEND",
     "KEYWORD_POOL",
+    "apply_reference",
     "dynamic_config",
     "dynamic_scenarios",
     "make_truss_state",
@@ -41,17 +44,24 @@ def dynamic_config(**overrides) -> EngineConfig:
 
 
 def make_truss_state(graph, **kwargs) -> IncrementalTrussState:
-    """A truss state over the backend under test's graph core.
+    """A truss state over the backend under test's core of ``graph``.
 
     On the fast backend the worklist runs over a ``DeltaCSR`` overlay of a
     fresh snapshot (exactly what the engine maintains); on the reference
-    backend over the default ``AdjacencyCore`` view.
+    backend over an ``AdjacencyCore`` of a copy.  ``graph`` itself is left
+    alone: tests mutate it with :func:`apply_reference` and compare the
+    state against it.
     """
-    if DYNAMIC_BACKEND == "fast" and "core" not in kwargs:
-        from repro.fastgraph.delta import DeltaCSR
+    if DYNAMIC_BACKEND == "fast":
+        core = DeltaCSR(graph.freeze())
+    else:
+        core = AdjacencyCore(graph.copy())
+    return IncrementalTrussState(core, **kwargs)
 
-        kwargs["core"] = DeltaCSR(graph.freeze())
-    return IncrementalTrussState(graph, **kwargs)
+
+def apply_reference(graph, batch: UpdateBatch) -> None:
+    """Apply ``batch`` to the reference ``graph`` through its own ``AdjacencyCore``."""
+    batch.apply_to(AdjacencyCore(graph))
 
 
 @st.composite

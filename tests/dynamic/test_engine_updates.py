@@ -220,6 +220,63 @@ class TestOverlayCompaction:
         assert report.compacted
 
 
+def _contents(graph) -> tuple:
+    """Vertices with keywords, and every arc with its probability."""
+    return (
+        {vertex: graph.keywords(vertex) for vertex in graph.vertices()},
+        {(u, v): graph.probability(u, v) for u in graph.vertices() for v in graph.neighbors(u)},
+    )
+
+
+def test_fast_graph_views_show_their_epoch_or_raise(two_cliques_bridge):
+    """A fast engine's ``graph`` is a view of one epoch; updates never mutate it.
+
+    A view built before a later update keeps the epoch it showed; one first
+    read after a later update raises instead of showing that later epoch.
+    """
+    from repro.exceptions import StaleGraphViewError
+    from repro.graph.core import AdjacencyCore
+    from repro.graph.social_network import LazySocialNetwork
+
+    config = dynamic_config(max_radius=2, thresholds=(0.1, 0.2, 0.3), backend="fast")
+    built_with = two_cliques_bridge.copy()
+    engine = InfluentialCommunityEngine.build(built_with, config=config, validate=False)
+    assert engine.graph is built_with
+    reference = two_cliques_bridge.copy()
+    batches = [
+        UpdateBatch([EdgeUpdate.delete(4, 5)]),
+        UpdateBatch([EdgeUpdate.insert(0, 90, 0.4, keywords_v={"movies"})]),
+        UpdateBatch([EdgeUpdate.insert(90, 1, 0.3)]),
+    ]
+
+    engine.apply_updates(batches[0], damage_threshold=1.0)
+    batches[0].apply_to(AdjacencyCore(reference))
+    built = engine.graph
+    assert type(built) is LazySocialNetwork
+    assert built is engine.graph  # one view per epoch
+    assert _contents(built) == _contents(reference)  # reading builds it: epoch 1
+    # The build's graph never changes.
+    assert _contents(built_with) == _contents(two_cliques_bridge)
+
+    engine.apply_updates(batches[1], damage_threshold=1.0)
+    unbuilt = engine.graph
+    assert unbuilt is not built and type(unbuilt) is LazySocialNetwork
+    engine.apply_updates(batches[2], damage_threshold=1.0)
+    with pytest.raises(StaleGraphViewError, match="epoch 2"):
+        unbuilt.num_vertices()
+    assert _contents(built) == _contents(reference)  # still epoch 1
+    assert not built.has_vertex(90)
+
+    for batch in batches[1:]:
+        batch.apply_to(AdjacencyCore(reference))
+    assert _contents(engine.graph) == _contents(reference)
+    assert engine.graph_summary() == {
+        "name": reference.name,
+        "num_vertices": reference.num_vertices(),
+        "num_edges": reference.num_edges(),
+    }
+
+
 @pytest.mark.parametrize("backend", ("reference", "fast"))
 def test_reverse_set_survives_a_rounding_straddle(backend):
     """Incremental records stay exact when a path product sits on theta_min.

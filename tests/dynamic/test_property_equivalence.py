@@ -36,6 +36,7 @@ from repro.truss.support import edge_support
 
 from tests.dynamic.strategies_dynamic import (
     KEYWORD_POOL,
+    apply_reference,
     dynamic_config,
     dynamic_scenarios,
 )
@@ -58,7 +59,7 @@ def _random_scenario(seed: int):
     )
     for vertex in list(graph.vertices()):
         graph.set_keywords(vertex, rng.sample(KEYWORD_POOL, rng.randint(1, 3)))
-    engine = InfluentialCommunityEngine.build(graph, config=_CONFIG, validate=False)
+    engine = InfluentialCommunityEngine.build(graph.copy(), config=_CONFIG, validate=False)
     batch = random_update_batch(
         graph,
         rng.randint(1, 10),
@@ -94,6 +95,7 @@ def _check_equivalence(seed: int) -> None:
     rng, graph, engine, batch = _random_scenario(seed)
     report = engine.apply_updates(batch, damage_threshold=1.0)
     assert report.mode in ("incremental", "noop"), (seed, report.mode)
+    apply_reference(graph, batch)
 
     # 1. trussness and supports.
     fresh_truss = truss_decomposition(graph)
@@ -162,6 +164,7 @@ def test_rebuild_path_equivalence(seed):
     _, graph, engine, batch = _random_scenario(1000 + seed)
     report = engine.apply_updates(batch, damage_threshold=0.01)
     assert report.mode in ("rebuild", "noop")
+    apply_reference(graph, batch)
     fresh = InfluentialCommunityEngine.build(
         graph.copy(), config=_CONFIG, validate=False
     )
@@ -177,6 +180,7 @@ def test_hypothesis_truss_equivalence(scenario):
     """Hypothesis tier: arbitrary small graphs + scripts, trussness exactness."""
     graph, state, batch = scenario
     state.apply(batch)
+    apply_reference(graph, batch)
     fresh = truss_decomposition(graph)
     assert state.trussness == fresh.edge_trussness
     assert state.supports == edge_support(graph)

@@ -58,7 +58,7 @@ def test_taint_stops_where_the_edited_arc_cannot_carry_theta():
     delta = state.apply(UpdateBatch([EdgeUpdate.insert(1, 2, 0.3, 0.1)]))
 
     centres, influenced = affected_centers(
-        graph, delta, max_radius=radius, theta_min=theta_min, core=state.core
+        state.core, delta, max_radius=radius, theta_min=theta_min
     )
 
     assert 0 not in influenced

@@ -8,24 +8,22 @@ import pytest
 
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch, random_update_batch
 from repro.exceptions import DynamicUpdateError
+from repro.graph.core import AdjacencyCore
 from repro.graph.social_network import SocialNetwork
 from repro.truss.support import edge_key
 
 
-class _NoScanNetwork(SocialNetwork):
-    """A network whose full edge scan fails, so validation must not use it."""
+class _NoScanCore(AdjacencyCore):
+    """A graph core whose full edge scan fails, so validation must not use it."""
 
-    def edges(self):
+    __slots__ = ()
+
+    def live_edge_ids(self):
         raise AssertionError("validation scanned every edge of the graph")
 
 
-def _no_scan_copy(graph: SocialNetwork) -> _NoScanNetwork:
-    clone = _NoScanNetwork(graph.name)
-    for vertex in graph.vertices():
-        clone.add_vertex(vertex, graph.keywords(vertex))
-    for u, v in graph.edges():
-        clone.add_edge(u, v, graph.probability(u, v), graph.probability(v, u))
-    return clone
+def _no_scan_copy(graph: SocialNetwork) -> _NoScanCore:
+    return _NoScanCore(graph.copy())
 
 
 class TestEdgeUpdate:
@@ -69,28 +67,28 @@ class TestEdgeUpdate:
 class TestUpdateBatchValidation:
     def test_sequential_insert_then_delete_is_valid(self, triangle_graph):
         batch = UpdateBatch([EdgeUpdate.insert("a", "d"), EdgeUpdate.delete("a", "d")])
-        batch.validate_against(triangle_graph)  # must not raise
+        batch.validate_against(AdjacencyCore(triangle_graph))  # must not raise
 
     def test_duplicate_insert_rejected(self, triangle_graph):
         batch = UpdateBatch([EdgeUpdate.insert("a", "b")])
         with pytest.raises(DynamicUpdateError):
-            batch.validate_against(triangle_graph)
+            batch.validate_against(AdjacencyCore(triangle_graph))
 
     def test_delete_missing_edge_rejected(self, triangle_graph):
         batch = UpdateBatch([EdgeUpdate.delete("a", "d")])
         with pytest.raises(DynamicUpdateError):
-            batch.validate_against(triangle_graph)
+            batch.validate_against(AdjacencyCore(triangle_graph))
 
     def test_delete_then_reinsert_is_valid(self, triangle_graph):
         batch = UpdateBatch(
             [EdgeUpdate.delete("a", "b"), EdgeUpdate.insert("a", "b", 0.1)]
         )
-        batch.validate_against(triangle_graph)
+        batch.validate_against(AdjacencyCore(triangle_graph))
 
     def test_out_of_range_probability_rejected(self, triangle_graph):
         batch = UpdateBatch([EdgeUpdate.insert("a", "d", 1.5)])
         with pytest.raises(DynamicUpdateError):
-            batch.validate_against(triangle_graph)
+            batch.validate_against(AdjacencyCore(triangle_graph))
 
     def test_valid_mixed_script_never_scans_the_graph(self, triangle_graph):
         graph = _no_scan_copy(triangle_graph)
@@ -105,7 +103,8 @@ class TestUpdateBatchValidation:
             ]
         )
         batch.validate_against(graph)
-        assert graph.num_edges() == 4 and not graph.has_vertex("x")
+        assert graph.num_edges == 4 and "x" not in graph.table
+        assert graph.graph.num_edges() == 4 and not graph.graph.has_vertex("x")
 
     def test_insert_delete_insert_of_one_edge_is_valid(self, triangle_graph):
         batch = UpdateBatch(
@@ -174,8 +173,9 @@ class TestApplyTo:
                 EdgeUpdate.insert("x", "y", 0.4),
             ]
         )
-        batch.validate_against(triangle_graph)
-        new_vertices = batch.apply_to(triangle_graph)
+        core = AdjacencyCore(triangle_graph)
+        batch.validate_against(core)
+        new_vertices = batch.apply_to(core)
         assert new_vertices == ["x", "y"]
         assert not triangle_graph.has_edge("a", "x")
         assert triangle_graph.has_edge("x", "y")
@@ -219,7 +219,7 @@ class TestRandomUpdateBatch:
     def test_generated_script_is_valid(self, planted_graph):
         batch = random_update_batch(planted_graph, 20, rng=5)
         assert len(batch) == 20
-        batch.validate_against(planted_graph)
+        batch.validate_against(AdjacencyCore(planted_graph))
 
     def test_deterministic_for_same_seed(self, planted_graph):
         first = random_update_batch(planted_graph, 15, rng=11)
@@ -242,7 +242,7 @@ class TestRandomUpdateBatch:
         existing = set(planted_graph.vertices())
         new = {u.v for u in batch if u.v not in existing}
         assert new, "grow_probability=1.0 must create vertices"
-        batch.validate_against(planted_graph)
+        batch.validate_against(AdjacencyCore(planted_graph))
 
     def test_negative_size_rejected(self, planted_graph):
         with pytest.raises(DynamicUpdateError):

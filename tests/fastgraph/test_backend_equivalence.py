@@ -24,6 +24,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import random_update_batch
 from repro.exceptions import QueryParameterError
+from repro.graph.core import AdjacencyCore
 from repro.graph.generators import erdos_renyi_graph
 from repro.index.precompute import precompute
 from repro.query.params import make_dtopl_query, make_topl_query
@@ -167,7 +168,7 @@ def test_dynamic_updates_fall_back_and_stay_equivalent():
     """After apply_updates the fast engine must agree with a fresh reference build."""
     rng, graph = _seeded_graph(902)
     engine = InfluentialCommunityEngine.build(
-        graph,
+        graph.copy(),
         config=EngineConfig(
             max_radius=2, thresholds=_THRESHOLDS, backend=BACKEND,
         ),
@@ -177,6 +178,7 @@ def test_dynamic_updates_fall_back_and_stay_equivalent():
     batch = random_update_batch(graph, 6, rng=rng, insert_ratio=0.5)
     report = engine.apply_updates(batch, damage_threshold=1.0)
     assert report.mode == "incremental"
+    batch.apply_to(AdjacencyCore(graph))
     if BACKEND == "fast":
         # The snapshot is patched in place (a DeltaCSR overlay) — or, when
         # the batch pushed the dirt ratio over the compaction knob, folded

@@ -3,8 +3,9 @@
 The structural contract of the mutable fast core: tombstoned deletions,
 append-only spill insertions, stable edge ids, dirt-ratio accounting,
 ``compact()`` bit-identical to re-freezing the mutated reference graph, and
-the workspace sync protocol.  Every property is checked against the reference ``SocialNetwork`` mutated by
-the same edits.
+the workspace sync protocol.  Every property is checked against a reference
+``SocialNetwork`` mutated by the same edits through its own
+``AdjacencyCore``.
 """
 
 from __future__ import annotations
@@ -34,18 +35,27 @@ def _seeded_graph(seed: int, num_vertices: int = 24):
     return graph
 
 
-def _mutated_pair(seed: int, edits: int = 12):
-    """(mutated graph, overlay mutated by the same edits, the script)."""
+#: The two mutable graph cores: a reference view and the CSR overlay.
+_CORES = ("adjacency", "overlay")
+
+
+def _core_of(kind: str, graph):
+    """A mutable core of kind ``kind`` holding a copy of ``graph``."""
+    return AdjacencyCore(graph.copy()) if kind == "adjacency" else DeltaCSR(freeze(graph))
+
+
+def _mutated_pair(seed: int, edits: int = 12, kind: str = "overlay"):
+    """(mutated reference graph, core mutated by the same edits, the script)."""
     graph = _seeded_graph(seed)
-    overlay = DeltaCSR(freeze(graph))
+    core = _core_of(kind, graph)
     script = random_update_batch(
         graph, edits, rng=seed, insert_ratio=0.5, grow_probability=0.2,
         keyword_pool=("alpha", "beta"),
     )
-    script.validate_against(graph)
-    script.apply_to(graph)
-    overlay.replay(script)
-    return graph, overlay, script
+    script.validate_against(core)
+    script.apply_to(core)
+    script.apply_to(AdjacencyCore(graph))
+    return graph, core, script
 
 
 def _row_of(graph, overlay, vertex_id):
@@ -170,9 +180,8 @@ class TestWorkspaceSync:
             graph, 10, rng=seed, insert_ratio=0.5, grow_probability=0.25,
             keyword_pool=("alpha",),
         )
-        script.validate_against(graph)
-        script.apply_to(graph)
-        overlay.replay(script)
+        script.validate_against(overlay)
+        script.apply_to(overlay)
         touched = workspace.sync()
         assert touched > 0
         fresh = CSRWorkspace(overlay)
@@ -222,22 +231,18 @@ class TestAdjacencyCore:
         script = random_update_batch(
             graph, 10, rng=seed, insert_ratio=0.5, grow_probability=0.2,
         )
-        script.validate_against(graph)
+        script.validate_against(core)
         from repro.dynamic.updates import INSERT
 
+        # The core applies each noted edit to the graph it wraps.
         for update in script:
             if update.op == INSERT:
-                p_uv = 0.5 if update.p_uv is None else update.p_uv
-                p_vu = p_uv if update.p_vu is None else update.p_vu
-                for vertex, keywords in (
-                    (update.u, update.keywords_u), (update.v, update.keywords_v),
-                ):
-                    if not graph.has_vertex(vertex):
-                        graph.add_vertex(vertex, keywords)
-                graph.add_edge(update.u, update.v, p_uv, p_vu)
-                core.note_insert(update.u, update.v, p_uv, p_vu)
+                p_uv, p_vu = update.resolved_probabilities()
+                core.note_insert(
+                    update.u, update.v, p_uv, p_vu,
+                    keywords_u=update.keywords_u, keywords_v=update.keywords_v,
+                )
             else:
-                graph.remove_edge(update.u, update.v)
                 core.note_delete(update.u, update.v)
         fresh = AdjacencyCore(graph)
         assert core.num_vertices == fresh.num_vertices
@@ -256,6 +261,7 @@ class TestAdjacencyCore:
 
 class TestUpdateBatchReplayValidation:
     def test_replay_rejects_missing_edge_deletion(self):
+        """Replaying a deletion of a retired edge onto the overlay raises."""
         graph = _seeded_graph(2, num_vertices=8)
         overlay = DeltaCSR(freeze(graph))
         from repro.dynamic.updates import EdgeUpdate
@@ -264,5 +270,45 @@ class TestUpdateBatchReplayValidation:
         missing = EdgeUpdate.delete("nope-a", "nope-b")
         overlay.note_insert("nope-a", "nope-b", 0.5, 0.5)
         overlay.note_delete("nope-a", "nope-b")
+        assert not overlay.has_edge("nope-a", "nope-b")
         with pytest.raises(GraphError):
-            overlay.replay(UpdateBatch([missing]))
+            UpdateBatch([missing]).apply_to(overlay)
+
+
+class TestCoreEdits:
+    """``has_edge`` and ``UpdateBatch.apply_to`` over both mutable cores."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", _CORES)
+    def test_has_edge_tracks_the_reference(self, kind, seed):
+        graph, core, _ = _mutated_pair(seed, kind=kind)
+        ids = sorted(graph.vertices(), key=repr) + ["absent"]
+        for u in ids:
+            for v in ids:
+                if u != v:
+                    assert core.has_edge(u, v) == graph.has_edge(u, v), (u, v)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", _CORES)
+    def test_apply_to_tracks_the_reference(self, kind, seed):
+        graph = _seeded_graph(seed)
+        core = _core_of(kind, graph)
+        script = random_update_batch(
+            graph, 14, rng=seed, insert_ratio=0.6, grow_probability=0.3,
+            keyword_pool=("alpha", "beta"),
+        )
+        before = list(graph.vertices())
+        script.validate_against(core)
+        created = script.apply_to(core)
+        assert created == script.apply_to(AdjacencyCore(graph))
+        assert created == [v for v in graph.vertices() if v not in before]
+        assert core.num_vertices == graph.num_vertices()
+        assert core.num_edges == graph.num_edges()
+        assert list(core.table) == list(graph.vertices())
+        index_of = core.table.index_of
+        for u_id in graph.vertices():
+            u = index_of(u_id)
+            assert core.keywords_of(u) == graph.keywords(u_id)
+            assert _row_of(graph, core, u_id), u_id
+            for v_id in graph.neighbors(u_id):
+                assert core.probability(u, index_of(v_id)) == graph.probability(u_id, v_id)

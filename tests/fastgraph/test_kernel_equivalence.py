@@ -20,6 +20,7 @@ from repro.fastgraph import (
     truss_decomposition_csr,
 )
 from repro.fastgraph.delta import DeltaCSR
+from repro.graph.core import AdjacencyCore
 from repro.fastgraph.kernels import (
     CSRWorkspace,
     bfs_hop_ball,
@@ -162,9 +163,9 @@ def test_row_merge_matches_nested_propagation(seed, kind, overlay):
         core = DeltaCSR(frozen)
         workspace.rebind(core)
         script = _overlay_script(graph, random.Random(seed))
-        script.validate_against(graph)
-        script.apply_to(graph)
-        core.replay(script)
+        script.validate_against(core)
+        script.apply_to(core)
+        script.apply_to(AdjacencyCore(graph))
         workspace.sync()
     id_of = core.table.id_of
     for theta in (0.0, 0.1, 0.35):

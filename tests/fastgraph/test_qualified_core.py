@@ -123,8 +123,8 @@ def test_postings_after_rebind_onto_an_overlay():
     workspace.rebind(overlay)
     _assert_postings_match_scan(workspace)
     script = _overlay_script(graph, random.Random(4))
-    script.validate_against(graph)
-    overlay.replay(script)
+    script.validate_against(overlay)
+    script.apply_to(overlay)
     workspace.sync()
     assert overlay.num_vertices > frozen.num_vertices
     _assert_postings_match_scan(workspace)

@@ -29,6 +29,7 @@ from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.fastgraph.csr import freeze
 from repro.fastgraph.delta import DeltaCSR
+from repro.graph.core import AdjacencyCore
 from repro.fastgraph.kernels import CSRWorkspace
 from repro.graph.generators import newman_watts_strogatz_graph, planted_community_graph
 from repro.graph.social_network import SocialNetwork
@@ -222,9 +223,9 @@ def test_overlay_after_mixed_edits(seed):
     overlay = DeltaCSR(frozen)
     workspace.rebind(overlay)
     script = _overlay_script(graph, random.Random(seed))
-    script.validate_against(graph)
-    script.apply_to(graph)
-    overlay.replay(script)
+    script.validate_against(overlay)
+    script.apply_to(overlay)
+    script.apply_to(AdjacencyCore(graph))
     assert workspace.sync() > 0
     assert overlay.num_vertices > frozen.num_vertices
     _assert_every_centre_matches(graph, workspace, _keyword_sets(seed))

@@ -47,6 +47,7 @@ from repro.fastgraph.vectorised import (
     ball_aggregates_batch,
     edge_supports_vector,
 )
+from repro.graph.core import AdjacencyCore
 from repro.graph.generators import planted_community_graph
 from repro.graph.keyword_assignment import assign_keywords
 from repro.graph.social_network import SocialNetwork
@@ -391,13 +392,14 @@ def test_vector_built_engine_stays_exact_after_updates():
     """
     rng, graph = seeded_graph(903)
     engine = InfluentialCommunityEngine.build(
-        graph,
+        graph.copy(),
         config=EngineConfig(max_radius=2, thresholds=_THRESHOLDS, backend="fast"),
         validate=False,
     )
     batch = random_update_batch(graph, 6, rng=rng, insert_ratio=0.5)
     report = engine.apply_updates(batch, damage_threshold=1.0)
     assert report.mode == "incremental"
+    batch.apply_to(AdjacencyCore(graph))
     fresh = InfluentialCommunityEngine.build(
         graph.copy(),
         config=EngineConfig(max_radius=2, thresholds=_THRESHOLDS),

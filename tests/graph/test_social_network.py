@@ -239,6 +239,7 @@ class TestLazySocialNetwork:
     class _CountingSource:
         def __init__(self, graph):
             self.name = graph.name
+            self.num_vertices = graph.num_vertices()
             self.snapshot = graph.freeze()
             self.thaws = 0
 
@@ -257,6 +258,7 @@ class TestLazySocialNetwork:
 
         lazy, source = self._lazy(two_cliques_bridge)
         assert lazy.name == two_cliques_bridge.name
+        assert lazy.num_vertices() == two_cliques_bridge.num_vertices()
         assert isinstance(lazy, SocialNetwork)
         assert type(lazy) is LazySocialNetwork
         assert source.thaws == 0

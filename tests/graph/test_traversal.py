@@ -11,7 +11,6 @@ from repro.graph.traversal import (
     eccentricity,
     hop_distances_within,
     hop_subgraph,
-    k_hop_neighborhood_sizes,
     pairwise_hop_distance,
     satisfies_radius_constraint,
     vertices_within_radius,
@@ -141,8 +140,3 @@ class TestHelpers:
         assert pairwise_hop_distance(graph, 0, 4) == 4
         graph.add_vertex(99)
         assert pairwise_hop_distance(graph, 0, 99) is None
-
-    def test_k_hop_neighborhood_sizes(self):
-        graph = build_path_graph(5)
-        sizes = k_hop_neighborhood_sizes(graph, [0, 2], radius=1)
-        assert sizes == {0: 2, 2: 3}

@@ -30,6 +30,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import InfluentialCommunityEngine
 from repro.dynamic.updates import UpdateBatch, random_update_batch
+from repro.graph.core import AdjacencyCore
 from repro.graph.datasets import amazon_like, dblp_like
 from repro.graph.generators import (
     assign_trivalency,
@@ -313,6 +314,7 @@ def synthesize_trace(
     if kind == "adversarial_churn":
         focus = max(graph.vertices(), key=lambda v: (graph.degree(v), str(v)))
     evolving = graph.copy()
+    evolving_core = AdjacencyCore(evolving)
 
     def next_batch() -> UpdateBatch:
         if focus is not None and evolving.has_vertex(focus):
@@ -333,7 +335,7 @@ def synthesize_trace(
                 grow_probability=0.1,
                 keyword_pool=domain,
             )
-        batch.apply_to(evolving)
+        batch.apply_to(evolving_core)
         return batch
 
     trace = []
@@ -535,8 +537,9 @@ def test_every_trace_shape_applies_sequentially(small_graph, kind):
     evolving = small_graph.copy()
     batches = [payload for op, payload in trace if op == "update"]
     assert batches
+    core = AdjacencyCore(evolving)
     for batch in batches:
-        batch.apply_to(evolving)
+        batch.apply_to(core)
 
 
 def test_trace_composition(small_graph):

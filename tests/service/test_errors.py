@@ -22,6 +22,7 @@ from repro.exceptions import (
     ServiceRequestError,
     ServingError,
     SessionExistsError,
+    StaleGraphViewError,
     StoreFormatError,
     UnknownSessionError,
     UnsupportedSchemaVersionError,
@@ -59,6 +60,7 @@ EXPECTED_CODES = {
     UnsupportedSchemaVersionError: "UNSUPPORTED_SCHEMA_VERSION",
     UnknownSessionError: "UNKNOWN_SESSION",
     SessionExistsError: "SESSION_EXISTS",
+    StaleGraphViewError: "STALE_GRAPH_VIEW",
 }
 
 

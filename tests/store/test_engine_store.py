@@ -168,17 +168,29 @@ def test_checkpoint_generation_chain(packed_store, tmp_path):
 
 
 def test_fast_reads_never_build_the_dict_graph(packed_store, monkeypatch):
-    """Reads, batches, describe and health run on the store's CSR alone.
+    """Reads, batches, describe, health and updates run on the store's CSR alone.
 
-    The dict graph is built on the first update instead, after which it is
-    an ordinary ``SocialNetwork`` and the answers still match the reference
-    backend.
+    The dict graph is never built: after an update ``engine.graph`` is a
+    fresh lazy view, still unbuilt.  A store-opened fast session then
+    applies 60 batches through ``CommunityService`` (compactions and a
+    forced rebuild among them), and after every batch its answers and its
+    ``UpdateResponse.graph`` block equal a reference session's replaying
+    the same requests.
     """
+    import random
+
+    from repro.dynamic.updates import random_update_batch
     from repro.fastgraph.csr import CSRGraph
-    from repro.graph.social_network import LazySocialNetwork, SocialNetwork
+    from repro.graph.social_network import LazySocialNetwork
     from repro.query.params import make_dtopl_query
     from repro.service import CommunityService
-    from repro.service.schema import BatchRequest, BuildRequest, DToplRequest, ToplRequest
+    from repro.service.schema import (
+        BatchRequest,
+        BuildRequest,
+        DToplRequest,
+        ToplRequest,
+        UpdateRequest,
+    )
 
     dtopl = make_dtopl_query({"movies", "books"}, k=3, radius=2, theta=0.1, top_l=2)
     reference = InfluentialCommunityEngine.from_store(
@@ -188,9 +200,16 @@ def test_fast_reads_never_build_the_dict_graph(packed_store, monkeypatch):
         packed_store, config_overrides={"backend": "fast"}
     )
     service = CommunityService()
+    reference_service = CommunityService()
+    reference_service.build(
+        BuildRequest(session="s", store_path=packed_store, config={"backend": "reference"})
+    )
+    # The reference session runs on its dict graph: build it before thaw is refused.
+    reference_graph = reference_service.engine("s").graph
+    reference_graph.num_edges()
 
     def refuse(self):
-        raise AssertionError("a read built the dict graph")
+        raise AssertionError("the fast session built the dict graph")
 
     with monkeypatch.context() as patch:
         patch.setattr(CSRGraph, "thaw", refuse)
@@ -217,10 +236,51 @@ def test_fast_reads_never_build_the_dict_graph(packed_store, monkeypatch):
     assert described["graph"] == reference.describe()["graph"]
 
     batch = UpdateBatch([EdgeUpdate.insert(1, 901, 0.8, 0.8, keywords_v={"movies"})])
-    engine.apply_updates(batch, damage_threshold=1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(CSRGraph, "thaw", refuse)
+        engine.apply_updates(batch, damage_threshold=1.0)
+        answers = [engine.topl(TOPL).communities, engine.dtopl(dtopl).communities]
+        described = engine.describe()
     reference.apply_updates(batch, damage_threshold=1.0)
-    assert type(engine.graph) is SocialNetwork
-    assert engine.topl(TOPL).communities == reference.topl(TOPL).communities
-    assert engine.dtopl(dtopl).communities == reference.dtopl(dtopl).communities
-    assert engine.describe()["graph"] == reference.describe()["graph"]
-    assert engine.describe()["graph"]["num_vertices"] == 29
+    assert type(engine.graph) is LazySocialNetwork
+    assert answers == [reference.topl(TOPL).communities, reference.dtopl(dtopl).communities]
+    assert described["graph"] == reference.describe()["graph"]
+    assert described["graph"]["num_vertices"] == 29
+
+    rng = random.Random(17)
+    reads = (
+        ("topl", ToplRequest(session="s", query=TOPL)),
+        ("dtopl", DToplRequest(session="s", query=dtopl)),
+    )
+    reports = []
+    with monkeypatch.context() as patch:
+        patch.setattr(CSRGraph, "thaw", refuse)
+        for step in range(60):
+            edits = random_update_batch(
+                reference_graph, 4, rng=rng,
+                focus=rng.choice(sorted(reference_graph.vertices(), key=repr)),
+                focus_radius=1, grow_probability=0.2, keyword_pool=("movies", "books"),
+            )
+            request = UpdateRequest(
+                session="s",
+                edits=tuple(edits),
+                damage_threshold=1.0 if step % 10 else None,
+                rebuild=step == 30,
+            )
+            ours = service.update(request)
+            theirs = reference_service.update(request)
+            reports.append(ours.report)
+            assert ours.graph == theirs.graph, step
+            assert ours.report["mode"] == theirs.report["mode"], step
+            for endpoint, read in reads:
+                answer = getattr(service, endpoint)(read).communities
+                assert answer == getattr(reference_service, endpoint)(read).communities, (
+                    step, endpoint,
+                )
+    assert type(service.engine("s").graph) is LazySocialNetwork
+    assert any(report["compacted"] for report in reports)
+    assert reports[30]["mode"] == "rebuild"
+    assert (
+        service.engine("s").graph_summary()
+        == reference_service.engine("s").graph_summary()
+    )

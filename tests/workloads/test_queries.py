@@ -48,13 +48,3 @@ class TestQueryWorkload:
         first = QueryWorkload(small_world_graph, rng=9).topl_batch(3, num_keywords=4)
         second = QueryWorkload(small_world_graph, rng=9).topl_batch(3, num_keywords=4)
         assert [q.keywords for q in first] == [q.keywords for q in second]
-
-    def test_sample_centers_respects_min_degree(self, small_world_graph):
-        workload = QueryWorkload(small_world_graph, rng=4)
-        centers = workload.sample_centers(10, min_degree=7)
-        assert len(centers) <= 10
-        assert all(small_world_graph.degree(v) >= 7 for v in centers)
-
-    def test_sample_centers_empty_when_unsatisfiable(self, triangle_graph):
-        workload = QueryWorkload(triangle_graph, rng=4)
-        assert workload.sample_centers(5, min_degree=100) == []

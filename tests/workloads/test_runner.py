@@ -43,17 +43,3 @@ class TestExperimentRunner:
         assert row["wall_clock_s"] > 0
         assert row["communities"] >= 0
         assert row["pruning"] == PruningConfig.all_enabled().label()
-
-    def test_measure_dtopl_methods(self, runner, small_uni_graph):
-        workload = runner.workload_for(small_uni_graph)
-        query = workload.dtopl_query(num_keywords=5, k=3, radius=2, theta=0.2, top_l=2, candidate_factor=2)
-        for method in ("greedy_wp", "greedy_wop"):
-            point = runner.measure_dtopl(small_uni_graph, query, method=method)
-            assert point.metrics["wall_clock_s"] > 0
-            assert point.settings["method"] == method
-
-    def test_measure_dtopl_unknown_method_rejected(self, runner, small_uni_graph):
-        workload = runner.workload_for(small_uni_graph)
-        query = workload.dtopl_query(num_keywords=3, top_l=2)
-        with pytest.raises(KeyError):
-            runner.measure_dtopl(small_uni_graph, query, method="magic")
