@@ -42,6 +42,7 @@ from repro.graph.io import load_graph_json, save_graph_json, write_edge_list
 from repro.graph.statistics import compute_statistics
 from repro.query.params import make_dtopl_query, make_topl_query
 from repro.serve.batch import ServingConfig
+from repro.service.agateway import DEFAULT_PORT
 from repro.service.facade import CommunityService
 from repro.service.schema import (
     BatchRequest,
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--index", default=None, help="optional pre-built index JSON")
     _add_backend_argument(gateway)
     gateway.add_argument("--host", default="127.0.0.1")
-    gateway.add_argument("--port", type=int, default=8344)
+    gateway.add_argument("--port", type=int, default=DEFAULT_PORT)
     gateway.add_argument(
         "--session",
         default="default",

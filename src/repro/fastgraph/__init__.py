@@ -47,7 +47,6 @@ build, online extraction and scoring, and dynamic maintenance through it.  See
 from repro.fastgraph.csr import NUMPY_AVAILABLE, NUMPY_VERSION, CSRGraph, freeze
 from repro.fastgraph.delta import DeltaCSR
 from repro.fastgraph.kernels import (
-    bfs_hop_ball,
     community_propagation_csr,
     edge_supports_csr,
     truss_decomposition_csr,
@@ -62,7 +61,6 @@ __all__ = [
     "NUMPY_VERSION",
     "RefreshCache",
     "VertexTable",
-    "bfs_hop_ball",
     "community_propagation_csr",
     "edge_supports_csr",
     "fast_precompute",

@@ -645,22 +645,6 @@ class CSRWorkspace:
         return result
 
 
-def bfs_hop_ball(csr: CSRGraph, source: int, radius: int) -> dict[int, int]:
-    """Return ``{vertex int: hop distance}`` for the ``radius``-ball of ``source``.
-
-    Convenience wrapper allocating a fresh workspace; batch callers should
-    hold a :class:`CSRWorkspace` and use :meth:`CSRWorkspace.bfs_ball`.
-    """
-    if radius < 0:
-        raise GraphError(f"radius must be non-negative, got {radius}")
-    if not 0 <= source < csr.num_vertices:
-        raise GraphError(f"vertex int {source!r} is outside [0, {csr.num_vertices})")
-    workspace = CSRWorkspace(csr)
-    order = workspace.bfs_ball(source, radius)
-    dist = workspace.dist
-    return {vertex: dist[vertex] for vertex in order}
-
-
 def community_propagation_csr(
     csr: CSRGraph,
     seed_vertices: Iterable,

@@ -5,13 +5,9 @@ from repro.graph.social_network import SocialNetwork
 from repro.graph.subgraph import SubgraphView
 from repro.graph.traversal import (
     bfs_distances,
-    breadth_first_order,
     eccentricity,
     hop_distances_within,
     hop_subgraph,
-    pairwise_hop_distance,
-    satisfies_radius_constraint,
-    vertices_within_radius,
 )
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -44,13 +40,9 @@ __all__ = [
     "SocialNetwork",
     "SubgraphView",
     "bfs_distances",
-    "breadth_first_order",
     "eccentricity",
     "hop_distances_within",
     "hop_subgraph",
-    "pairwise_hop_distance",
-    "satisfies_radius_constraint",
-    "vertices_within_radius",
     "barabasi_albert_graph",
     "complete_graph",
     "erdos_renyi_graph",

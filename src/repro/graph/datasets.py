@@ -259,13 +259,3 @@ def load_dataset(name: str, **kwargs) -> SocialNetwork:
             f"unknown dataset {name!r}; available: {', '.join(dataset_names())}"
         )
     return spec.loader(**kwargs)
-
-
-def dataset_spec(name: str) -> DatasetSpec:
-    """Return the :class:`DatasetSpec` for ``name``."""
-    spec = _REGISTRY.get(name.lower())
-    if spec is None:
-        raise DatasetError(
-            f"unknown dataset {name!r}; available: {', '.join(dataset_names())}"
-        )
-    return spec

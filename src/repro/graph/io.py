@@ -1,4 +1,4 @@
-"""Graph input/output: edge lists, JSON documents, and networkx conversion.
+"""Graph input/output: edge lists and JSON documents.
 
 Two on-disk formats are supported:
 
@@ -182,51 +182,3 @@ def load_graph_json(path: PathLike) -> SocialNetwork:
     with path.open("r", encoding="utf-8") as handle:
         payload = json.load(handle)
     return graph_from_dict(payload)
-
-
-# --------------------------------------------------------------------------- #
-# networkx interoperability (optional dependency)
-# --------------------------------------------------------------------------- #
-def to_networkx(graph: SocialNetwork):
-    """Convert to a ``networkx.DiGraph`` (both directions, ``weight`` = probability).
-
-    Raises
-    ------
-    SerializationError
-        If networkx is not installed.
-    """
-    try:
-        import networkx as nx
-    except ImportError as exc:  # pragma: no cover - environment dependent
-        raise SerializationError("networkx is not installed") from exc
-    digraph = nx.DiGraph(name=graph.name)
-    for vertex in graph.vertices():
-        digraph.add_node(vertex, keywords=set(graph.keywords(vertex)))
-    for u, v in graph.edges():
-        digraph.add_edge(u, v, weight=graph.probability(u, v))
-        digraph.add_edge(v, u, weight=graph.probability(v, u))
-    return digraph
-
-
-def from_networkx(nx_graph, default_probability: float = 0.5) -> SocialNetwork:
-    """Convert a networkx (di)graph into a :class:`SocialNetwork`.
-
-    Node attribute ``keywords`` (any iterable of strings) is preserved; edge
-    attribute ``weight`` is used as the directional probability when present.
-    """
-    graph = SocialNetwork(name=getattr(nx_graph, "name", "networkx-import") or "networkx-import")
-    for node, data in nx_graph.nodes(data=True):
-        graph.add_vertex(node, data.get("keywords", ()))
-    directed = nx_graph.is_directed()
-    for u, v, data in nx_graph.edges(data=True):
-        if u == v:
-            continue
-        weight = float(data.get("weight", default_probability))
-        if graph.has_edge(u, v):
-            graph.set_probability(u, v, weight)
-        elif directed:
-            reverse = nx_graph.get_edge_data(v, u) or {}
-            graph.add_edge(u, v, weight, float(reverse.get("weight", weight)))
-        else:
-            graph.add_edge(u, v, weight, weight)
-    return graph

@@ -16,9 +16,8 @@ a per-direction probability for each structural edge.
 
 The class is intentionally free of third-party dependencies: the adjacency is
 a dict-of-dicts, which keeps neighbour iteration, membership tests and copies
-cheap, and makes the library usable in environments where ``networkx`` is not
-installed.  Conversion helpers to/from ``networkx`` live in
-:mod:`repro.graph.io`.
+cheap, and needs no graph library such as ``networkx``.  Edge-list
+and JSON readers and writers live in :mod:`repro.graph.io`.
 """
 
 from __future__ import annotations
@@ -145,17 +144,6 @@ class SocialNetwork:
         if not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
         self._prob[(u, v)] = _validate_probability(p_uv)
-
-    def remove_vertex(self, vertex: VertexId) -> None:
-        """Remove ``vertex`` and all its incident edges."""
-        self._require_vertex(vertex)
-        self._num_edges -= len(self._adj[vertex])
-        for neighbour in list(self._adj[vertex]):
-            del self._adj[neighbour][vertex]
-            self._prob.pop((vertex, neighbour), None)
-            self._prob.pop((neighbour, vertex), None)
-        del self._adj[vertex]
-        del self._keywords[vertex]
 
     def remove_edge(self, u: VertexId, v: VertexId) -> None:
         """Remove the structural edge between ``u`` and ``v``."""

@@ -6,7 +6,7 @@ reports.  Everything here is read-only and dependency-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.graph.social_network import SocialNetwork
 
@@ -43,33 +43,6 @@ class GraphStatistics:
             "avg_|v.W|": round(self.avg_keywords_per_vertex, 3),
             "avg_p": round(self.avg_edge_probability, 4),
         }
-
-
-@dataclass
-class DegreeDistribution:
-    """Histogram of vertex degrees."""
-
-    counts: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def fraction_at_least(self, degree: int) -> float:
-        """Return the fraction of vertices with degree >= ``degree``."""
-        if not self.counts:
-            return 0.0
-        matching = sum(count for deg, count in self.counts.items() if deg >= degree)
-        return matching / self.total
-
-
-def degree_distribution(graph: SocialNetwork) -> DegreeDistribution:
-    """Compute the degree histogram of ``graph``."""
-    counts: dict[int, int] = {}
-    for vertex in graph.vertices():
-        degree = graph.degree(vertex)
-        counts[degree] = counts.get(degree, 0) + 1
-    return DegreeDistribution(counts)
 
 
 def count_triangles(graph: SocialNetwork) -> int:

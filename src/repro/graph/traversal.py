@@ -107,36 +107,3 @@ def eccentricity(view: SubgraphView, source: VertexId) -> int:
             f"vertex {source!r} does not reach all {len(view)} vertices of the view"
         )
     return max(distances.values(), default=0)
-
-
-def vertices_within_radius(
-    view: SubgraphView, center: VertexId, radius: int
-) -> frozenset:
-    """Return the vertices of ``view`` within ``radius`` hops of ``center`` inside the view."""
-    distances = hop_distances_within(view, center, max_depth=radius)
-    return frozenset(distances.keys())
-
-
-def satisfies_radius_constraint(view: SubgraphView, center: VertexId, radius: int) -> bool:
-    """Return ``True`` if every vertex of ``view`` lies within ``radius`` hops of ``center``.
-
-    Distances are measured inside the view, matching Definition 2.
-    """
-    distances = hop_distances_within(view, center, max_depth=radius)
-    return len(distances) == len(view)
-
-
-def breadth_first_order(
-    graph: SocialNetwork, source: VertexId, allowed: Optional[frozenset] = None
-) -> list[VertexId]:
-    """Return vertices in BFS visitation order starting from ``source``."""
-    distances = bfs_distances(graph, source, allowed=allowed)
-    return sorted(distances, key=lambda v: (distances[v], str(v)))
-
-
-def pairwise_hop_distance(
-    graph: SocialNetwork, u: VertexId, v: VertexId, allowed: Optional[frozenset] = None
-) -> Optional[int]:
-    """Return the hop distance between ``u`` and ``v`` or ``None`` if disconnected."""
-    distances = bfs_distances(graph, u, allowed=allowed)
-    return distances.get(v)

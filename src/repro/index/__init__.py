@@ -8,7 +8,7 @@ from repro.index.precompute import (
     VertexAggregates,
     precompute,
 )
-from repro.index.node import EntryAggregates, IndexNode, LeafVertexEntry, make_internal
+from repro.index.node import EntryAggregates, IndexNode, make_internal
 from repro.index.tree import DEFAULT_FANOUT, DEFAULT_LEAF_CAPACITY, TreeIndex, build_tree_index
 from repro.index.serialization import (
     load_index,
@@ -26,7 +26,6 @@ __all__ = [
     "precompute",
     "EntryAggregates",
     "IndexNode",
-    "LeafVertexEntry",
     "make_internal",
     "DEFAULT_FANOUT",
     "DEFAULT_LEAF_CAPACITY",

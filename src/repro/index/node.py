@@ -160,19 +160,6 @@ class IndexNode:
         return 1 + sum(child.count_nodes() for child in self.children)
 
 
-@dataclass
-class LeafVertexEntry:
-    """A vertex stored in a leaf node together with its pre-computed record."""
-
-    vertex: object
-    aggregates: VertexAggregates
-
-    @property
-    def entry(self) -> EntryAggregates:
-        """The record wrapped as a single-vertex index entry."""
-        return EntryAggregates.from_vertex(self.aggregates)
-
-
 def make_internal(children: list[IndexNode], node_id: int) -> IndexNode:
     """Build a non-leaf node from child nodes."""
     aggregates = EntryAggregates.combine([child.aggregates for child in children])

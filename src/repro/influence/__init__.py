@@ -1,16 +1,12 @@
 """Influence propagation: the MIA model, influenced communities, IC cascades."""
 
 from repro.influence.mia import (
-    maximum_influence_path,
     maximum_influence_paths,
-    path_propagation_probability,
     user_to_user_propagation,
 )
 from repro.influence.propagation import (
     InfluencedCommunity,
     community_propagation,
-    community_to_user_probability,
-    influence_score_upper_bounds,
     influential_score,
 )
 from repro.influence.cascade import (
@@ -20,14 +16,10 @@ from repro.influence.cascade import (
 )
 
 __all__ = [
-    "maximum_influence_path",
     "maximum_influence_paths",
-    "path_propagation_probability",
     "user_to_user_propagation",
     "InfluencedCommunity",
     "community_propagation",
-    "community_to_user_probability",
-    "influence_score_upper_bounds",
     "influential_score",
     "CascadeResult",
     "estimate_spread",

@@ -17,30 +17,10 @@ its numerical edge cases at ``p = 0``.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
 from typing import Optional
 
 from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.social_network import SocialNetwork, VertexId
-
-
-def path_propagation_probability(graph: SocialNetwork, path: Iterable[VertexId]) -> float:
-    """Return ``pp(P)`` — the product of edge probabilities along ``path`` (Eq. 1).
-
-    Raises
-    ------
-    GraphError
-        If the path revisits a vertex (paths are non-cyclic user sequences).
-    EdgeNotFoundError
-        If two consecutive vertices are not adjacent.
-    """
-    vertices = list(path)
-    if len(set(vertices)) != len(vertices):
-        raise GraphError(f"path revisits a vertex: {vertices!r}")
-    probability = 1.0
-    for u, v in zip(vertices, vertices[1:]):
-        probability *= graph.probability(u, v)
-    return probability
 
 
 def maximum_influence_paths(
@@ -114,71 +94,3 @@ def user_to_user_propagation(
         return 1.0
     probabilities = maximum_influence_paths(graph, source)
     return probabilities.get(target, 0.0)
-
-
-def maximum_influence_path(
-    graph: SocialNetwork, source: VertexId, target: VertexId
-) -> Optional[list[VertexId]]:
-    """Return the vertices of ``MIP_{source, target}`` or ``None`` if unreachable.
-
-    Mostly used by tests and examples; the query algorithms only need the
-    probabilities, not the concrete paths.
-    """
-    if not graph.has_vertex(source):
-        raise VertexNotFoundError(source)
-    if not graph.has_vertex(target):
-        raise VertexNotFoundError(target)
-    if source == target:
-        return [source]
-
-    best: dict[VertexId, float] = {}
-    predecessor: dict[VertexId, VertexId] = {}
-    heap: list[tuple[float, int, VertexId]] = [(-1.0, 0, source)]
-    counter = 1
-    adjacency = graph.adjacency()
-    while heap:
-        negative_probability, _, vertex = heapq.heappop(heap)
-        probability = -negative_probability
-        if vertex in best:
-            continue
-        best[vertex] = probability
-        if vertex == target:
-            break
-        for neighbour in adjacency[vertex]:
-            if neighbour in best:
-                continue
-            next_probability = probability * graph.probability(vertex, neighbour)
-            if next_probability <= 0.0:
-                continue
-            if next_probability > best.get(neighbour, -1.0):
-                pass
-            heapq.heappush(heap, (-next_probability, counter, neighbour))
-            counter += 1
-            # Record the predecessor of the *best known* relaxation.  Because
-            # the heap may contain stale entries, only overwrite when this
-            # relaxation is the best seen so far for the neighbour.
-            recorded = predecessor.get(neighbour)
-            if recorded is None or next_probability > _path_probability_via(
-                graph, best, predecessor, neighbour
-            ):
-                predecessor[neighbour] = vertex
-    if target not in best:
-        return None
-    path = [target]
-    while path[-1] != source:
-        path.append(predecessor[path[-1]])
-    path.reverse()
-    return path
-
-
-def _path_probability_via(
-    graph: SocialNetwork,
-    best: dict[VertexId, float],
-    predecessor: dict[VertexId, VertexId],
-    vertex: VertexId,
-) -> float:
-    """Probability of the currently-recorded path to ``vertex`` (0 if unknown)."""
-    parent = predecessor.get(vertex)
-    if parent is None or parent not in best:
-        return 0.0
-    return best[parent] * graph.probability(parent, vertex)

@@ -138,19 +138,6 @@ def community_propagation(
     return InfluencedCommunity(seed_vertices=seeds, cpp=cpp, threshold=threshold)
 
 
-def community_to_user_probability(
-    graph: SocialNetwork,
-    seed_vertices: Iterable[VertexId],
-    target: VertexId,
-) -> float:
-    """Return ``cpp(g, target)`` exactly (Eq. 4), without threshold truncation."""
-    seeds = frozenset(seed_vertices)
-    if target in seeds:
-        return 1.0
-    influenced = community_propagation(graph, seeds, threshold=0.0)
-    return influenced.cpp_of(target)
-
-
 def influential_score(
     graph: SocialNetwork,
     seed_vertices: Iterable[VertexId],
@@ -158,29 +145,3 @@ def influential_score(
 ) -> float:
     """Return ``sigma(g)`` (Eq. 5) for the given seed community and threshold."""
     return community_propagation(graph, seed_vertices, threshold).score
-
-
-def influence_score_upper_bounds(
-    graph: SocialNetwork,
-    seed_vertices: Iterable[VertexId],
-    thresholds: Iterable[float],
-) -> list[tuple[float, float]]:
-    """Return ``(theta_z, sigma_z)`` pairs for a sorted list of thresholds.
-
-    Used by the offline pre-computation (Algorithm 2, lines 10-12): a single
-    propagation at the *smallest* threshold is reused to derive the score at
-    every larger threshold, since the influenced community at ``theta_{z+1}``
-    is a subset of the one at ``theta_z``.
-    """
-    ordered = sorted(set(float(t) for t in thresholds))
-    if not ordered:
-        return []
-    for value in ordered:
-        if not 0.0 <= value < 1.0:
-            raise GraphError(f"influence thresholds must be in [0, 1), got {value}")
-    base = community_propagation(graph, seed_vertices, ordered[0])
-    pairs: list[tuple[float, float]] = []
-    for theta in ordered:
-        score = sum(p for p in base.cpp.values() if p >= theta)
-        pairs.append((theta, score))
-    return pairs

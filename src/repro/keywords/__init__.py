@@ -5,7 +5,6 @@ from repro.keywords.bitvector import (
     BitVector,
     aggregate,
     hash_keyword,
-    may_share_keyword,
 )
 from repro.keywords.vocabulary import (
     GaussianKeywordDistribution,
@@ -23,7 +22,6 @@ __all__ = [
     "BitVector",
     "aggregate",
     "hash_keyword",
-    "may_share_keyword",
     "GaussianKeywordDistribution",
     "KeywordDistribution",
     "UniformKeywordDistribution",

@@ -128,12 +128,3 @@ def aggregate(vectors: Iterable[BitVector], num_bits: int = DEFAULT_NUM_BITS) ->
     for vector in vectors:
         result = result | vector
     return result
-
-
-def may_share_keyword(candidate: BitVector, query: BitVector) -> bool:
-    """Conservative keyword test used by Lemma 5.
-
-    ``False`` means *provably* no shared keyword (safe to prune).  ``True``
-    means a shared keyword is possible (keep the candidate).
-    """
-    return candidate.intersects(query)

@@ -3,11 +3,8 @@
 from repro.pruning.stats import ABLATION_CONFIGS, PruningConfig, PruningCounters
 from repro.pruning.rules import (
     center_has_query_keyword,
-    edge_support_prune,
     has_any_query_keyword,
     keyword_prune_by_bitvector,
-    radius_prune,
-    radius_violations,
     score_prune,
     select_score_bound,
     support_prune,
@@ -22,7 +19,6 @@ from repro.pruning.index_rules import (
 from repro.pruning.diversity import (
     apply_to_coverage,
     coverage_map,
-    diversity_prune,
     diversity_score,
     marginal_gain,
 )
@@ -32,11 +28,8 @@ __all__ = [
     "PruningConfig",
     "PruningCounters",
     "center_has_query_keyword",
-    "edge_support_prune",
     "has_any_query_keyword",
     "keyword_prune_by_bitvector",
-    "radius_prune",
-    "radius_violations",
     "score_prune",
     "select_score_bound",
     "support_prune",
@@ -47,7 +40,6 @@ __all__ = [
     "index_support_prune",
     "apply_to_coverage",
     "coverage_map",
-    "diversity_prune",
     "diversity_score",
     "marginal_gain",
 ]

@@ -70,19 +70,3 @@ def apply_to_coverage(candidate: InfluencedCommunity, coverage: dict) -> dict:
         if probability > coverage.get(vertex, 0.0):
             coverage[vertex] = probability
     return coverage
-
-
-def diversity_prune(stale_gain_bound: float, best_fresh_gain: float) -> bool:
-    """Lemma 9: prune a candidate whose stale gain bound loses to a fresh gain.
-
-    ``stale_gain_bound`` is the candidate's marginal gain computed against an
-    *earlier* (subset) selection — by submodularity an upper bound on its
-    current gain.  If it is already below the best gain computed against the
-    *current* selection, the candidate cannot win this round.
-    """
-    return stale_gain_bound < best_fresh_gain
-
-
-def is_monotone_increase(previous_score: float, new_score: float) -> bool:
-    """Check the monotonicity property used in tests: adding a community never hurts."""
-    return new_score >= previous_score - 1e-9

@@ -24,7 +24,6 @@ from collections.abc import Iterable
 
 from repro.graph.social_network import SocialNetwork, VertexId
 from repro.graph.subgraph import SubgraphView
-from repro.graph.traversal import hop_distances_within
 from repro.keywords.bitvector import BitVector
 
 
@@ -72,12 +71,6 @@ def support_prune(support_upper_bound: int, k: int) -> bool:
     return support_upper_bound < k - 2
 
 
-def edge_support_prune(edge_bounds: Iterable[int], k: int) -> bool:
-    """Return ``True`` when every edge bound is below ``k - 2`` (no qualifying edge)."""
-    required = k - 2
-    return all(bound < required for bound in edge_bounds)
-
-
 def trussness_prune(center_trussness_bound: int, k: int) -> bool:
     """Tightened support pruning using the centre's trussness in the full graph.
 
@@ -89,30 +82,6 @@ def trussness_prune(center_trussness_bound: int, k: int) -> bool:
     entry's subtree.
     """
     return center_trussness_bound < k
-
-
-# --------------------------------------------------------------------------- #
-# Lemma 3 — radius pruning
-# --------------------------------------------------------------------------- #
-def radius_violations(view: SubgraphView, center: VertexId, radius: int) -> frozenset:
-    """Return the vertices of ``view`` farther than ``radius`` hops from ``center``.
-
-    Distances are measured inside the view; the returned vertices can be
-    removed from the candidate without losing any valid seed community
-    (Lemma 3).
-    """
-    reachable = hop_distances_within(view, center, max_depth=radius)
-    return frozenset(view.vertices) - frozenset(reachable)
-
-
-def radius_prune(view: SubgraphView, center: VertexId, radius: int) -> bool:
-    """Return ``True`` if the entire candidate violates the radius constraint.
-
-    This only happens when the centre reaches *no* other vertex within the
-    radius, i.e. the candidate cannot contain a non-trivial community.
-    """
-    reachable = hop_distances_within(view, center, max_depth=radius)
-    return len(reachable) <= 1
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,6 @@ from repro.query.results import (
 from repro.query.seed import (
     extract_seed_community,
     is_valid_seed_community,
-    seed_community_candidates,
 )
 from repro.query.topl import TopLProcessor, topl_icde
 from repro.query.dtopl import DTopLProcessor, dtopl_icde, greedy_select_diversified
@@ -31,7 +30,6 @@ __all__ = [
     "TopLResult",
     "extract_seed_community",
     "is_valid_seed_community",
-    "seed_community_candidates",
     "TopLProcessor",
     "topl_icde",
     "DTopLProcessor",

@@ -97,27 +97,6 @@ def extract_seed_community(
         return frozenset(current.vertices)
 
 
-def seed_community_candidates(
-    graph: SocialNetwork,
-    query: TopLQuery,
-    centers=None,
-) -> dict[VertexId, frozenset]:
-    """Extract the seed community of every candidate centre.
-
-    A helper used by the brute-force baseline and by tests: for every vertex
-    in ``centers`` (default: all vertices), extract its seed community and
-    return the non-empty ones keyed by centre.
-    """
-    if centers is None:
-        centers = list(graph.vertices())
-    communities: dict[VertexId, frozenset] = {}
-    for center in centers:
-        community = extract_seed_community(graph, center, query)
-        if community:
-            communities[center] = community
-    return communities
-
-
 def is_valid_seed_community(
     graph: SocialNetwork,
     vertices: frozenset,

@@ -5,8 +5,8 @@ serving, workload runner, remote clients — behind one stable, serializable
 API:
 
 * :mod:`repro.service.schema` — the wire schema: frozen request/response
-  dataclasses with strict ``to_json()`` / ``from_json()`` codecs and a
-  ``schema_version`` field.
+  dataclasses carrying a ``schema_version`` field.  Requests decode
+  strictly with ``from_json()``; responses only encode, with ``to_json()``.
 * :mod:`repro.service.errors` — structured :class:`ServiceError` codes
   mapping every :mod:`repro.exceptions` type to a stable wire code.
 * :mod:`repro.service.facade` — :class:`CommunityService`, which owns
@@ -30,7 +30,7 @@ from repro.service.errors import (
     http_status_for,
     service_error_from_exception,
 )
-from repro.service.agateway import AsyncServiceGateway, run_async_gateway
+from repro.service.agateway import AsyncServiceGateway
 from repro.service.facade import CommunityService, SessionInfo
 from repro.service.schema import (
     SCHEMA_VERSION,
@@ -63,7 +63,6 @@ __all__ = [
     "CommunityService",
     "SessionInfo",
     "AsyncServiceGateway",
-    "run_async_gateway",
     "BuildRequest",
     "BuildResponse",
     "ToplRequest",

@@ -100,6 +100,9 @@ _MAX_HEADER_BYTES = 64 * 1024
 #: Seconds a rejected client is told to back off before retrying.
 RETRY_AFTER_SECONDS = 1
 
+#: The TCP port the gateway listens on unless told otherwise.
+DEFAULT_PORT = 8344
+
 
 class AsyncServiceGateway:
     """One event loop, many connections, bounded concurrent work.
@@ -117,7 +120,7 @@ class AsyncServiceGateway:
         self,
         service: Optional[CommunityService] = None,
         host: str = "127.0.0.1",
-        port: int = 8345,
+        port: int = DEFAULT_PORT,
         max_pending: int = 64,
     ) -> None:
         self.service = service if service is not None else CommunityService()
@@ -584,19 +587,3 @@ class AsyncServiceGateway:
             line = failure.to_json()
             line["kind"] = "error"
             await write_line(line)
-
-
-def run_async_gateway(
-    service: Optional[CommunityService] = None,
-    host: str = "127.0.0.1",
-    port: int = 8345,
-    max_pending: int = 64,
-) -> None:
-    """Run the front door in the foreground until interrupted."""
-    gateway = AsyncServiceGateway(service, host=host, port=port, max_pending=max_pending)
-    try:
-        gateway.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        gateway.shutdown()

@@ -120,28 +120,6 @@ class ServiceError:
             payload["detail"] = dict(self.detail)
         return payload
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "ServiceError":
-        """Parse an error from its :meth:`to_json` form."""
-        if not isinstance(payload, dict):
-            raise MalformedRequestError(
-                f"error payload must be an object, got {type(payload).__name__}"
-            )
-        try:
-            code = payload["code"]
-            message = payload["message"]
-        except KeyError as exc:
-            raise MalformedRequestError(
-                f"error payload is missing field {exc.args[0]!r}"
-            ) from exc
-        detail = payload.get("detail", {})
-        unknown = set(payload) - {"code", "message", "detail"}
-        if unknown:
-            raise MalformedRequestError(
-                f"error payload carries unknown fields {sorted(unknown)}"
-            )
-        return cls(code=str(code), message=str(message), detail=dict(detail))
-
 
 def service_error_from_exception(error: BaseException) -> ServiceError:
     """Build the :class:`ServiceError` describing a caught exception.

@@ -1,21 +1,22 @@
 """The wire schema: typed, versioned request/response documents.
 
-Every request and response of the service API is a frozen dataclass with a
-strict ``to_json()`` / ``from_json()`` codec pair:
+Every request and response of the service API is a frozen dataclass.
+Requests decode strictly (``from_json()``) and encode (``to_json()``);
+responses only encode — the server never reads one back:
 
 * **versioned** — every document carries ``schema_version``; a request with
   a version this build does not speak is rejected with
   ``UNSUPPORTED_SCHEMA_VERSION`` before any field is interpreted.
-* **strict** — unknown fields, missing fields and wrong types raise
-  :class:`~repro.exceptions.MalformedRequestError` (wire code
+* **strict** — unknown fields, missing fields and wrong types in a request
+  raise :class:`~repro.exceptions.MalformedRequestError` (wire code
   ``MALFORMED_REQUEST``); domain validation (e.g. ``theta`` out of range)
   re-uses the library's own validators, so the wire layer can never accept
   a query the engine would reject.
-* **lossless** — queries and results round-trip exactly.  Floats survive
-  JSON bit-identically (Python serialises them via ``repr`` round-trip),
-  and per-vertex ``cpp`` maps travel as sorted ``[vertex, value]`` pairs so
-  int and str vertex ids stay distinguishable (JSON object keys would
-  force both to strings).
+* **lossless** — requests round-trip exactly, and a response document
+  carries everything its result holds.  Floats survive JSON bit-identically
+  (Python serialises them via ``repr`` round-trip), and per-vertex ``cpp``
+  maps travel as sorted ``[vertex, value]`` pairs so int and str vertex ids
+  stay distinguishable (JSON object keys would force both to strings).
 
 Responses are *envelopes*: besides their payload they carry the schema
 version, the serving build's ``api_version``, the session name, the
@@ -37,7 +38,6 @@ from repro.exceptions import (
 )
 from repro.query.params import DTopLQuery, TopLQuery
 from repro.query.results import DTopLResult, SeedCommunity, TopLResult
-from repro.influence.propagation import InfluencedCommunity
 from repro.service.errors import ServiceError
 
 #: The wire schema version this build speaks.  Bump on any breaking change
@@ -99,14 +99,6 @@ def _field(payload: dict, name: str, types, what: str, default=_MISSING):
             f"{what}.{name} has the wrong type: "
             f"expected {'/'.join(t.__name__ for t in expected)}, "
             f"got {type(value).__name__}"
-        )
-    return value
-
-
-def _vertex_ok(value, what: str):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise MalformedRequestError(
-            f"{what}: vertex ids must be ints or strings, got {value!r}"
         )
     return value
 
@@ -191,9 +183,8 @@ def community_to_wire(community: SeedCommunity) -> dict:
     backends may pop *equal* probabilities in different orders (dict vs CSR
     neighbour iteration), and the wire form must not let a client tell the
     backends apart.  The canonical order preserves the non-increasing value
-    sequence exactly (ties are equal values), so the influential score — a
-    float sum over the pairs — survives a decode/encode round trip
-    bit-identically.
+    sequence exactly (ties are equal values), so summing the pairs in wire
+    order reproduces the influential score bit-identically.
     """
     return {
         "center": community.center,
@@ -209,40 +200,6 @@ def community_to_wire(community: SeedCommunity) -> dict:
             )
         ],
     }
-
-
-def community_from_wire(payload) -> SeedCommunity:
-    """Rebuild a :class:`SeedCommunity` from its wire form."""
-    payload = _require_object(payload, "community")
-    _reject_unknown(
-        payload,
-        ["center", "vertices", "k", "radius", "score", "threshold", "cpp"],
-        "community",
-    )
-    vertices = frozenset(
-        _vertex_ok(v, "community.vertices")
-        for v in _field(payload, "vertices", list, "community")
-    )
-    cpp = {}
-    for pair in _field(payload, "cpp", list, "community"):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise MalformedRequestError(
-                f"community.cpp entries must be [vertex, value] pairs, got {pair!r}"
-            )
-        vertex, value = pair
-        cpp[_vertex_ok(vertex, "community.cpp")] = float(value)
-    influenced = InfluencedCommunity(
-        seed_vertices=vertices,
-        cpp=cpp,
-        threshold=float(_field(payload, "threshold", (int, float), "community")),
-    )
-    return SeedCommunity(
-        center=_vertex_ok(_field(payload, "center", (int, str), "community"), "community"),
-        vertices=vertices,
-        influenced=influenced,
-        k=_field(payload, "k", int, "community"),
-        radius=_field(payload, "radius", int, "community"),
-    )
 
 
 def result_to_wire(result: Union[TopLResult, DTopLResult]) -> dict:
@@ -270,7 +227,7 @@ class _WireDocument:
     ``(field_name, json_types_or_None, default_or_MISSING)`` rows consumed
     by the generic strict decoder.  ``json_types_or_None`` of ``None``
     skips the isinstance check (for fields with bespoke validation in
-    ``__post_init__`` / ``_decode_extra``).
+    ``__post_init__``).
     """
 
     def to_json(self) -> dict:
@@ -643,19 +600,6 @@ def response_body(session: str, epoch: int, elapsed_seconds: float, tail: bytes)
     return envelope[:-1].encode("utf-8") + b", " + tail
 
 
-def _decode_envelope(payload, what: str) -> dict:
-    payload = _require_object(payload, what)
-    _check_schema_version(payload, what)
-    return {
-        "session": _field(payload, "session", str, what),
-        "epoch": _field(payload, "epoch", int, what),
-        "elapsed_seconds": float(
-            _field(payload, "elapsed_seconds", (int, float), what)
-        ),
-        "api_version": _field(payload, "api_version", str, what),
-    }
-
-
 @dataclass(frozen=True)
 class _ResponseEnvelope:
     """Fields every successful response carries."""
@@ -682,22 +626,6 @@ class BuildResponse(_ResponseEnvelope):
             payload["saved_index_path"] = self.saved_index_path
         return payload
 
-    @classmethod
-    def from_json(cls, payload) -> "BuildResponse":
-        what = cls.__name__
-        envelope = _decode_envelope(payload, what)
-        _reject_unknown(
-            payload,
-            _ENVELOPE_FIELDS + ("engine", "loaded_index", "saved_index_path"),
-            what,
-        )
-        return cls(
-            engine=_field(payload, "engine", dict, what),
-            loaded_index=_field(payload, "loaded_index", bool, what, default=False),
-            saved_index_path=_field(payload, "saved_index_path", str, what, default=None),
-            **envelope,
-        )
-
 
 @dataclass(frozen=True)
 class ToplResponse(_ResponseEnvelope):
@@ -711,20 +639,6 @@ class ToplResponse(_ResponseEnvelope):
         payload["communities"] = [community_to_wire(c) for c in self.communities]
         payload["statistics"] = self.statistics
         return payload
-
-    @classmethod
-    def from_json(cls, payload) -> "ToplResponse":
-        what = cls.__name__
-        envelope = _decode_envelope(payload, what)
-        _reject_unknown(payload, _ENVELOPE_FIELDS + ("communities", "statistics"), what)
-        return cls(
-            communities=tuple(
-                community_from_wire(c)
-                for c in _field(payload, "communities", list, what)
-            ),
-            statistics=_field(payload, "statistics", dict, what),
-            **envelope,
-        )
 
 
 @dataclass(frozen=True)
@@ -746,36 +660,6 @@ class DToplResponse(_ResponseEnvelope):
         payload["statistics"] = self.statistics
         return payload
 
-    @classmethod
-    def from_json(cls, payload) -> "DToplResponse":
-        what = cls.__name__
-        envelope = _decode_envelope(payload, what)
-        _reject_unknown(
-            payload,
-            _ENVELOPE_FIELDS
-            + (
-                "communities",
-                "diversity_score",
-                "increment_evaluations",
-                "candidates_considered",
-                "statistics",
-            ),
-            what,
-        )
-        return cls(
-            communities=tuple(
-                community_from_wire(c)
-                for c in _field(payload, "communities", list, what)
-            ),
-            diversity_score=float(
-                _field(payload, "diversity_score", (int, float), what)
-            ),
-            increment_evaluations=_field(payload, "increment_evaluations", int, what),
-            candidates_considered=_field(payload, "candidates_considered", int, what),
-            statistics=_field(payload, "statistics", dict, what),
-            **envelope,
-        )
-
 
 @dataclass(frozen=True)
 class UpdateResponse(_ResponseEnvelope):
@@ -789,17 +673,6 @@ class UpdateResponse(_ResponseEnvelope):
         payload["report"] = self.report
         payload["graph"] = self.graph
         return payload
-
-    @classmethod
-    def from_json(cls, payload) -> "UpdateResponse":
-        what = cls.__name__
-        envelope = _decode_envelope(payload, what)
-        _reject_unknown(payload, _ENVELOPE_FIELDS + ("report", "graph"), what)
-        return cls(
-            report=_field(payload, "report", dict, what),
-            graph=_field(payload, "graph", dict, what),
-            **envelope,
-        )
 
 
 @dataclass(frozen=True)
@@ -817,22 +690,6 @@ class BatchResponse(_ResponseEnvelope):
         payload["cache_statistics"] = self.cache_statistics
         return payload
 
-    @classmethod
-    def from_json(cls, payload) -> "BatchResponse":
-        what = cls.__name__
-        envelope = _decode_envelope(payload, what)
-        _reject_unknown(
-            payload,
-            _ENVELOPE_FIELDS + ("results", "statistics", "cache_statistics"),
-            what,
-        )
-        return cls(
-            results=tuple(_field(payload, "results", list, what)),
-            statistics=_field(payload, "statistics", dict, what),
-            cache_statistics=_field(payload, "cache_statistics", dict, what),
-            **envelope,
-        )
-
 
 @dataclass(frozen=True)
 class SessionsResponse:
@@ -847,17 +704,6 @@ class SessionsResponse:
             "api_version": self.api_version,
             "sessions": list(self.sessions),
         }
-
-    @classmethod
-    def from_json(cls, payload) -> "SessionsResponse":
-        what = cls.__name__
-        payload = _require_object(payload, what)
-        _check_schema_version(payload, what)
-        _reject_unknown(payload, ("schema_version", "api_version", "sessions"), what)
-        return cls(
-            sessions=tuple(_field(payload, "sessions", list, what)),
-            api_version=_field(payload, "api_version", str, what),
-        )
 
 
 @dataclass(frozen=True)
@@ -875,20 +721,6 @@ class HealthResponse:
             "status": self.status,
             "sessions": list(self.sessions),
         }
-
-    @classmethod
-    def from_json(cls, payload) -> "HealthResponse":
-        what = cls.__name__
-        payload = _require_object(payload, what)
-        _check_schema_version(payload, what)
-        _reject_unknown(
-            payload, ("schema_version", "api_version", "status", "sessions"), what
-        )
-        return cls(
-            status=_field(payload, "status", str, what),
-            sessions=tuple(_field(payload, "sessions", list, what)),
-            api_version=_field(payload, "api_version", str, what),
-        )
 
 
 @dataclass(frozen=True)
@@ -908,17 +740,3 @@ class ErrorResponse:
         if self.session is not None:
             payload["session"] = self.session
         return payload
-
-    @classmethod
-    def from_json(cls, payload) -> "ErrorResponse":
-        what = cls.__name__
-        payload = _require_object(payload, what)
-        _check_schema_version(payload, what)
-        _reject_unknown(
-            payload, ("schema_version", "api_version", "error", "session"), what
-        )
-        return cls(
-            error=ServiceError.from_json(_field(payload, "error", dict, what)),
-            session=_field(payload, "session", str, what, default=None),
-            api_version=_field(payload, "api_version", str, what),
-        )

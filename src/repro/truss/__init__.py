@@ -4,16 +4,11 @@ from repro.truss.support import (
     edge_key,
     edge_support,
     max_support,
-    satisfies_truss_support,
-    support_of_edge,
-    support_upper_bounds,
-    triangles_per_edge_histogram,
 )
 from repro.truss.ktruss import (
     TrussResult,
     is_ktruss,
     ktruss_component_of,
-    max_truss_parameter,
     maximal_ktruss,
 )
 from repro.truss.decomposition import TrussDecomposition, truss_decomposition
@@ -29,14 +24,9 @@ __all__ = [
     "edge_key",
     "edge_support",
     "max_support",
-    "satisfies_truss_support",
-    "support_of_edge",
-    "support_upper_bounds",
-    "triangles_per_edge_histogram",
     "TrussResult",
     "is_ktruss",
     "ktruss_component_of",
-    "max_truss_parameter",
     "maximal_ktruss",
     "TrussDecomposition",
     "truss_decomposition",

@@ -176,13 +176,3 @@ def is_ktruss(graph: GraphLike, k: int, require_connected: bool = True) -> bool:
         if len(seen) != len(adjacency):
             return False
     return True
-
-
-def max_truss_parameter(graph: GraphLike) -> int:
-    """Return the largest ``k`` for which ``graph`` contains a non-empty k-truss."""
-    k = 2
-    while True:
-        result = maximal_ktruss(graph, k + 1)
-        if result.is_empty:
-            return k
-        k += 1

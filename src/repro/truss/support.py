@@ -12,7 +12,6 @@ community from above.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import Union
 
 from repro.graph.social_network import SocialNetwork, VertexId
@@ -47,53 +46,7 @@ def edge_support(graph: GraphLike) -> dict[frozenset, int]:
     return supports
 
 
-def support_of_edge(graph: GraphLike, u: VertexId, v: VertexId) -> int:
-    """Return the support of a single edge ``{u, v}`` within ``graph``."""
-    if isinstance(graph, SubgraphView):
-        nu = set(graph.neighbors(u))
-        nv = set(graph.neighbors(v))
-    else:
-        nu = graph.neighbor_set(u)
-        nv = graph.neighbor_set(v)
-    return len(nu & nv)
-
-
 def max_support(graph: GraphLike) -> int:
     """Return the maximum edge support of ``graph`` (0 for edgeless graphs)."""
     supports = edge_support(graph)
     return max(supports.values(), default=0)
-
-
-def support_upper_bounds(
-    graph: SocialNetwork, restricted_to: Iterable[VertexId] | None = None
-) -> dict[frozenset, int]:
-    """Return per-edge support upper bounds ``ub_sup(e)``.
-
-    When ``restricted_to`` is given the bound is computed inside the induced
-    view on those vertices (typically ``hop(v_i, r_max)``, per Algorithm 2
-    lines 4-5); otherwise in the full graph.  Either way the value upper
-    bounds the support of the edge inside any *smaller* candidate community.
-    """
-    if restricted_to is None:
-        return edge_support(graph)
-    view = SubgraphView(graph, restricted_to)
-    return edge_support(view)
-
-
-def satisfies_truss_support(graph: GraphLike, k: int) -> bool:
-    """Return ``True`` if every edge of ``graph`` has support >= ``k - 2``.
-
-    Note this checks the *support condition only*; it does not check
-    connectivity, which :func:`repro.truss.ktruss.is_ktruss` handles.
-    """
-    required = max(k - 2, 0)
-    supports = edge_support(graph)
-    return all(value >= required for value in supports.values())
-
-
-def triangles_per_edge_histogram(graph: GraphLike) -> dict[int, int]:
-    """Return a histogram ``support -> number of edges`` (used in reports)."""
-    histogram: dict[int, int] = {}
-    for value in edge_support(graph).values():
-        histogram[value] = histogram.get(value, 0) + 1
-    return histogram

@@ -6,7 +6,6 @@ from repro.workloads.reporting import (
     format_series,
     format_table,
     speedup,
-    summarize_comparison,
 )
 from repro.workloads.sweeps import PAPER_PARAMETER_GRID, ParameterGrid, SweepPoint
 
@@ -16,7 +15,6 @@ __all__ = [
     "format_series",
     "format_table",
     "speedup",
-    "summarize_comparison",
     "PAPER_PARAMETER_GRID",
     "ParameterGrid",
     "SweepPoint",

@@ -135,30 +135,3 @@ def speedup(baseline_seconds: float, method_seconds: float) -> float:
     if method_seconds <= 0:
         return float("inf") if baseline_seconds > 0 else 1.0
     return baseline_seconds / method_seconds
-
-
-def summarize_comparison(rows: Sequence[dict], method_key: str, baseline_key: str) -> dict:
-    """Summarise who wins and by what factor across comparison rows.
-
-    Each row must contain ``method_key`` and ``baseline_key`` (seconds).
-    Returns the number of rows each side wins plus min/median/max speed-up,
-    which is the "shape" EXPERIMENTS.md records per figure.
-    """
-    speedups = []
-    method_wins = 0
-    for row in rows:
-        method_time = float(row[method_key])
-        baseline_time = float(row[baseline_key])
-        speedups.append(speedup(baseline_time, method_time))
-        if method_time <= baseline_time:
-            method_wins += 1
-    speedups.sort()
-    count = len(speedups)
-    return {
-        "rows": count,
-        "method_wins": method_wins,
-        "baseline_wins": count - method_wins,
-        "min_speedup": round(speedups[0], 3) if speedups else 0.0,
-        "median_speedup": round(speedups[count // 2], 3) if speedups else 0.0,
-        "max_speedup": round(speedups[-1], 3) if speedups else 0.0,
-    }

@@ -9,10 +9,14 @@ publishes the HTML as an artifact); locally the test skips when the
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
+
+import repro
 
 
 def test_pdoc_builds_warning_free(tmp_path):
@@ -35,11 +39,6 @@ def test_pdoc_builds_warning_free(tmp_path):
 
 def test_every_public_module_imports():
     """The importability half of the docs gate, runnable without pdoc."""
-    import importlib
-    import pkgutil
-
-    import repro
-
     failures = []
     for module in pkgutil.walk_packages(repro.__path__, "repro."):
         try:
@@ -47,3 +46,22 @@ def test_every_public_module_imports():
         except Exception as exc:  # pragma: no cover - only fires on breakage
             failures.append((module.name, repr(exc)))
     assert not failures, failures
+
+
+PACKAGES = ["repro"] + [
+    module.name
+    for module in pkgutil.walk_packages(repro.__path__, "repro.")
+    if module.ispkg
+]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_export_resolves(package):
+    """Every name in a package's ``__all__`` is an attribute of the package.
+
+    An export left behind when its definition is deleted would otherwise
+    surface only in the pdoc build, which skips where pdoc is not installed.
+    """
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, missing

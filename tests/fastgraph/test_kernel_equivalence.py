@@ -21,11 +21,7 @@ from repro.fastgraph import (
 )
 from repro.fastgraph.delta import DeltaCSR
 from repro.graph.core import AdjacencyCore
-from repro.fastgraph.kernels import (
-    CSRWorkspace,
-    bfs_hop_ball,
-    supports_as_dict,
-)
+from repro.fastgraph.kernels import CSRWorkspace, supports_as_dict
 from repro.fastgraph.offline import RefreshCache
 from repro.graph.generators import erdos_renyi_graph, planted_community_graph
 from repro.graph.keyword_assignment import assign_keywords
@@ -87,11 +83,13 @@ def test_truss_backend_switch_on_decomposition(seed):
 def test_bfs_balls_match_reference(seed):
     _, graph = seeded_graph(seed)
     csr = freeze(graph)
+    workspace = CSRWorkspace(csr)
     for vertex in list(graph.vertices())[:5]:
         for radius in (1, 2, 3):
             reference = bfs_distances(graph, vertex, max_depth=radius)
-            fast = bfs_hop_ball(csr, csr.table.index_of(vertex), radius)
-            assert {csr.table.id_of(v): d for v, d in fast.items()} == reference
+            order = workspace.bfs_ball(csr.table.index_of(vertex), radius)
+            fast = {csr.table.id_of(v): workspace.dist[v] for v in order}
+            assert fast == reference
 
 
 @pytest.mark.parametrize("seed", range(20))

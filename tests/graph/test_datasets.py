@@ -7,7 +7,6 @@ from repro.graph.datasets import (
     PAPER_DATASET_SIZES,
     amazon_like,
     dataset_names,
-    dataset_spec,
     dblp_like,
     gau,
     load_dataset,
@@ -34,12 +33,6 @@ class TestRegistry:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(DatasetError):
             load_dataset("twitter")
-        with pytest.raises(DatasetError):
-            dataset_spec("twitter")
-
-    def test_dataset_spec_flags_real_standins(self):
-        assert dataset_spec("dblp").is_real_standin
-        assert not dataset_spec("uni").is_real_standin
 
     def test_paper_sizes_recorded(self):
         assert PAPER_DATASET_SIZES["DBLP"]["num_vertices"] == 317_080

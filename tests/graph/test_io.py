@@ -1,16 +1,14 @@
-"""Unit tests for graph I/O (edge lists, JSON, networkx conversion)."""
+"""Unit tests for graph I/O (edge lists and JSON documents)."""
 
 import pytest
 
 from repro.exceptions import DatasetError, SerializationError
 from repro.graph.io import (
-    from_networkx,
     graph_from_dict,
     graph_to_dict,
     load_graph_json,
     read_edge_list,
     save_graph_json,
-    to_networkx,
     write_edge_list,
 )
 from repro.graph.social_network import SocialNetwork
@@ -104,52 +102,10 @@ class TestJsonDocuments:
             load_graph_json(tmp_path / "nope.json")
 
 
-class TestNetworkxConversion:
-    def test_to_networkx_preserves_directional_weights(self, triangle_graph):
-        networkx = pytest.importorskip("networkx")
-        digraph = to_networkx(triangle_graph)
-        assert isinstance(digraph, networkx.DiGraph)
-        assert digraph.number_of_nodes() == 4
-        assert digraph["a"]["b"]["weight"] == pytest.approx(
-            triangle_graph.probability("a", "b")
-        )
-        assert set(digraph.nodes["a"]["keywords"]) == set(triangle_graph.keywords("a"))
-
-    def test_from_networkx_undirected(self):
-        networkx = pytest.importorskip("networkx")
-        nx_graph = networkx.Graph()
-        nx_graph.add_node(1, keywords={"movies"})
-        nx_graph.add_node(2)
-        nx_graph.add_edge(1, 2, weight=0.4)
-        graph = from_networkx(nx_graph)
-        assert graph.probability(1, 2) == pytest.approx(0.4)
-        assert graph.probability(2, 1) == pytest.approx(0.4)
-        assert graph.keywords(1) == frozenset({"movies"})
-
-    def test_round_trip_through_networkx(self, triangle_graph):
-        pytest.importorskip("networkx")
-        rebuilt = from_networkx(to_networkx(triangle_graph))
-        assert rebuilt.num_vertices() == triangle_graph.num_vertices()
-        assert rebuilt.num_edges() == triangle_graph.num_edges()
-        assert rebuilt.probability("a", "b") == pytest.approx(
-            triangle_graph.probability("a", "b")
-        )
-        assert rebuilt.probability("b", "a") == pytest.approx(
-            triangle_graph.probability("b", "a")
-        )
-
-    def test_from_networkx_self_loop_skipped(self):
-        networkx = pytest.importorskip("networkx")
-        nx_graph = networkx.Graph()
-        nx_graph.add_edge(1, 1)
-        nx_graph.add_edge(1, 2)
-        graph = from_networkx(nx_graph)
-        assert graph.num_edges() == 1
+class TestNonIntegerIds:
+    """Spaced-string, tuple and int vertex ids through the CSR snapshot."""
 
     def _non_integer_id_graph(self):
-        """Mixed non-integer hashable ids: spaced strings, tuples, and ints."""
-        from repro.graph.social_network import SocialNetwork
-
         graph = SocialNetwork(name="non-integer-ids")
         graph.add_vertex("Jane Doe", {"movies"})
         graph.add_vertex(("paper", 2024), {"books", "travel"})
@@ -159,40 +115,17 @@ class TestNetworkxConversion:
         graph.add_edge("Jane Doe", 42, 0.2, 0.9)
         return graph
 
-    def test_round_trip_with_non_integer_ids(self):
-        """DiGraph round trip preserves spaced-string and tuple vertex ids."""
-        pytest.importorskip("networkx")
+    def test_non_integer_ids_intern_consistently(self):
+        """Every id maps to a dense int and back, and re-freezing an
+        unchanged graph yields identical tables and arrays."""
         graph = self._non_integer_id_graph()
-        rebuilt = from_networkx(to_networkx(graph))
-        assert set(rebuilt.vertices()) == set(graph.vertices())
+        csr = graph.freeze()
         for vertex in graph.vertices():
-            assert rebuilt.keywords(vertex) == graph.keywords(vertex)
-        for u, v in graph.edges():
-            assert rebuilt.probability(u, v) == pytest.approx(graph.probability(u, v))
-            assert rebuilt.probability(v, u) == pytest.approx(graph.probability(v, u))
-
-    def test_non_integer_ids_intern_consistently_through_networkx(self):
-        """VertexTable interning is id-value based, so a networkx round trip
-        (which may reorder vertices) still interns every id and freezing the
-        same graph twice yields identical tables."""
-        pytest.importorskip("networkx")
-        graph = self._non_integer_id_graph()
-        rebuilt = from_networkx(to_networkx(graph))
-        original_csr = graph.freeze()
-        rebuilt_csr = rebuilt.freeze()
-        for vertex in graph.vertices():
-            # Same ids exist in both tables (dense ints may differ when
-            # networkx reorders; the id <-> int bijection must hold).
-            dense = rebuilt_csr.table.index_of(vertex)
-            assert rebuilt_csr.table.id_of(dense) == vertex
-            assert original_csr.table.id_of(
-                original_csr.table.index_of(vertex)
-            ) == vertex
-        # Interning stability: re-freezing an unchanged graph is identical.
-        again = rebuilt.freeze()
-        assert again.table == rebuilt_csr.table
-        assert again.indices == rebuilt_csr.indices
-        assert again.prob_out == rebuilt_csr.prob_out
+            assert csr.table.id_of(csr.table.index_of(vertex)) == vertex
+        again = graph.freeze()
+        assert again.table == csr.table
+        assert again.indices == csr.indices
+        assert again.prob_out == csr.prob_out
 
     def test_freeze_thaw_preserves_non_integer_ids(self):
         graph = self._non_integer_id_graph()

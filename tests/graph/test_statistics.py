@@ -8,7 +8,6 @@ from repro.graph.statistics import (
     average_clustering,
     compute_statistics,
     count_triangles,
-    degree_distribution,
     local_clustering,
 )
 
@@ -47,20 +46,6 @@ class TestClustering:
 
     def test_average_clustering_empty_graph(self):
         assert average_clustering(SocialNetwork()) == 0.0
-
-
-class TestDegreeDistribution:
-    def test_histogram(self, triangle_graph):
-        distribution = degree_distribution(triangle_graph)
-        assert distribution.counts == {2: 2, 3: 1, 1: 1}
-        assert distribution.total == 4
-        assert distribution.fraction_at_least(2) == pytest.approx(0.75)
-        assert distribution.fraction_at_least(5) == 0.0
-
-    def test_empty_distribution(self):
-        distribution = degree_distribution(SocialNetwork())
-        assert distribution.total == 0
-        assert distribution.fraction_at_least(1) == 0.0
 
 
 class TestComputeStatistics:

@@ -7,13 +7,9 @@ from repro.graph.social_network import SocialNetwork
 from repro.graph.subgraph import SubgraphView
 from repro.graph.traversal import (
     bfs_distances,
-    breadth_first_order,
     eccentricity,
     hop_distances_within,
     hop_subgraph,
-    pairwise_hop_distance,
-    satisfies_radius_constraint,
-    vertices_within_radius,
 )
 
 
@@ -116,27 +112,3 @@ class TestWithinViewDistances:
         view = SubgraphView(triangle_graph, {"a", "d"})
         with pytest.raises(GraphError):
             eccentricity(view, "a")
-
-    def test_vertices_within_radius(self, triangle_graph):
-        view = SubgraphView(triangle_graph, {"a", "b", "c", "d"})
-        assert vertices_within_radius(view, "a", 1) == frozenset({"a", "b", "c"})
-
-    def test_satisfies_radius_constraint(self, triangle_graph):
-        view = SubgraphView(triangle_graph, {"a", "b", "c", "d"})
-        assert satisfies_radius_constraint(view, "c", 1)
-        assert not satisfies_radius_constraint(view, "a", 1)
-        assert satisfies_radius_constraint(view, "a", 2)
-
-
-class TestHelpers:
-    def test_breadth_first_order_starts_at_source(self):
-        graph = build_path_graph(4)
-        order = breadth_first_order(graph, 2)
-        assert order[0] == 2
-        assert set(order) == {0, 1, 2, 3}
-
-    def test_pairwise_hop_distance(self):
-        graph = build_path_graph(5)
-        assert pairwise_hop_distance(graph, 0, 4) == 4
-        graph.add_vertex(99)
-        assert pairwise_hop_distance(graph, 0, 99) is None

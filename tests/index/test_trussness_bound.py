@@ -74,12 +74,11 @@ class TestEntryAggregation:
         assert index.root.aggregates.trussness_bound == 4
 
     def test_combine_takes_max(self, two_cliques_bridge):
-        from repro.index.node import LeafVertexEntry
         from repro.index.precompute import precompute as run_precompute
 
         data = run_precompute(two_cliques_bridge, max_radius=1)
-        clique_entry = LeafVertexEntry(vertex=0, aggregates=data.aggregates_of(0)).entry
-        bridge_entry = LeafVertexEntry(vertex=4, aggregates=data.aggregates_of(4)).entry
+        clique_entry = EntryAggregates.from_vertex(data.aggregates_of(0))
+        bridge_entry = EntryAggregates.from_vertex(data.aggregates_of(4))
         combined = EntryAggregates.combine([clique_entry, bridge_entry])
         assert combined.trussness_bound == 4
 

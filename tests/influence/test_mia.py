@@ -1,13 +1,11 @@
-"""Unit tests for the MIA model primitives (paths, MIP, upp)."""
+"""Unit tests for the MIA model primitives (maximum influence paths, upp)."""
 
 import pytest
 
 from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.social_network import SocialNetwork
 from repro.influence.mia import (
-    maximum_influence_path,
     maximum_influence_paths,
-    path_propagation_probability,
     user_to_user_propagation,
 )
 
@@ -29,25 +27,6 @@ def diamond_graph() -> SocialNetwork:
     return graph
 
 
-class TestPathProbability:
-    def test_product_of_edge_probabilities(self, diamond_graph):
-        assert path_propagation_probability(diamond_graph, ["s", "a", "t"]) == pytest.approx(0.81)
-        assert path_propagation_probability(diamond_graph, ["s", "b", "t"]) == pytest.approx(0.25)
-
-    def test_single_vertex_path(self, diamond_graph):
-        assert path_propagation_probability(diamond_graph, ["s"]) == 1.0
-
-    def test_cyclic_path_rejected(self, diamond_graph):
-        with pytest.raises(GraphError):
-            path_propagation_probability(diamond_graph, ["s", "a", "s"])
-
-    def test_asymmetric_direction_respected(self):
-        graph = SocialNetwork()
-        graph.add_edge(1, 2, 0.9, 0.1)
-        assert path_propagation_probability(graph, [1, 2]) == pytest.approx(0.9)
-        assert path_propagation_probability(graph, [2, 1]) == pytest.approx(0.1)
-
-
 class TestUserToUserPropagation:
     def test_picks_the_best_path(self, diamond_graph):
         assert user_to_user_propagation(diamond_graph, "s", "t") == pytest.approx(0.81)
@@ -58,6 +37,12 @@ class TestUserToUserPropagation:
     def test_unreachable_is_zero(self, diamond_graph):
         diamond_graph.add_vertex("island")
         assert user_to_user_propagation(diamond_graph, "s", "island") == 0.0
+
+    def test_asymmetric_direction_respected(self):
+        graph = SocialNetwork()
+        graph.add_edge(1, 2, 0.9, 0.1)
+        assert user_to_user_propagation(graph, 1, 2) == pytest.approx(0.9)
+        assert user_to_user_propagation(graph, 2, 1) == pytest.approx(0.1)
 
     def test_missing_vertices_rejected(self, diamond_graph):
         with pytest.raises(VertexNotFoundError):
@@ -106,22 +91,3 @@ class TestMaximumInfluencePaths:
     def test_source_outside_allowed(self, diamond_graph):
         with pytest.raises(GraphError):
             maximum_influence_paths(diamond_graph, "s", allowed=frozenset({"a", "t"}))
-
-
-class TestMaximumInfluencePath:
-    def test_best_path_vertices(self, diamond_graph):
-        path = maximum_influence_path(diamond_graph, "s", "t")
-        assert path == ["s", "a", "t"]
-
-    def test_identity_path(self, diamond_graph):
-        assert maximum_influence_path(diamond_graph, "s", "s") == ["s"]
-
-    def test_unreachable_returns_none(self, diamond_graph):
-        diamond_graph.add_vertex("island")
-        assert maximum_influence_path(diamond_graph, "s", "island") is None
-
-    def test_path_probability_matches_upp(self, diamond_graph):
-        path = maximum_influence_path(diamond_graph, "s", "t")
-        assert path_propagation_probability(diamond_graph, path) == pytest.approx(
-            user_to_user_propagation(diamond_graph, "s", "t")
-        )

@@ -6,8 +6,6 @@ from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.social_network import SocialNetwork
 from repro.influence.propagation import (
     community_propagation,
-    community_to_user_probability,
-    influence_score_upper_bounds,
     influential_score,
 )
 
@@ -89,36 +87,3 @@ class TestCommunityPropagation:
         assert influenced.cpp_of("target") == pytest.approx(0.9)
         reverse = community_propagation(graph, {"target"}, threshold=0.05)
         assert reverse.cpp_of("seed") == pytest.approx(0.1)
-
-
-class TestCommunityToUserProbability:
-    def test_member_is_one(self, chain_graph):
-        assert community_to_user_probability(chain_graph, {1, 2}, 2) == 1.0
-
-    def test_matches_best_member_upp(self, chain_graph):
-        assert community_to_user_probability(chain_graph, {0, 1}, 3) == pytest.approx(0.25)
-
-    def test_unreachable_is_zero(self, chain_graph):
-        chain_graph.add_vertex(99)
-        assert community_to_user_probability(chain_graph, {0}, 99) == 0.0
-
-
-class TestScoreUpperBounds:
-    def test_pairs_are_sorted_and_monotone(self, chain_graph):
-        pairs = influence_score_upper_bounds(chain_graph, {0}, [0.3, 0.1, 0.2])
-        thetas = [theta for theta, _ in pairs]
-        scores = [score for _, score in pairs]
-        assert thetas == sorted(thetas)
-        assert scores == sorted(scores, reverse=True)
-
-    def test_values_match_direct_computation(self, chain_graph):
-        pairs = dict(influence_score_upper_bounds(chain_graph, {0}, [0.1, 0.3]))
-        assert pairs[0.1] == pytest.approx(influential_score(chain_graph, {0}, 0.1))
-        assert pairs[0.3] == pytest.approx(influential_score(chain_graph, {0}, 0.3))
-
-    def test_empty_threshold_list(self, chain_graph):
-        assert influence_score_upper_bounds(chain_graph, {0}, []) == []
-
-    def test_invalid_threshold_rejected(self, chain_graph):
-        with pytest.raises(GraphError):
-            influence_score_upper_bounds(chain_graph, {0}, [0.5, 1.2])

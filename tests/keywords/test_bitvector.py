@@ -7,7 +7,6 @@ from repro.keywords.bitvector import (
     BitVector,
     aggregate,
     hash_keyword,
-    may_share_keyword,
 )
 
 
@@ -95,16 +94,3 @@ class TestAggregateAndPruningHelper:
 
     def test_aggregate_empty_input(self):
         assert aggregate([]) == BitVector.empty()
-
-    def test_may_share_keyword_true_on_overlap(self):
-        candidate = BitVector.from_keywords({"movies", "books"})
-        query = BitVector.from_keywords({"books"})
-        assert may_share_keyword(candidate, query)
-
-    def test_may_share_keyword_false_is_definitive(self):
-        # When the AND is zero there is provably no shared keyword.
-        candidate = BitVector.from_keywords({"movies"})
-        query = BitVector.from_keywords({"movies"})
-        assert may_share_keyword(candidate, query)
-        empty = BitVector.empty()
-        assert not may_share_keyword(empty, query)

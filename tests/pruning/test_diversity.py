@@ -6,9 +6,7 @@ from repro.influence.propagation import InfluencedCommunity
 from repro.pruning.diversity import (
     apply_to_coverage,
     coverage_map,
-    diversity_prune,
     diversity_score,
-    is_monotone_increase,
     marginal_gain,
 )
 
@@ -44,8 +42,8 @@ class TestDiversityScore:
         d1 = diversity_score([g1])
         d2 = diversity_score([g1, g2])
         d3 = diversity_score([g1, g2, g3])
-        assert is_monotone_increase(d1, d2)
-        assert is_monotone_increase(d2, d3)
+        assert d2 >= d1 - 1e-9
+        assert d3 >= d2 - 1e-9
 
     def test_submodularity(self, three_communities):
         """Gain of adding g3 to a subset >= gain of adding it to a superset."""
@@ -78,9 +76,3 @@ class TestCoverageAndGain:
         apply_to_coverage(g1, coverage)
         apply_to_coverage(g2, coverage)
         assert coverage == coverage_map([g1, g2])
-
-
-class TestDiversityPrune:
-    def test_prune_when_stale_bound_below_fresh_gain(self):
-        assert diversity_prune(stale_gain_bound=0.5, best_fresh_gain=0.7)
-        assert not diversity_prune(stale_gain_bound=0.9, best_fresh_gain=0.7)

@@ -4,11 +4,8 @@ from repro.graph.subgraph import SubgraphView
 from repro.keywords.bitvector import BitVector
 from repro.pruning.rules import (
     center_has_query_keyword,
-    edge_support_prune,
     has_any_query_keyword,
     keyword_prune_by_bitvector,
-    radius_prune,
-    radius_violations,
     score_prune,
     select_score_bound,
     support_prune,
@@ -38,32 +35,6 @@ class TestSupportPruning:
         assert support_prune(support_upper_bound=1, k=4)  # needs 2
         assert not support_prune(support_upper_bound=2, k=4)
         assert not support_prune(support_upper_bound=0, k=2)  # k=2 needs 0
-
-    def test_edge_level(self):
-        assert edge_support_prune([0, 1, 1], k=4)
-        assert not edge_support_prune([0, 2, 1], k=4)
-        # No edges at all: nothing can satisfy the truss condition, so pruning
-        # is (vacuously) safe.
-        assert edge_support_prune([], k=4)
-
-
-class TestRadiusPruning:
-    def test_violations(self, two_cliques_bridge):
-        view = SubgraphView(two_cliques_bridge, set(range(10)))
-        far = radius_violations(view, 0, radius=2)
-        # From vertex 0 inside the full view: clique A and bridge vertex 4 are
-        # within 2 hops; 5 and clique B are farther.
-        assert far == frozenset({5, 6, 7, 8, 9})
-
-    def test_no_violations_inside_clique(self, two_cliques_bridge):
-        view = SubgraphView(two_cliques_bridge, set(range(4)))
-        assert radius_violations(view, 0, radius=1) == frozenset()
-
-    def test_radius_prune_only_when_center_isolated(self, two_cliques_bridge):
-        whole = SubgraphView(two_cliques_bridge, set(range(10)))
-        assert not radius_prune(whole, 0, radius=1)
-        isolated = SubgraphView(two_cliques_bridge, {0, 9})
-        assert radius_prune(isolated, 0, radius=2)
 
 
 class TestScorePruning:

@@ -5,7 +5,6 @@ from repro.query.params import make_topl_query
 from repro.query.seed import (
     extract_seed_community,
     is_valid_seed_community,
-    seed_community_candidates,
 )
 
 
@@ -82,20 +81,6 @@ class TestExtractSeedCommunity:
             if community is not None:
                 assert center in community
                 assert is_valid_seed_community(small_world_graph, community, center, query)
-
-
-class TestSeedCommunityCandidates:
-    def test_candidates_keyed_by_center(self, two_cliques_bridge):
-        query = make_topl_query({"movies", "books"}, k=4, radius=1, theta=0.1, top_l=1)
-        candidates = seed_community_candidates(two_cliques_bridge, query)
-        assert set(candidates) == set(range(4)) | set(range(6, 10))
-        assert candidates[0] == frozenset(range(4))
-        assert candidates[7] == frozenset(range(6, 10))
-
-    def test_restricted_centers(self, two_cliques_bridge):
-        query = make_topl_query({"movies", "books"}, k=4, radius=1, theta=0.1, top_l=1)
-        candidates = seed_community_candidates(two_cliques_bridge, query, centers=[0, 4])
-        assert set(candidates) == {0}
 
 
 class TestIsValidSeedCommunity:

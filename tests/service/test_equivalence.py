@@ -167,15 +167,22 @@ class TestLifecycleEquivalence:
 
 class TestResultWireCompleteness:
     def test_result_wire_round_trips_through_text(self, lifecycle):
-        """decode(encode(result)) == result at the document level."""
-        from repro.service.schema import community_from_wire
-
+        """A community document survives JSON text and carries the whole result."""
         direct, _ = lifecycle
-        result = direct.topl(QUERIES[0])
+        graph = direct.graph
+        every_keyword = set().union(*(graph.keywords(v) for v in graph.vertices()))
+        query = make_topl_query(every_keyword, k=3, radius=2, theta=0.2, top_l=3)
+        result = direct.topl(query)
+        assert result.communities
         for community in result.communities:
-            document = json.loads(json.dumps(community_to_wire(community)))
-            rebuilt = community_from_wire(document)
-            assert community_to_wire(rebuilt) == document
-            assert rebuilt.score == community.score
-            assert rebuilt.vertices == community.vertices
-            assert rebuilt.influenced.cpp == community.influenced.cpp
+            encoded = community_to_wire(community)
+            document = json.loads(json.dumps(encoded))
+            # Int and str vertex ids come back as themselves.
+            assert document == encoded
+            # Summing cpp in wire order gives the score bit for bit.
+            assert sum(value for _, value in document["cpp"]) == document["score"]
+            assert document["score"] == community.score
+            cpp = {vertex: value for vertex, value in document["cpp"]}
+            assert cpp == community.influenced.cpp
+            assert all(cpp[vertex] == 1.0 for vertex in document["vertices"])
+            assert set(document["vertices"]) == community.vertices

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 
 import pytest
 
@@ -145,12 +146,10 @@ class TestServiceErrorValue:
 
     def test_json_round_trip(self):
         error = ServiceError(code="UNKNOWN_SESSION", message="gone", detail={"s": "x"})
-        assert ServiceError.from_json(error.to_json()) == error
-
-    def test_from_json_rejects_unknown_fields(self):
-        with pytest.raises(MalformedRequestError):
-            ServiceError.from_json({"code": "X", "message": "m", "extra": 1})
-
-    def test_from_json_rejects_missing_fields(self):
-        with pytest.raises(MalformedRequestError):
-            ServiceError.from_json({"code": "X"})
+        assert json.loads(json.dumps(error.to_json())) == {
+            "code": "UNKNOWN_SESSION",
+            "message": "gone",
+            "detail": {"s": "x"},
+        }
+        # An empty detail is left out of the document.
+        assert ServiceError(code="X", message="m").to_json() == {"code": "X", "message": "m"}

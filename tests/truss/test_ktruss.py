@@ -8,7 +8,6 @@ from repro.graph.subgraph import SubgraphView
 from repro.truss.ktruss import (
     is_ktruss,
     ktruss_component_of,
-    max_truss_parameter,
     maximal_ktruss,
 )
 from repro.truss.support import edge_key
@@ -107,16 +106,3 @@ class TestIsKTruss:
     def test_invalid_k(self, clique5):
         with pytest.raises(GraphError):
             is_ktruss(clique5, 1)
-
-
-class TestMaxTrussParameter:
-    def test_clique(self, clique5):
-        assert max_truss_parameter(clique5) == 5
-
-    def test_triangle_graph(self, triangle_graph):
-        assert max_truss_parameter(triangle_graph) == 3
-
-    def test_edgeless(self):
-        graph = SocialNetwork()
-        graph.add_vertex(1)
-        assert max_truss_parameter(graph) == 2

@@ -7,10 +7,6 @@ from repro.truss.support import (
     edge_key,
     edge_support,
     max_support,
-    satisfies_truss_support,
-    support_of_edge,
-    support_upper_bounds,
-    triangles_per_edge_histogram,
 )
 
 
@@ -33,10 +29,6 @@ class TestEdgeSupport:
         supports = edge_support(view)
         assert supports[edge_key("a", "b")] == 0
 
-    def test_support_of_single_edge(self, triangle_graph):
-        assert support_of_edge(triangle_graph, "a", "b") == 1
-        assert support_of_edge(triangle_graph, "c", "d") == 0
-
     def test_max_support(self, triangle_graph):
         assert max_support(triangle_graph) == 1
         assert max_support(SocialNetwork()) == 0
@@ -48,25 +40,3 @@ class TestEdgeSupport:
         partial = edge_support(view)
         for key, value in partial.items():
             assert value <= full[key]
-
-
-class TestSupportBounds:
-    def test_upper_bounds_full_graph(self, two_cliques_bridge):
-        bounds = support_upper_bounds(two_cliques_bridge)
-        assert bounds[edge_key(0, 1)] == 2  # inside a 4-clique
-        assert bounds[edge_key(3, 4)] == 0  # bridge edge
-
-    def test_upper_bounds_restricted(self, two_cliques_bridge):
-        bounds = support_upper_bounds(two_cliques_bridge, restricted_to={0, 1, 2})
-        assert bounds[edge_key(0, 1)] == 1
-
-    def test_satisfies_truss_support(self, clique5):
-        assert satisfies_truss_support(clique5, 5)
-        assert not satisfies_truss_support(clique5, 6)
-
-    def test_satisfies_truss_support_k2_always(self, triangle_graph):
-        assert satisfies_truss_support(triangle_graph, 2)
-
-    def test_histogram(self, triangle_graph):
-        histogram = triangles_per_edge_histogram(triangle_graph)
-        assert histogram == {1: 3, 0: 1}

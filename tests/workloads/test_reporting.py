@@ -6,7 +6,6 @@ from repro.workloads.reporting import (
     format_series,
     format_table,
     speedup,
-    summarize_comparison,
 )
 
 
@@ -46,16 +45,3 @@ class TestSpeedupAndSummary:
         assert speedup(10.0, 2.0) == pytest.approx(5.0)
         assert speedup(10.0, 0.0) == float("inf")
         assert speedup(0.0, 0.0) == 1.0
-
-    def test_summarize_comparison(self):
-        rows = [
-            {"ours": 1.0, "baseline": 10.0},
-            {"ours": 2.0, "baseline": 4.0},
-            {"ours": 5.0, "baseline": 1.0},
-        ]
-        summary = summarize_comparison(rows, "ours", "baseline")
-        assert summary["rows"] == 3
-        assert summary["method_wins"] == 2
-        assert summary["baseline_wins"] == 1
-        assert summary["max_speedup"] == pytest.approx(10.0)
-        assert summary["min_speedup"] == pytest.approx(0.2)
