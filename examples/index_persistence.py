@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Offline/online split in practice: persist the index, reload, and compare baselines.
+"""Offline/online split in practice: persist the index, reopen it, and compare baselines.
 
 A production deployment runs the paper's two phases at different times: the
 offline pre-computation happens once (or whenever the social network is
 refreshed), while online queries arrive continuously.  This example shows
 
-1. building the engine and saving its pre-computed index to disk,
-2. reloading the index in a "fresh process" (here: a second engine instance)
+1. building the engine and checkpointing it to a store file (the graph, the
+   pre-computed records and the tree, in one checksummed container),
+2. reopening the store in a "fresh process" (here: a second engine instance)
    without re-running Algorithm 2,
-3. answering the same query with the reloaded index, the ATindex baseline and
+3. answering the same query with the reopened index, the ATindex baseline and
    a brute-force scan, and comparing their answers and work counters.
 
 Run with::
@@ -41,31 +42,31 @@ def main() -> None:
     build_seconds = time.perf_counter() - started
 
     with tempfile.TemporaryDirectory() as scratch:
-        index_path = Path(scratch) / "zipf.index.json"
-        engine.save_index(index_path)
-        size_kb = index_path.stat().st_size / 1024
+        store_path = Path(scratch) / "zipf.repro-store"
+        engine.checkpoint_store(store_path)
+        size_kb = store_path.stat().st_size / 1024
 
         started = time.perf_counter()
-        reloaded = InfluentialCommunityEngine.from_saved_index(graph, index_path)
-        reload_seconds = time.perf_counter() - started
+        reopened = InfluentialCommunityEngine.from_store(store_path)
+        reopen_seconds = time.perf_counter() - started
+        print(
+            f"offline build: {build_seconds:.2f}s — store: {size_kb:.0f} KiB — "
+            f"reopen: {reopen_seconds:.3f}s"
+        )
+        compare_methods(graph, reopened)
 
-    print(
-        f"offline build: {build_seconds:.2f}s — saved index: {size_kb:.0f} KiB — "
-        f"reload: {reload_seconds:.2f}s"
-    )
 
-    # ------------------------------------------------------------------ #
-    # one query, three methods
-    # ------------------------------------------------------------------ #
+def compare_methods(graph, reopened) -> None:
+    """Answer one query with the reopened index, ATindex and brute force."""
     query = make_topl_query({"movies", "books", "food"}, k=3, radius=2, theta=0.2, top_l=5)
 
     timings = []
 
     started = time.perf_counter()
-    ours = reloaded.topl(query)
+    ours = reopened.topl(query)
     timings.append(
         {
-            "method": "TopL-ICDE (reloaded index)",
+            "method": "TopL-ICDE (reopened store)",
             "seconds": round(time.perf_counter() - started, 4),
             "communities": len(ours),
             "best score": round(ours.scores[0], 2) if ours.scores else 0.0,

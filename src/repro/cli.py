@@ -3,8 +3,7 @@
 The CLI wires the library's pieces together for shell usage::
 
     repro generate --dataset uni --vertices 500 --out graph.json
-    repro stats graph.json [--index graph.index.json]
-    repro build-index graph.json --out graph.index.json
+    repro stats graph.json
     repro topl graph.json --keywords movies,books --k 3 --radius 2 --theta 0.2 --top-l 3
     repro dtopl graph.json --keywords movies,books --top-l 3 --candidate-factor 3
     repro sweep graph.json --parameter theta
@@ -16,6 +15,12 @@ The CLI wires the library's pieces together for shell usage::
     repro store pack graph.json --out graph.repro-store
     repro store inspect graph.repro-store            # header + section table
     repro store verify graph.repro-store             # checksums + full decode
+    repro topl graph.repro-store --keywords movies   # reuse a packed index
+
+The graph argument of ``stats``, ``topl``, ``dtopl``, ``sweep``, ``serve``,
+``update`` and ``gateway`` is either a graph JSON (the offline phase runs) or
+a packed store (opened as it was packed, no offline phase): the file's
+:data:`repro.store.MAGIC` header decides.
 
 Every data-plane subcommand routes through the versioned service API —
 :class:`repro.service.CommunityService` and the typed request objects of
@@ -51,6 +56,7 @@ from repro.service.schema import (
     ToplRequest,
     UpdateRequest,
 )
+from repro.store.container import MAGIC
 from repro.workloads.queries import QueryWorkload
 from repro.workloads.reporting import format_table
 from repro.workloads.sweeps import PAPER_PARAMETER_GRID
@@ -83,27 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--edge-list", default=None, help="optionally also write a tab-separated edge list"
     )
 
-    stats = subparsers.add_parser("stats", help="print Table-II style statistics of a graph")
-    stats.add_argument("graph", help="graph JSON produced by `repro generate`")
-    stats.add_argument(
-        "--index",
-        default=None,
-        help="also load this pre-built index and print the engine diagnostics "
-        "(backend, epoch, index schema version)",
+    stats = subparsers.add_parser(
+        "stats",
+        help="print Table-II style statistics of a graph (and, for a store, "
+        "the engine diagnostics)",
     )
-
-    build_index = subparsers.add_parser(
-        "build-index", help="run the offline phase and save the index"
-    )
-    build_index.add_argument("graph")
-    build_index.add_argument("--out", required=True, help="output index JSON path")
-    build_index.add_argument("--max-radius", type=int, default=3)
-    build_index.add_argument(
-        "--thresholds", default="0.1,0.2,0.3", help="comma-separated pre-selected thresholds"
-    )
-    build_index.add_argument("--fanout", type=int, default=8)
-    build_index.add_argument("--leaf-capacity", type=int, default=16)
-    _add_backend_argument(build_index)
+    stats.add_argument("graph", help=_GRAPH_HELP)
 
     topl = subparsers.add_parser("topl", help="answer a TopL-ICDE query")
     _add_query_arguments(topl)
@@ -115,13 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "sweep", help="run a Table-III parameter sweep and print one row per setting"
     )
-    sweep.add_argument("graph")
+    sweep.add_argument("graph", help=_GRAPH_HELP)
     sweep.add_argument(
         "--parameter",
         default="theta",
         choices=["theta", "num_query_keywords", "k", "radius", "top_l"],
     )
-    sweep.add_argument("--index", default=None, help="optional pre-built index JSON")
     sweep.add_argument("--seed", type=int, default=97)
 
     serve = subparsers.add_parser(
@@ -134,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "update",
         help="replay an edge edit script, maintaining trussness and the index incrementally",
     )
-    update.add_argument("graph")
-    update.add_argument("--index", default=None, help="optional pre-built index JSON")
+    update.add_argument("graph", help=_GRAPH_HELP)
     update.add_argument(
         "--script", default=None, help="edit-script JSON (format: docs/dynamic.md)"
     )
@@ -170,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="affected-vertex fraction above which a full rebuild is cheaper",
     )
     update.add_argument("--out-graph", default=None, help="write the mutated graph JSON here")
-    update.add_argument("--out-index", default=None, help="write the refreshed index JSON here")
+    update.add_argument(
+        "--out-store", default=None, help="checkpoint the updated session to this store file"
+    )
     update.add_argument("--out-script", default=None,
                         help="write the (possibly generated) edit script here")
     _add_backend_argument(update)
@@ -183,10 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         "graph",
         nargs="?",
         default=None,
-        help="optionally pre-load this graph JSON as the 'default' session "
-        "(omit to start empty; clients create sessions via POST /v1/build)",
+        help="optionally pre-load this graph JSON or store as the 'default' "
+        "session (omit to start empty; clients create sessions via POST /v1/build)",
     )
-    gateway.add_argument("--index", default=None, help="optional pre-built index JSON")
     _add_backend_argument(gateway)
     gateway.add_argument("--host", default="127.0.0.1")
     gateway.add_argument("--port", type=int, default=DEFAULT_PORT)
@@ -215,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_pack.add_argument("graph", help="graph JSON produced by `repro generate`")
     store_pack.add_argument("--out", required=True, help="output store path")
-    store_pack.add_argument(
-        "--index",
-        default=None,
-        help="pack this pre-built index JSON instead of re-running the offline phase",
-    )
     store_pack.add_argument("--max-radius", type=int, default=3)
     store_pack.add_argument(
         "--thresholds", default="0.1,0.2,0.3", help="comma-separated pre-selected thresholds"
@@ -242,20 +227,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_GRAPH_HELP = "graph JSON produced by `repro generate`, or a store from `repro store pack`"
+
+
+def _graph_source(path: str) -> dict:
+    """The :class:`BuildRequest` source of a graph argument.
+
+    A file that starts with the store magic opens as a store; anything else
+    (a missing file included, which the build then reports) is graph JSON.
+    """
+    try:
+        with open(path, "rb") as handle:
+            is_store = handle.read(len(MAGIC)) == MAGIC
+    except OSError:
+        is_store = False
+    return {"store_path": path} if is_store else {"graph_path": path}
+
+
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        default="reference",
+        default=None,
         choices=["reference", "fast"],
-        help="graph core: dict-based reference or array-backed fast "
-        "(identical answers; see docs/backends.md)",
+        help="graph core: dict-based reference (the default) or array-backed "
+        "fast (identical answers; see docs/backends.md); a store keeps the "
+        "backend it was packed with unless this is given",
     )
 
 
+def _backend_config(args: argparse.Namespace) -> dict:
+    """The ``BuildRequest.config`` entry of ``--backend``: none when unset
+    (``sweep`` has no such flag)."""
+    backend = getattr(args, "backend", None)
+    return {} if backend is None else {"backend": backend}
+
+
 def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("graph")
+    parser.add_argument("graph", help=_GRAPH_HELP)
     _add_backend_argument(parser)
-    parser.add_argument("--index", default=None, help="optional pre-built index JSON")
     parser.add_argument(
         "--keywords",
         default=None,
@@ -325,51 +334,20 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_stats(args: argparse.Namespace) -> int:
-    graph = load_graph_json(args.graph)
-    row = compute_statistics(graph).as_row()
-    print(format_table([row], title="graph statistics"))
-    if args.index:
-        # One diagnostics document, shared with the gateway's /v1/health:
-        # both are InfluentialCommunityEngine.describe() verbatim.  The
-        # graph travels inline — it is already loaded for the stats table.
-        from repro.graph.io import graph_to_dict
-
-        service = CommunityService()
-        service.build(
-            BuildRequest(
-                session=CLI_SESSION,
-                graph=graph_to_dict(graph),
-                index_path=args.index,
-            )
-        )
-        describe = service.engine(CLI_SESSION).describe()
-        print("engine diagnostics:")
-        print(json.dumps(describe, indent=2, default=str))
-    return 0
-
-
-def _command_build_index(args: argparse.Namespace) -> int:
-    thresholds = [float(token) for token in args.thresholds.split(",") if token]
+    source = _graph_source(args.graph)
+    if "graph_path" in source:
+        graph = load_graph_json(args.graph)
+        print(format_table([compute_statistics(graph).as_row()], title="graph statistics"))
+        return 0
+    # A store carries a built engine: print its diagnostics too, the same
+    # describe() document the gateway's /v1/health serves.
     service = CommunityService()
-    response = service.build(
-        BuildRequest(
-            session=CLI_SESSION,
-            graph_path=args.graph,
-            save_index_path=args.out,
-            config={
-                "max_radius": args.max_radius,
-                "thresholds": thresholds,
-                "fanout": args.fanout,
-                "leaf_capacity": args.leaf_capacity,
-                "backend": getattr(args, "backend", "reference"),
-            },
-        )
-    )
-    print(
-        f"offline phase finished in {response.elapsed_seconds:.2f}s; "
-        f"index: {response.engine['index']}"
-    )
-    print(f"index saved to {args.out}")
+    service.build(BuildRequest(session=CLI_SESSION, **source))
+    engine = service.engine(CLI_SESSION)
+    row = compute_statistics(engine.graph).as_row()
+    print(format_table([row], title="graph statistics"))
+    print("engine diagnostics:")
+    print(json.dumps(engine.describe(), indent=2, default=str))
     return 0
 
 
@@ -379,21 +357,15 @@ def _build_session(
     """Build the CLI's service session from the subcommand arguments.
 
     Routes through a :class:`BuildRequest`, exactly like a remote client:
-    a saved index wins over re-running the offline phase, and the backend
-    flag (plus a fresh build's ``max_radius``) travel as config overrides.
+    a store opens as packed, and the backend flag (plus a fresh build's
+    ``max_radius``) travel as config overrides.
     """
+    source = _graph_source(args.graph)
     service = CommunityService(serving_config=serving_config)
-    config: dict = {"backend": getattr(args, "backend", "reference")}
-    if not args.index and hasattr(args, "radius"):
+    config = _backend_config(args)
+    if "graph_path" in source and hasattr(args, "radius"):
         config["max_radius"] = max(args.radius, 1)
-    service.build(
-        BuildRequest(
-            session=CLI_SESSION,
-            graph_path=args.graph,
-            index_path=args.index or None,
-            config=config,
-        )
-    )
+    service.build(BuildRequest(session=CLI_SESSION, config=config, **source))
     return service
 
 
@@ -598,11 +570,20 @@ def _command_update(args: argparse.Namespace) -> int:
     from repro.exceptions import DynamicUpdateError
     from repro.graph.core import AdjacencyCore
 
-    # Argument validation and script loading come before the engine build:
-    # the offline phase is the expensive step, and misuse should fail fast.
+    # Argument validation and script loading come before the offline phase:
+    # it is the expensive step, and misuse should fail fast.
     if (args.script is None) == (args.random is None):
         raise DynamicUpdateError("exactly one of --script or --random is required")
-    graph = load_graph_json(args.graph)
+    source = _graph_source(args.graph)
+    config = _backend_config(args)
+    service = CommunityService()
+    if "store_path" in source:
+        # A store opens without an offline phase, so its session comes first
+        # and the script is drawn from (and checked against) the packed graph.
+        service.build(BuildRequest(session=CLI_SESSION, config=config, **source))
+        graph = service.engine(CLI_SESSION).graph
+    else:
+        graph = load_graph_json(args.graph)
     if args.script is not None:
         batch = UpdateBatch.load(args.script)
     else:
@@ -626,19 +607,14 @@ def _command_update(args: argparse.Namespace) -> int:
         batch.save(args.out_script)
         print(f"edit script ({len(batch)} edits) written to {args.out_script}")
 
-    from repro.graph.io import graph_to_dict
+    if "graph_path" in source:
+        from repro.graph.io import graph_to_dict
 
-    # The graph is already loaded above (script validation); ship it inline
-    # instead of making the facade parse the same file a second time.
-    service = CommunityService()
-    service.build(
-        BuildRequest(
-            session=CLI_SESSION,
-            graph=graph_to_dict(graph),
-            index_path=args.index or None,
-            config={"backend": getattr(args, "backend", "reference")},
+        # The graph is already loaded above (script validation); ship it
+        # inline instead of making the facade parse the same file again.
+        service.build(
+            BuildRequest(session=CLI_SESSION, graph=graph_to_dict(graph), config=config)
         )
-    )
 
     # max(..., 1) keeps range()'s step legal when the script is empty.
     chunk = max(len(batch), 1) if args.batch_size is None else max(args.batch_size, 1)
@@ -678,9 +654,9 @@ def _command_update(args: argparse.Namespace) -> int:
     if args.out_graph:
         save_graph_json(engine.graph, args.out_graph)
         print(f"mutated graph written to {args.out_graph}")
-    if args.out_index:
-        engine.save_index(args.out_index)
-        print(f"refreshed index written to {args.out_index}")
+    if args.out_store:
+        engine.checkpoint_store(args.out_store)
+        print(f"updated store written to {args.out_store}")
     return 0
 
 
@@ -692,9 +668,8 @@ def _command_gateway(args: argparse.Namespace) -> int:
         response = service.build(
             BuildRequest(
                 session=args.session,
-                graph_path=args.graph,
-                index_path=args.index or None,
-                config={"backend": getattr(args, "backend", "reference")},
+                config=_backend_config(args),
+                **_graph_source(args.graph),
             )
         )
         graph_info = response.engine["graph"]
@@ -718,36 +693,29 @@ def _command_gateway(args: argparse.Namespace) -> int:
 
 
 def _command_store(args: argparse.Namespace) -> int:
-    from repro.store import inspect_store, pack_store, verify_store
+    from repro.store import inspect_store, verify_store
 
     if args.action == "pack":
-        config: dict = {"backend": getattr(args, "backend", "reference")}
-        if not args.index:
-            thresholds = [float(token) for token in args.thresholds.split(",") if token]
-            config.update(
-                {
+        thresholds = [float(token) for token in args.thresholds.split(",") if token]
+        response = CommunityService().build(
+            BuildRequest(
+                session=CLI_SESSION,
+                graph_path=args.graph,
+                save_store_path=args.out,
+                config={
+                    **_backend_config(args),
                     "max_radius": args.max_radius,
                     "thresholds": thresholds,
                     "fanout": args.fanout,
                     "leaf_capacity": args.leaf_capacity,
-                }
-            )
-        service = CommunityService()
-        started = time.perf_counter()
-        service.build(
-            BuildRequest(
-                session=CLI_SESSION,
-                graph_path=args.graph,
-                index_path=args.index or None,
-                config=config,
+                },
             )
         )
-        engine = service.engine(CLI_SESSION)
-        info = pack_store(engine, args.out)
+        graph, store = response.engine["graph"], response.engine["store"]
         print(
-            f"packed {engine.graph.name}: |V| = {engine.graph.num_vertices()}, "
-            f"|E| = {engine.graph.num_edges()} into {info['sections']} sections "
-            f"({info['file_size']} bytes) in {time.perf_counter() - started:.2f}s"
+            f"packed {graph['name']}: |V| = {graph['num_vertices']}, "
+            f"|E| = {graph['num_edges']} into a format-{store['format_version']} store "
+            f"({store['file_size']} bytes) in {response.elapsed_seconds:.2f}s"
         )
         print(f"store written to {args.out}")
         return 0
@@ -770,7 +738,6 @@ def _command_store(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "generate": _command_generate,
     "stats": _command_stats,
-    "build-index": _command_build_index,
     "topl": _command_topl,
     "dtopl": _command_dtopl,
     "sweep": _command_sweep,

@@ -38,7 +38,6 @@ from repro.graph.social_network import LazySocialNetwork, SocialNetwork
 from repro.graph.validation import validate_graph
 from repro.index.patch import patch_tree_index
 from repro.index.precompute import precompute
-from repro.index.serialization import load_index, save_index
 from repro.index.tree import TreeIndex, build_tree_index
 from repro.pruning.stats import PruningConfig
 from repro.query.dtopl import DTopLProcessor
@@ -173,24 +172,6 @@ class InfluentialCommunityEngine:
         return engine
 
     @classmethod
-    def from_saved_index(
-        cls,
-        graph: SocialNetwork,
-        path: Union[str, Path],
-        config: Optional[EngineConfig] = None,
-    ) -> "InfluentialCommunityEngine":
-        """Load a previously saved index for ``graph`` instead of re-building it."""
-        index = load_index(graph, path)
-        config = config or EngineConfig(
-            max_radius=index.max_radius,
-            thresholds=index.thresholds,
-            num_bits=index.precomputed.num_bits,
-            fanout=index.fanout,
-            leaf_capacity=index.leaf_capacity,
-        )
-        return cls(graph=graph, index=index, config=config)
-
-    @classmethod
     def from_store(
         cls,
         path: Union[str, Path],
@@ -244,10 +225,6 @@ class InfluentialCommunityEngine:
         }
         engine._store_epoch = engine.epoch
         return engine
-
-    def save_index(self, path: Union[str, Path]) -> None:
-        """Persist the offline pre-computation so future runs can skip it."""
-        save_index(self.index, path)
 
     def checkpoint_store(self, path: Union[str, Path]) -> dict:
         """Write the engine's *current* state as a fresh store generation.
@@ -700,17 +677,15 @@ class InfluentialCommunityEngine:
 
         Besides the graph/index/config shapes this carries the diagnostics a
         serving operator needs: the active ``backend``, the dynamic-update
-        ``epoch`` (cache generation), and the ``index_schema_version`` the
-        process persists indexes with.  ``repro stats --index`` and the
-        gateway's ``/v1/health`` both surface this document verbatim.
+        ``epoch`` (cache generation), and the ``store`` block (whether the
+        session is store-backed, and the store's format version and path).
+        ``repro stats`` on a store and the gateway's ``/v1/health`` both
+        surface this document verbatim.
         """
-        from repro.index.serialization import INDEX_FORMAT_VERSION
-
         return {
             "backend": self.config.backend,
             "kernels": self._kernel_diagnostics(),
             "epoch": self.epoch,
-            "index_schema_version": INDEX_FORMAT_VERSION,
             "graph": self.graph_summary(),
             "index": self.index.describe(),
             "dynamic": self._dynamic_diagnostics(),

@@ -37,6 +37,8 @@ from repro.graph.validation import (
 )
 
 __all__ = [
+    "AdjacencyCore",
+    "GraphCore",
     "SocialNetwork",
     "SubgraphView",
     "bfs_distances",

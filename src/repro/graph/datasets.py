@@ -29,7 +29,6 @@ pipeline so all five datasets exercise identical code paths.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.exceptions import DatasetError
@@ -217,45 +216,26 @@ def zipf(num_vertices: int = DEFAULT_SYNTHETIC_VERTICES, **kwargs) -> SocialNetw
     return synthetic_small_world("zipf", num_vertices=num_vertices, **kwargs)
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """A named dataset and the callable that produces it."""
-
-    name: str
-    loader: Callable[..., SocialNetwork]
-    description: str
-    is_real_standin: bool
-
-
-_REGISTRY: dict[str, DatasetSpec] = {
-    "dblp": DatasetSpec(
-        "dblp",
-        dblp_like,
-        "DBLP co-authorship stand-in (clustered paper cliques)",
-        True,
-    ),
-    "amazon": DatasetSpec(
-        "amazon",
-        amazon_like,
-        "Amazon co-purchase stand-in (preferential attachment + triangle closure)",
-        True,
-    ),
-    "uni": DatasetSpec("uni", uni, "NWS small world, uniform keywords", False),
-    "gau": DatasetSpec("gau", gau, "NWS small world, Gaussian keywords", False),
-    "zipf": DatasetSpec("zipf", zipf, "NWS small world, Zipf keywords", False),
+#: Dataset name -> loader, in the paper's order.
+_LOADERS: dict[str, Callable[..., SocialNetwork]] = {
+    "dblp": dblp_like,
+    "amazon": amazon_like,
+    "uni": uni,
+    "gau": gau,
+    "zipf": zipf,
 }
 
 
 def dataset_names() -> tuple[str, ...]:
     """Return the registered dataset names (paper order)."""
-    return ("dblp", "amazon", "uni", "gau", "zipf")
+    return tuple(_LOADERS)
 
 
 def load_dataset(name: str, **kwargs) -> SocialNetwork:
     """Load a dataset by name (case-insensitive) with loader-specific kwargs."""
-    spec = _REGISTRY.get(name.lower())
-    if spec is None:
+    loader = _LOADERS.get(name.lower())
+    if loader is None:
         raise DatasetError(
             f"unknown dataset {name!r}; available: {', '.join(dataset_names())}"
         )
-    return spec.loader(**kwargs)
+    return loader(**kwargs)

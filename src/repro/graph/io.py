@@ -36,7 +36,7 @@ def atomic_open(path: PathLike, mode: str = "w", encoding: str | None = "utf-8")
     after the writer block completes; a crash or exception mid-write can
     therefore never leave a truncated artifact behind — the old file, if any,
     survives untouched.  Used by every on-disk writer in the library (graph
-    JSON, index JSON, the binary store).
+    JSON, edge lists, the binary store).
 
     Pass ``mode="wb"`` (with ``encoding=None``) for binary payloads.
     """

@@ -10,12 +10,6 @@ from repro.index.precompute import (
 )
 from repro.index.node import EntryAggregates, IndexNode, make_internal
 from repro.index.tree import DEFAULT_FANOUT, DEFAULT_LEAF_CAPACITY, TreeIndex, build_tree_index
-from repro.index.serialization import (
-    load_index,
-    precomputed_from_dict,
-    precomputed_to_dict,
-    save_index,
-)
 
 __all__ = [
     "DEFAULT_MAX_RADIUS",
@@ -31,8 +25,4 @@ __all__ = [
     "DEFAULT_LEAF_CAPACITY",
     "TreeIndex",
     "build_tree_index",
-    "load_index",
-    "precomputed_from_dict",
-    "precomputed_to_dict",
-    "save_index",
 ]

@@ -218,7 +218,7 @@ class CommunityService:
     # endpoints
     # ------------------------------------------------------------------ #
     def build(self, request: BuildRequest) -> BuildResponse:
-        """``POST /v1/build``: offline phase (or index load) into a session."""
+        """``POST /v1/build``: offline phase (or store open) into a session."""
         started = time.perf_counter()
         # Fail fast: the offline phase is the expensive step, so a doomed
         # session name must be rejected before it runs (a concurrent build
@@ -259,20 +259,6 @@ class CommunityService:
                 raise MalformedRequestError(
                     f"BuildRequest.config is invalid: {exc}"
                 ) from exc
-        elif request.index_path is not None:
-            # Loading a saved index: the index's own shape parameters win,
-            # and the request's config entries act as overrides (the common
-            # case being backend selection for the online phase).
-            engine = InfluentialCommunityEngine.from_saved_index(
-                graph, request.index_path
-            )
-            if config_kwargs:
-                try:
-                    engine.config = dataclasses.replace(engine.config, **config_kwargs)
-                except TypeError as exc:
-                    raise MalformedRequestError(
-                        f"BuildRequest.config is invalid: {exc}"
-                    ) from exc
         else:
             try:
                 config = EngineConfig(**config_kwargs)
@@ -284,16 +270,14 @@ class CommunityService:
             engine = InfluentialCommunityEngine.build(
                 graph, config=config, validate=request.validate
             )
-        if request.save_index_path is not None:
-            engine.save_index(request.save_index_path)
+        if request.save_store_path is not None:
+            engine.checkpoint_store(request.save_store_path)
         self.adopt(engine, session=request.session, replace=request.replace)
         return BuildResponse(
             session=request.session,
             epoch=engine.epoch,
             elapsed_seconds=time.perf_counter() - started,
             engine=engine.describe(),
-            loaded_index=request.index_path is not None,
-            saved_index_path=request.save_index_path,
         )
 
     def topl(self, request: ToplRequest) -> ToplResponse:
@@ -452,7 +436,7 @@ class CommunityService:
         """``GET /v1/health``: liveness + per-session engine diagnostics.
 
         Re-uses :meth:`InfluentialCommunityEngine.describe` per session, so
-        backend, epoch and index schema version surface here without a
+        backend, epoch and store provenance surface here without a
         second diagnostic path to keep in sync.
         """
         with self._registry_lock:

@@ -40,8 +40,11 @@ from repro.query.params import DTopLQuery, TopLQuery
 from repro.query.results import DTopLResult, SeedCommunity, TopLResult
 from repro.service.errors import ServiceError
 
-#: The wire schema version this build speaks.  Bump on any breaking change
-#: to a request or response document; additive optional fields do not bump.
+#: The wire schema version this build speaks.  Bump on any change a strict
+#: decoder would not catch: a field whose meaning changes.  Additive optional
+#: fields do not bump, nor does a removed request field, since a request that
+#: still names it is rejected with the field's name (unknown fields are
+#: refused).
 SCHEMA_VERSION = 1
 
 _MISSING = object()
@@ -266,15 +269,14 @@ def _session_field(payload: dict, what: str) -> str:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class BuildRequest(_WireDocument):
-    """Run the offline phase (or load a saved index) into a named session.
+    """Run the offline phase (or open a packed store) into a named session.
 
     Exactly one of ``graph`` (an inline graph document, the
     :func:`repro.graph.io.graph_to_dict` format), ``graph_path`` (a graph
     JSON on the server's filesystem) or ``store_path`` (a packed
     ``repro.store`` container, opened mmap-backed with no offline phase) is
-    required.  ``index_path`` loads a previously saved index instead of
-    re-running the offline phase (not combinable with ``store_path``, which
-    carries its own records); ``save_index_path`` persists the built index.
+    required.  ``save_store_path`` checkpoints the new session to a store
+    file, which the session's ``engine.store`` block then reports.
     ``config`` carries :class:`~repro.core.config.EngineConfig` keyword
     arguments (overrides of the packed configuration when opening a store).
     """
@@ -283,8 +285,7 @@ class BuildRequest(_WireDocument):
     graph: Optional[dict] = None
     graph_path: Optional[str] = None
     store_path: Optional[str] = None
-    index_path: Optional[str] = None
-    save_index_path: Optional[str] = None
+    save_store_path: Optional[str] = None
     config: Optional[dict] = None
     validate: bool = True
     replace: bool = False
@@ -294,8 +295,7 @@ class BuildRequest(_WireDocument):
         ("graph", dict, None),
         ("graph_path", str, None),
         ("store_path", str, None),
-        ("index_path", str, None),
-        ("save_index_path", str, None),
+        ("save_store_path", str, None),
         ("config", dict, None),
         ("validate", bool, True),
         ("replace", bool, False),
@@ -311,11 +311,6 @@ class BuildRequest(_WireDocument):
             raise MalformedRequestError(
                 "BuildRequest requires exactly one of 'graph', 'graph_path' or "
                 "'store_path'"
-            )
-        if self.store_path is not None and self.index_path is not None:
-            raise MalformedRequestError(
-                "BuildRequest.index_path cannot be combined with store_path "
-                "(a store carries its own index records)"
             )
 
 
@@ -615,15 +610,10 @@ class BuildResponse(_ResponseEnvelope):
     """What a build produced: the engine summary of the new session."""
 
     engine: dict = field(default_factory=dict)
-    loaded_index: bool = False
-    saved_index_path: Optional[str] = None
 
     def to_json(self) -> dict:
         payload = _envelope(self.session, self.epoch, self.elapsed_seconds)
         payload["engine"] = self.engine
-        payload["loaded_index"] = self.loaded_index
-        if self.saved_index_path is not None:
-            payload["saved_index_path"] = self.saved_index_path
         return payload
 
 

@@ -1,10 +1,10 @@
 """``repro.store`` — persistent binary index + mmap shared arena.
 
-The JSON serialisation layers (:mod:`repro.graph.io`,
-:mod:`repro.index.serialization`) make graphs and indexes *portable*, but a
-cold start through them still pays to parse the whole document and re-intern
-every object.  This package stores the frozen offline phase in a versioned,
-checksummed binary container instead:
+The graph JSON (:mod:`repro.graph.io`) makes a graph *portable*, but a cold
+start from it still pays to parse the whole document, re-intern every object
+and re-run the offline phase.  This package is the one persisted form of a
+built index: it stores the frozen offline phase in a versioned, checksummed
+binary container:
 
 * the :class:`~repro.fastgraph.csr.CSRGraph` buffers (indptr / indices /
   per-direction probabilities / edge ids),

@@ -21,8 +21,8 @@ Section map (version 2)
     int64[E]: global edge support per edge id (mirrors
     ``PrecomputedData.global_edge_support``).
 ``vertex_ids`` / ``keywords``
-    JSON: the VertexTable interning order (typed tokens, the
-    :mod:`repro.index.serialization` idiom), and the keyword sets as a
+    JSON: the VertexTable interning order as typed ``[kind, value]``
+    tokens (so int and str ids round-trip), and the keyword sets as a
     sorted ``vocabulary`` of typed tokens plus, per vertex, the ``sets`` of
     positions into it.
 ``kw_bits`` / ``trussness``
@@ -63,7 +63,6 @@ from repro.fastgraph.csr import _FLOAT, _INT, CSRGraph
 from repro.fastgraph.vertex_table import VertexTable
 from repro.graph.social_network import LazySocialNetwork
 from repro.index.precompute import PrecomputedData, RadiusAggregates, VertexAggregates
-from repro.index.serialization import _vertex_from_token, _vertex_to_token
 from repro.index.tree import assemble_tree_index, tree_layout
 from repro.keywords.bitvector import BitVector
 from repro.store.container import RawStore, write_container
@@ -78,6 +77,29 @@ def _bv_bytes(num_bits: int) -> int:
 def _pack_bitvectors(bits_list, num_bits: int) -> bytes:
     width = _bv_bytes(num_bits)
     return b"".join(bits.to_bytes(width, "little") for bits in bits_list)
+
+
+def _vertex_to_token(vertex) -> list:
+    """Encode a vertex id with its type so ints and strings round-trip."""
+    if isinstance(vertex, bool):
+        raise SerializationError("boolean vertex ids are not supported")
+    if isinstance(vertex, int):
+        return ["int", vertex]
+    if isinstance(vertex, str):
+        return ["str", vertex]
+    raise SerializationError(
+        f"only int and str vertex ids can be serialised, got {type(vertex).__name__}"
+    )
+
+
+def _vertex_from_token(token) -> object:
+    # Raises ValueError on a bad token, which open reports as StoreFormatError.
+    kind, value = token
+    if kind == "int":
+        return int(value)
+    if kind == "str":
+        return str(value)
+    raise ValueError(f"unknown vertex token kind {kind!r}")
 
 
 def _keyword_token(keyword) -> list:

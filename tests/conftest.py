@@ -55,6 +55,35 @@ def build_two_cliques_bridge() -> SocialNetwork:
     return graph
 
 
+def assert_same_records(actual, expected) -> None:
+    """Assert two :class:`~repro.index.precompute.PrecomputedData` are equal,
+    record by record, in the same insertion order.
+
+    Vertex ids and edge endpoints are compared with their types (``1`` and
+    ``"1"`` differ), so a reconstruction that reorders or retypes a vertex,
+    or changes any bit vector, bound, trussness or edge support, fails.
+    """
+    assert (actual.max_radius, tuple(actual.thresholds), actual.num_bits) == (
+        expected.max_radius,
+        tuple(expected.thresholds),
+        expected.num_bits,
+    )
+    assert [(type(v), v) for v in actual.vertex_aggregates] == [
+        (type(v), v) for v in expected.vertex_aggregates
+    ]
+    assert list(actual.vertex_aggregates.values()) == list(
+        expected.vertex_aggregates.values()
+    )
+
+    def typed_edges(data):
+        return [
+            (frozenset((type(u), u) for u in edge), support)
+            for edge, support in data.global_edge_support.items()
+        ]
+
+    assert typed_edges(actual) == typed_edges(expected)
+
+
 @pytest.fixture
 def triangle_graph() -> SocialNetwork:
     return build_triangle_graph()

@@ -75,13 +75,13 @@ class TestPersistence:
         engine = InfluentialCommunityEngine.build(
             two_cliques_bridge, config=EngineConfig(max_radius=2)
         )
-        path = tmp_path / "index.json"
-        engine.save_index(path)
-        reloaded = InfluentialCommunityEngine.from_saved_index(two_cliques_bridge, path)
+        path = tmp_path / "engine.repro-store"
+        engine.checkpoint_store(path)
+        reloaded = InfluentialCommunityEngine.from_store(path)
         query = make_topl_query({"movies", "books"}, k=4, radius=1, theta=0.1, top_l=2)
         original = engine.topl(query)
-        recovered = reloaded.topl(query)
-        assert list(original.scores) == pytest.approx(list(recovered.scores))
+        assert original.communities
+        assert reloaded.topl(query).communities == original.communities
         assert reloaded.config.max_radius == engine.config.max_radius
 
     def test_reloaded_config_derived_from_index(self, tmp_path, two_cliques_bridge):
@@ -89,9 +89,9 @@ class TestPersistence:
             two_cliques_bridge,
             config=EngineConfig(max_radius=1, thresholds=(0.15,), fanout=3, leaf_capacity=2),
         )
-        path = tmp_path / "index.json"
-        engine.save_index(path)
-        reloaded = InfluentialCommunityEngine.from_saved_index(two_cliques_bridge, path)
+        path = tmp_path / "engine.repro-store"
+        engine.checkpoint_store(path)
+        reloaded = InfluentialCommunityEngine.from_store(path)
         assert reloaded.config.thresholds == (0.15,)
         assert reloaded.config.fanout == 3
         assert reloaded.config.leaf_capacity == 2

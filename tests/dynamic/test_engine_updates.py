@@ -141,15 +141,13 @@ class TestApplyUpdates:
             EngineConfig(damage_threshold=1.5)
         assert "damage_threshold" in EngineConfig().describe()
 
-    def test_from_saved_index_supports_updates(self, two_cliques_bridge, tmp_path):
+    def test_from_store_supports_updates(self, two_cliques_bridge, tmp_path):
         engine = InfluentialCommunityEngine.build(
             two_cliques_bridge, config=_CONFIG, validate=False
         )
-        path = tmp_path / "index.json"
-        engine.save_index(path)
-        loaded = InfluentialCommunityEngine.from_saved_index(
-            two_cliques_bridge.copy(), path
-        )
+        path = tmp_path / "engine.repro-store"
+        engine.checkpoint_store(path)
+        loaded = InfluentialCommunityEngine.from_store(path)
         report = loaded.apply_updates([EdgeUpdate.delete(4, 5)], damage_threshold=1.0)
         assert report.mode == "incremental"
         assert not loaded.graph.has_edge(4, 5)

@@ -1,11 +1,10 @@
-"""A saved or checkpointed index reopens with the tree it had.
+"""A checkpointed index reopens with the tree it had.
 
 Dynamic updates patch the tree in place, so after a run of batches its leaves
-no longer follow the packing a fresh build would choose.  Both persistence
-paths (the JSON index document and the binary store) save the live tree's
-layout and re-assemble it on open, so a reopened engine visits centres in the
-same order as the live one and answers ``==`` it, ``center`` included.  The
-assembler checks a layout as untrusted input.
+no longer follow the packing a fresh build would choose.  The store saves the
+live tree's layout and re-assembles it on open, so a reopened engine visits
+centres in the same order as the live one and answers ``==`` it, ``center``
+included.  The assembler checks a layout as untrusted input.
 """
 
 from __future__ import annotations
@@ -110,20 +109,11 @@ def test_checkpoint_round_trip_after_churn(churned_engine, tmp_path):
     _assert_same_engine(churned_engine, reopened)
 
 
-def test_json_round_trip_after_churn(churned_engine, tmp_path):
-    path = tmp_path / "churned.json"
-    churned_engine.save_index(path)
-    reloaded = InfluentialCommunityEngine.from_saved_index(
-        churned_engine.graph, path, config=churned_engine.config
-    )
-    _assert_same_engine(churned_engine, reloaded)
-
-
 def test_root_wider_than_fanout_round_trips(tmp_path):
     """A root wider than ``fanout`` reopens as it was and grows on its spine.
 
-    Patches no longer widen the root, but stores and index documents saved
-    by earlier versions can hold one, with leaves at uneven depths.
+    Patches no longer widen the root, but stores saved by earlier versions
+    can hold one, with leaves at uneven depths.
     """
     config = EngineConfig(max_radius=2, fanout=2, leaf_capacity=2, backend="fast")
     engine = InfluentialCommunityEngine.build(
@@ -142,15 +132,9 @@ def test_root_wider_than_fanout_round_trips(tmp_path):
     engine.checkpoint_store(tmp_path / "wide.repro-store")
     reopened = InfluentialCommunityEngine.from_store(tmp_path / "wide.repro-store")
     assert tree_layout(reopened.index) == tree_layout(engine.index) == (shape, vertices)
-    engine.save_index(tmp_path / "wide.json")
-    reloaded = InfluentialCommunityEngine.from_saved_index(
-        engine.graph, tmp_path / "wide.json", config=engine.config
-    )
-    assert tree_layout(reloaded.index) == tree_layout(engine.index)
     query = make_topl_query({"books"}, k=3, radius=2, theta=0.1, top_l=3)
     assert engine.topl(query).communities
     assert reopened.topl(query).communities == engine.topl(query).communities
-    assert reloaded.topl(query).communities == engine.topl(query).communities
 
     # Every spine node is full, so the new leaf goes under a new root, one
     # level below it like the old last leaf; the wide root keeps its width.

@@ -4,10 +4,11 @@ import pytest
 
 from repro.index.node import EntryAggregates
 from repro.index.precompute import precompute
-from repro.index.serialization import precomputed_from_dict, precomputed_to_dict
 from repro.index.tree import build_tree_index
 from repro.pruning.rules import trussness_prune
 from repro.truss.decomposition import truss_decomposition
+
+from tests.conftest import assert_same_records
 
 
 class TestTrussnessPruneRule:
@@ -35,23 +36,23 @@ class TestPrecomputedTrussness:
         assert data.aggregates_of(0).center_trussness == 4
         assert data.aggregates_of(4).center_trussness == 2  # bridge vertex
 
-    def test_serialization_round_trip(self, two_cliques_bridge):
-        data = precompute(two_cliques_bridge, max_radius=1)
-        rebuilt = precomputed_from_dict(precomputed_to_dict(data))
+    def test_serialization_round_trip(self, two_cliques_bridge, tmp_path):
+        from repro.core.config import EngineConfig
+        from repro.core.engine import InfluentialCommunityEngine
+
+        engine = InfluentialCommunityEngine.build(
+            two_cliques_bridge, config=EngineConfig(max_radius=1), validate=False
+        )
+        path = tmp_path / "trussness.repro-store"
+        engine.checkpoint_store(path)
+        data = engine.index.precomputed
+        rebuilt = InfluentialCommunityEngine.from_store(path).index.precomputed
         for vertex in two_cliques_bridge.vertices():
             assert (
                 rebuilt.aggregates_of(vertex).center_trussness
                 == data.aggregates_of(vertex).center_trussness
             )
-
-    def test_legacy_documents_default_to_minimum(self, triangle_graph):
-        payload = precomputed_to_dict(precompute(triangle_graph, max_radius=1))
-        for record in payload["vertices"]:
-            record.pop("center_trussness")
-        rebuilt = precomputed_from_dict(payload)
-        assert all(
-            rebuilt.aggregates_of(v).center_trussness == 2 for v in triangle_graph.vertices()
-        )
+        assert_same_records(rebuilt, data)
 
 
 class TestEntryAggregation:

@@ -141,7 +141,7 @@ class TestSessions:
         assert info["name"] == "main"
         assert info["engine"]["backend"] == "reference"
         assert info["engine"]["epoch"] == 0
-        assert info["engine"]["index_schema_version"] == 2
+        assert info["engine"]["store"] == {"store_backed": False}
 
     def test_health_reuses_engine_describe(self, service):
         document = service.health().to_json()
@@ -243,32 +243,34 @@ class TestLifecycle:
         for rule in ("pruned_by_keyword", "pruned_by_support", "pruned_by_score"):
             assert unpruned.statistics[rule] == 0
 
-    def test_save_and_load_index_through_requests(self, service_graph_doc, tmp_path):
-        index_path = str(tmp_path / "index.json")
+    def test_save_and_load_store_through_requests(self, service_graph_doc, tmp_path):
+        store_path = str(tmp_path / "writer.repro-store")
         service = CommunityService()
         built = service.build(
             BuildRequest(
                 session="writer",
                 graph=service_graph_doc,
                 config={"max_radius": 2},
-                save_index_path=index_path,
+                save_store_path=store_path,
             )
         )
-        assert built.saved_index_path == index_path
+        # The new session reports the file it was checkpointed to.
+        store = built.engine["store"]
+        assert store["store_backed"] and store["attached"]
+        assert store["path"] == store_path
+        assert store["generation"] == 0
+        assert set(built.to_json()) >= {"engine", "session", "epoch"}
+        assert not {"loaded_index", "saved_index_path"} & set(built.to_json())
         loaded = service.build(
-            BuildRequest(
-                session="reader",
-                graph=service_graph_doc,
-                index_path=index_path,
-                config={"backend": "fast"},
-            )
+            BuildRequest(session="reader", store_path=store_path, config={"backend": "fast"})
         )
-        assert loaded.loaded_index
         assert loaded.engine["backend"] == "fast"
         assert loaded.engine["index"]["max_radius"] == 2
+        assert loaded.engine["store"]["path"] == store_path
         a = service.topl(ToplRequest(query=TOPL, session="writer"))
         b = service.topl(ToplRequest(query=TOPL, session="reader"))
-        assert [c.score for c in a.communities] == [c.score for c in b.communities]
+        assert a.communities
+        assert a.to_json()["communities"] == b.to_json()["communities"]
 
     def test_handle_json_success_and_error(self, service):
         document, failure = service.handle_json(

@@ -67,7 +67,7 @@ class TestRoutes:
         assert body["status"] == "ok"
         (session,) = [s for s in body["sessions"] if s["name"] == "hosted"]
         assert session["engine"]["backend"] == "reference"
-        assert "index_schema_version" in session["engine"]
+        assert session["engine"]["store"] == {"store_backed": False}
         assert session["engine"]["dynamic"] == {"upp_rows": None, "upp_entries": None}
 
     def test_sessions_listing(self, gateway):

@@ -108,10 +108,18 @@ class TestRequestCodecs:
             session="s",
             graph=service_graph_doc,
             config={"max_radius": 2, "backend": "fast"},
-            save_index_path="/tmp/x.json",
+            save_store_path="/tmp/x.repro-store",
             replace=True,
         )
         assert BuildRequest.from_json(wire_round_trip(request.to_json())) == request
+
+    @pytest.mark.parametrize("removed", ["index_path", "save_index_path"])
+    def test_build_request_rejects_removed_index_fields(self, service_graph_doc, removed):
+        # The JSON index document is gone; a request that still names one of
+        # its fields fails with a typed error naming the field, not silently.
+        payload = {"schema_version": 1, "graph": service_graph_doc, removed: "x.json"}
+        with pytest.raises(MalformedRequestError, match=removed):
+            BuildRequest.from_json(payload)
 
     def test_build_request_requires_exactly_one_graph_source(self, service_graph_doc):
         with pytest.raises(MalformedRequestError):

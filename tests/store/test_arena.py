@@ -9,10 +9,11 @@ import pytest
 
 from repro.core.engine import InfluentialCommunityEngine
 from repro.exceptions import StoreFormatError
-from repro.index.serialization import precomputed_to_dict
 from repro.query.params import make_dtopl_query, make_topl_query
 from repro.store import open_store, pack_store, verify_store
 from repro.store.container import write_container
+
+from tests.conftest import assert_same_records
 
 
 TOPL = make_topl_query({"movies"}, k=3, radius=2, theta=0.1, top_l=3)
@@ -41,11 +42,9 @@ def test_round_trip_reconstruction(store_engine, packed_store, mmap):
                 vertex, neighbor
             )
 
-    # Index records: the serialized dict form is canonical — equal dicts
-    # means bit-identical bitvectors, supports, score bounds and trussness.
-    assert precomputed_to_dict(handle.index.precomputed) == precomputed_to_dict(
-        store_engine.index.precomputed
-    )
+    # Index records, in order: bit-identical bitvectors, supports, score
+    # bounds, trussness and edge supports.
+    assert_same_records(handle.index.precomputed, store_engine.index.precomputed)
     assert handle.index.describe() == store_engine.index.describe()
     assert handle.config == store_engine.config
 
@@ -88,9 +87,7 @@ def test_repack_from_store_backed_engine(packed_store, tmp_path):
     pack_store(attached, str(repacked), generation=1)
     again = open_store(str(repacked))
     assert again.info["generation"] == 1
-    assert precomputed_to_dict(again.index.precomputed) == precomputed_to_dict(
-        attached.index.precomputed
-    )
+    assert_same_records(again.index.precomputed, attached.index.precomputed)
 
 
 def test_structurally_valid_but_incomplete_store_is_typed(tmp_path):

@@ -37,9 +37,16 @@ class TestBuildRequestValidation:
             )
 
     def test_store_path_with_index_path_rejected(self, packed_store):
-        with pytest.raises(MalformedRequestError, match="carries its own index"):
-            BuildRequest(
-                session="s", store_path=packed_store, index_path="index.json"
+        # A store is the one persisted index; the wire has no field that
+        # loads another one next to it.
+        with pytest.raises(MalformedRequestError, match="index_path"):
+            BuildRequest.from_json(
+                {
+                    "schema_version": 1,
+                    "session": "s",
+                    "store_path": packed_store,
+                    "index_path": "index.json",
+                }
             )
 
 

@@ -30,11 +30,13 @@ def graph_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def index_file(tmp_path_factory, graph_file):
-    path = tmp_path_factory.mktemp("cli-index") / "uni.index.json"
+def store_file(tmp_path_factory, graph_file):
+    """The graph's offline phase, packed once into a store the tests reuse."""
+    path = tmp_path_factory.mktemp("cli-store") / "uni.repro-store"
     exit_code = main(
         [
-            "build-index",
+            "store",
+            "pack",
             str(graph_file),
             "--out",
             str(path),
@@ -44,6 +46,11 @@ def index_file(tmp_path_factory, graph_file):
     )
     assert exit_code == 0
     return path
+
+
+def _answer_lines(output: str) -> list:
+    """A query command's output without its timing line."""
+    return [line for line in output.splitlines() if not line.startswith("answered in")]
 
 
 class TestParser:
@@ -106,17 +113,38 @@ class TestGenerateAndStats:
 
 
 class TestBuildIndexAndQueries:
-    def test_build_index_writes_file(self, index_file):
-        payload = json.loads(index_file.read_text())
-        assert payload["precomputed"]["max_radius"] == 2
+    def test_build_index_writes_file(self, store_file):
+        from repro.store import MAGIC, inspect_store
 
-    def test_topl_with_prebuilt_index(self, graph_file, index_file, capsys):
+        assert store_file.read_bytes()[: len(MAGIC)] == MAGIC
+        assert inspect_store(store_file)["meta"]["max_radius"] == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["topl", "--top-l", "3"],
+            ["dtopl", "--keywords", "topic-29,health,topic-13,jewelry,travel", "--top-l", "2"],
+        ],
+        ids=["topl-sampled-keywords", "dtopl"],
+    )
+    def test_store_answers_like_its_graph_json(self, graph_file, store_file, command, capsys):
+        # The packed store is the graph's built index: a query on it prints
+        # the same keywords and communities as a fresh build on the JSON.
+        name, *options = command
+        options += ["--k", "3", "--radius", "2", "--theta", "0.2"]
+        outputs = []
+        for source in (graph_file, store_file):
+            assert main([name, str(source), *options]) == 0
+            outputs.append(_answer_lines(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        header = next(i for i, line in enumerate(outputs[0]) if line.startswith("center"))
+        assert outputs[0][header + 2:], "the query found no community"
+
+    def test_topl_with_prebuilt_index(self, store_file, capsys):
         exit_code = main(
             [
                 "topl",
-                str(graph_file),
-                "--index",
-                str(index_file),
+                str(store_file),
                 "--k",
                 "3",
                 "--radius",
@@ -132,13 +160,11 @@ class TestBuildIndexAndQueries:
         assert "top-L most influential communities" in output
         assert "query keywords:" in output
 
-    def test_topl_with_explicit_keywords(self, graph_file, index_file, capsys):
+    def test_topl_with_explicit_keywords(self, store_file, capsys):
         exit_code = main(
             [
                 "topl",
-                str(graph_file),
-                "--index",
-                str(index_file),
+                str(store_file),
                 "--keywords",
                 "movies,books",
                 "--k",
@@ -148,13 +174,11 @@ class TestBuildIndexAndQueries:
         assert exit_code == 0
         assert "books, movies" in capsys.readouterr().out
 
-    def test_topl_invalid_parameters_fail_cleanly(self, graph_file, index_file, capsys):
+    def test_topl_invalid_parameters_fail_cleanly(self, store_file, capsys):
         exit_code = main(
             [
                 "topl",
-                str(graph_file),
-                "--index",
-                str(index_file),
+                str(store_file),
                 "--keywords",
                 "movies",
                 "--k",
@@ -164,13 +188,11 @@ class TestBuildIndexAndQueries:
         assert exit_code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_dtopl(self, graph_file, index_file, capsys):
+    def test_dtopl(self, store_file, capsys):
         exit_code = main(
             [
                 "dtopl",
-                str(graph_file),
-                "--index",
-                str(index_file),
+                str(store_file),
                 "--k",
                 "3",
                 "--top-l",
@@ -184,13 +206,11 @@ class TestBuildIndexAndQueries:
         assert "diversified top-L communities" in output
         assert "diversity score" in output
 
-    def test_sweep(self, graph_file, index_file, capsys):
+    def test_sweep(self, store_file, capsys):
         exit_code = main(
             [
                 "sweep",
-                str(graph_file),
-                "--index",
-                str(index_file),
+                str(store_file),
                 "--parameter",
                 "theta",
             ]

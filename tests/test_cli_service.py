@@ -1,4 +1,4 @@
-"""CLI tests for the service-era surface: --version, stats --index, gateway."""
+"""CLI tests for the service-era surface: --version, stats on a store, gateway."""
 
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ def graph_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def index_file(tmp_path_factory, graph_file):
-    path = tmp_path_factory.mktemp("cli-service-index") / "graph.index.json"
-    assert main(["build-index", graph_file, "--out", str(path), "--max-radius", "2"]) == 0
+def store_file(tmp_path_factory, graph_file):
+    path = tmp_path_factory.mktemp("cli-service-store") / "graph.repro-store"
+    assert main(["store", "pack", graph_file, "--out", str(path), "--max-radius", "2"]) == 0
     return str(path)
 
 
@@ -51,17 +51,21 @@ class TestVersionFlag:
 
 
 class TestStatsDescribe:
-    def test_stats_with_index_prints_engine_diagnostics(
-        self, graph_file, index_file, capsys
-    ):
-        assert main(["stats", graph_file, "--index", index_file]) == 0
+    def test_stats_with_index_prints_engine_diagnostics(self, graph_file, store_file, capsys):
+        assert main(["stats", graph_file]) == 0
+        json_table = capsys.readouterr().out
+        assert main(["stats", store_file]) == 0
         output = capsys.readouterr().out
+        # A store prints the graph's table, then its engine diagnostics.
+        assert output.startswith(json_table)
         assert "engine diagnostics:" in output
         document = json.loads(output.split("engine diagnostics:")[1])
         # The same describe() document /v1/health serves.
         assert document["backend"] == "reference"
         assert document["epoch"] == 0
-        assert document["index_schema_version"] == 2
+        assert document["store"]["store_backed"] is True
+        assert document["store"]["path"] == store_file
+        assert document["store"]["format_version"] == 2
         assert document["index"]["max_radius"] == 2
         assert document["dynamic"] == {"upp_rows": None, "upp_entries": None}
 
@@ -84,6 +88,33 @@ class TestGatewayParser:
     def test_gateway_graph_is_optional(self):
         args = build_parser().parse_args(["gateway"])
         assert args.graph is None
+
+    def test_gateway_preloads_a_store(self, store_file, monkeypatch, capsys):
+        from repro.service import agateway
+
+        hosted = []
+
+        class StoppedGateway:
+            url = "http://127.0.0.1:0"
+
+            def __init__(self, service, **options):
+                hosted.append(service)
+
+            def start(self):
+                pass
+
+            def serve_forever(self):
+                raise KeyboardInterrupt
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(agateway, "AsyncServiceGateway", StoppedGateway)
+        assert main(["gateway", store_file, "--backend", "fast"]) == 0
+        assert "session 'default'" in capsys.readouterr().out
+        describe = hosted[0].engine("default").describe()
+        assert describe["backend"] == "fast"
+        assert describe["store"]["store_backed"] and describe["store"]["path"] == store_file
 
 
 class TestServiceEnvelopeVersion:

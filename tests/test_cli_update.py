@@ -39,7 +39,7 @@ def test_update_replays_saved_script(graph_path, tmp_path, capsys):
 def test_update_random_script_with_outputs(graph_path, tmp_path, capsys):
     out_script = tmp_path / "script.json"
     out_graph = tmp_path / "mutated.json"
-    out_index = tmp_path / "index.json"
+    out_store = tmp_path / "updated.repro-store"
     exit_code = main(
         [
             "update", graph_path,
@@ -48,7 +48,7 @@ def test_update_random_script_with_outputs(graph_path, tmp_path, capsys):
             "--damage-threshold", "1.0",
             "--out-script", str(out_script),
             "--out-graph", str(out_graph),
-            "--out-index", str(out_index),
+            "--out-store", str(out_store),
         ]
     )
     captured = capsys.readouterr().out
@@ -60,12 +60,82 @@ def test_update_random_script_with_outputs(graph_path, tmp_path, capsys):
     assert len(script) == 6
     script.validate_against(load_graph_json(graph_path))
 
-    # The mutated graph + refreshed index reload into a working engine.
+    # The updated store holds the mutated graph and its refreshed index.
     from repro.core.engine import InfluentialCommunityEngine
 
     mutated = load_graph_json(str(out_graph))
-    engine = InfluentialCommunityEngine.from_saved_index(mutated, out_index)
+    engine = InfluentialCommunityEngine.from_store(out_store)
     assert engine.index.num_vertices() == mutated.num_vertices()
+    assert list(engine.graph.vertices()) == list(mutated.vertices())
+    assert engine.graph.num_edges() == mutated.num_edges()
+
+
+@pytest.mark.parametrize("source", ["graph-json", "store"])
+def test_update_out_store_answers_like_the_live_session(
+    graph_path, tmp_path, monkeypatch, capsys, source
+):
+    """The checkpoint `--out-store` writes reopens to the live session's answers."""
+    import itertools
+
+    from repro import cli
+    from repro.core.engine import InfluentialCommunityEngine
+    from repro.query.params import DTopLQuery, make_dtopl_query, make_topl_query
+    from repro.service.facade import CommunityService
+
+    services = []
+
+    class RecordingService(CommunityService):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            services.append(self)
+
+    path = graph_path
+    if source == "store":
+        path = str(tmp_path / "input.repro-store")
+        assert main(["store", "pack", graph_path, "--out", path, "--max-radius", "2"]) == 0
+    monkeypatch.setattr(cli, "CommunityService", RecordingService)
+    out_store = tmp_path / "updated.repro-store"
+    exit_code = main(
+        [
+            "update", path,
+            "--backend", "fast",
+            "--random", "8", "--seed", "4",
+            "--damage-threshold", "1.0",
+            "--out-store", str(out_store),
+        ]
+    )
+    assert exit_code == 0
+    assert f"updated store written to {out_store}" in capsys.readouterr().out
+
+    (service,) = services
+    live = service.engine(cli.CLI_SESSION)
+    assert live.epoch == 1
+    assert live.describe()["store"]["path"] == str(out_store)
+    reopened = InfluentialCommunityEngine.from_store(out_store)
+    assert reopened.graph_summary() == live.graph_summary()
+    keywords = sorted(set().union(*map(live.graph.keywords, live.graph.vertices())))
+    answered = 0
+    for pair, k, radius in itertools.product(
+        itertools.combinations(keywords[:6], 2), (2, 3), (1, 2)
+    ):
+        for query in (
+            make_topl_query(set(pair), k=k, radius=radius, theta=0.1, top_l=3),
+            make_dtopl_query(set(pair), k=k, radius=radius, theta=0.1, top_l=2),
+        ):
+            method = "dtopl" if isinstance(query, DTopLQuery) else "topl"
+            expected = getattr(live, method)(query).communities
+            answered += bool(expected)
+            assert getattr(reopened, method)(query).communities == expected, query
+    assert answered >= 10
+
+
+def test_update_on_a_store_keeps_its_packed_backend(graph_path, tmp_path, capsys):
+    store = str(tmp_path / "fast.repro-store")
+    assert main(["store", "pack", graph_path, "--out", store, "--backend", "fast"]) == 0
+    assert main(["update", store, "--random", "2", "--seed", "3"]) == 0
+    assert "(backend fast, epoch 1" in capsys.readouterr().out
+    assert main(["update", store, "--random", "2", "--backend", "reference"]) == 0
+    assert "(backend reference, epoch 1" in capsys.readouterr().out
 
 
 def test_update_random_focus_restricts_churn(graph_path, capsys):
