@@ -376,10 +376,6 @@ def _query_keywords(args: argparse.Namespace, service: CommunityService) -> froz
     return workload.sample_keywords(args.num_keywords)
 
 
-def _summary_rows(communities) -> list[dict]:
-    return [community.summary() for community in communities]
-
-
 def _command_topl(args: argparse.Namespace) -> int:
     service = _build_session(args)
     keywords = _query_keywords(args, service)
@@ -391,11 +387,11 @@ def _command_topl(args: argparse.Namespace) -> int:
     print(
         f"answered in {response.elapsed_seconds * 1000:.1f} ms — "
         f"{len(response.communities)} communities, "
-        f"{response.statistics['total_pruned']} candidates pruned"
+        f"{response.statistics.total_pruned} candidates pruned"
     )
     print(
         format_table(
-            _summary_rows(response.communities),
+            response.summary_rows(),
             title="top-L most influential communities",
         )
     )
@@ -422,7 +418,7 @@ def _command_dtopl(args: argparse.Namespace) -> int:
     )
     print(
         format_table(
-            _summary_rows(response.communities), title="diversified top-L communities"
+            response.summary_rows(), title="diversified top-L communities"
         )
     )
     return 0

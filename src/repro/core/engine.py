@@ -321,7 +321,6 @@ class InfluentialCommunityEngine:
             index=self.index,
             pruning=pruning,
             backend=self.config.backend,
-            frozen=self.frozen_graph(),
             workspace=self._workspace(),
         )
         return processor.query(query)
@@ -337,7 +336,6 @@ class InfluentialCommunityEngine:
             index=self.index,
             pruning=pruning,
             backend=self.config.backend,
-            frozen=self.frozen_graph(),
             workspace=self._workspace(),
         )
         return processor.query(query)

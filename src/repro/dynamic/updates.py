@@ -15,11 +15,11 @@ existing vertices are never modified by an edit script).
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from repro._rng import RandomLike, resolve_rng
 from repro.exceptions import DynamicUpdateError
 from repro.graph.core import GraphCore
 from repro.graph.social_network import SocialNetwork, VertexId
@@ -291,7 +291,7 @@ class UpdateBatch:
 def random_update_batch(
     graph: SocialNetwork,
     size: int,
-    rng: Union[int, random.Random] = 7,
+    rng: RandomLike = 7,
     insert_ratio: float = 0.5,
     focus: Optional[VertexId] = None,
     focus_radius: int = 2,
@@ -326,7 +326,7 @@ def random_update_batch(
     """
     if size < 0:
         raise DynamicUpdateError(f"size must be >= 0, got {size}")
-    generator = rng if isinstance(rng, random.Random) else random.Random(rng)
+    generator = resolve_rng(rng)
 
     if focus is not None:
         from repro.graph.traversal import bfs_distances

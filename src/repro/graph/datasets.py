@@ -29,8 +29,9 @@ pipeline so all five datasets exercise identical code paths.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
+from repro._rng import RandomLike, resolve_rng
 from repro.exceptions import DatasetError
 from repro.graph.generators import (
     DEFAULT_WEIGHT_RANGE,
@@ -42,8 +43,6 @@ from repro.graph.social_network import SocialNetwork
 from repro.graph.validation import largest_connected_component
 from repro.keywords.vocabulary import Vocabulary
 
-RandomLike = Union[int, random.Random, None]
-
 #: Sizes reported in Table II of the paper, kept for documentation and for
 #: full-scale runs (not generated by default).
 PAPER_DATASET_SIZES = {
@@ -54,12 +53,6 @@ PAPER_DATASET_SIZES = {
 #: Default stand-in sizes used by examples, tests, and benches.
 DEFAULT_STANDIN_VERTICES = 2_000
 DEFAULT_SYNTHETIC_VERTICES = 2_000
-
-
-def _resolve_rng(rng: RandomLike) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
 
 
 def _finalize(
@@ -101,7 +94,7 @@ def dblp_like(
     """
     if num_vertices < 10:
         raise DatasetError(f"DBLP-like graphs need at least 10 vertices, got {num_vertices}")
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     graph = SocialNetwork(name="dblp-like")
     for author in range(num_vertices):
         graph.add_vertex(author)
@@ -146,7 +139,7 @@ def amazon_like(
     """
     if num_vertices < 10:
         raise DatasetError(f"Amazon-like graphs need at least 10 vertices, got {num_vertices}")
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     graph = barabasi_albert_graph(
         num_vertices, edges_per_vertex=2, rng=generator, name="amazon-like"
     )
@@ -183,7 +176,7 @@ def synthetic_small_world(
     ``m = 6`` and ``mu = 0.167`` defaults; ``distribution`` selects the keyword
     sampling law and names the graph accordingly.
     """
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     short_names = {"uniform": "Uni", "gaussian": "Gau", "zipf": "Zipf"}
     short = short_names.get(distribution.lower())
     if short is None:

@@ -20,25 +20,16 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from typing import Union
 
+from repro._rng import RandomLike, resolve_rng
 from repro.exceptions import GraphError
 from repro.graph.social_network import SocialNetwork
-
-RandomLike = Union[int, random.Random, None]
 
 #: Paper defaults for the NWS synthetic graphs (Section VIII-A).
 DEFAULT_RING_NEIGHBORS = 6
 DEFAULT_SHORTCUT_PROBABILITY = 0.167
 #: Paper default range for edge propagation probabilities.
 DEFAULT_WEIGHT_RANGE = (0.5, 0.6)
-
-
-def _resolve_rng(rng: RandomLike) -> random.Random:
-    """Return a :class:`random.Random` from a seed, an instance, or ``None``."""
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
 
 
 def _draw_probability(rng: random.Random, weight_range: tuple[float, float]) -> float:
@@ -83,7 +74,7 @@ def newman_watts_strogatz_graph(
         raise GraphError(
             f"shortcut_probability must be in [0, 1], got {shortcut_probability}"
         )
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     graph = SocialNetwork(name=name)
     for v in range(num_vertices):
         graph.add_vertex(v)
@@ -147,7 +138,7 @@ def erdos_renyi_graph(
         raise GraphError(f"num_vertices must be positive, got {num_vertices}")
     if not 0.0 <= edge_probability <= 1.0:
         raise GraphError(f"edge_probability must be in [0, 1], got {edge_probability}")
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     graph = SocialNetwork(name=name)
     for v in range(num_vertices):
         graph.add_vertex(v)
@@ -182,7 +173,7 @@ def barabasi_albert_graph(
             "num_vertices must exceed edges_per_vertex "
             f"({num_vertices} <= {edges_per_vertex})"
         )
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     graph = SocialNetwork(name=name)
     # Start from a small clique so the first attachments have targets.
     initial = edges_per_vertex + 1
@@ -235,7 +226,7 @@ def planted_community_graph(
         raise GraphError("community_sizes must be non-empty")
     if any(size <= 0 for size in community_sizes):
         raise GraphError(f"community sizes must be positive, got {community_sizes}")
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     graph = SocialNetwork(name=name)
     blocks: list[list[int]] = []
     next_id = 0
@@ -301,7 +292,7 @@ def bipartite_ish_graph(
         raise GraphError(
             f"closure_probability must be in [0, 1], got {closure_probability}"
         )
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     graph = SocialNetwork(name=name)
     left = list(range(num_left))
     for v in range(num_left + num_right):
@@ -346,7 +337,7 @@ def complete_graph(
     """
     if num_vertices <= 0:
         raise GraphError(f"num_vertices must be positive, got {num_vertices}")
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     graph = SocialNetwork(name=name)
     for v in range(num_vertices):
         graph.add_vertex(v)
@@ -371,7 +362,7 @@ def assign_uniform_weights(
     Mutates and returns ``graph``; useful when a graph was loaded from disk
     without probabilities.
     """
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     for u, v in graph.edges():
         graph.set_probability(u, v, _draw_probability(generator, weight_range))
         graph.set_probability(v, u, _draw_probability(generator, weight_range))
@@ -401,7 +392,7 @@ def assign_trivalency(graph: SocialNetwork, rng: RandomLike = None) -> SocialNet
     Mutates and returns ``graph``; ``rng`` is consumed in edge-iteration
     order, ``u -> v`` before ``v -> u``.
     """
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     for u, v in graph.edges():
         graph.set_probability(u, v, generator.choice(TRIVALENCY_VALUES))
         graph.set_probability(v, u, generator.choice(TRIVALENCY_VALUES))

@@ -11,10 +11,10 @@ summarises the resulting assignment for reports and tests.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from typing import Optional, Union
 
+from repro._rng import RandomLike, resolve_rng
 from repro.exceptions import DatasetError
 from repro.graph.social_network import SocialNetwork
 from repro.keywords.vocabulary import (
@@ -24,17 +24,9 @@ from repro.keywords.vocabulary import (
     make_distribution,
 )
 
-RandomLike = Union[int, random.Random, None]
-
 #: Table III defaults.
 DEFAULT_KEYWORDS_PER_VERTEX = 3
 DEFAULT_DOMAIN_SIZE = 50
-
-
-def _resolve_rng(rng: RandomLike) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
 
 
 def assign_keywords(
@@ -82,7 +74,7 @@ def assign_keywords(
         # An explicit distribution wins; adopt its vocabulary for consistency.
         vocabulary = distribution.vocabulary
 
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     for vertex in graph.vertices():
         keywords = distribution.sample_keywords(keywords_per_vertex, rng=generator)
         graph.set_keywords(vertex, keywords)

@@ -13,21 +13,12 @@ depends on it.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Union
 
+from repro._rng import RandomLike, resolve_rng
 from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.social_network import SocialNetwork, VertexId
-
-RandomLike = Union[int, random.Random, None]
-
-
-def _resolve_rng(rng: RandomLike) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ def simulate_independent_cascade(
     for vertex in seeds:
         if not graph.has_vertex(vertex):
             raise VertexNotFoundError(vertex)
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     activated = set(seeds)
     frontier = list(seeds)
     adjacency = graph.adjacency()
@@ -88,7 +79,7 @@ def estimate_spread(
     if num_simulations <= 0:
         raise GraphError(f"num_simulations must be positive, got {num_simulations}")
     seeds = frozenset(seed_vertices)
-    generator = _resolve_rng(rng)
+    generator = resolve_rng(rng)
     sizes: list[int] = []
     activation_counts: dict[VertexId, int] = {}
     for _ in range(num_simulations):

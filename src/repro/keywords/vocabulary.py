@@ -14,13 +14,10 @@ module provides:
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Iterable, Sequence
-from typing import Union
 
+from repro._rng import RandomLike, resolve_rng
 from repro.exceptions import DatasetError
-
-RandomLike = Union[int, random.Random, None]
 
 #: Keyword seeds inspired by Figure 1 of the paper.
 _BASE_KEYWORDS = (
@@ -45,12 +42,6 @@ _BASE_KEYWORDS = (
     "cooking",
     "technology",
 )
-
-
-def _resolve_rng(rng: RandomLike) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
 
 
 class Vocabulary:
@@ -102,7 +93,7 @@ class Vocabulary:
             raise DatasetError(
                 f"cannot sample {count} keywords from a domain of {len(self._keywords)}"
             )
-        generator = _resolve_rng(rng)
+        generator = resolve_rng(rng)
         return generator.sample(list(self._keywords), count)
 
 
@@ -149,7 +140,7 @@ class KeywordDistribution:
         if count <= 0:
             return frozenset()
         count = min(count, size)
-        generator = _resolve_rng(rng)
+        generator = resolve_rng(rng)
         weights = list(self.weights())
         chosen: set[str] = set()
         # Weighted sampling without replacement: draw, remove, renormalise.

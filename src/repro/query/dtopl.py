@@ -43,7 +43,6 @@ class DTopLProcessor:
         propagation_cache=None,
         cache_epoch: int = 0,
         backend: str = "reference",
-        frozen=None,
         workspace=None,
     ) -> None:
         self.graph = graph
@@ -54,7 +53,6 @@ class DTopLProcessor:
             propagation_cache=propagation_cache,
             cache_epoch=cache_epoch,
             backend=backend,
-            frozen=frozen,
             workspace=workspace,
         )
 

@@ -222,16 +222,12 @@ class TopLProcessor:
         communities, floats and work counters (see :mod:`repro.fastgraph`
         and ``docs/backends.md``).  The reference path is the equivalence
         oracle.
-    frozen:
-        Optional pre-built :class:`~repro.fastgraph.csr.CSRGraph` snapshot
-        for the ``fast`` backend (the engine shares one across processors);
-        when omitted the processor freezes the graph on first use.
     workspace:
-        Optional :class:`~repro.fastgraph.kernels.CSRWorkspace` over
-        ``frozen``, likewise shared by the engine so per-call processors do
-        not rebuild the scratch arrays per query.  It may also be passed
-        without ``frozen``: every fast kernel, scoring included, runs over
-        the core the workspace was built on.  Workspaces are
+        Optional :class:`~repro.fastgraph.kernels.CSRWorkspace` for the
+        ``fast`` backend, shared by the engine so per-call processors do not
+        rebuild the scratch arrays per query; every fast kernel, scoring
+        included, runs over the core it was built on.  When omitted the
+        processor freezes the graph on first use.  Workspaces are
         single-threaded: share one only across sequential callers.
     """
 
@@ -243,7 +239,6 @@ class TopLProcessor:
         propagation_cache=None,
         cache_epoch: int = 0,
         backend: str = "reference",
-        frozen=None,
         workspace=None,
     ) -> None:
         self.graph = graph
@@ -252,7 +247,6 @@ class TopLProcessor:
         self.propagation_cache = propagation_cache
         self.cache_epoch = cache_epoch
         self.backend = backend
-        self._frozen = frozen
         self._workspace = workspace
         if propagation_cache is not None:
             # Deferred import: repro.serve imports this module at package
@@ -487,9 +481,7 @@ class TopLProcessor:
             # fastgraph package loaded (reference-only deployments).
             from repro.fastgraph.kernels import CSRWorkspace
 
-            if self._frozen is None:
-                self._frozen = self.graph.freeze()
-            self._workspace = CSRWorkspace(self._frozen)
+            self._workspace = CSRWorkspace(self.graph.freeze())
         self._workspace.sync()
         return self._workspace
 

@@ -101,10 +101,6 @@ class BatchStatistics:
             "deduplicated": self.deduplicated,
             "propagation_cache_hits": self.propagation_cache_hits,
             "propagation_cache_misses": self.propagation_cache_misses,
-            # Batches always run sequentially in-process; the two fields
-            # stay in the report so version-1 readers keep parsing it.
-            "workers": 1,
-            "mode": "sequential",
             "elapsed_seconds": self.elapsed_seconds,
             "queries_per_second": round(self.queries_per_second, 4),
         }
@@ -193,7 +189,6 @@ class BatchQueryEngine:
             propagation_cache=self.propagation_cache,
             cache_epoch=engine.epoch,
             backend=engine.config.backend,
-            frozen=engine.frozen_graph(),
             workspace=engine._workspace(),
         )
         self._topl = TopLProcessor(engine.graph, **shared)

@@ -107,22 +107,17 @@ class _Session:
 
 
 def _read_response(session: _Session, result, elapsed_seconds: float):
-    """The ``topl``/``dtopl`` response that carries ``result``."""
-    common = dict(
+    """The ``topl``/``dtopl`` response that carries ``result``.
+
+    A read response is its result's dataclass plus the envelope fields.
+    """
+    response_type = DToplResponse if isinstance(result, DTopLResult) else ToplResponse
+    return response_type(
         session=session.name,
         epoch=session.engine.epoch,
         elapsed_seconds=elapsed_seconds,
-        communities=result.communities,
-        statistics=result.statistics.as_dict(),
+        **vars(result),
     )
-    if isinstance(result, DTopLResult):
-        return DToplResponse(
-            diversity_score=result.diversity_score,
-            increment_evaluations=result.increment_evaluations,
-            candidates_considered=result.candidates_considered,
-            **common,
-        )
-    return ToplResponse(**common)
 
 
 def _pruning_from_wire(pruning: Optional[dict]) -> Optional[PruningConfig]:
@@ -413,8 +408,6 @@ class CommunityService:
                 serving = BatchQueryEngine(
                     session.engine, config=session.serving.config, pruning=override
                 )
-            # ``request.workers`` is accepted for wire compatibility and
-            # ignored: batches run sequentially in-process.
             batch = serving.run(request.queries)
             session.requests_served += 1
             return BatchResponse(

@@ -1,7 +1,8 @@
 """The wire schema: typed, versioned request/response documents.
 
 Every request and response of the service API is a frozen dataclass.
-Requests decode strictly (``from_json()``) and encode (``to_json()``);
+Requests decode strictly (``from_json()``) and encode (``to_json()``)
+through one codec, driven by each request's table of wire fields;
 responses only encode — the server never reads one back:
 
 * **versioned** — every document carries ``schema_version``; a request with
@@ -22,16 +23,19 @@ Responses are *envelopes*: besides their payload they carry the schema
 version, the serving build's ``api_version``, the session name, the
 engine's :attr:`~repro.core.engine.InfluentialCommunityEngine.epoch` and
 wall-clock timing, so a remote client can reason about cache freshness the
-same way the in-process serving layer does.
+same way the in-process serving layer does.  A query answer's payload is
+:func:`result_to_wire` of its result on every path: a single read, a
+batch result, a streamed NDJSON line.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import MISSING, dataclass, field
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence, Union
 
 from repro._version import __version__ as _API_VERSION
+from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.exceptions import (
     MalformedRequestError,
     UnsupportedSchemaVersionError,
@@ -89,8 +93,6 @@ def _field(payload: dict, name: str, types, what: str, default=_MISSING):
         if default is _MISSING:
             raise MalformedRequestError(f"{what} is missing field {name!r}")
         return default
-    if types is None:
-        return value
     expected = types if isinstance(types, tuple) else (types,)
     # bool is an int subclass; never accept it where a number is expected.
     if bool not in expected and isinstance(value, bool):
@@ -220,26 +222,53 @@ def result_to_wire(result: Union[TopLResult, DTopLResult]) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# envelope plumbing shared by every request / response
+# requests
 # --------------------------------------------------------------------------- #
+class _Field(NamedTuple):
+    """One row of a request's wire table.
+
+    ``types`` are the JSON types the field accepts; ``decode`` turns the
+    JSON value into the attribute value and ``encode`` turns it back (both
+    default to the identity).  ``check`` validates the attribute value and
+    returns a problem (``None`` when valid): it runs on construction and as
+    soon as the field is decoded, so a document fails on its first bad field
+    in table order.  A field is required on the wire exactly when its
+    dataclass attribute has no default.
+    """
+
+    name: str
+    types: Union[type, tuple]
+    decode: Optional[Callable] = None
+    encode: Optional[Callable] = None
+    check: Optional[Callable] = None
+
+
+def _check(spec: _Field, value, what: str) -> None:
+    problem = spec.check(value)
+    if problem is not None:
+        raise MalformedRequestError(f"{what}.{spec.name} {problem}")
+
+
 @dataclass(frozen=True)
 class _WireDocument:
-    """Shared ``to_json``/``from_json`` machinery for schema dataclasses.
+    """The one strict codec of every request, driven by ``_WIRE_FIELDS``."""
 
-    Subclasses declare their payload in ``_WIRE_FIELDS``: a tuple of
-    ``(field_name, json_types_or_None, default_or_MISSING)`` rows consumed
-    by the generic strict decoder.  ``json_types_or_None`` of ``None``
-    skips the isinstance check (for fields with bespoke validation in
-    ``__post_init__``).
-    """
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._WIRE_NAMES = ("schema_version",) + tuple(spec.name for spec in cls._WIRE_FIELDS)
+
+    def __post_init__(self) -> None:
+        what = type(self).__name__
+        for spec in self._WIRE_FIELDS:
+            if spec.check is not None:
+                _check(spec, getattr(self, spec.name), what)
 
     def to_json(self) -> dict:
         payload = {"schema_version": SCHEMA_VERSION}
         for spec in self._WIRE_FIELDS:
-            name = spec[0]
-            value = getattr(self, name)
+            value = getattr(self, spec.name)
             if value is not None:
-                payload[name] = value
+                payload[spec.name] = value if spec.encode is None else spec.encode(value)
         return payload
 
     @classmethod
@@ -247,26 +276,69 @@ class _WireDocument:
         what = cls.__name__
         payload = _require_object(payload, what)
         _check_schema_version(payload, what)
-        allowed = ["schema_version"] + [spec[0] for spec in cls._WIRE_FIELDS]
-        _reject_unknown(payload, allowed, what)
+        _reject_unknown(payload, cls._WIRE_NAMES, what)
         kwargs = {}
-        for name, types, default in cls._WIRE_FIELDS:
-            kwargs[name] = _field(payload, name, types, what, default=default)
+        for spec in cls._WIRE_FIELDS:
+            if spec.name not in payload:
+                if cls.__dataclass_fields__[spec.name].default is MISSING:
+                    raise MalformedRequestError(f"{what} is missing field {spec.name!r}")
+                continue
+            value = _field(payload, spec.name, spec.types, what)
+            if spec.decode is not None:
+                value = spec.decode(value)
+            if spec.check is not None:
+                _check(spec, value, what)
+            kwargs[spec.name] = value
         return cls(**kwargs)
 
 
-def _session_field(payload: dict, what: str) -> str:
-    # Every request dataclass declares session="default"; the wire decoders
-    # honour the same default so the contract is uniform across endpoints.
-    session = _field(payload, "session", str, what, default="default")
-    if not session:
-        raise MalformedRequestError(f"{what}.session must be a non-empty string")
-    return session
+def _non_empty(session) -> Optional[str]:
+    if isinstance(session, str) and session:
+        return None
+    return f"must be a non-empty string, got {session!r}"
 
 
-# --------------------------------------------------------------------------- #
-# requests
-# --------------------------------------------------------------------------- #
+_PRUNING_RULES = frozenset({"keyword", "support", "score"})
+
+
+def _pruning_rules(pruning: Optional[dict]) -> Optional[str]:
+    if pruning is None:
+        return None
+    unknown = set(pruning) - _PRUNING_RULES
+    if unknown:
+        return f"carries unknown rules {sorted(unknown)}"
+    for rule, value in pruning.items():
+        if not isinstance(value, bool):
+            return f"rule {rule!r} must be a boolean, got {value!r}"
+    return None
+
+
+def _instance_of(kind, label: str) -> Callable:
+    def check(value) -> Optional[str]:
+        if isinstance(value, kind):
+            return None
+        return f"must be {label}, got {type(value).__name__}"
+
+    return check
+
+
+def _all_instances_of(kind, label: str) -> Callable:
+    one = _instance_of(kind, label)
+
+    def check(values) -> Optional[str]:
+        for value in values:
+            problem = one(value)
+            if problem is not None:
+                return problem
+        return None
+
+    return check
+
+
+_SESSION = _Field("session", str, check=_non_empty)
+_PRUNING = _Field("pruning", dict, check=_pruning_rules)
+
+
 @dataclass(frozen=True)
 class BuildRequest(_WireDocument):
     """Run the offline phase (or open a packed store) into a named session.
@@ -291,19 +363,18 @@ class BuildRequest(_WireDocument):
     replace: bool = False
 
     _WIRE_FIELDS = (
-        ("session", str, "default"),
-        ("graph", dict, None),
-        ("graph_path", str, None),
-        ("store_path", str, None),
-        ("save_store_path", str, None),
-        ("config", dict, None),
-        ("validate", bool, True),
-        ("replace", bool, False),
+        _SESSION,
+        _Field("graph", dict),
+        _Field("graph_path", str),
+        _Field("store_path", str),
+        _Field("save_store_path", str),
+        _Field("config", dict),
+        _Field("validate", bool),
+        _Field("replace", bool),
     )
 
     def __post_init__(self) -> None:
-        if not self.session:
-            raise MalformedRequestError("BuildRequest.session must be non-empty")
+        super().__post_init__()
         sources = sum(
             source is not None for source in (self.graph, self.graph_path, self.store_path)
         )
@@ -318,80 +389,36 @@ class BuildRequest(_WireDocument):
 class ToplRequest(_WireDocument):
     """Answer one TopL-ICDE query against a session."""
 
-    query: TopLQuery = None
+    query: TopLQuery
     session: str = "default"
     pruning: Optional[dict] = None
 
     _WIRE_FIELDS = (
-        ("session", str, "default"),
-        ("query", None, _MISSING),
-        ("pruning", dict, None),
+        _Field(
+            "query", dict, decode=query_from_wire, encode=query_to_wire,
+            check=_instance_of(TopLQuery, "a 'topl' query"),
+        ),
+        _SESSION,
+        _PRUNING,
     )
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.query, TopLQuery) or isinstance(self.query, DTopLQuery):
-            raise MalformedRequestError("ToplRequest.query must be a TopLQuery")
-        _validate_pruning(self.pruning, "ToplRequest")
-
-    def to_json(self) -> dict:
-        payload = super().to_json()
-        payload["query"] = query_to_wire(self.query)
-        return payload
-
-    @classmethod
-    def from_json(cls, payload) -> "ToplRequest":
-        what = cls.__name__
-        payload = _require_object(payload, what)
-        _check_schema_version(payload, what)
-        _reject_unknown(payload, ["schema_version", "session", "query", "pruning"], what)
-        query = query_from_wire(_field(payload, "query", dict, what))
-        if not isinstance(query, TopLQuery) or isinstance(query, DTopLQuery):
-            raise MalformedRequestError(f"{what}.query must have type 'topl'")
-        return cls(
-            session=_session_field(payload, what),
-            query=query,
-            pruning=_field(payload, "pruning", dict, what, default=None),
-        )
 
 
 @dataclass(frozen=True)
 class DToplRequest(_WireDocument):
     """Answer one DTopL-ICDE query against a session."""
 
-    query: DTopLQuery = None
+    query: DTopLQuery
     session: str = "default"
     pruning: Optional[dict] = None
 
     _WIRE_FIELDS = (
-        ("session", str, "default"),
-        ("query", None, _MISSING),
-        ("pruning", dict, None),
+        _Field(
+            "query", dict, decode=query_from_wire, encode=query_to_wire,
+            check=_instance_of(DTopLQuery, "a 'dtopl' query"),
+        ),
+        _SESSION,
+        _PRUNING,
     )
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.query, DTopLQuery):
-            raise MalformedRequestError("DToplRequest.query must be a DTopLQuery")
-        _validate_pruning(self.pruning, "DToplRequest")
-
-    def to_json(self) -> dict:
-        payload = super().to_json()
-        payload["query"] = query_to_wire(self.query)
-        return payload
-
-    @classmethod
-    def from_json(cls, payload) -> "DToplRequest":
-        what = cls.__name__
-        payload = _require_object(payload, what)
-        _check_schema_version(payload, what)
-        _reject_unknown(payload, ["schema_version", "session", "query", "pruning"], what)
-        query = query_from_wire(_field(payload, "query", dict, what))
-        if not isinstance(query, DTopLQuery):
-            raise MalformedRequestError(f"{what}.query must have type 'dtopl'")
-        return cls(
-            session=_session_field(payload, what),
-            query=query,
-            pruning=_field(payload, "pruning", dict, what, default=None),
-        )
 
 
 @dataclass(frozen=True)
@@ -403,138 +430,42 @@ class UpdateRequest(_WireDocument):
     :class:`~repro.dynamic.updates.UpdateBatch`.
     """
 
-    edits: tuple = ()
+    edits: tuple
     session: str = "default"
     damage_threshold: Optional[float] = None
     rebuild: bool = False
 
     _WIRE_FIELDS = (
-        ("session", str, "default"),
-        ("edits", None, _MISSING),
-        ("damage_threshold", (int, float), None),
-        ("rebuild", bool, False),
+        _Field(
+            "edits", list,
+            decode=lambda edits: tuple(UpdateBatch.from_json(edits)),
+            encode=lambda edits: [edit.as_dict() for edit in edits],
+            check=_all_instances_of(EdgeUpdate, "EdgeUpdate objects"),
+        ),
+        _SESSION,
+        _Field("damage_threshold", (int, float), decode=float),
+        _Field("rebuild", bool),
     )
-
-    def __post_init__(self) -> None:
-        from repro.dynamic.updates import EdgeUpdate
-
-        for edit in self.edits:
-            if not isinstance(edit, EdgeUpdate):
-                raise MalformedRequestError(
-                    f"UpdateRequest.edits must be EdgeUpdate objects, got {edit!r}"
-                )
-
-    def to_json(self) -> dict:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "session": self.session,
-            "edits": [edit.as_dict() for edit in self.edits],
-            "rebuild": self.rebuild,
-        }
-        if self.damage_threshold is not None:
-            payload["damage_threshold"] = self.damage_threshold
-        return payload
-
-    @classmethod
-    def from_json(cls, payload) -> "UpdateRequest":
-        from repro.dynamic.updates import UpdateBatch
-
-        what = cls.__name__
-        payload = _require_object(payload, what)
-        _check_schema_version(payload, what)
-        _reject_unknown(
-            payload,
-            ["schema_version", "session", "edits", "damage_threshold", "rebuild"],
-            what,
-        )
-        edits = _field(payload, "edits", list, what)
-        batch = UpdateBatch.from_json(edits)
-        threshold = _field(payload, "damage_threshold", (int, float), what, default=None)
-        return cls(
-            session=_session_field(payload, what),
-            edits=tuple(batch),
-            damage_threshold=None if threshold is None else float(threshold),
-            rebuild=_field(payload, "rebuild", bool, what, default=False),
-        )
 
 
 @dataclass(frozen=True)
 class BatchRequest(_WireDocument):
-    """Answer a mixed TopL/DTopL batch against a session (order-stable).
+    """Answer a mixed TopL/DTopL batch against a session (order-stable)."""
 
-    ``workers`` is accepted and validated for compatibility with existing
-    version-1 clients, then ignored: batches are answered sequentially and
-    the response's ``statistics.workers`` reads 1.
-    """
-
-    queries: tuple = ()
+    queries: tuple
     session: str = "default"
-    workers: Optional[int] = None
     pruning: Optional[dict] = None
 
     _WIRE_FIELDS = (
-        ("session", str, "default"),
-        ("queries", None, _MISSING),
-        ("workers", int, None),
-        ("pruning", dict, None),
+        _SESSION,
+        _Field(
+            "queries", list,
+            decode=lambda queries: tuple(query_from_wire(query) for query in queries),
+            encode=lambda queries: [query_to_wire(query) for query in queries],
+            check=_all_instances_of((TopLQuery, DTopLQuery), "TopLQuery/DTopLQuery objects"),
+        ),
+        _PRUNING,
     )
-
-    def __post_init__(self) -> None:
-        for query in self.queries:
-            if not isinstance(query, (TopLQuery, DTopLQuery)):
-                raise MalformedRequestError(
-                    "BatchRequest.queries must be TopLQuery/DTopLQuery objects, "
-                    f"got {type(query).__name__}"
-                )
-        if self.workers is not None and self.workers < 1:
-            raise MalformedRequestError(
-                f"BatchRequest.workers must be >= 1, got {self.workers}"
-            )
-        _validate_pruning(self.pruning, "BatchRequest")
-
-    def to_json(self) -> dict:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "session": self.session,
-            "queries": [query_to_wire(query) for query in self.queries],
-        }
-        if self.workers is not None:
-            payload["workers"] = self.workers
-        if self.pruning is not None:
-            payload["pruning"] = self.pruning
-        return payload
-
-    @classmethod
-    def from_json(cls, payload) -> "BatchRequest":
-        what = cls.__name__
-        payload = _require_object(payload, what)
-        _check_schema_version(payload, what)
-        _reject_unknown(
-            payload, ["schema_version", "session", "queries", "workers", "pruning"], what
-        )
-        queries = _field(payload, "queries", list, what)
-        return cls(
-            session=_session_field(payload, what),
-            queries=tuple(query_from_wire(query) for query in queries),
-            workers=_field(payload, "workers", int, what, default=None),
-            pruning=_field(payload, "pruning", dict, what, default=None),
-        )
-
-
-def _validate_pruning(pruning: Optional[dict], what: str) -> None:
-    if pruning is None:
-        return
-    allowed = {"keyword", "support", "score"}
-    unknown = set(pruning) - allowed
-    if unknown:
-        raise MalformedRequestError(
-            f"{what}.pruning carries unknown rules {sorted(unknown)}"
-        )
-    for rule, value in pruning.items():
-        if not isinstance(value, bool):
-            raise MalformedRequestError(
-                f"{what}.pruning.{rule} must be a boolean, got {value!r}"
-            )
 
 
 #: Request type per endpoint name; the gateway and `decode_request` share it.
@@ -602,7 +533,7 @@ class _ResponseEnvelope:
     session: str
     epoch: int
     elapsed_seconds: float
-    api_version: str = _API_VERSION
+    api_version: ClassVar[str] = _API_VERSION
 
 
 @dataclass(frozen=True)
@@ -618,37 +549,23 @@ class BuildResponse(_ResponseEnvelope):
 
 
 @dataclass(frozen=True)
-class ToplResponse(_ResponseEnvelope):
-    """A TopL-ICDE answer: communities (best first) + execution statistics."""
-
-    communities: tuple = ()
-    statistics: dict = field(default_factory=dict)
+class _ReadResponse(_ResponseEnvelope):
+    """A query answer: its result's wire document inside the envelope."""
 
     def to_json(self) -> dict:
         payload = _envelope(self.session, self.epoch, self.elapsed_seconds)
-        payload["communities"] = [community_to_wire(c) for c in self.communities]
-        payload["statistics"] = self.statistics
+        payload.update(result_to_wire(self))
         return payload
 
 
 @dataclass(frozen=True)
-class DToplResponse(_ResponseEnvelope):
-    """A DTopL-ICDE answer: diversified communities + diversity metrics."""
+class ToplResponse(TopLResult, _ReadResponse):
+    """A TopL-ICDE answer: a :class:`~repro.query.results.TopLResult` in an envelope."""
 
-    communities: tuple = ()
-    diversity_score: float = 0.0
-    increment_evaluations: int = 0
-    candidates_considered: int = 0
-    statistics: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        payload = _envelope(self.session, self.epoch, self.elapsed_seconds)
-        payload["communities"] = [community_to_wire(c) for c in self.communities]
-        payload["diversity_score"] = self.diversity_score
-        payload["increment_evaluations"] = self.increment_evaluations
-        payload["candidates_considered"] = self.candidates_considered
-        payload["statistics"] = self.statistics
-        return payload
+@dataclass(frozen=True)
+class DToplResponse(DTopLResult, _ReadResponse):
+    """A DTopL-ICDE answer: a :class:`~repro.query.results.DTopLResult` in an envelope."""
 
 
 @dataclass(frozen=True)
@@ -686,7 +603,7 @@ class SessionsResponse:
     """The sessions a service hosts (``GET /v1/sessions``)."""
 
     sessions: tuple = ()
-    api_version: str = _API_VERSION
+    api_version: ClassVar[str] = _API_VERSION
 
     def to_json(self) -> dict:
         return {
@@ -702,7 +619,7 @@ class HealthResponse:
 
     status: str = "ok"
     sessions: tuple = ()
-    api_version: str = _API_VERSION
+    api_version: ClassVar[str] = _API_VERSION
 
     def to_json(self) -> dict:
         return {
@@ -719,7 +636,7 @@ class ErrorResponse:
 
     error: ServiceError
     session: Optional[str] = None
-    api_version: str = _API_VERSION
+    api_version: ClassVar[str] = _API_VERSION
 
     def to_json(self) -> dict:
         payload = {

@@ -53,27 +53,16 @@ def _adjacency_of(graph: GraphLike) -> dict[VertexId, set]:
     return {v: graph.neighbor_set(v) for v in graph.vertices()}
 
 
-def truss_decomposition(graph: GraphLike, backend: str = "reference") -> TrussDecomposition:
+def truss_decomposition(graph: GraphLike) -> TrussDecomposition:
     """Compute the full truss decomposition of ``graph``.
 
     Runs the standard peeling algorithm: repeatedly pick the edge with the
     lowest remaining support ``s``; its trussness is ``s + 2`` (monotonically
     clamped so trussness never decreases along the peeling order); remove it
     and decrement the supports of the edges it shared triangles with.
-
-    ``backend="fast"`` routes a full :class:`SocialNetwork` through the
-    array-backed bucket peel (:func:`repro.fastgraph.kernels.truss_decomposition_csr`)
-    over a frozen snapshot; trussness is a graph invariant, so the result is
-    identical.  Subgraph views always use the reference peel.
+    (:func:`repro.fastgraph.kernels.truss_decomposition_csr` is the same peel
+    over a frozen snapshot.)
     """
-    if backend not in ("reference", "fast"):
-        from repro.exceptions import GraphError
-
-        raise GraphError(f"backend must be 'reference' or 'fast', got {backend!r}")
-    if backend == "fast" and isinstance(graph, SocialNetwork):
-        from repro.fastgraph.kernels import truss_decomposition_csr
-
-        return truss_decomposition_csr(graph.freeze())
     adjacency = _adjacency_of(graph)
     supports: dict[frozenset, int] = {}
     for u, neighbors in adjacency.items():

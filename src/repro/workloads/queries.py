@@ -8,10 +8,9 @@ graph and parameter setting, used by the benches and the experiment runner.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Union
 
+from repro._rng import RandomLike, resolve_rng
 from repro.exceptions import DatasetError
 from repro.graph.social_network import SocialNetwork
 from repro.query.params import (
@@ -25,14 +24,6 @@ from repro.query.params import (
     make_dtopl_query,
     make_topl_query,
 )
-
-RandomLike = Union[int, random.Random, None]
-
-
-def _resolve_rng(rng: RandomLike) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
 
 
 @dataclass
@@ -52,7 +43,7 @@ class QueryWorkload:
     rng: RandomLike = 97
 
     def __post_init__(self) -> None:
-        self._rng = _resolve_rng(self.rng)
+        self._rng = resolve_rng(self.rng)
         self._domain = sorted(self.graph.keyword_domain())
         if not self._domain:
             raise DatasetError(

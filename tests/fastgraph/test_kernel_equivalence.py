@@ -74,7 +74,7 @@ def test_trussness_matches_reference(seed):
 def test_truss_backend_switch_on_decomposition(seed):
     _, graph = seeded_graph(seed)
     assert (
-        truss_decomposition(graph, backend="fast").edge_trussness
+        truss_decomposition_csr(graph.freeze()).edge_trussness
         == truss_decomposition(graph).edge_trussness
     )
 

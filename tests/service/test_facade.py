@@ -183,7 +183,7 @@ class TestLifecycle:
         assert response.api_version == __version__
         assert response.elapsed_seconds >= 0.0
         assert len(response.communities) <= TOPL.top_l
-        assert response.statistics["communities_scored"] >= len(response.communities)
+        assert response.statistics.communities_scored >= len(response.communities)
 
     def test_dtopl_response_envelope(self, service):
         response = service.dtopl(DToplRequest(query=DTOPL, session="main"))
@@ -241,7 +241,7 @@ class TestLifecycle:
         # The override really reached the processor: the optional rules
         # pruned nothing on the unpruned path.
         for rule in ("pruned_by_keyword", "pruned_by_support", "pruned_by_score"):
-            assert unpruned.statistics[rule] == 0
+            assert getattr(unpruned.statistics, rule) == 0
 
     def test_save_and_load_store_through_requests(self, service_graph_doc, tmp_path):
         store_path = str(tmp_path / "writer.repro-store")

@@ -138,40 +138,27 @@ class TestRoutes:
 
 
 class TestBatchWorkersField:
-    """``BatchRequest.workers`` stays a version-1 wire field: accepted,
-    validated, and ignored — every batch is answered sequentially."""
+    """``BatchRequest.workers`` is retired: a batch that names it fails as
+    ``MALFORMED_REQUEST`` with the field named, whatever its value."""
 
-    @staticmethod
-    def _answers(document: dict) -> list:
-        return [
-            {key: value for key, value in result.items() if key != "statistics"}
-            for result in document["results"]
-        ]
-
-    @pytest.mark.parametrize("workers", [None, 1, 2, 64])
-    def test_accepted_and_answered_sequentially(self, gateway, built_engine, workers):
-        in_process = CommunityService()
-        in_process.adopt(built_engine, session="hosted")
-        expected = self._answers(
-            in_process.batch(
-                BatchRequest(session="hosted", queries=(TOPL, DTOPL, TOPL))
-            ).to_json()
-        )
-        request = BatchRequest(session="hosted", queries=(TOPL, DTOPL, TOPL), workers=workers)
-        status, over_http = http_json(gateway, "POST", "/v1/batch", request.to_json())
-        assert status == 200
-        for document in (in_process.batch(request).to_json(), over_http):
-            assert document["statistics"]["workers"] == 1
-            assert document["statistics"]["mode"] == "sequential"
-            assert self._answers(document) == expected
-
-    @pytest.mark.parametrize("workers", [0, True], ids=["zero", "true"])
+    @pytest.mark.parametrize(
+        "workers", [1, 2, 64, 0, True], ids=["one", "two", "sixty-four", "zero", "true"]
+    )
     def test_invalid_values_stay_malformed(self, gateway, workers):
         document = BatchRequest(session="hosted", queries=(TOPL,)).to_json()
         document["workers"] = workers
         status, body = http_json(gateway, "POST", "/v1/batch", document)
         assert status == 400
         assert body["error"]["code"] == "MALFORMED_REQUEST"
+        assert "workers" in body["error"]["message"]
+
+    def test_statistics_report_no_workers_or_mode(self, gateway):
+        request = BatchRequest(session="hosted", queries=(TOPL, DTOPL, TOPL))
+        status, body = http_json(gateway, "POST", "/v1/batch", request.to_json())
+        assert status == 200
+        assert body["statistics"]["total_queries"] == 3
+        assert "workers" not in body["statistics"]
+        assert "mode" not in body["statistics"]
 
 
 class TestStreaming:
